@@ -12,8 +12,8 @@ from kslab.instances import SplitMix64, grid_graph, random_distinct_vertices, ra
 from kslab.metric_core import all_pairs_shortest_paths
 from kslab.offline_solver import opt_cost_dp
 from kslab.spanner_cover import (
+    HeavyPathIndex,
     SpannerSystem,
-    build_heavy_paths,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,
@@ -38,7 +38,7 @@ system = certify_system(g, dm, trees, q, 0)
 
 print()
 print("== 10 seeded runs against the exact optimum ==")
-hp = [build_heavy_paths(t) for t in system.trees]
+hp = [HeavyPathIndex(t) for t in system.trees]
 rng = SplitMix64(1234)
 for i in range(10):
     init = random_distinct_vertices(rng, 2, 16)
@@ -63,7 +63,7 @@ gt = path_graph(9)
 dmt = all_pairs_shortest_paths(gt)
 tree = shortest_path_tree(gt, 0)
 sys1 = certify_system(gt, dmt, (tree,), 1, 0)
-hp1 = [build_heavy_paths(tree)]
+hp1 = [HeavyPathIndex(tree)]
 init = (0, 8)
 sigma = random_requests(rng, 15, 9)
 opt_cost, opt_sched = opt_cost_dp(gt, init, sigma, dmt)

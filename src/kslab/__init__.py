@@ -9,7 +9,6 @@ from .metric_core import (
     NonPositiveWeight,
     SelfLoop,
     all_pairs_shortest_paths,
-    build_graph,
     graph_from_json,
     graph_from_text,
     graph_to_json,
@@ -46,7 +45,6 @@ from .spanner_cover import (
     NoLabeledServerOnRootPath,
     SpannerSystem,
     SpanningTree,
-    build_heavy_paths,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,

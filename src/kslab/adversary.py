@@ -3,7 +3,7 @@ unit/module/source-joined graph families, valid sequences, and PERM.
 
 Vertex ids are 0-based throughout.  The classic path round is written on
 1-based path labels (3, 1|5, 3, 2, 4, 2, 4) and shifted down by one, so
-request lists index directly into a path graph built by `build_graph`.
+request lists index directly into a path graph.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .metric_core import Graph, build_graph
+from .metric_core import Graph
 from .offline_solver import Move, Schedule
 
 
@@ -169,7 +169,7 @@ def unit_graph(gamma: int) -> tuple[Graph, UnitLayout]:
     if gamma < 2:
         raise ValueError("gamma must be >= 2")
     layout = _unit_layout(gamma, 0)
-    return build_graph(_unit_edges(layout), unit_size(gamma)), layout
+    return Graph(unit_size(gamma), _unit_edges(layout)), layout
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def _module_edges(ml: ModuleLayout) -> list[tuple[int, int, int]]:
 def module_graph(gamma: int) -> Graph:
     """Two unit graphs wired back to back; all edge weights 1."""
     ml = module_layout(gamma)
-    return build_graph(_module_edges(ml), ml.n)
+    return Graph(ml.n, _module_edges(ml))
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def gb_graph(m: int, gamma: int) -> Graph:
         edges.extend(_module_edges(ml))
     for i in range(m):
         edges.append((gb.source, gb.selected(i), 1))
-    return build_graph(edges, gb.n)
+    return Graph(gb.n, edges)
 
 
 # ---------------------------------------------------------------------------

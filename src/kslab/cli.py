@@ -14,14 +14,10 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import adversary
-from .gpc import (
-    generate_advice,
-    gpc_bit_budget,
-    gpc_bit_budget_nominal,
-    run_online,
-)
+from .gpc import generate_advice, gpc_bit_budget_nominal, run_online
 from .instances import (
     SplitMix64,
     grid_graph,
@@ -31,24 +27,30 @@ from .instances import (
     random_partial_ktree,
     random_requests,
 )
-from .metric_core import all_pairs_shortest_paths, graph_from_json, graph_to_json
+from .metric_core import (
+    Graph,
+    GraphFormatError,
+    all_pairs_shortest_paths,
+    graph_from_json,
+    graph_to_json,
+    num_to_json,
+)
 from .offline_solver import (
     InstanceTooLarge,
+    Schedule,
     opt_all_schedules,
     opt_cost_dp,
     opt_cost_flow,
 )
 from .spanner_cover import (
+    HeavyPathIndex,
     SpannerSystem,
-    build_heavy_paths,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,
     run_online_spanner,
     shortest_path_tree,
-    spanner_bit_budget,
     system_from_json,
-    verify_stretch,
 )
 from .tree_decomp import (
     TreeDecomposition,
@@ -78,24 +80,36 @@ CSV_COLUMNS = [
 
 @dataclass
 class RunSpec:
+    """The `kslab run` arguments; their defaults live in `make_parser`."""
+
     command: str
-    algo: str = "opt"
-    family: str | None = None
-    graph: str | None = None
-    instance: str | None = None
-    td: str | None = None
-    spanners: str | None = None
-    gamma: int = 2
-    modules: int = 1
-    rounds: int = 1
-    bits: str | None = None
-    k: int = 2
-    n: int = 10
-    size: int = 0
-    seed: int = 0
-    out: str | None = None
-    format: str = "json"
-    dump_instance: str | None = None
+    algo: str
+    family: str | None
+    graph: str | None
+    instance: str | None
+    td: str | None
+    spanners: str | None
+    gamma: int
+    modules: int
+    rounds: int
+    bits: str | None
+    k: int
+    n: int
+    size: int
+    seed: int
+    out: str | None
+    format: str
+    dump_instance: str | None
+
+
+class Instance(NamedTuple):
+    """A run's graph, servers, requests, decomposition and family params."""
+
+    g: Graph
+    init: tuple[int, ...]
+    sigma: list[int]
+    td: TreeDecomposition | None
+    params: dict
 
 
 def _canonical(obj) -> str:
@@ -106,32 +120,29 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _num(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    return x
+def _vertices(doc: dict, field: str, n: int) -> list:
+    """doc[field] as a vertex list, every entry checked to lie in 0..n-1."""
+    for i, v in enumerate(doc[field]):
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+            raise GraphFormatError(f"{field}[{i}]", f"vertex {v!r} not in 0..{n - 1}")
+    return doc[field]
 
 
-def _build_instance(spec: RunSpec):
-    """Resolve (graph, init, sigma, td, system) from a file or a family."""
+def _build_instance(spec: RunSpec) -> Instance:
+    """Resolve the graph, servers, requests and decomposition of a run."""
     rng = SplitMix64(spec.seed)
-    td = system = None
+    td = None
     if spec.graph:
         with open(spec.graph) as fh:
             g = graph_from_json(fh.read())
         if spec.td:
             with open(spec.td) as fh:
                 td = TreeDecomposition.from_json(fh.read())
-        if spec.spanners:
-            with open(spec.spanners) as fh:
-                system = system_from_json(g, fh.read())
         if spec.instance:
             with open(spec.instance) as fh:
                 doc = json.load(fh)
-            init = tuple(doc["init_config"])
-            sigma = list(doc["sequence"])
+            init = _vertices(doc, "init_config", g.n)
+            sigma = _vertices(doc, "sequence", g.n)
             params = {"source": spec.graph, "instance": spec.instance}
         else:
             init = random_distinct_vertices(rng, spec.k, g.n)
@@ -179,7 +190,7 @@ def _build_instance(spec: RunSpec):
         params = {"side": side}
     else:
         raise SystemExit(f"unknown family {spec.family!r}; pass --family or --graph")
-    return g, tuple(init), list(sigma), td, system, params
+    return Instance(g, tuple(init), list(sigma), td, params)
 
 
 def _seeded_valid_sequence(rng: SplitMix64, gamma: int, m: int, rounds: int):
@@ -204,107 +215,106 @@ def _opt(g, init, sigma, dm):
         return opt_cost_flow(g, init, sigma, dm)
 
 
-def cmd_run(spec: RunSpec) -> int:
-    g, init, sigma, td, system, params = _build_instance(spec)
-    dm = all_pairs_shortest_paths(g)
-    opt_cost, opt_schedule = _opt(g, init, sigma, dm)
-    log.info("instance: N=%d k=%d n=%d opt=%s", g.n, len(init), len(sigma), opt_cost)
+def _step_opt(spec: RunSpec, inst: Instance, dm, opt: Schedule):
+    return opt.total_cost, True, {"schedule": opt.to_json()}, None, None
 
-    results: dict = {
-        "opt_cost": _num(opt_cost),
-        "online_cost": None,
-        "ratio": None,
-        "bits_read": None,
-        "bit_budget": None,
-        "pass": True,
-    }
-    extra: dict = {}
-    tape_dump = None
 
-    if spec.algo == "opt":
-        results["online_cost"] = _num(opt_cost)
-        results["ratio"] = 1 if opt_cost else None
-        extra["schedule"] = opt_schedule.to_json()
-    elif spec.algo == "perm":
-        if spec.family not in ("module", "gb"):
-            raise SystemExit("--algo perm needs --family module or gb")
-        seq = adversary.valid_sequence(
-            spec.gamma,
-            spec.modules if spec.family == "gb" else 1,
-            params["perms"],
-        )
-        schedule = adversary.perm_algorithm(g, seq, init)
-        results["online_cost"] = _num(schedule.total_cost)
-        results["ratio"] = _ratio(schedule.total_cost, opt_cost)
-        results["pass"] = schedule.total_cost == opt_cost == len(sigma)
+def _step_perm(spec: RunSpec, inst: Instance, dm, opt: Schedule):
+    if spec.family not in ("module", "gb"):
+        raise SystemExit("--algo perm needs --family module or gb")
+    modules = spec.modules if spec.family == "gb" else 1
+    seq = adversary.valid_sequence(spec.gamma, modules, inst.params["perms"])
+    schedule = adversary.perm_algorithm(inst.g, seq, inst.init)
+    ok = schedule.total_cost == opt.total_cost == len(inst.sigma)
+    try:
+        all_opt = opt_all_schedules(inst.g, inst.init, inst.sigma, dm)
+    except InstanceTooLarge:
         unique = None
-        if (g.n ** len(init)) * len(sigma) <= 10**6:
-            all_opt = opt_all_schedules(g, init, sigma, dm)
-            unique = (
-                len(all_opt) == 1
-                and all_opt[0].move_triples() == schedule.move_triples()
-            )
-            results["pass"] = results["pass"] and unique
-        extra["unique_opt"] = unique
-    elif spec.algo == "gpc":
-        if td is None:
-            raise SystemExit("--algo gpc needs a tree decomposition (--td or family)")
-        check = verify_decomposition(g, td)
-        if not check:
-            raise SystemExit(f"decomposition invalid: {check.message}")
-        red = reduce_height(td, g.n)
-        tape = generate_advice(g, dm, red, init, sigma, opt_schedule)
-        tape.rewind()
-        run = run_online(g, dm, red, init, sigma, tape)
-        budget = gpc_bit_budget(red, len(init), len(sigma))
-        results.update(
-            online_cost=_num(run.online_cost),
-            ratio=_ratio(run.online_cost, opt_cost),
-            bits_read=run.bits_read,
-            bit_budget=budget,
-        )
-        results["pass"] = run.online_cost == opt_cost and run.bits_read <= budget
-        extra["reduced_width"] = red.width
-        extra["reduced_height"] = red.height
-        extra["bit_budget_nominal"] = gpc_bit_budget_nominal(
-            red, len(init), len(sigma)
-        )
-        extra["moves"] = run.to_json()["moves"]
-        tape_dump = tape.to_hex()
-    elif spec.algo == "spanner":
-        if system is None:
-            roots = _spanner_roots(spec, g.n)
-            trees = tuple(shortest_path_tree(g, r) for r in roots)
-            q, _ = measure_min_stretch(g, dm, SpannerSystem(trees=trees))
-            system = certify_system(g, dm, trees, q, 0)
-            extra["spanner_roots"] = list(roots)
-        extra["q"] = _num(system.q)
-        extra["r"] = _num(system.r)
-        hp = [build_heavy_paths(t) for t in system.trees]
-        tape = generate_advice_spanner(g, dm, system, init, sigma, opt_schedule)
-        tape.rewind()
-        run = run_online_spanner(g, system, hp, init, sigma, tape)
-        budget = spanner_bit_budget(system.mu, g.n, len(init), len(sigma))
-        results.update(
-            online_cost=_num(run.cost),
-            ratio=_ratio(run.cost, opt_cost),
-            bits_read=run.bits_read,
-            bit_budget=budget,
-        )
-        results["pass"] = (
-            run.cost <= (system.q + system.r) * opt_cost
-            and run.bits_read <= budget
-        )
-        extra["suffix_bits"] = run.suffix_bits
-        extra["labels"] = run.labels
-        extra["moves"] = run.to_json()["moves"]
-        tape_dump = tape.to_hex()
     else:
-        raise SystemExit(f"unknown algo {spec.algo!r}")
+        unique = (
+            len(all_opt) == 1
+            and all_opt[0].move_triples() == schedule.move_triples()
+        )
+        ok = ok and unique
+    return schedule.total_cost, ok, {"unique_opt": unique}, None, None
+
+
+def _step_gpc(spec: RunSpec, inst: Instance, dm, opt: Schedule):
+    g, init, sigma, td = inst.g, inst.init, inst.sigma, inst.td
+    if td is None:
+        raise SystemExit("--algo gpc needs a tree decomposition (--td or family)")
+    check = verify_decomposition(g, td)
+    if not check:
+        raise SystemExit(f"decomposition invalid: {check.message}")
+    red = reduce_height(td, g.n)
+    tape = generate_advice(g, dm, red, init, sigma, opt)
+    tape.rewind()
+    run = run_online(g, dm, red, init, sigma, tape)
+    extra = {
+        "reduced_width": red.width,
+        "reduced_height": red.height,
+        "bit_budget_nominal": gpc_bit_budget_nominal(red, len(init), len(sigma)),
+    }
+    return run.online_cost, run.online_cost == opt.total_cost, extra, run, tape
+
+
+def _step_spanner(spec: RunSpec, inst: Instance, dm, opt: Schedule):
+    g, init, sigma = inst.g, inst.init, inst.sigma
+    extra = {}
+    if spec.spanners:
+        with open(spec.spanners) as fh:
+            system = system_from_json(g, fh.read(), dm)
+    else:
+        roots = random_distinct_vertices(SplitMix64(spec.seed ^ 0xB0F5), 2, g.n)
+        trees = tuple(shortest_path_tree(g, r) for r in roots)
+        q, _ = measure_min_stretch(g, dm, SpannerSystem(trees=trees))
+        system = certify_system(g, dm, trees, q, 0)
+        extra["spanner_roots"] = roots
+    extra.update(q=system.q, r=system.r)
+    hp = [HeavyPathIndex(t) for t in system.trees]
+    tape = generate_advice_spanner(g, dm, system, init, sigma, opt)
+    tape.rewind()
+    run = run_online_spanner(g, system, hp, init, sigma, tape)
+    extra.update(suffix_bits=run.suffix_bits, labels=run.labels)
+    ok = run.cost <= (system.q + system.r) * opt.total_cost
+    return run.cost, ok, extra, run, tape
+
+
+# Each algorithm step serves the instance and returns (online cost, its own
+# pass condition, report extras, the tape run or None, the tape or None); a
+# tape run also has to stay within its bit budget.
+ALGOS = {
+    "opt": _step_opt,
+    "gpc": _step_gpc,
+    "spanner": _step_spanner,
+    "perm": _step_perm,
+}
+
+
+def cmd_run(spec: RunSpec) -> int:
+    inst = _build_instance(spec)
+    g, init, sigma, td = inst.g, inst.init, inst.sigma, inst.td
+    dm = all_pairs_shortest_paths(g)
+    opt_cost, opt = _opt(g, init, sigma, dm)
+    log.info("instance: N=%d k=%d n=%d opt=%s", g.n, len(init), len(sigma), opt_cost)
+    online_cost, ok, extra, run, tape = ALGOS[spec.algo](spec, inst, dm, opt)
+    tape_dump = None
+    if run is not None:
+        ok = ok and run.bits_read <= run.bit_budget
+        extra["moves"] = run.to_json()["moves"]
+        tape_dump = tape.to_hex()
+    results = {
+        "opt_cost": opt_cost,
+        "online_cost": online_cost,
+        "ratio": _ratio(online_cost, opt_cost),
+        "bits_read": run.bits_read if run else None,
+        "bit_budget": run.bit_budget if run else None,
+        "pass": ok,
+    }
 
     instance_doc = {
         "family": spec.family,
-        "params": _jsonable(params),
+        "params": _jsonable(inst.params),
         "seed": spec.seed,
         "N": g.n,
         "k": len(init),
@@ -330,32 +340,25 @@ def cmd_run(spec: RunSpec) -> int:
             "tape": tape_dump[0] if tape_dump else None,
         },
         "tape_bits": tape_dump[1] if tape_dump else None,
-        "results": results,
+        "results": _jsonable(results),
         "extra": _jsonable(extra),
     }
     _emit(spec, report)
-    return 0 if results["pass"] else 1
+    return 0 if ok else 1
 
 
 def _ratio(online, opt):
     if opt == 0:
         return None if online == 0 else "inf"
-    return _num(Fraction(online, opt) if online else Fraction(0))
+    return Fraction(online, opt)
 
 
 def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return _num(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    return obj
-
-
-def _spanner_roots(spec: RunSpec, n: int) -> tuple[int, ...]:
-    rng = SplitMix64(spec.seed ^ 0xB0F5)
-    return tuple(random_distinct_vertices(rng, 2, n))
+    return num_to_json(obj)
 
 
 def _emit(spec: RunSpec, report: dict) -> None:
@@ -428,22 +431,17 @@ def cmd_verify(args) -> int:
         return 1
     if args.spanners:
         with open(args.spanners) as fh:
-            obj = json.load(fh)
-        dm = all_pairs_shortest_paths(g)
+            text = fh.read()
         try:
-            system = system_from_json(g, obj)
+            system = system_from_json(g, text, all_pairs_shortest_paths(g))
         except ValueError as exc:
             print(f"fail: {exc}")
             return 1
         if system.q is None:
             print("fail: spanner file carries no (q, r) claim to verify")
             return 1
-        check = verify_stretch(g, dm, system, system.q, system.r)
-        if check:
-            print(f"pass: ({system.q}, {system.r})-stretch verified, mu={system.mu}")
-            return 0
-        print(f"fail: worst pair {check.witness} exceeds by {check.excess}")
-        return 1
+        print(f"pass: ({system.q}, {system.r})-stretch verified, mu={system.mu}")
+        return 0
     raise SystemExit("pass --td or --spanners")
 
 
@@ -480,7 +478,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--n", type=int, default=10, help="request count")
     run.add_argument("--size", type=int, default=0, help="graph size parameter")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--algo", choices=["opt", "gpc", "spanner", "perm"], default="opt")
+    run.add_argument("--algo", choices=list(ALGOS), default="opt")
     run.add_argument("--out", help="report file (default: stdout)")
     run.add_argument("--format", choices=["json", "csv"], default="json")
     run.add_argument(
@@ -506,27 +504,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = make_parser().parse_args(argv)
     if args.command == "run":
-        spec = RunSpec(
-            command="run",
-            algo=args.algo,
-            family=args.family,
-            graph=args.graph,
-            instance=args.instance,
-            td=args.td,
-            spanners=args.spanners,
-            gamma=args.gamma,
-            modules=args.modules,
-            rounds=args.rounds,
-            bits=args.bits,
-            k=args.k,
-            n=args.n,
-            size=args.size,
-            seed=args.seed,
-            out=args.out,
-            format=args.format,
-            dump_instance=args.dump_instance,
-        )
-        return cmd_run(spec)
+        return cmd_run(RunSpec(**vars(args)))
     if args.command == "bounds":
         return cmd_bounds(args)
     if args.command == "verify":

@@ -87,16 +87,11 @@ class GpcRun:
     online_cost: int | Fraction
     bits_read: int
     log: list[GpcMove]
+    bit_budget: int
     h: int
     width: int
     k: int
     n: int
-
-    @property
-    def bit_budget(self) -> int:
-        w_h = ceil_log2(self.h + 1)
-        w_b = ceil_log2(self.width + 1)
-        return (2 * self.n + self.k) * (w_h + w_b)
 
     def to_json(self) -> dict:
         return {
@@ -168,7 +163,7 @@ def generate_advice(
         if x == y:
             return rep[x], x
         z_bag = td.lca_bag(rep[x], rep[y])
-        return z_bag, intersect_shortest_path(g, dm, td, x, y, z_bag)
+        return z_bag, intersect_shortest_path(dm, td, x, y, z_bag)
 
     # Initial records, in server-id order; untouched servers park in place.
     last_address: list[tuple[int, int]] = []
@@ -246,6 +241,7 @@ def run_online(
         online_cost=cost,
         bits_read=tape.bits_read,
         log=log,
+        bit_budget=gpc_bit_budget(td, k, len(sigma)),
         h=td.height,
         width=td.width,
         k=k,

@@ -8,7 +8,7 @@ the recipe trivial to reproduce in any language).
 """
 from __future__ import annotations
 
-from .metric_core import Graph, build_graph
+from .metric_core import Graph
 from .tree_decomp import TreeDecomposition
 
 
@@ -48,7 +48,7 @@ class SplitMix64:
 
 
 def path_graph(n: int, weight: int = 1) -> Graph:
-    return build_graph([(i, i + 1, weight) for i in range(n - 1)], n)
+    return Graph(n, [(i, i + 1, weight) for i in range(n - 1)])
 
 
 def path_decomposition(n: int) -> TreeDecomposition:
@@ -69,7 +69,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 edges.append((v, v + 1, 1))
             if r + 1 < rows:
                 edges.append((v, v + cols, 1))
-    return build_graph(edges, rows * cols)
+    return Graph(rows * cols, edges)
 
 
 def random_partial_ktree(
@@ -135,7 +135,7 @@ def random_partial_ktree(
         (u, v, 1 if max_weight <= 1 else rng.randint(1, max_weight))
         for u, v in sorted(edges)
     ]
-    g = build_graph(weighted, n)
+    g = Graph(n, weighted)
     td = TreeDecomposition(bags, parent, 0)
     return g, td
 

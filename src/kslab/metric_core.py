@@ -29,7 +29,9 @@ class DisconnectedGraph(GraphError):
 
 
 class GraphFormatError(GraphError):
-    """Parse error carrying the offending line (text) or index (JSON)."""
+    """Malformed external input, carrying its location: a line (graph text),
+    an index (graph JSON) or a field of an instance, schedule or spanner file.
+    """
 
     def __init__(self, location: str, message: str):
         super().__init__(f"{location}: {message}")
@@ -117,11 +119,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(edge_list, n: int) -> Graph:
-    """Validate an edge list into a Graph; rejects disconnected input."""
-    return Graph(n, edge_list)
-
-
 class DistanceMatrix:
     """Exact all-pairs distances with next-hop path reconstruction.
 
@@ -192,16 +189,38 @@ def shortest_path_vertices(dm: DistanceMatrix, x: int, y: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # External formats.
 #
+# Exact numbers in JSON: an int, or a "p/q" string in lowest terms with q > 1.
 # Text:  first line "N M", then M lines "u v w".
-# JSON:  {"n": N, "edges": [[u, v, w], ...]} with w an int or a "p/q" string.
+# JSON:  {"n": N, "edges": [[u, v, w], ...]}.
 
 
-def _parse_weight_token(tok: str, location: str) -> Weight:
-    try:
-        f = Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise GraphFormatError(location, f"bad weight {tok!r}")
-    return int(f) if f.denominator == 1 else f
+def num_to_json(x):
+    """An exact number as JSON: int-valued ones as ints, others as "p/q".
+
+    Anything that is not a Fraction (ints, None) passes through unchanged.
+    """
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return x
+
+
+def num_from_json(x, location: str) -> Weight:
+    """The exact number an int or a "p/q" string stands for.
+
+    Strings are read by `Fraction`, so "3" and "1.5" pass too.  Integral
+    values come back as ints; anything else raises GraphFormatError naming
+    `location`.
+    """
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            f = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            return int(f) if f.denominator == 1 else f
+    raise GraphFormatError(location, f"bad number {x!r}")
 
 
 def graph_from_text(text: str) -> Graph:
@@ -228,8 +247,7 @@ def graph_from_text(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}", "u and v must be integers")
-        w = _parse_weight_token(parts[2], f"line {lineno}")
-        edges.append((u, v, w))
+        edges.append((u, v, num_from_json(parts[2], f"line {lineno}")))
     if len(edges) != m:
         raise GraphFormatError(
             f"line {lineno}", f"header promised {m} edges, found {len(edges)}"
@@ -248,10 +266,6 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def _weight_to_json(w: Weight):
-    return w if isinstance(w, int) else f"{w.numerator}/{w.denominator}"
-
-
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
@@ -263,14 +277,7 @@ def graph_from_json(text: str) -> Graph:
     for i, e in enumerate(obj["edges"]):
         if not isinstance(e, list) or len(e) != 3:
             raise GraphFormatError(f"edges[{i}]", "expected [u, v, w]")
-        u, v, raw_w = e
-        if isinstance(raw_w, str):
-            w = _parse_weight_token(raw_w, f"edges[{i}]")
-        elif isinstance(raw_w, int):
-            w = raw_w
-        else:
-            raise GraphFormatError(f"edges[{i}]", f"bad weight {raw_w!r}")
-        edges.append((u, v, w))
+        edges.append((e[0], e[1], num_from_json(e[2], f"edges[{i}]")))
     try:
         return Graph(obj["n"], edges)
     except GraphError as exc:
@@ -279,6 +286,6 @@ def graph_from_json(text: str) -> Graph:
 
 def graph_to_json(g: Graph) -> str:
     return json.dumps(
-        {"n": g.n, "edges": [[u, v, _weight_to_json(w)] for u, v, w in g.edges]},
+        {"n": g.n, "edges": [[u, v, num_to_json(w)] for u, v, w in g.edges]},
         sort_keys=True,
     )

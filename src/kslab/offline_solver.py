@@ -14,11 +14,17 @@ from math import lcm
 
 import networkx as nx
 
-from .metric_core import DistanceMatrix, Graph, all_pairs_shortest_paths
+from .metric_core import (
+    DistanceMatrix,
+    Graph,
+    all_pairs_shortest_paths,
+    num_from_json,
+    num_to_json,
+)
 
 
 class InstanceTooLarge(ValueError):
-    pass
+    """An exact solver's size guard tripped before any work was done."""
 
 
 DP_GUARD = 10**7
@@ -48,22 +54,11 @@ class Move:
             "server": self.server,
             "from": self.src,
             "to": self.dst,
-            "cost": _num_to_json(self.cost),
+            "cost": num_to_json(self.cost),
         }
         if self.via is not None:
             obj["via"] = self.via
         return obj
-
-
-def _num_to_json(x):
-    return x if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
-
-
-def _num_from_json(x):
-    if isinstance(x, str):
-        f = Fraction(x)
-        return int(f) if f.denominator == 1 else f
-    return x
 
 
 @dataclass
@@ -73,7 +68,7 @@ class Schedule:
 
     def to_json(self) -> dict:
         return {
-            "total_cost": _num_to_json(self.total_cost),
+            "total_cost": num_to_json(self.total_cost),
             "moves": [m.to_json() for m in self.moves],
         }
 
@@ -85,12 +80,13 @@ class Schedule:
                 server=m["server"],
                 src=m["from"],
                 dst=m["to"],
-                cost=_num_from_json(m["cost"]),
+                cost=num_from_json(m["cost"], f"moves[{i}].cost"),
                 via=m.get("via"),
             )
-            for m in obj["moves"]
+            for i, m in enumerate(obj["moves"])
         ]
-        return cls(moves=moves, total_cost=_num_from_json(obj["total_cost"]))
+        total = num_from_json(obj["total_cost"], "total_cost")
+        return cls(moves=moves, total_cost=total)
 
     def move_triples(self) -> tuple[tuple[int, int, int], ...]:
         """(t, src, dst) view: schedule identity modulo server relabeling."""
@@ -150,24 +146,16 @@ def _assign_server_ids(init, steps):
     return moves
 
 
-def opt_cost_dp(
-    g: Graph, init, sigma, dm: DistanceMatrix | None = None
-) -> tuple[int | Fraction, Schedule]:
-    """Provably minimal offline cost via DP over sorted configurations.
+def _dp_layers(dist, init, sigma) -> list[dict[tuple, tuple]]:
+    """Forward pass of the DP over sorted configurations.
 
-    Returns one optimal lazy schedule (deterministic tie-breaking: the
-    lexicographically smallest predecessor/source at every state).
+    layers[t][config] = (least cost of serving sigma[:t] and ending in
+    config, (prev_config, src_vertex)); ties go to the lexicographically
+    smallest predecessor/source.
     """
-    _guard(g.n, len(init), len(sigma), DP_GUARD, "opt_cost_dp")
-    if dm is None:
-        dm = all_pairs_shortest_paths(g)
-    dist = dm.dist
-    start = tuple(sorted(init))
-    # layer[config] = (cost, (prev_config, src_vertex))
-    layer: dict[tuple, tuple] = {start: (0, None)}
-    history = []
+    layer: dict[tuple, tuple] = {tuple(sorted(init)): (0, None)}
+    layers = [layer]
     for r in sigma:
-        history.append(layer)
         nxt: dict[tuple, tuple] = {}
         for conf, (cost, _) in layer.items():
             for src in set(conf):
@@ -185,17 +173,32 @@ def opt_cost_dp(
                 ):
                     nxt[new_conf] = (new_cost, (conf, src))
         layer = nxt
-    best_conf = min(layer, key=lambda c: (layer[c][0], c))
-    best_cost = layer[best_conf][0]
+        layers.append(layer)
+    return layers
+
+
+def opt_cost_dp(
+    g: Graph, init, sigma, dm: DistanceMatrix | None = None
+) -> tuple[int | Fraction, Schedule]:
+    """Provably minimal offline cost via DP over sorted configurations.
+
+    Returns one optimal lazy schedule (deterministic tie-breaking: the
+    lexicographically smallest predecessor/source at every state).
+    """
+    _guard(g.n, len(init), len(sigma), DP_GUARD, "opt_cost_dp")
+    if dm is None:
+        dm = all_pairs_shortest_paths(g)
+    dist = dm.dist
+    layers = _dp_layers(dist, init, sigma)
+    last = layers[-1]
+    best_conf = min(last, key=lambda c: (last[c][0], c))
+    best_cost = last[best_conf][0]
     # Back-trace one optimal chain of (src -> request) steps.
     steps = []
     conf = best_conf
-    cur = layer
     for t in range(len(sigma) - 1, -1, -1):
-        _, (prev_conf, src) = cur[conf]
+        _, (conf, src) = layers[t + 1][conf]
         steps.append((t, src, sigma[t], dist[src][sigma[t]]))
-        conf = prev_conf
-        cur = history[t]
     steps.reverse()
     schedule = Schedule(moves=_assign_server_ids(init, steps), total_cost=best_cost)
     return best_cost, schedule
@@ -213,28 +216,9 @@ def opt_all_schedules(
     if dm is None:
         dm = all_pairs_shortest_paths(g)
     dist = dm.dist
-    start = tuple(sorted(init))
-    layer: dict[tuple, int] = {start: 0}
-    layers = [layer]
-    for r in sigma:
-        nxt: dict[tuple, int] = {}
-        for conf, cost in layer.items():
-            for src in set(conf):
-                lst = list(conf)
-                lst.remove(src)
-                lst.append(r)
-                new_conf = tuple(sorted(lst))
-                new_cost = cost + dist[src][r]
-                if new_conf not in nxt or new_cost < nxt[new_conf]:
-                    nxt[new_conf] = new_cost
-        layer = nxt
-        layers.append(layer)
-    if sigma:
-        best_cost = min(layer.values())
-        finals = sorted(c for c, v in layer.items() if v == best_cost)
-    else:
-        best_cost = 0
-        finals = [start]
+    layers = _dp_layers(dist, init, sigma)
+    best_cost = min(cost for cost, _ in layers[-1].values())
+    finals = sorted(c for c, (cost, _) in layers[-1].items() if cost == best_cost)
 
     schedules: list[Schedule] = []
 
@@ -255,12 +239,10 @@ def opt_all_schedules(
         lst0.remove(r)  # the request vertex is occupied after serving it
         for src in range(g.n):  # any vertex the server may have come from
             prev_conf = tuple(sorted(lst0 + [src]))
-            prev_cost = layers[t - 1].get(prev_conf)
-            if prev_cost is None:
-                continue
-            if prev_cost + dist[src][r] == cost:
+            prev = layers[t - 1].get(prev_conf)
+            if prev is not None and prev[0] + dist[src][r] == cost:
                 steps_rev.append(src)
-                backtrack(t - 1, prev_conf, prev_cost, steps_rev)
+                backtrack(t - 1, prev_conf, prev[0], steps_rev)
                 steps_rev.pop()
 
     for final in finals:

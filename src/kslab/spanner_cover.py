@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .advice_tape import AdviceTape
 from .gpc import ceil_log2, server_trajectories
-from .metric_core import DistanceMatrix, Graph, Weight
+from .metric_core import DistanceMatrix, Graph, Weight, num_from_json, num_to_json
 from .offline_solver import Schedule
 
 
@@ -204,10 +204,6 @@ class HeavyPathIndex:
         return count
 
 
-def build_heavy_paths(tree: SpanningTree) -> HeavyPathIndex:
-    return HeavyPathIndex(tree)
-
-
 # ---------------------------------------------------------------------------
 # Spanner systems and stretch verification.
 
@@ -223,15 +219,10 @@ class SpannerSystem:
         return len(self.trees)
 
     def to_json(self) -> dict:
-        def num(x):
-            if x is None:
-                return None
-            return x if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
-
         return {
             "mu": self.mu,
-            "q": num(self.q),
-            "r": num(self.r),
+            "q": num_to_json(self.q),
+            "r": num_to_json(self.r),
             "trees": [
                 {"root": t.root, "parent": list(t.parent)} for t in self.trees
             ],
@@ -309,32 +300,19 @@ def certify_system(
     return system
 
 
-def system_from_json(g: Graph, text: str) -> SpannerSystem:
-    """Load and certify a spanner system; rejects bad trees or stretch."""
-    obj = json.loads(text) if isinstance(text, str) else text
-    trees = [
-        spanning_tree_from_parent(
-            g, t["root"], [p for p in t["parent"]]
-        )
-        for t in obj["trees"]
-    ]
+def system_from_json(g: Graph, text: str, dm: DistanceMatrix) -> SpannerSystem:
+    """Load a spanner system and, if it claims a (q, r), certify the claim.
+
+    `dm` is g's metric; bad trees or a failed stretch claim raise ValueError.
+    """
+    obj = json.loads(text)
+    trees = [spanning_tree_from_parent(g, t["root"], t["parent"]) for t in obj["trees"]]
     if obj.get("mu") is not None and obj["mu"] != len(trees):
         raise ValueError(f"mu={obj['mu']} but {len(trees)} trees given")
-
-    def num(x):
-        if x is None or isinstance(x, int):
-            return x
-        f = Fraction(x)
-        return int(f) if f.denominator == 1 else f
-
-    q, r = num(obj.get("q")), num(obj.get("r"))
-    dm_local = None
-    if q is not None and r is not None:
-        from .metric_core import all_pairs_shortest_paths
-
-        dm_local = all_pairs_shortest_paths(g)
-        return certify_system(g, dm_local, trees, q, r)
-    return SpannerSystem(trees=tuple(trees))
+    if obj.get("q") is None or obj.get("r") is None:
+        return SpannerSystem(trees=tuple(trees))
+    q, r = num_from_json(obj["q"], "q"), num_from_json(obj["r"], "r")
+    return certify_system(g, dm, trees, q, r)
 
 
 # ---------------------------------------------------------------------------

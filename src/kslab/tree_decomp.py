@@ -8,11 +8,8 @@ import json
 from dataclasses import dataclass
 
 from .metric_core import DistanceMatrix, Graph, shortest_path_vertices
+from .offline_solver import InstanceTooLarge
 from . import adversary
-
-
-class InstanceTooLarge(ValueError):
-    pass
 
 
 class NoIntersection(RuntimeError):
@@ -483,7 +480,6 @@ def reduce_height(td: TreeDecomposition, n_vertices: int) -> TreeDecomposition:
 
 
 def intersect_shortest_path(
-    g: Graph,
     dm: DistanceMatrix,
     td: TreeDecomposition,
     x: int,

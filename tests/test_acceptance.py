@@ -36,11 +36,11 @@ from kslab.instances import (
     random_partial_ktree,
     random_requests,
 )
-from kslab.metric_core import all_pairs_shortest_paths
+from kslab.metric_core import Graph, all_pairs_shortest_paths
 from kslab.offline_solver import opt_all_schedules, opt_cost_dp
 from kslab.spanner_cover import (
+    HeavyPathIndex,
     SpannerSystem,
-    build_heavy_paths,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,
@@ -236,7 +236,7 @@ def test_c7_spanner_competitiveness():
     trees = (shortest_path_tree(g, 0), shortest_path_tree(g, 15))
     q, _ = measure_min_stretch(g, dm, SpannerSystem(trees=trees))
     system = certify_system(g, dm, trees, q, 0)
-    hp = [build_heavy_paths(t) for t in system.trees]
+    hp = [HeavyPathIndex(t) for t in system.trees]
     rng = SplitMix64(777)
     violations = 0
     for i in range(50):
@@ -254,7 +254,6 @@ def test_c7_spanner_competitiveness():
 
     # mu = 1 on tree metrics: exact optimality
     rng = SplitMix64(778)
-    from kslab.metric_core import build_graph
     from kslab.spanner_cover import spanning_tree_from_parent
 
     for case in range(12):
@@ -269,11 +268,11 @@ def test_c7_spanner_competitiveness():
                 p = rng.randrange(v)
                 parent.append(p)
                 edges.append((p, v, 1 + rng.randrange(3)))
-            gt = build_graph(edges, n)
+            gt = Graph(n, edges)
         dmt = all_pairs_shortest_paths(gt)
         tree = spanning_tree_from_parent(gt, 0, parent)
         sys1 = certify_system(gt, dmt, (tree,), 1, 0)
-        hp1 = [build_heavy_paths(tree)]
+        hp1 = [HeavyPathIndex(tree)]
         init = random_distinct_vertices(rng, 2, gt.n)
         sigma = random_requests(rng, 12, gt.n)
         opt_cost, opt_sched = opt_cost_dp(gt, init, sigma, dmt)
@@ -316,7 +315,7 @@ def test_c8_path_bag_intersection_property():
             b = td.parent[b]
         path_bags.extend(reversed(tail))
         bag = path_bags[rng.randrange(len(path_bags))]
-        z = intersect_shortest_path(g, dm, td, x, y, bag)  # must not raise
+        z = intersect_shortest_path(dm, td, x, y, bag)  # must not raise
         assert z in td.bags[bag]
         assert dm.dist[x][z] + dm.dist[z][y] == dm.dist[x][y]
         done += 1

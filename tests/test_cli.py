@@ -1,11 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from kslab.cli import main
 from kslab.instances import grid_graph, path_graph
-from kslab.metric_core import graph_to_json
-from kslab.spanner_cover import SpannerSystem, shortest_path_tree
+from kslab.metric_core import GraphFormatError, all_pairs_shortest_paths, graph_to_json
+from kslab.spanner_cover import SpannerSystem, shortest_path_tree, verify_stretch
 from kslab.tree_decomp import module_graph_decomposition
 
 
@@ -61,6 +62,72 @@ def test_run_spanner_grid(tmp_path):
     report = json.loads(out.read_text())
     assert report["results"]["pass"] is True
     assert report["results"]["bits_read"] <= report["results"]["bit_budget"]
+
+
+# sha256 of the report of each `kslab run` example in README.md
+README_RUNS = [
+    (
+        ["--family", "path-rounds", "--bits", "101", "--algo", "opt"],
+        "d072e8d6c0ae5f56af1343825bb1eb8794fd81c6f5cc75dc45405eaf31ee6ed8",
+    ),
+    (
+        ["--family", "random-ktree", "--size", "20", "--k", "2", "--n", "25",
+         "--seed", "7", "--algo", "gpc"],
+        "fa143b284cbf0f0c589865073eac2e481a29c8c39f82212600d1b2038f15869b",
+    ),
+    (
+        ["--family", "module", "--gamma", "2", "--rounds", "1", "--algo", "perm"],
+        "e6b95062e364edd0243d2b62294e92bee41157bcd9b6e99977a91eece652c19c",
+    ),
+    (
+        ["--family", "grid", "--size", "4", "--k", "2", "--n", "20", "--seed", "3",
+         "--algo", "spanner"],
+        "ddbd58d80d65ba3255a44cf0e09d307fa7e11f5653eaa65622b1c75c6428cdb7",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    README_RUNS,
+    ids=["path-rounds-opt", "ktree-gpc", "module-perm", "grid-spanner"],
+)
+def test_readme_run_reports_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("run", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _write_pair(tmp_path, edges, n, init, sigma):
+    gp = tmp_path / "g.json"
+    gp.write_text(json.dumps({"n": n, "edges": edges}))
+    ip = tmp_path / "i.json"
+    ip.write_text(json.dumps({"init_config": init, "sequence": sigma}))
+    return str(gp), str(ip)
+
+
+def test_integral_rational_costs_are_ints(tmp_path):
+    gp, ip = _write_pair(tmp_path, [[0, 1, "3/2"], [1, 2, "5/2"]], 3, [0, 0], [2])
+    out = tmp_path / "r.json"
+    code = run_cli(
+        "run", "--graph", gp, "--instance", ip, "--algo", "opt", "--out", str(out)
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["results"]["opt_cost"] == 4
+    assert report["extra"]["schedule"]["total_cost"] == 4
+
+
+@pytest.mark.parametrize(
+    "init,sigma,where",
+    [([0, 1], [2, 7], r"sequence\[1\]: vertex 7 not in 0\.\.2"),
+     ([0, 3], [1], r"init_config\[1\]: vertex 3 not in 0\.\.2")],
+    ids=["sequence", "init_config"],
+)
+def test_instance_vertex_out_of_range(tmp_path, init, sigma, where):
+    gp, ip = _write_pair(tmp_path, [[0, 1, 1], [1, 2, 1]], 3, init, sigma)
+    with pytest.raises(GraphFormatError, match=where):
+        run_cli("run", "--graph", gp, "--instance", ip, "--algo", "opt")
 
 
 def test_csv_format(tmp_path):
@@ -139,6 +206,8 @@ def test_verify_spanner_claim(tmp_path, capsys):
     bad = SpannerSystem(trees=(shortest_path_tree(g, 0),), q=1, r=0)
     sysp.write_text(json.dumps(bad.to_json()))
     assert run_cli("verify", "--graph", str(gp), "--spanners", str(sysp)) == 1
+    worst = verify_stretch(g, all_pairs_shortest_paths(g), bad, 1, 0).witness
+    assert f"pair {worst} exceeds" in capsys.readouterr().out
     ok = SpannerSystem(
         trees=(shortest_path_tree(g, 0), shortest_path_tree(g, 15)), q=3, r=0
     )

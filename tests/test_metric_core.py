@@ -4,15 +4,17 @@ import pytest
 
 from kslab.metric_core import (
     DisconnectedGraph,
+    Graph,
     GraphFormatError,
     NonPositiveWeight,
     SelfLoop,
     all_pairs_shortest_paths,
-    build_graph,
     graph_from_json,
     graph_from_text,
     graph_to_json,
     graph_to_text,
+    num_from_json,
+    num_to_json,
     shortest_path_vertices,
 )
 from kslab.adversary import module_graph, module_layout, unit_graph
@@ -26,24 +28,24 @@ def test_path_construction():
 
 def test_missing_vertex_rejected():
     with pytest.raises(DisconnectedGraph):
-        build_graph([(0, 1, 1)], 3)
+        Graph(3, [(0, 1, 1)])
 
 
 def test_self_loop_rejected():
     with pytest.raises(SelfLoop):
-        build_graph([(0, 0, 1), (0, 1, 1)], 2)
+        Graph(2, [(0, 0, 1), (0, 1, 1)])
 
 
 def test_subunit_weight_rejected():
     with pytest.raises(NonPositiveWeight):
-        build_graph([(0, 1, 0)], 2)
+        Graph(2, [(0, 1, 0)])
     with pytest.raises(NonPositiveWeight):
-        build_graph([(0, 1, Fraction(1, 2))], 2)
+        Graph(2, [(0, 1, Fraction(1, 2))])
 
 
 def test_duplicate_edge_rejected():
     with pytest.raises(Exception):
-        build_graph([(0, 1, 1), (1, 0, 2)], 2)
+        Graph(2, [(0, 1, 1), (1, 0, 2)])
 
 
 def test_unit_graph_vertex_count():
@@ -141,7 +143,7 @@ def test_random_pairs_path_weight_matches_dist():
 
 def test_lexicographic_tie_break():
     # two equal-cost routes 0-1-3 and 0-2-3: the smaller first hop wins
-    g = build_graph([(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)], 4)
+    g = Graph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
     dm = all_pairs_shortest_paths(g)
     assert shortest_path_vertices(dm, 0, 3) == [0, 1, 3]
 
@@ -160,10 +162,20 @@ def test_text_round_trip_and_errors():
 
 
 def test_json_round_trip_and_errors():
-    g = build_graph([(0, 1, Fraction(3, 2)), (1, 2, 2)], 3)
+    g = Graph(3, [(0, 1, Fraction(3, 2)), (1, 2, 2)])
     g2 = graph_from_json(graph_to_json(g))
     assert g2.edges == g.edges
     with pytest.raises(GraphFormatError, match=r"edges\[1\]"):
         graph_from_json('{"n": 3, "edges": [[0, 1, 1], [1, 2]]}')
     with pytest.raises(GraphFormatError):
         graph_from_json('{"n": 3, "edges": [[0, 1, 1]]}')  # disconnected
+
+
+def test_exact_number_codec():
+    for x in (0, 7, Fraction(15, 2)):
+        assert num_from_json(num_to_json(x), "x") == x
+    assert num_to_json(Fraction(8, 2)) == 4
+    assert num_from_json("8/2", "x") == 4 and type(num_from_json("8/2", "x")) is int
+    for bad in (1.5, None, True, "x/2", "1/0"):
+        with pytest.raises(GraphFormatError, match=r"moves\[3\]\.cost"):
+            num_from_json(bad, "moves[3].cost")

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 from kslab.gpc import generate_advice, run_online
 from kslab.instances import SplitMix64, random_distinct_vertices, random_requests
-from kslab.metric_core import all_pairs_shortest_paths, build_graph
+from kslab.metric_core import Graph, all_pairs_shortest_paths
 from kslab.offline_solver import opt_cost_dp, opt_cost_flow
 from kslab.spanner_cover import (
-    build_heavy_paths,
+    HeavyPathIndex,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,
@@ -30,7 +30,7 @@ def _fraction_graph(rng: SplitMix64, n: int):
             {a, b} == {u, v} for a, b, _ in edges
         ):
             edges.append((u, v, 1 + Fraction(rng.randrange(7), 2)))
-    return build_graph(edges, n)
+    return Graph(n, edges)
 
 
 def test_distances_stay_exact_fractions():
@@ -69,7 +69,7 @@ def test_gpc_exact_on_rational_weights():
         edges = [
             (u, v, 1 + Fraction(rng.randrange(5), 2)) for u, v, _ in g_int.edges
         ]
-        g = build_graph(edges, n)
+        g = Graph(n, edges)
         dm = all_pairs_shortest_paths(g)
         red = reduce_height(td, n)
         assert verify_decomposition(g, red)
@@ -90,7 +90,7 @@ def test_spanner_mu3_on_rational_weights():
     trees = tuple(shortest_path_tree(g, r) for r in (0, 6, 13))
     q, _ = measure_min_stretch(g, dm, SpannerSystem(trees=trees))
     system = certify_system(g, dm, trees, q, 0)
-    hp = [build_heavy_paths(t) for t in system.trees]
+    hp = [HeavyPathIndex(t) for t in system.trees]
     for _ in range(15):
         init = random_distinct_vertices(rng, 3, g.n)
         sigma = random_requests(rng, 15, g.n)

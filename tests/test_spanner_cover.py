@@ -12,13 +12,12 @@ from kslab.instances import (
     random_partial_ktree,
     random_requests,
 )
-from kslab.metric_core import all_pairs_shortest_paths, build_graph
+from kslab.metric_core import Graph, all_pairs_shortest_paths
 from kslab.offline_solver import opt_cost_dp
 from kslab.spanner_cover import (
     HeavyPathIndex,
     NoLabeledServerOnRootPath,
     SpannerSystem,
-    build_heavy_paths,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,
@@ -83,7 +82,7 @@ def test_certify_rejects_false_claim():
 
 def test_path_graph_single_heavy_path():
     t = shortest_path_tree(path_graph(10), 0)
-    hp = build_heavy_paths(t)
+    hp = HeavyPathIndex(t)
     assert all(hp.head[v] == 0 for v in range(10))
     assert all(len(hp.segments_on_root_path(v)) == 1 for v in range(10))
 
@@ -93,9 +92,9 @@ def test_perfect_binary_tree_segments():
     edges = [(i, 2 * i + 1, 1) for i in range(15)] + [
         (i, 2 * i + 2, 1) for i in range(15)
     ]
-    g = build_graph(edges, 31)
+    g = Graph(31, edges)
     t = shortest_path_tree(g, 0)
-    hp = build_heavy_paths(t)
+    hp = HeavyPathIndex(t)
     assert max(len(hp.segments_on_root_path(v)) for v in range(31)) <= 5
 
 
@@ -107,9 +106,9 @@ def test_random_tree_segment_bound():
         p = rng.randrange(v)
         parent.append(p)
         edges.append((p, v, 1))
-    g = build_graph(edges, 200)
+    g = Graph(200, edges)
     t = spanning_tree_from_parent(g, 0, parent)
-    hp = build_heavy_paths(t)
+    hp = HeavyPathIndex(t)
     worst = max(len(hp.segments_on_root_path(v)) for v in range(200))
     assert worst <= math.ceil(math.log2(200)) == 8
 
@@ -122,9 +121,9 @@ def test_heavy_path_lca_and_dist_match_naive():
         p = rng.randrange(v)
         parent.append(p)
         edges.append((p, v, 1 + rng.randrange(4)))
-    g = build_graph(edges, 60)
+    g = Graph(60, edges)
     t = spanning_tree_from_parent(g, 0, parent)
-    hp = build_heavy_paths(t)
+    hp = HeavyPathIndex(t)
     dm = all_pairs_shortest_paths(g)  # the graph IS the tree
     for _ in range(300):
         u = rng.randrange(60)
@@ -150,8 +149,8 @@ def test_seg_ordinal_is_path_independent():
         p = rng.randrange(v)
         parent.append(p)
         edges.append((p, v, 1))
-    t = spanning_tree_from_parent(build_graph(edges, 80), 0, parent)
-    hp = build_heavy_paths(t)
+    t = spanning_tree_from_parent(Graph(80, edges), 0, parent)
+    hp = HeavyPathIndex(t)
     for y in range(80):
         segs = hp.segments_on_root_path(y)
         # the ordinal of each crossed heavy path equals its index here
@@ -167,7 +166,7 @@ def test_seg_ordinal_is_path_independent():
 
 def test_empty_sequence_costs_nothing():
     g, dm, system = _grid_system()
-    hp = [build_heavy_paths(t) for t in system.trees]
+    hp = [HeavyPathIndex(t) for t in system.trees]
     cost, sched = opt_cost_dp(g, (0, 5), [], dm)
     tape = generate_advice_spanner(g, dm, system, (0, 5), [], sched)
     tape.rewind()
@@ -178,7 +177,7 @@ def test_empty_sequence_costs_nothing():
 
 def test_single_request_single_server():
     g, dm, system = _grid_system()
-    hp = [build_heavy_paths(t) for t in system.trees]
+    hp = [HeavyPathIndex(t) for t in system.trees]
     cost, sched = opt_cost_dp(g, (0,), [15], dm)
     tape = generate_advice_spanner(g, dm, system, (0,), [15], sched)
     tape.rewind()
@@ -189,7 +188,7 @@ def test_single_request_single_server():
 
 def test_grid_suite_within_q_plus_r():
     g, dm, system = _grid_system()
-    hp = [build_heavy_paths(t) for t in system.trees]
+    hp = [HeavyPathIndex(t) for t in system.trees]
     rng = SplitMix64(808)
     for i in range(50):
         init = random_distinct_vertices(rng, 2, 16)
@@ -213,7 +212,7 @@ def test_mu1_tree_metric_is_exactly_optimal():
     dm = all_pairs_shortest_paths(g)
     t = shortest_path_tree(g, 0)
     system = certify_system(g, dm, (t,), 1, 0)
-    hp = [build_heavy_paths(t)]
+    hp = [HeavyPathIndex(t)]
     rng = SplitMix64(809)
     ambiguous_total = 0
     for i in range(30):
@@ -239,11 +238,11 @@ def test_mu1_random_tree_metrics():
             p = rng.randrange(v)
             parent.append(p)
             edges.append((p, v, 1 + rng.randrange(3)))
-        g = build_graph(edges, n)
+        g = Graph(n, edges)
         dm = all_pairs_shortest_paths(g)
         t = spanning_tree_from_parent(g, 0, parent)
         system = certify_system(g, dm, (t,), 1, 0)
-        hp = [build_heavy_paths(t)]
+        hp = [HeavyPathIndex(t)]
         init = random_distinct_vertices(rng, 2, n)
         sigma = random_requests(rng, 15, n)
         opt_c, opt_s = opt_cost_dp(g, init, sigma, dm)
@@ -255,7 +254,7 @@ def test_mu1_random_tree_metrics():
 
 def test_label_discipline_logged():
     g, dm, system = _grid_system()
-    hp = [build_heavy_paths(t) for t in system.trees]
+    hp = [HeavyPathIndex(t) for t in system.trees]
     rng = SplitMix64(811)
     init = random_distinct_vertices(rng, 2, 16)
     sigma = random_requests(rng, 18, 16)
@@ -273,7 +272,7 @@ def test_truncated_tape_raises():
     from kslab.advice_tape import TapeExhausted
 
     g, dm, system = _grid_system()
-    hp = [build_heavy_paths(t) for t in system.trees]
+    hp = [HeavyPathIndex(t) for t in system.trees]
     init = (0, 5)
     sigma = [7, 11]
     _, opt_s = opt_cost_dp(g, init, sigma, dm)
@@ -293,7 +292,7 @@ def test_truncated_tape_raises():
 def test_system_json_round_trip():
     g, dm, system = _grid_system()
     text = json.dumps(system.to_json())
-    again = system_from_json(g, text)
+    again = system_from_json(g, text, dm)
     assert again.mu == 2
     assert again.q == system.q and again.r == system.r
 
@@ -302,7 +301,7 @@ def test_system_json_rejects_bad_stretch():
     g = grid_graph(4, 4)
     sys1 = SpannerSystem(trees=(shortest_path_tree(g, 0),), q=1, r=0)
     with pytest.raises(ValueError):
-        system_from_json(g, json.dumps(sys1.to_json()))
+        system_from_json(g, json.dumps(sys1.to_json()), all_pairs_shortest_paths(g))
 
 
 def test_system_json_rejects_non_tree_edges():
@@ -314,4 +313,4 @@ def test_system_json_rejects_non_tree_edges():
         "trees": [{"root": 0, "parent": [None, 0, 1, 0, 8, 4, 3, 6, 7]}],
     }
     with pytest.raises(ValueError):
-        system_from_json(g, json.dumps(obj))
+        system_from_json(g, json.dumps(obj), all_pairs_shortest_paths(g))

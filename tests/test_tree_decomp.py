@@ -11,7 +11,7 @@ from kslab.instances import (
     path_graph,
     random_partial_ktree,
 )
-from kslab.metric_core import all_pairs_shortest_paths, build_graph
+from kslab.metric_core import Graph, all_pairs_shortest_paths
 from kslab.tree_decomp import (
     InstanceTooLarge,
     TreeDecomposition,
@@ -43,7 +43,7 @@ def test_missing_edge_bag_reported():
 def test_broken_connectivity_reported():
     # vertex 0 appears in two bags separated by one without it
     td = TreeDecomposition([(0, 1), (1, 2), (0, 2)], [None, 0, 1], 0)
-    g = build_graph([(0, 1, 1), (1, 2, 1), (0, 2, 1)], 3)
+    g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     check = verify_decomposition(g, td)
     assert not check
     assert check.axiom == 3
@@ -63,13 +63,13 @@ def test_missing_vertex_reported():
 def test_exact_treewidth_trees():
     w, td = exact_treewidth(path_graph(5))
     assert w == 1 and verify_decomposition(path_graph(5), td)
-    star = build_graph([(0, i, 1) for i in range(1, 6)], 6)
+    star = Graph(6, [(0, i, 1) for i in range(1, 6)])
     w, td = exact_treewidth(star)
     assert w == 1 and verify_decomposition(star, td)
 
 
 def test_exact_treewidth_k4():
-    k4 = build_graph([(u, v, 1) for u, v in combinations(range(4), 2)], 4)
+    k4 = Graph(4, [(u, v, 1) for u, v in combinations(range(4), 2)])
     w, td = exact_treewidth(k4)
     assert w == 3
     assert verify_decomposition(k4, td)
@@ -168,8 +168,8 @@ def test_intersect_trivial_cases():
     g = path_graph(5)
     dm = all_pairs_shortest_paths(g)
     td = path_decomposition(5)
-    assert intersect_shortest_path(g, dm, td, 2, 2, td.representative_bag[2]) == 2
-    mid = intersect_shortest_path(g, dm, td, 0, 4, 2)  # bag {2,3}
+    assert intersect_shortest_path(dm, td, 2, 2, td.representative_bag[2]) == 2
+    mid = intersect_shortest_path(dm, td, 0, 4, 2)  # bag {2,3}
     assert mid in (2, 3)
 
 
@@ -198,7 +198,7 @@ def test_intersect_never_fails_on_tree_path_bags():
                 b = td.parent[b]
             path_bags.extend(reversed(tail))
             bag = path_bags[rng.randrange(len(path_bags))]
-            z = intersect_shortest_path(g, dm, td, x, y, bag)
+            z = intersect_shortest_path(dm, td, x, y, bag)
             assert z in td.bags[bag]
             assert dm.dist[x][z] + dm.dist[z][y] == dm.dist[x][y]
             done += 1
