@@ -20,6 +20,10 @@ class TapeExhausted(TapeError):
     pass
 
 
+class BadHexTape(TapeError):
+    """A hex dump that cannot hold the bit length it claims."""
+
+
 class AdviceTape:
     """Append-only bit string with a read cursor and exact bit counters."""
 
@@ -77,10 +81,15 @@ class AdviceTape:
     @classmethod
     def from_hex(cls, hexstr: str, nbits: int) -> "AdviceTape":
         tape = cls()
-        if nbits == 0:
-            return tape
-        acc = int.from_bytes(bytes.fromhex(hexstr), "big")
         total = len(hexstr) * 4
+        if not 0 <= nbits <= total:
+            raise BadHexTape(
+                f"bit length {nbits} not in 0..{total} for {len(hexstr)} hex digits"
+            )
+        try:
+            acc = int.from_bytes(bytes.fromhex(hexstr), "big")
+        except ValueError as exc:
+            raise BadHexTape(f"bad hex string: {exc}") from exc
         for i in range(nbits):
             tape._bits.append((acc >> (total - 1 - i)) & 1)
         return tape

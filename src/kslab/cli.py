@@ -33,7 +33,10 @@ from .metric_core import (
     all_pairs_shortest_paths,
     graph_from_json,
     graph_to_json,
+    is_vertex,
+    json_field,
     num_to_json,
+    parse_json,
 )
 from .offline_solver import (
     InstanceTooLarge,
@@ -120,12 +123,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _vertices(doc: dict, field: str, n: int) -> list:
+def _vertices(doc, field: str, n: int) -> list:
     """doc[field] as a vertex list, every entry checked to lie in 0..n-1."""
-    for i, v in enumerate(doc[field]):
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+    vs = json_field(doc, field)
+    if not isinstance(vs, list):
+        raise GraphFormatError(field, "expected a list of vertices")
+    for i, v in enumerate(vs):
+        if not is_vertex(v, n):
             raise GraphFormatError(f"{field}[{i}]", f"vertex {v!r} not in 0..{n - 1}")
-    return doc[field]
+    return vs
 
 
 def _build_instance(spec: RunSpec) -> Instance:
@@ -140,7 +146,7 @@ def _build_instance(spec: RunSpec) -> Instance:
                 td = TreeDecomposition.from_json(fh.read())
         if spec.instance:
             with open(spec.instance) as fh:
-                doc = json.load(fh)
+                doc = parse_json(fh.read())
             init = _vertices(doc, "init_config", g.n)
             sigma = _vertices(doc, "sequence", g.n)
             params = {"source": spec.graph, "instance": spec.instance}

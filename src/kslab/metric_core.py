@@ -3,10 +3,16 @@
 Distances are kept exact: integer weights give integer distances, Fraction
 weights give Fraction distances.  Floats are rejected so that cost-equality
 checks elsewhere never need tolerances.
+
+The metric is N exact single-source Dijkstra runs, O(N·M log N) in all.
+Among equal-length shortest paths the lexicographically smallest vertex
+sequence is reconstructed: each next hop is the smallest neighbour on some
+shortest path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 import json
 
 Weight = int | Fraction
@@ -26,6 +32,10 @@ class NonPositiveWeight(GraphError):
 
 class DisconnectedGraph(GraphError):
     pass
+
+
+class InconsistentMetric(RuntimeError):
+    """Distances that no shortest path realises: a fault in the metric code."""
 
 
 class GraphFormatError(GraphError):
@@ -135,44 +145,54 @@ class DistanceMatrix:
         return self.dist[u][v]
 
 
+def single_source_distances(g: Graph, s: int) -> list[Weight]:
+    """Exact distances from s to every vertex: Dijkstra over (distance, vertex).
+
+    None marks a vertex not reached yet; connectivity is a Graph invariant,
+    so none survives.
+    """
+    dist: list[Weight | None] = [None] * g.n
+    dist[s] = 0
+    done = [False] * g.n
+    heap: list[tuple[Weight, int]] = [(0, s)]
+    adj = g.adj
+    while heap:
+        d, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adj[u]:
+            nd = d + w
+            dv = dist[v]
+            if dv is None or nd < dv:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return dist
+
+
 def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
+    """One exact Dijkstra per source: O(N·M log N) on the sparse graphs here.
+
+    next_hop[u][v] is the smallest neighbour of u on some shortest u-v path,
+    which reconstructs the lexicographically smallest shortest path.
+    """
     n = g.n
-    INF = None  # exact arithmetic: use None as +infinity
-    dist: list[list[Weight | None]] = [[INF] * n for _ in range(n)]
-    for u in range(n):
-        dist[u][u] = 0
-    for u, v, w in g.edges:
-        dist[u][v] = w
-        dist[v][u] = w
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik is None:
-                continue
-            di = dist[i]
-            for j in range(n):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
-                alt = dik + dkj
-                if di[j] is None or alt < di[j]:
-                    di[j] = alt
-    # Connectivity is a Graph invariant, so no None survives.
+    dist = [single_source_distances(g, s) for s in range(n)]
     next_hop: list[list[int]] = [[0] * n for _ in range(n)]
     for u in range(n):
         next_hop[u][u] = u
+        du = dist[u]
         for v in range(n):
             if v == u:
                 continue
-            # smallest neighbor lying on some shortest u-v path
-            best = None
-            for x, w in g.adj[u]:
-                if w + dist[x][v] == dist[u][v]:
-                    best = x
-                    break  # adj is sorted by vertex id
-            assert best is not None
-            next_hop[u][v] = best
+            for x, w in g.adj[u]:  # adj is sorted by vertex id
+                if w + dist[x][v] == du[v]:
+                    next_hop[u][v] = x
+                    break
+            else:
+                raise InconsistentMetric(
+                    f"no neighbour of {u} lies on a shortest path to {v}"
+                )
     return DistanceMatrix(dist, next_hop)
 
 
@@ -223,6 +243,31 @@ def num_from_json(x, location: str) -> Weight:
     raise GraphFormatError(location, f"bad number {x!r}")
 
 
+def parse_json(text: str):
+    """External JSON text as a Python object; a syntax error names its line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"line {exc.lineno}", exc.msg) from exc
+
+
+def json_field(obj, key: str, where: str = ""):
+    """obj[key] of an external JSON object, or GraphFormatError naming it.
+
+    `where` locates obj itself, as in "trees[0]"; "" is the top level.
+    """
+    if not isinstance(obj, dict):
+        raise GraphFormatError(where or "top level", "expected a JSON object")
+    if key not in obj:
+        raise GraphFormatError(f"{where}.{key}" if where else key, "missing field")
+    return obj[key]
+
+
+def is_vertex(v, n: int) -> bool:
+    """Whether v is a vertex id of a graph on 0..n-1 (bools are not)."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
 def graph_from_text(text: str) -> Graph:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -267,10 +312,7 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"line {exc.lineno}", exc.msg) from exc
+    obj = parse_json(text)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError("top level", "expected {'n': ..., 'edges': [...]}")
     edges = []

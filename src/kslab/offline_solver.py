@@ -27,6 +27,10 @@ class InstanceTooLarge(ValueError):
     """An exact solver's size guard tripped before any work was done."""
 
 
+class FlowDecodeError(RuntimeError):
+    """The min-cost flow does not decode into a lazy schedule of its cost."""
+
+
 DP_GUARD = 10**7
 ENUM_GUARD = 10**6
 
@@ -326,7 +330,9 @@ def opt_cost_flow(
         while t is not None:
             serve_t[t] = i
             t = nxt_req[t]
-    assert len(serve_t) == n, "flow failed to cover every request"
+    if len(serve_t) != n:
+        missed = min(set(range(n)) - serve_t.keys())
+        raise FlowDecodeError(f"flow failed to cover request t={missed}")
     positions = list(init)
     moves = []
     for t in range(n):
@@ -336,5 +342,7 @@ def opt_cost_flow(
             Move(t=t, server=sid, src=src, dst=sigma[t], cost=dist[src][sigma[t]])
         )
         positions[sid] = sigma[t]
-    assert sum(m.cost for m in moves) == total
+    cost = sum(m.cost for m in moves)
+    if cost != total:
+        raise FlowDecodeError(f"schedule costs {cost}, flow costs {total}")
     return total, Schedule(moves=moves, total_cost=total)

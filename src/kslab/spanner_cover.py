@@ -24,14 +24,23 @@ certified trees that avoid collisions, keeping suffixes rare.
 """
 from __future__ import annotations
 
-import heapq
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .advice_tape import AdviceTape
 from .gpc import ceil_log2, server_trajectories
-from .metric_core import DistanceMatrix, Graph, Weight, num_from_json, num_to_json
+from .metric_core import (
+    DistanceMatrix,
+    Graph,
+    GraphFormatError,
+    Weight,
+    is_vertex,
+    json_field,
+    num_from_json,
+    num_to_json,
+    parse_json,
+    single_source_distances,
+)
 from .offline_solver import Schedule
 
 
@@ -57,15 +66,15 @@ def spanning_tree_from_parent(g: Graph, root: int, parent) -> SpanningTree:
     parent = tuple(parent)
     if len(parent) != g.n:
         raise ValueError(f"parent array must have length {g.n}")
-    if not (0 <= root < g.n):
-        raise ValueError(f"root {root} out of range")
+    if not is_vertex(root, g.n):
+        raise ValueError(f"root {root!r} out of range")
     if parent[root] is not None:
         raise ValueError("root must have parent None")
     weights: list[Weight | None] = [None] * g.n
     for v, p in enumerate(parent):
         if v == root:
             continue
-        if p is None or not (0 <= p < g.n):
+        if not is_vertex(p, g.n):
             raise ValueError(f"vertex {v} has invalid parent {p!r}")
         if not g.has_edge(v, p):
             raise ValueError(f"tree edge ({v}, {p}) is not a graph edge")
@@ -89,20 +98,7 @@ def shortest_path_tree(g: Graph, root: int) -> SpanningTree:
 
     On unit-weight graphs this is a plain breadth-first tree.
     """
-    dist: list[Weight | None] = [None] * g.n
-    dist[root] = 0
-    heap: list[tuple] = [(0, root)]
-    done = [False] * g.n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in g.adj[u]:
-            nd = d + w
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    dist = single_source_distances(g, root)
     parent: list[int | None] = [None] * g.n
     for v in range(g.n):
         if v == root:
@@ -303,12 +299,27 @@ def certify_system(
 def system_from_json(g: Graph, text: str, dm: DistanceMatrix) -> SpannerSystem:
     """Load a spanner system and, if it claims a (q, r), certify the claim.
 
-    `dm` is g's metric; bad trees or a failed stretch claim raise ValueError.
+    `dm` is g's metric.  Malformed JSON or a bad tree raises GraphFormatError
+    naming the field, as in "trees[0].parent"; a failed stretch claim raises
+    ValueError.
     """
-    obj = json.loads(text)
-    trees = [spanning_tree_from_parent(g, t["root"], t["parent"]) for t in obj["trees"]]
+    obj = parse_json(text)
+    raw = json_field(obj, "trees")
+    if not isinstance(raw, list):
+        raise GraphFormatError("trees", "expected a list of trees")
+    trees = []
+    for i, t in enumerate(raw):
+        where = f"trees[{i}]"
+        root = json_field(t, "root", where)
+        parent = json_field(t, "parent", where)
+        if not isinstance(parent, list):
+            raise GraphFormatError(f"{where}.parent", "expected a list")
+        try:
+            trees.append(spanning_tree_from_parent(g, root, parent))
+        except ValueError as exc:
+            raise GraphFormatError(where, str(exc)) from exc
     if obj.get("mu") is not None and obj["mu"] != len(trees):
-        raise ValueError(f"mu={obj['mu']} but {len(trees)} trees given")
+        raise GraphFormatError("mu", f"{obj['mu']} but {len(trees)} trees given")
     if obj.get("q") is None or obj.get("r") is None:
         return SpannerSystem(trees=tuple(trees))
     q, r = num_from_json(obj["q"], "q"), num_from_json(obj["r"], "r")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kslab.advice_tape import AdviceTape, TapeExhausted, ValueTooWide
+from kslab.advice_tape import AdviceTape, BadHexTape, TapeExhausted, ValueTooWide
 
 
 def test_write_bits_msb_first():
@@ -87,3 +87,19 @@ def test_hex_dump_replays(records):
 
 def test_hex_empty():
     assert AdviceTape().to_hex() == ("", 0)
+
+
+def test_hex_bit_length_past_the_digits():
+    with pytest.raises(BadHexTape, match="bit length 100 not in 0..8 for 2 hex digits"):
+        AdviceTape.from_hex("ab", 100)
+    assert AdviceTape.from_hex("ab", 8).read_uint(8) == 0xAB
+
+
+def test_hex_negative_bit_length():
+    with pytest.raises(BadHexTape, match="bit length -1 not in 0..8"):
+        AdviceTape.from_hex("ab", -1)
+
+
+def test_hex_bad_digits():
+    with pytest.raises(BadHexTape, match="bad hex string"):
+        AdviceTape.from_hex("zz", 4)

@@ -98,6 +98,28 @@ def test_readme_run_reports_are_pinned(argv, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# Larger runs pinned the same way: N^3 * n > DP_GUARD sends the first one's
+# OPT down the flow route; the second certifies a spanner on a 64-vertex grid.
+LARGER_RUNS = [
+    (
+        ["--family", "random-ktree", "--size", "60", "--k", "3", "--n", "60",
+         "--algo", "gpc"],
+        "37442000e65bbbb134623da21b223024cad48919bd2ce6614e178943dae403d1",
+    ),
+    (
+        ["--family", "grid", "--size", "8", "--algo", "spanner"],
+        "1eaf34befc6be86b8624b74c8fc7b7bb782c4201943feeed14987624c8c249db",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", LARGER_RUNS, ids=["ktree-flow-gpc", "grid8-spanner"])
+def test_larger_run_reports_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("run", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def _write_pair(tmp_path, edges, n, init, sigma):
     gp = tmp_path / "g.json"
     gp.write_text(json.dumps({"n": n, "edges": edges}))
@@ -126,6 +148,22 @@ def test_integral_rational_costs_are_ints(tmp_path):
 )
 def test_instance_vertex_out_of_range(tmp_path, init, sigma, where):
     gp, ip = _write_pair(tmp_path, [[0, 1, 1], [1, 2, 1]], 3, init, sigma)
+    with pytest.raises(GraphFormatError, match=where):
+        run_cli("run", "--graph", gp, "--instance", ip, "--algo", "opt")
+
+
+@pytest.mark.parametrize(
+    "doc,where",
+    [({"sequence": [1]}, r"^init_config: missing field"),
+     ({"init_config": [0]}, r"^sequence: missing field"),
+     ({"init_config": 0, "sequence": [1]}, r"^init_config: expected a list"),
+     ([0, 1], r"^top level: expected a JSON object")],
+    ids=["init_config", "sequence", "init_config-type", "top-level"],
+)
+def test_instance_file_errors_name_the_field(tmp_path, doc, where):
+    gp, ip = _write_pair(tmp_path, [[0, 1, 1], [1, 2, 1]], 3, [0], [1])
+    with open(ip, "w") as fh:
+        json.dump(doc, fh)
     with pytest.raises(GraphFormatError, match=where):
         run_cli("run", "--graph", gp, "--instance", ip, "--algo", "opt")
 

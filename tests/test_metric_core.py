@@ -6,6 +6,7 @@ from kslab.metric_core import (
     DisconnectedGraph,
     Graph,
     GraphFormatError,
+    InconsistentMetric,
     NonPositiveWeight,
     SelfLoop,
     all_pairs_shortest_paths,
@@ -19,6 +20,9 @@ from kslab.metric_core import (
 )
 from kslab.adversary import module_graph, module_layout, unit_graph
 from kslab.instances import SplitMix64, grid_graph, path_graph, random_partial_ktree
+from kslab import metric_core
+from kslab.spanner_cover import shortest_path_tree
+from test_rational_weights import _fraction_graph
 
 
 def test_path_construction():
@@ -179,3 +183,76 @@ def test_exact_number_codec():
     for bad in (1.5, None, True, "x/2", "1/0"):
         with pytest.raises(GraphFormatError, match=r"moves\[3\]\.cost"):
             num_from_json(bad, "moves[3].cost")
+
+
+def _floyd_warshall(g):
+    """Test oracle: O(N^3) distances and the smallest next hop on a shortest path."""
+    n = g.n
+    dist = [[None] * n for _ in range(n)]
+    for u in range(n):
+        dist[u][u] = 0
+    for u, v, w in g.edges:
+        dist[u][v] = dist[v][u] = w
+    for k in range(n):
+        dk = dist[k]
+        for di in dist:
+            dik = di[k]
+            if dik is None:
+                continue
+            for j in range(n):
+                if dk[j] is not None and (di[j] is None or dik + dk[j] < di[j]):
+                    di[j] = dik + dk[j]
+    next_hop = [
+        [
+            u if u == v
+            else min(x for x, w in g.adj[u] if w + dist[x][v] == dist[u][v])
+            for v in range(n)
+        ]
+        for u in range(n)
+    ]
+    return dist, next_hop
+
+
+def _oracle_graphs():
+    rng = SplitMix64(2024)
+    for _ in range(8):
+        n = 8 + rng.randrange(40)
+        yield random_partial_ktree(rng, n, 1 + rng.randrange(4), max_weight=9)[0]
+    for rows, cols in ((1, 7), (3, 3), (4, 6), (7, 7)):
+        yield grid_graph(rows, cols)  # many tied shortest paths
+    rng = SplitMix64(4242)
+    for n in (6, 12, 20, 30):
+        yield _fraction_graph(rng, n)  # half-integer weights
+
+
+def test_dijkstra_matches_floyd_warshall_oracle():
+    for g in _oracle_graphs():
+        dist, next_hop = _floyd_warshall(g)
+        dm = all_pairs_shortest_paths(g)
+        assert dm.dist == dist, g
+        assert dm.next_hop == next_hop, g
+
+
+def test_shortest_path_tree_parents_match_oracle():
+    for g in _oracle_graphs():
+        dist, _ = _floyd_warshall(g)
+        for root in range(0, g.n, 3):
+            d = dist[root]
+            expected = tuple(
+                None if v == root
+                else min(u for u, w in g.adj[v] if d[u] + w == d[v])
+                for v in range(g.n)
+            )
+            assert shortest_path_tree(g, root).parent == expected, (g, root)
+
+
+def test_next_hop_without_shortest_path_raises(monkeypatch):
+    g = grid_graph(2, 2)
+    real = metric_core.single_source_distances
+
+    def doubled(g, s):
+        return [2 * d for d in real(g, s)]
+
+    monkeypatch.setattr(metric_core, "single_source_distances", doubled)
+    with pytest.raises(InconsistentMetric, match="no neighbour of 0"):
+        all_pairs_shortest_paths(g)

@@ -14,8 +14,10 @@ from kslab.instances import (
     random_partial_ktree,
     random_requests,
 )
+from kslab import offline_solver
 from kslab.metric_core import all_pairs_shortest_paths
 from kslab.offline_solver import (
+    FlowDecodeError,
     InstanceTooLarge,
     opt_all_schedules,
     opt_cost_dp,
@@ -145,3 +147,30 @@ def test_all_schedules_contains_dp_schedule_and_is_minimal():
         # enumerated schedules are pairwise distinct
         triples = [s.move_triples() for s in everything]
         assert len(triples) == len(set(triples))
+
+
+def _tampered_simplex(monkeypatch, tamper):
+    real = offline_solver.nx.network_simplex
+
+    def fake(G):
+        cost, flow = real(G)
+        return tamper(cost, flow)
+
+    monkeypatch.setattr(offline_solver.nx, "network_simplex", fake)
+
+
+def test_flow_decode_checks_cost(monkeypatch):
+    _tampered_simplex(monkeypatch, lambda cost, flow: (cost + 1, flow))
+    with pytest.raises(FlowDecodeError, match="schedule costs 3, flow costs 4"):
+        opt_cost_flow(path_graph(5), (0, 4), [2, 3])
+
+
+def test_flow_decode_checks_coverage(monkeypatch):
+    def drop_first_request(cost, flow):
+        for arcs in flow.values():
+            arcs.pop(("ri", 0), None)
+        return cost, flow
+
+    _tampered_simplex(monkeypatch, drop_first_request)
+    with pytest.raises(FlowDecodeError, match="cover request t=0"):
+        opt_cost_flow(path_graph(5), (0, 4), [2, 3])

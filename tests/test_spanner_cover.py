@@ -12,7 +12,7 @@ from kslab.instances import (
     random_partial_ktree,
     random_requests,
 )
-from kslab.metric_core import Graph, all_pairs_shortest_paths
+from kslab.metric_core import Graph, GraphFormatError, all_pairs_shortest_paths
 from kslab.offline_solver import opt_cost_dp
 from kslab.spanner_cover import (
     HeavyPathIndex,
@@ -314,3 +314,32 @@ def test_system_json_rejects_non_tree_edges():
     }
     with pytest.raises(ValueError):
         system_from_json(g, json.dumps(obj), all_pairs_shortest_paths(g))
+
+
+@pytest.mark.parametrize(
+    "obj,where",
+    [
+        ({"trees": [{"root": 0}], "q": 1, "r": 0}, r"^trees\[0\]\.parent: missing field"),
+        ({"trees": [{"parent": [None] * 9}]}, r"^trees\[0\]\.root: missing field"),
+        ({"q": 1, "r": 0}, r"^trees: missing field"),
+        ({"trees": {"root": 0}}, r"^trees: expected a list"),
+        ({"trees": [7]}, r"^trees\[0\]: expected a JSON object"),
+        ({"trees": [{"root": 0, "parent": 3}]}, r"^trees\[0\]\.parent: expected a list"),
+        ({"trees": [{"root": "0", "parent": [None] * 9}]}, r"^trees\[0\]: root '0' out of range"),
+        ([1, 2], r"^top level: expected a JSON object"),
+        ({"mu": 2, "trees": [{"root": 0, "parent": [None, 0, 1, 0, 1, 2, 3, 4, 5]}]},
+         r"^mu: 2 but 1 trees given"),
+    ],
+    ids=["parent", "root", "trees", "trees-type", "tree-type", "parent-type",
+         "root-type", "top-level", "mu"],
+)
+def test_system_json_errors_name_the_field(obj, where):
+    g = grid_graph(3, 3)
+    with pytest.raises(GraphFormatError, match=where):
+        system_from_json(g, json.dumps(obj), all_pairs_shortest_paths(g))
+
+
+def test_system_json_syntax_error_names_line():
+    g = grid_graph(3, 3)
+    with pytest.raises(GraphFormatError, match="^line 2: "):
+        system_from_json(g, '{"trees":\n [,]}', all_pairs_shortest_paths(g))
