@@ -66,14 +66,14 @@ class Graph:
     """
 
     def __init__(self, n: int, edges):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise GraphError(f"vertex count must be a positive int, got {n!r}")
         seen: dict[tuple[int, int], Weight] = {}
         for u, v, w in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise GraphError(f"edge endpoints must be ints: ({u!r}, {v!r})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range [0, {n})")
+            if not (is_vertex(u, n) and is_vertex(v, n)):
+                raise GraphError(
+                    f"edge endpoints ({u!r}, {v!r}) must be ints in [0, {n})"
+                )
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             w = _check_weight(w)

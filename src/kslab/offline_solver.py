@@ -2,17 +2,19 @@
 
 Two independent routes are provided: a dynamic program over server
 configurations (the oracle for everything else, and the basis for
-enumerating all optimal schedules), and a min-cost-flow formulation that
-scales past the DP guard.  Both emit lazy schedules: exactly one server
+enumerating all optimal schedules), and a min-cost flow of value k on the
+request DAG that scales past the DP guard.  The flow is solved by k
+successive shortest paths (heap Dijkstra on reduced costs) in
+O(k * n^2 log n) for n requests, over plain index arrays and exact ints,
+with no graph library.  Both emit lazy schedules: exactly one server
 moves per request, directly to the requested vertex.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
-
-import networkx as nx
 
 from .metric_core import (
     DistanceMatrix,
@@ -29,6 +31,17 @@ class InstanceTooLarge(ValueError):
 
 class FlowDecodeError(RuntimeError):
     """The min-cost flow does not decode into a lazy schedule of its cost."""
+
+
+class InvalidSchedule(ValueError):
+    """A schedule breaks a lazy-schedule invariant at request t (None: the
+    schedule as a whole) in the named field."""
+
+    def __init__(self, t: int | None, field: str, message: str):
+        self.t = t
+        self.field = field
+        where = field if t is None else f"t={t} {field}"
+        super().__init__(f"{where}: {message}")
 
 
 DP_GUARD = 10**7
@@ -111,20 +124,42 @@ def replay_cost(dm: DistanceMatrix, schedule: Schedule):
 def validate_lazy_schedule(
     dm: DistanceMatrix, init, sigma, schedule: Schedule
 ) -> None:
-    """Assert the lazy-schedule invariants; raises AssertionError on a bug."""
+    """Check the lazy-schedule invariants; raise InvalidSchedule if one fails."""
+    n = len(sigma)
+    if len(schedule.moves) != n:
+        raise InvalidSchedule(
+            None, "moves", f"{len(schedule.moves)} moves for {n} requests"
+        )
     positions = list(init)
-    by_t = {m.t: m for m in schedule.moves}
-    assert len(schedule.moves) == len(sigma), "one move per request expected"
+    by_t: dict[int, Move] = {}
+    for m in schedule.moves:
+        if m.t in by_t:
+            raise InvalidSchedule(m.t, "t", "two moves serve this request")
+        by_t[m.t] = m
     total = 0
     for t, r in enumerate(sigma):
-        m = by_t[t]
-        assert m.via is None
-        assert positions[m.server] == m.src, "server not at claimed source"
-        assert m.dst == r, "lazy move must end on the request"
-        assert m.cost == dm.dist[m.src][m.dst], "cost != metric distance"
+        m = by_t.get(t)
+        if m is None:
+            raise InvalidSchedule(t, "t", "no move serves this request")
+        if m.via is not None:
+            raise InvalidSchedule(t, "via", f"a lazy move has no via, got {m.via}")
+        if not (isinstance(m.server, int) and 0 <= m.server < len(positions)):
+            raise InvalidSchedule(t, "server", f"no server {m.server!r}")
+        if positions[m.server] != m.src:
+            raise InvalidSchedule(
+                t, "src", f"server {m.server} is at {positions[m.server]}, not {m.src}"
+            )
+        if m.dst != r:
+            raise InvalidSchedule(t, "dst", f"move ends at {m.dst}, request is {r}")
+        d = dm.dist[m.src][m.dst]
+        if m.cost != d:
+            raise InvalidSchedule(t, "cost", f"{m.cost} != d({m.src}, {m.dst}) = {d}")
         positions[m.server] = m.dst
         total += m.cost
-    assert total == schedule.total_cost
+    if total != schedule.total_cost:
+        raise InvalidSchedule(
+            None, "total_cost", f"{schedule.total_cost} != sum of move costs {total}"
+        )
 
 
 def _guard(n_vertices: int, k: int, n_requests: int, limit: int, what: str):
@@ -256,14 +291,87 @@ def opt_all_schedules(
     return schedules
 
 
+def _min_cost_flow(n_nodes: int, arcs, k: int) -> tuple[int, list[int]]:
+    """Exact min-cost flow of value k from node 0 to node n_nodes - 1.
+
+    `arcs` holds (tail, head, cost) triples of capacity 1 with int costs,
+    negative ones allowed.  Node ids must be a topological order (tail <
+    head), every node must be reachable from node 0, and k arc-disjoint
+    paths must reach the sink.  Returns the flow cost and each arc's flow
+    (0 or 1) in the order of `arcs`.
+
+    k successive shortest paths: one forward pass over the DAG gives
+    feasible potentials, then each unit goes along a heap-Dijkstra shortest
+    path in the (nonnegative) reduced costs of the residual network.
+    """
+    sink = n_nodes - 1
+    to: list[int] = []  # arc e and its reverse e ^ 1
+    cap: list[int] = []
+    cost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    for u, v, c in arcs:
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(1)
+        cost.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+        cost.append(-c)
+    inf = float("inf")  # "not reached" sentinel; never enters a sum
+    pot: list = [inf] * n_nodes
+    pot[0] = 0
+    for u in range(n_nodes):
+        for e in adj[u]:
+            if cap[e] and pot[u] + cost[e] < pot[to[e]]:
+                pot[to[e]] = pot[u] + cost[e]
+    for _ in range(k):
+        dist: list = [inf] * n_nodes
+        prev = [0] * n_nodes
+        dist[0] = 0
+        heap = [(0, 0)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue
+            if u == sink:
+                break
+            base = d + pot[u]
+            for e in adj[u]:
+                if cap[e]:
+                    v = to[e]
+                    nd = base + cost[e] - pot[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev[v] = e
+                        heappush(heap, (nd, v))
+        # Nodes left unsettled (or unreached) get the sink's distance, which
+        # keeps every residual reduced cost nonnegative.
+        reach = dist[sink]
+        for v in range(n_nodes):
+            pot[v] += dist[v] if dist[v] < reach else reach
+        v = sink
+        while v:
+            e = prev[v]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            v = to[e ^ 1]
+    flow = cap[1::2]
+    return sum(c * f for (_, _, c), f in zip(arcs, flow)), flow
+
+
 def opt_cost_flow(
     g: Graph, init, sigma, dm: DistanceMatrix | None = None
 ) -> tuple[int | Fraction, Schedule]:
-    """Offline optimum via min-cost flow (node-split request gadgets).
+    """Offline optimum as a min-cost flow of value k on the request DAG.
 
-    Forcing one unit through every request is done with the standard
-    lower-bound-to-demand transformation, which keeps all arc costs
-    nonnegative.  Costs are scaled to integers when distances are rational.
+    Node S feeds one node s_i per server; request t is split into ri_t ->
+    ro_t, an arc of cost -B; a server's unit runs s_i -> ri_t -> ro_t ->
+    ri_u -> ... -> T and pays d(init_i, sigma_t), d(sigma_t, sigma_u), ...
+    on the way (Chrobak, Karloff, Payne, Vishwanathan 1991).  B exceeds the
+    positive cost of any flow, so a min-cost flow covers every request and
+    OPT = flow cost + n*B.  Distances are scaled by the lcm of their
+    denominators, so every cost is an exact int.
     """
     if dm is None:
         dm = all_pairs_shortest_paths(g)
@@ -281,55 +389,34 @@ def opt_cost_flow(
         ),
         1,
     )
-
-    def c(x):
-        v = x * scale
-        return int(v)
-
-    G = nx.DiGraph()
-    G.add_node("S", demand=-k)
-    G.add_node("T", demand=k)
-    for i in range(k):
-        G.add_edge("S", ("s", i), capacity=1, weight=0)
-        G.add_edge(("s", i), "T", capacity=1, weight=0)
-    for t in range(n):
-        # request edge with lower bound 1: shifted into node demands
-        G.add_node(("ri", t), demand=1)
-        G.add_node(("ro", t), demand=-1)
-        G.add_edge(("ro", t), "T", capacity=1, weight=0)
-        for i in range(k):
-            G.add_edge(
-                ("s", i), ("ri", t), capacity=1, weight=c(dist[init[i]][sigma[t]])
-            )
-        for u in range(t + 1, n):
-            G.add_edge(
-                ("ro", t), ("ri", u), capacity=1, weight=c(dist[sigma[t]][sigma[u]])
-            )
-    flow_cost, flow = nx.network_simplex(G)
-    total = Fraction(flow_cost, scale)
+    # Nodes: S = 0, s_i = 1 + i, ri_t = k + 1 + 2t, ro_t = ri_t + 1, T last.
+    sink = k + 1 + 2 * n
+    arcs = [(0, 1 + i, 0) for i in range(k)]
+    arcs += [(1 + i, sink, 0) for i in range(k)]
+    big = 1  # B: 1 + the sum over requests of the costliest arc into ri_t
+    for t, r in enumerate(sigma):
+        ri = k + 1 + 2 * t
+        into = [int(dist[x][r] * scale) for x in init]
+        into += [int(dist[sigma[u]][r] * scale) for u in range(t)]
+        big += max(into)
+        arcs += [(1 + i, ri, into[i]) for i in range(k)]
+        arcs += [(k + 2 + 2 * u, ri, into[k + u]) for u in range(t)]
+        arcs.append((ri + 1, sink, 0))
+    arcs += [(k + 1 + 2 * t, k + 2 + 2 * t, -big) for t in range(n)]
+    flow_cost, flow = _min_cost_flow(sink + 1, arcs, k)
+    total = Fraction(flow_cost + n * big, scale)
     total = int(total) if total.denominator == 1 else total
 
-    # Reconstruct per-server request chains from the flow.
+    # Each server's unit: s_i -> ri_t -> ro_t -> ri_u -> ... -> T.
+    succ = {u: v for (u, v, _), f in zip(arcs, flow) if f}
     serve_t: dict[int, int] = {}
-    nxt_req: dict[int, int | None] = {}
-    first_req: dict[int, int | None] = {}
     for i in range(k):
-        first_req[i] = None
-        for t in range(n):
-            if flow[("s", i)].get(("ri", t), 0):
-                first_req[i] = t
-                break
-    for t in range(n):
-        nxt_req[t] = None
-        for u in range(t + 1, n):
-            if flow[("ro", t)].get(("ri", u), 0):
-                nxt_req[t] = u
-                break
-    for i in range(k):
-        t = first_req[i]
-        while t is not None:
-            serve_t[t] = i
-            t = nxt_req[t]
+        v = succ.get(1 + i)
+        while v is not None and v != sink:
+            t, is_ro = divmod(v - k - 1, 2)
+            if not is_ro:
+                serve_t[t] = i
+            v = succ.get(v)
     if len(serve_t) != n:
         missed = min(set(range(n)) - serve_t.keys())
         raise FlowDecodeError(f"flow failed to cover request t={missed}")

@@ -4,10 +4,17 @@ explicit decompositions of the unit/module graph families.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .metric_core import DistanceMatrix, Graph, shortest_path_vertices
+from .metric_core import (
+    DistanceMatrix,
+    Graph,
+    GraphFormatError,
+    is_vertex,
+    json_field,
+    parse_json,
+    shortest_path_vertices,
+)
 from .offline_solver import InstanceTooLarge
 from . import adversary
 
@@ -152,9 +159,37 @@ class TreeDecomposition:
 
     @classmethod
     def from_json(cls, obj) -> "TreeDecomposition":
+        """Load {"bags", "parent", "root"} from JSON text or a parsed object.
+
+        A missing or mistyped field raises GraphFormatError naming it, as in
+        "bags[2][0]" or "parent"; bag vertices are checked against a graph
+        by verify_decomposition, not here.
+        """
         if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(obj["bags"], obj["parent"], obj["root"])
+            obj = parse_json(obj)
+        bags = json_field(obj, "bags")
+        parent = json_field(obj, "parent")
+        root = json_field(obj, "root")
+        if not isinstance(bags, list) or not bags:
+            raise GraphFormatError("bags", "expected a non-empty list of bags")
+        for i, bag in enumerate(bags):
+            if not isinstance(bag, list):
+                raise GraphFormatError(f"bags[{i}]", "expected a list of vertices")
+            for j, v in enumerate(bag):
+                if not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
+                    raise GraphFormatError(f"bags[{i}][{j}]", f"bad vertex {v!r}")
+        b = len(bags)
+        if not isinstance(parent, list) or len(parent) != b:
+            raise GraphFormatError("parent", f"expected a list of {b} entries")
+        for i, p in enumerate(parent):
+            if p is not None and not is_vertex(p, b):
+                raise GraphFormatError(f"parent[{i}]", f"{p!r} is not a bag id in 0..{b - 1}")
+        if not is_vertex(root, b):
+            raise GraphFormatError("root", f"{root!r} is not a bag id in 0..{b - 1}")
+        try:
+            return cls(bags, parent, root)
+        except ValueError as exc:
+            raise GraphFormatError("parent", str(exc)) from exc
 
     def __repr__(self) -> str:
         return (

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kslab
 from kslab.cli import main
 from kslab.instances import grid_graph, path_graph
 from kslab.metric_core import GraphFormatError, all_pairs_shortest_paths, graph_to_json
@@ -100,24 +105,40 @@ def test_readme_run_reports_are_pinned(argv, digest, tmp_path):
 
 # Larger runs pinned the same way: N^3 * n > DP_GUARD sends the first one's
 # OPT down the flow route; the second certifies a spanner on a 64-vertex grid.
+# Each also pins its exact OPT, which does not depend on which optimal
+# schedule the solver picks.
 LARGER_RUNS = [
     (
         ["--family", "random-ktree", "--size", "60", "--k", "3", "--n", "60",
          "--algo", "gpc"],
-        "37442000e65bbbb134623da21b223024cad48919bd2ce6614e178943dae403d1",
+        "09681968868db5a6079bcdbd58c1f5b69683d2b2e1b2126a4fa1720247edf5f6",
+        107,
     ),
     (
         ["--family", "grid", "--size", "8", "--algo", "spanner"],
         "1eaf34befc6be86b8624b74c8fc7b7bb782c4201943feeed14987624c8c249db",
+        37,
     ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", LARGER_RUNS, ids=["ktree-flow-gpc", "grid8-spanner"])
-def test_larger_run_reports_are_pinned(argv, digest, tmp_path):
+@pytest.mark.parametrize(
+    "argv,digest,opt_cost", LARGER_RUNS, ids=["ktree-flow-gpc", "grid8-spanner"]
+)
+def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     out = tmp_path / "r.json"
     assert run_cli("run", *argv, "--out", str(out)) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["pass"] is True
+    assert results["opt_cost"] == opt_cost
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_import_leaves_networkx_out():
+    code = "import sys, kslab.cli; sys.exit('networkx' in sys.modules)"
+    src = str(Path(kslab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _write_pair(tmp_path, edges, n, init, sigma):

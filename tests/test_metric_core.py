@@ -5,6 +5,7 @@ import pytest
 from kslab.metric_core import (
     DisconnectedGraph,
     Graph,
+    GraphError,
     GraphFormatError,
     InconsistentMetric,
     NonPositiveWeight,
@@ -45,6 +46,19 @@ def test_subunit_weight_rejected():
         Graph(2, [(0, 1, 0)])
     with pytest.raises(NonPositiveWeight):
         Graph(2, [(0, 1, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize(
+    "edge", [(True, 0, 1), (0, True, 1), (0, 2, 1), (-1, 1, 1), (0.0, 1, 1)]
+)
+def test_bad_edge_endpoint_rejected(edge):
+    with pytest.raises(GraphError, match=r"must be ints in \[0, 2\)"):
+        Graph(2, [edge])
+
+
+def test_bool_vertex_count_rejected():
+    with pytest.raises(GraphError, match="vertex count"):
+        Graph(True, [])
 
 
 def test_duplicate_edge_rejected():

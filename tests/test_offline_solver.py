@@ -1,4 +1,10 @@
+from dataclasses import replace
+from fractions import Fraction
+from math import lcm
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kslab.adversary import (
     PATH_ROUND_INIT,
@@ -15,10 +21,12 @@ from kslab.instances import (
     random_requests,
 )
 from kslab import offline_solver
-from kslab.metric_core import all_pairs_shortest_paths
+from kslab.metric_core import Graph, all_pairs_shortest_paths
 from kslab.offline_solver import (
     FlowDecodeError,
     InstanceTooLarge,
+    InvalidSchedule,
+    Schedule,
     opt_all_schedules,
     opt_cost_dp,
     opt_cost_flow,
@@ -149,28 +157,125 @@ def test_all_schedules_contains_dp_schedule_and_is_minimal():
         assert len(triples) == len(set(triples))
 
 
-def _tampered_simplex(monkeypatch, tamper):
-    real = offline_solver.nx.network_simplex
+def _tampered_flow(monkeypatch, tamper):
+    real = offline_solver._min_cost_flow
 
-    def fake(G):
-        cost, flow = real(G)
-        return tamper(cost, flow)
+    def fake(n_nodes, arcs, k):
+        cost, flow = real(n_nodes, arcs, k)
+        return tamper(arcs, cost, flow)
 
-    monkeypatch.setattr(offline_solver.nx, "network_simplex", fake)
+    monkeypatch.setattr(offline_solver, "_min_cost_flow", fake)
 
 
 def test_flow_decode_checks_cost(monkeypatch):
-    _tampered_simplex(monkeypatch, lambda cost, flow: (cost + 1, flow))
+    _tampered_flow(monkeypatch, lambda arcs, cost, flow: (cost + 1, flow))
     with pytest.raises(FlowDecodeError, match="schedule costs 3, flow costs 4"):
         opt_cost_flow(path_graph(5), (0, 4), [2, 3])
 
 
 def test_flow_decode_checks_coverage(monkeypatch):
-    def drop_first_request(cost, flow):
-        for arcs in flow.values():
-            arcs.pop(("ri", 0), None)
-        return cost, flow
+    ri_0 = 3  # node ids: S, the 2 server nodes, then request 0's in-node
 
-    _tampered_simplex(monkeypatch, drop_first_request)
+    def drop_first_request(arcs, cost, flow):
+        return cost, [0 if v == ri_0 else f for (_, v, _), f in zip(arcs, flow)]
+
+    _tampered_flow(monkeypatch, drop_first_request)
     with pytest.raises(FlowDecodeError, match="cover request t=0"):
         opt_cost_flow(path_graph(5), (0, 4), [2, 3])
+
+
+def _network_simplex_cost(dm, init, sigma):
+    """OPT by networkx's network simplex on the node-split request graph,
+    the request arcs' lower bound of 1 moved into node demands."""
+    import networkx as nx
+
+    k, n = len(init), len(sigma)
+    if n == 0:
+        return 0
+    dist = dm.dist
+    scale = lcm(*(d.denominator for row in dist for d in row), 1)
+    G = nx.DiGraph()
+    G.add_node("S", demand=-k)
+    G.add_node("T", demand=k)
+    for i in range(k):
+        G.add_edge("S", ("s", i), capacity=1, weight=0)
+        G.add_edge(("s", i), "T", capacity=1, weight=0)
+    for t in range(n):
+        G.add_node(("ri", t), demand=1)
+        G.add_node(("ro", t), demand=-1)
+        G.add_edge(("ro", t), "T", capacity=1, weight=0)
+        for i in range(k):
+            w = dist[init[i]][sigma[t]] * scale
+            G.add_edge(("s", i), ("ri", t), capacity=1, weight=int(w))
+        for u in range(t + 1, n):
+            w = dist[sigma[t]][sigma[u]] * scale
+            G.add_edge(("ro", t), ("ri", u), capacity=1, weight=int(w))
+    return Fraction(nx.network_simplex(G)[0], scale)
+
+
+@st.composite
+def _small_instances(draw):
+    """Connected graphs on <= 7 vertices with weights in {1, 3/2, ..., 4},
+    1..3 servers (init vertices may repeat) and up to 8 requests (empty
+    and occupied vertices included)."""
+    n_v = draw(st.integers(2, 7))
+    weight = st.integers(2, 8).map(lambda h: Fraction(h, 2))
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n_v)}
+    vertex = st.integers(0, n_v - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=6)):
+        if u < v:
+            edges.setdefault((u, v), draw(weight))
+    g = Graph(n_v, [(u, v, w) for (u, v), w in edges.items()])
+    init = tuple(draw(st.lists(vertex, min_size=1, max_size=3)))
+    sigma = draw(st.lists(vertex, max_size=8))
+    return g, init, sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_instances())
+@example((path_graph(5), (2, 2, 0), [2, 0, 4, 2, 4, 0]))  # repeats, occupied
+@example((Graph(3, [(0, 1, Fraction(3, 2)), (1, 2, 2)]), (1, 1), []))
+def test_flow_matches_dp_and_network_simplex(instance):
+    g, init, sigma = instance
+    dm = all_pairs_shortest_paths(g)
+    c_fl, s_fl = opt_cost_flow(g, init, sigma, dm)
+    c_dp, _ = opt_cost_dp(g, init, sigma, dm)
+    assert c_fl == c_dp == _network_simplex_cost(dm, init, sigma)
+    validate_lazy_schedule(dm, init, sigma, s_fl)
+    assert replay_cost(dm, s_fl) == c_fl
+
+
+# One case per lazy-schedule check: each raises InvalidSchedule naming
+# the request index t (None for the schedule as a whole) and the field.
+def _swap(sched, i, **fields):
+    moves = list(sched.moves)
+    moves[i] = replace(moves[i], **fields)
+    return Schedule(moves=moves, total_cost=sched.total_cost)
+
+
+@pytest.mark.parametrize(
+    "tamper,t,field",
+    [
+        (lambda s: Schedule(moves=s.moves[:-1], total_cost=s.total_cost), None, "moves"),
+        (lambda s: _swap(s, 1, t=0), 0, "t"),
+        (lambda s: _swap(s, 1, t=5), 1, "t"),
+        (lambda s: _swap(s, 0, via=3), 0, "via"),
+        (lambda s: _swap(s, 0, server=2), 0, "server"),
+        (lambda s: _swap(s, 0, src=0), 0, "src"),
+        (lambda s: _swap(s, 1, dst=1), 1, "dst"),
+        (lambda s: _swap(s, 1, cost=5), 1, "cost"),
+        (lambda s: Schedule(moves=s.moves, total_cost=s.total_cost + 1), None, "total_cost"),
+    ],
+    ids=["moves", "t-twice", "t-missing", "via", "server", "src", "dst", "cost", "total_cost"],
+)
+def test_validate_lazy_schedule_raises_located(tamper, t, field):
+    g = path_graph(5)
+    dm = all_pairs_shortest_paths(g)
+    init, sigma = (1, 3), [2, 4]
+    _, sched = opt_cost_dp(g, init, sigma, dm)
+    validate_lazy_schedule(dm, init, sigma, sched)
+    with pytest.raises(InvalidSchedule) as err:
+        validate_lazy_schedule(dm, init, sigma, tamper(sched))
+    assert (err.value.t, err.value.field) == (t, field)
+    where = field if t is None else f"t={t} {field}"
+    assert str(err.value).startswith(f"{where}: ")

@@ -11,7 +11,7 @@ from kslab.instances import (
     path_graph,
     random_partial_ktree,
 )
-from kslab.metric_core import Graph, all_pairs_shortest_paths
+from kslab.metric_core import Graph, GraphFormatError, all_pairs_shortest_paths
 from kslab.tree_decomp import (
     InstanceTooLarge,
     TreeDecomposition,
@@ -240,3 +240,25 @@ def test_json_round_trip():
     assert again.bags == td.bags
     assert again.parent == td.parent
     assert again.root == td.root
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ('{"bags": [[0]], "root": 0}', r"^parent: missing field"),
+        ('{"parent": [null], "root": 0}', r"^bags: missing field"),
+        ('{"bags": [[0]], "parent": [null]}', r"^root: missing field"),
+        ("[]", r"^top level: expected a JSON object"),
+        ('{"bags": [[0]], ', r"^line 1: "),
+        ('{"bags": [], "parent": [], "root": 0}', r"^bags: expected a non-empty"),
+        ('{"bags": [0], "parent": [null], "root": 0}', r"^bags\[0\]: expected a list"),
+        ('{"bags": [[0], [true]], "parent": [null, 0], "root": 0}', r"^bags\[1\]\[0\]: bad vertex True"),
+        ('{"bags": [[0]], "parent": [null, 0], "root": 0}', r"^parent: expected a list of 1 entries"),
+        ('{"bags": [[0], [1]], "parent": [null, "0"], "root": 0}', r"^parent\[1\]: '0' is not a bag id"),
+        ('{"bags": [[0]], "parent": [null], "root": 3}', r"^root: 3 is not a bag id"),
+        ('{"bags": [[0], [1]], "parent": [null, null], "root": 0}', r"^parent: bag 1 has invalid parent"),
+    ],
+)
+def test_json_errors_are_located(text, error):
+    with pytest.raises(GraphFormatError, match=error):
+        TreeDecomposition.from_json(text)
