@@ -24,6 +24,7 @@ from .offline_solver import (
     opt_cost_flow,
 )
 from .tree_decomp import (
+    HeightReductionFault,
     NoIntersection,
     TreeDecomposition,
     exact_treewidth,
@@ -43,8 +44,12 @@ from .gpc import (
 from .spanner_cover import (
     HeavyPathIndex,
     NoLabeledServerOnRootPath,
+    RelayOffTreePath,
     SpannerSystem,
     SpanningTree,
+    StretchClaimRejected,
+    UncertifiedLeg,
+    certify_min_stretch,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,

@@ -47,10 +47,9 @@ from .offline_solver import (
 )
 from .spanner_cover import (
     HeavyPathIndex,
-    SpannerSystem,
-    certify_system,
+    StretchClaimRejected,
+    certify_min_stretch,
     generate_advice_spanner,
-    measure_min_stretch,
     run_online_spanner,
     shortest_path_tree,
     system_from_json,
@@ -272,9 +271,8 @@ def _step_spanner(spec: RunSpec, inst: Instance, dm, opt: Schedule):
             system = system_from_json(g, fh.read(), dm)
     else:
         roots = random_distinct_vertices(SplitMix64(spec.seed ^ 0xB0F5), 2, g.n)
-        trees = tuple(shortest_path_tree(g, r) for r in roots)
-        q, _ = measure_min_stretch(g, dm, SpannerSystem(trees=trees))
-        system = certify_system(g, dm, trees, q, 0)
+        trees = [shortest_path_tree(g, r) for r in roots]
+        system = certify_min_stretch(dm, trees)
         extra["spanner_roots"] = roots
     extra.update(q=system.q, r=system.r)
     hp = [HeavyPathIndex(t) for t in system.trees]
@@ -440,7 +438,7 @@ def cmd_verify(args) -> int:
             text = fh.read()
         try:
             system = system_from_json(g, text, all_pairs_shortest_paths(g))
-        except ValueError as exc:
+        except StretchClaimRejected as exc:
             print(f"fail: {exc}")
             return 1
         if system.q is None:
@@ -506,16 +504,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a malformed input file is reported on one stderr
+    line naming the field, with exit status 2."""
     level = os.environ.get("KSL_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = make_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(RunSpec(**vars(args)))
-    if args.command == "bounds":
-        return cmd_bounds(args)
-    if args.command == "verify":
+    try:
+        if args.command == "run":
+            return cmd_run(RunSpec(**vars(args)))
+        if args.command == "bounds":
+            return cmd_bounds(args)
         return cmd_verify(args)
-    return 2
+    except GraphFormatError as exc:
+        print(f"kslab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

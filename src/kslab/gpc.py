@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .advice_tape import AdviceTape
 from .metric_core import DistanceMatrix, Graph
-from .offline_solver import Schedule
+from .offline_solver import InvalidSchedule, Schedule
 from .tree_decomp import TreeDecomposition, intersect_shortest_path
 
 
@@ -69,6 +69,15 @@ def server_trajectories(init, sigma, opt: Schedule) -> list[list[int]]:
             )
         trajectories[m.server].append(m.dst)
     return trajectories
+
+
+def check_leg_end(t: int, y: int, sid: int, reached: int) -> None:
+    """Raise InvalidSchedule unless server sid, serving request t at y,
+    reaches y on its trajectory; a move that ends elsewhere fails here."""
+    if reached != y:
+        raise InvalidSchedule(
+            t, "dst", f"server {sid} reaches {reached}, request is {y}"
+        )
 
 
 @dataclass
@@ -183,7 +192,7 @@ def generate_advice(
         _write_address(tape, td, widths, bag, z)  # where the server sits
         progress[sid] += 1
         traj = trajectories[sid]
-        assert traj[progress[sid]] == y
+        check_leg_end(t, y, sid, traj[progress[sid]])
         if progress[sid] + 1 < len(traj):
             nxt = relay(y, traj[progress[sid] + 1])
         else:

@@ -21,14 +21,22 @@ disambiguation suffix of ceil(log2 c) bits exactly when c > 1 bound
 candidates collide.  Oracle and decoder both know c (the decode is
 deterministic), so record widths never drift, and the oracle prefers
 certified trees that avoid collisions, keeping suffixes rare.
+
+Certifying a system costs one exact best-tree distance table, O(μN²) in
+ints/Fractions (each tree's row of v is its parent's row shifted by w(v);
+the table keeps the element-wise minimum over the trees), and one pass over
+the N(N-1)/2 pairs per property: measuring the smallest q and checking a
+claimed (q, r).  Both passes compare by cross-multiplying, so only the
+final q and a violating pair's excess are built as Fractions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .advice_tape import AdviceTape
-from .gpc import ceil_log2, server_trajectories
+from .gpc import ceil_log2, check_leg_end, server_trajectories
 from .metric_core import (
     DistanceMatrix,
     Graph,
@@ -46,6 +54,31 @@ from .offline_solver import Schedule
 
 class NoLabeledServerOnRootPath(RuntimeError):
     """No server with the decoded label sits on the decoded heavy path."""
+
+
+class UncertifiedLeg(RuntimeError):
+    """No tree of the system keeps leg x -> y within q*d+r, so the system's
+    (q, r) certificate does not hold.  t is the request whose record picks
+    the leg's tree (None: an initial record)."""
+
+    def __init__(self, t: int | None, sid: int, x: int, y: int):
+        where = f"initial record {sid}" if t is None else f"t={t}"
+        super().__init__(f"{where}: no tree keeps leg {x}->{y} within q*d+r")
+        self.t = t
+        self.pair = (x, y)
+
+
+class RelayOffTreePath(RuntimeError):
+    """A retrieval's relay is not on the tree path it should shortcut, so the
+    move would cost more than the tree distance: oracle and decoder disagree."""
+
+    def __init__(self, t: int, tree: int, src: int, y: int, relay: int):
+        super().__init__(
+            f"t={t}: relay {relay} is off tree {tree}'s path {src}->{y}"
+        )
+        self.t = t
+        self.pair = (src, y)
+        self.relay = relay
 
 
 @dataclass(frozen=True)
@@ -113,7 +146,8 @@ class HeavyPathIndex:
     """Heavy-path decomposition of one rooted tree.
 
     head[v] is the top vertex of v's heavy path; any root-to-v path crosses
-    at most ceil(log2 N) heavy paths.
+    at most ceil(log2 N) heavy paths.  `order` is a preorder: the subtree
+    of v is the slice of `size[v]` vertices of it that starts at v.
     """
 
     def __init__(self, tree: SpanningTree):
@@ -124,9 +158,12 @@ class HeavyPathIndex:
         for v, p in enumerate(parent):
             if p is not None:
                 children[p].append(v)
-        order = [tree.root]
-        for u in order:
-            order.extend(children[u])  # appends while iterating: BFS order
+        order = []
+        stack = [tree.root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(children[u])
         size = [1] * n
         for u in reversed(order):
             p = parent[u]
@@ -153,6 +190,8 @@ class HeavyPathIndex:
                 depth[u] = depth[p] + 1
                 depw[u] = depw[p] + tree.edge_weight[u]
         self.parent = parent
+        self.order = order
+        self.size = size
         self.head = head
         self.depth = depth
         self.weighted_depth = depw
@@ -236,64 +275,143 @@ class StretchCheck:
         return self.ok
 
 
-def _tree_distance_fn(system: SpannerSystem):
-    hps = [HeavyPathIndex(t) for t in system.trees]
+class StretchClaimRejected(ValueError):
+    """A claimed (q, r) fails on some vertex pair; `check` names the worst."""
 
-    def best(x: int, y: int) -> tuple[Weight, int]:
-        return min((hp.dist(x, y), i) for i, hp in enumerate(hps))
+    def __init__(self, check: StretchCheck):
+        super().__init__(f"stretch certificate rejected: {check.message}")
+        self.check = check
 
-    return hps, best
+
+def _tree_distance_rows(hp: HeavyPathIndex):
+    """Yield (v, row) for every vertex v of hp's tree, row[u] being the exact
+    tree distance between v and u; O(N²) in all.
+
+    In preorder every subtree is one contiguous slice, so the row of v is
+    its parent's row plus w(v), less 2·w(v) on v's own subtree.  A preorder
+    row lives only until its last child's row is derived from it, so at most
+    one row per tree level is held at a time.
+    """
+    order, parent, weight = hp.order, hp.parent, hp.tree.edge_weight
+    pos = [0] * len(order)
+    children_left = [0] * len(order)
+    for i, u in enumerate(order):
+        pos[u] = i
+        if parent[u] is not None:
+            children_left[parent[u]] += 1
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    to_vertex_order = itemgetter(*pos) if len(order) > 1 else tuple
+    rows = {order[0]: [hp.weighted_depth[u] for u in order]}
+    for v in order:
+        p = parent[v]
+        if p is not None:
+            row, w, a = rows[p], weight[v], pos[v]
+            b = a + hp.size[v]
+            rows[v] = (
+                [x + w for x in row[:a]]
+                + [x - w for x in row[a:b]]
+                + [x + w for x in row[b:]]
+            )
+            children_left[p] -= 1
+            if not children_left[p]:
+                del rows[p]
+        yield v, to_vertex_order(rows[v])
+        if not children_left[v]:
+            del rows[v]
 
 
-def verify_stretch(
-    g: Graph, dm: DistanceMatrix, system: SpannerSystem, q, r
-) -> StretchCheck:
-    """Exact check of best-tree distance <= q*d_G + r over all pairs."""
-    _, best = _tree_distance_fn(system)
+def _best_tree_table(trees: tuple[SpanningTree, ...]) -> list:
+    """best[x][y] = min over the trees of their x-y distance, exact.
+
+    O(μN²) time; besides the table only a few rows per tree are held.
+    """
+    if not trees:
+        raise ValueError("a spanner system needs at least one tree")
+    best: list = [None] * trees[0].n
+    for tree in trees:
+        for v, row in _tree_distance_rows(HeavyPathIndex(tree)):
+            if best[v] is not None:
+                row = [a if a <= b else b for a, b in zip(best[v], row)]
+            best[v] = row
+    return best
+
+
+def _max_ratio(best, dm: DistanceMatrix) -> tuple[Fraction, tuple[int, int] | None]:
+    """The largest best/d_G over pairs x < y, at least 1, with the first pair
+    that attains it; ratios are compared by cross-multiplying."""
+    num, den, witness = 1, 1, None
+    for x, (bx, dx) in enumerate(zip(best, dm.dist)):
+        for y in range(x + 1, len(bx)):
+            b, d = bx[y], dx[y]
+            if b * den > num * d:
+                num, den, witness = b, d, (x, y)
+    return Fraction(num, den), witness
+
+
+def _check_stretch(best, dm: DistanceMatrix, q, r) -> StretchCheck:
+    """best <= q*d_G + r on every pair, or the pair x < y of largest excess
+    (the first one on ties).
+
+    With q = qn/qd and r = rn/rd the test is b·qd·rd <= qn·rd·d + rn·qd, so
+    only a violating pair pays for its exact excess.
+    """
+    q_num, q_den = q.numerator, q.denominator
+    r_num, r_den = r.numerator, r.denominator
+    scale, slope, offset = q_den * r_den, q_num * r_den, r_num * q_den
     worst = None
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            d_tree, _ = best(x, y)
-            excess = d_tree - (q * dm.dist[x][y] + r)
-            if excess > 0 and (worst is None or excess > worst[0]):
-                worst = (excess, (x, y))
+    for x, (bx, dx) in enumerate(zip(best, dm.dist)):
+        for y in range(x + 1, len(bx)):
+            b, d = bx[y], dx[y]
+            if b * scale > slope * d + offset:
+                excess = b - (q * d + r)
+                if worst is None or excess > worst[0]:
+                    worst = (excess, (x, y))
     if worst is None:
         return StretchCheck(True, message=f"({q}, {r})-stretch holds")
     return StretchCheck(
         False,
         witness=worst[1],
         excess=worst[0],
-        message=(
-            f"pair {worst[1]} exceeds q*d+r by {worst[0]}"
-        ),
+        message=f"pair {worst[1]} exceeds q*d+r by {worst[0]}",
     )
+
+
+def verify_stretch(
+    g: Graph, dm: DistanceMatrix, system: SpannerSystem, q, r
+) -> StretchCheck:
+    """Exact check of best-tree distance <= q*d_G + r over all pairs."""
+    return _check_stretch(_best_tree_table(system.trees), dm, q, r)
 
 
 def measure_min_stretch(
     g: Graph, dm: DistanceMatrix, system: SpannerSystem
 ) -> tuple[Fraction, tuple[int, int] | None]:
     """Smallest q with (q, 0)-stretch, as an exact ratio, with its witness."""
-    _, best = _tree_distance_fn(system)
-    worst = (Fraction(1), None)
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            ratio = Fraction(best(x, y)[0], dm.dist[x][y])
-            if ratio > worst[0]:
-                worst = (ratio, (x, y))
-    return worst
+    return _max_ratio(_best_tree_table(system.trees), dm)
+
+
+def _certified(trees: tuple, best, dm: DistanceMatrix, q, r) -> SpannerSystem:
+    check = _check_stretch(best, dm, q, r)
+    if not check:
+        raise StretchClaimRejected(check)
+    return SpannerSystem(trees=trees, q=q, r=r)
 
 
 def certify_system(
     g: Graph, dm: DistanceMatrix, trees, q, r
 ) -> SpannerSystem:
     """Bundle trees with a verified (q, r) certificate or raise."""
-    system = SpannerSystem(trees=tuple(trees))
-    check = verify_stretch(g, dm, system, q, r)
-    if not check:
-        raise ValueError(f"stretch certificate rejected: {check.message}")
-    system.q = q
-    system.r = r
-    return system
+    trees = tuple(trees)
+    return _certified(trees, _best_tree_table(trees), dm, q, r)
+
+
+def certify_min_stretch(dm: DistanceMatrix, trees) -> SpannerSystem:
+    """Certify trees at their smallest (q, 0)-stretch, measured and then
+    checked on one best-tree distance table."""
+    trees = tuple(trees)
+    best = _best_tree_table(trees)
+    q, _ = _max_ratio(best, dm)
+    return _certified(trees, best, dm, q, 0)
 
 
 def system_from_json(g: Graph, text: str, dm: DistanceMatrix) -> SpannerSystem:
@@ -301,12 +419,14 @@ def system_from_json(g: Graph, text: str, dm: DistanceMatrix) -> SpannerSystem:
 
     `dm` is g's metric.  Malformed JSON or a bad tree raises GraphFormatError
     naming the field, as in "trees[0].parent"; a failed stretch claim raises
-    ValueError.
+    StretchClaimRejected.
     """
     obj = parse_json(text)
     raw = json_field(obj, "trees")
     if not isinstance(raw, list):
         raise GraphFormatError("trees", "expected a list of trees")
+    if not raw:
+        raise GraphFormatError("trees", "a spanner system needs at least one tree")
     trees = []
     for i, t in enumerate(raw):
         where = f"trees[{i}]"
@@ -356,20 +476,22 @@ def _ordinal_width(hp: HeavyPathIndex, ref: int) -> int:
 
 
 def _pick_leg_tree(
-    hps, system: SpannerSystem, dm, bindings, sid: int, x: int, y: int
+    hps, system: SpannerSystem, dm, bindings, sid: int, x: int, y: int, t
 ) -> tuple[int, int]:
     """(tree, anchor head) for leg x -> y, dodging binding collisions.
 
     Any tree within the certified stretch for this pair keeps the
     competitive bound; among those, prefer one whose (tree, head) binding
-    is not already live on another server, then the lowest index.
+    is not already live on another server, then the lowest index.  t is
+    the request whose record this is (None: server sid's initial record).
     """
     budget = system.q * dm.dist[x][y] + system.r
     admissible = []
     for p, hp in enumerate(hps):
         if hp.dist(x, y) <= budget:
             admissible.append((p, hp.head[hp.lca(x, y)]))
-    assert admissible, "certified system must cover every pair"
+    if not admissible:
+        raise UncertifiedLeg(t, sid, x, y)
     taken = {b for i, b in enumerate(bindings) if i != sid}
     for p, head in admissible:
         if (p, head) not in taken:
@@ -398,7 +520,7 @@ def generate_advice_spanner(
     """
     if system.q is None or system.r is None:
         raise ValueError("spanner system must carry a certified (q, r)")
-    hps, _ = _tree_distance_fn(system)
+    hps = [HeavyPathIndex(t) for t in system.trees]
     w_mu, _ = spanner_widths(system.mu, g.n)
     tape = AdviceTape()
     trajectories = server_trajectories(init, sigma, opt)
@@ -406,7 +528,7 @@ def generate_advice_spanner(
     for i, x0 in enumerate(init):
         if len(trajectories[i]) > 1:
             p, head = _pick_leg_tree(
-                hps, system, dm, bindings, i, x0, trajectories[i][1]
+                hps, system, dm, bindings, i, x0, trajectories[i][1], None
             )
             v = hps[p].lca(x0, trajectories[i][1])
         else:
@@ -429,10 +551,10 @@ def generate_advice_spanner(
         if len(holders) > 1:
             tape.write_uint(holders.index(sid), _suffix_width(len(holders)))
         progress[sid] += 1
-        assert traj[progress[sid]] == y
+        check_leg_end(t, y, sid, traj[progress[sid]])
         if progress[sid] + 1 < len(traj):
             q_idx, head2 = _pick_leg_tree(
-                hps, system, dm, bindings, sid, y, traj[progress[sid] + 1]
+                hps, system, dm, bindings, sid, y, traj[progress[sid] + 1], t
             )
             v2 = hps[q_idx].lca(y, traj[progress[sid] + 1])
         else:
@@ -551,7 +673,8 @@ def run_online_spanner(
         src = positions[sid]
         move_cost = hp[p].dist(src, y)
         # the relay sits on the tree path, so routing through it is free
-        assert hp[p].dist(src, relay) + hp[p].dist(relay, y) == move_cost
+        if hp[p].dist(src, relay) + hp[p].dist(relay, y) != move_cost:
+            raise RelayOffTreePath(t, p, src, y, relay)
         cost += move_cost
         positions[sid] = y
         q_idx = tape.read_uint(w_mu)

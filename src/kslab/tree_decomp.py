@@ -23,6 +23,10 @@ class NoIntersection(RuntimeError):
     """A bag on the tree path missed the shortest path: decomposition bug."""
 
 
+class HeightReductionFault(RuntimeError):
+    """A split broke an invariant that bounds the reduced width or height."""
+
+
 class TreeDecomposition:
     """Rooted bag tree.
 
@@ -470,7 +474,11 @@ def _path_splitter(nodes: set[int], adj, a1: int, a2: int) -> int:
         worst = max(side1, side2)
         if best is None or (worst, x) < best:
             best = (worst, x)
-    assert best[0] <= len(nodes) // 2, "path splitter must halve anchor sides"
+    if best[0] > len(nodes) // 2:
+        raise HeightReductionFault(
+            f"splitting at bag {best[1]} leaves {best[0]} of {len(nodes)} bags "
+            f"on one side of anchors ({a1}, {a2}); at most {len(nodes) // 2} allowed"
+        )
     return best[1]
 
 
@@ -501,7 +509,11 @@ def reduce_height(td: TreeDecomposition, n_vertices: int) -> TreeDecomposition:
         for comp in _components(nodes, adj, c):
             door = next(iter(adj[c] & comp))
             sub_anchors = tuple(sorted({door} | (set(anchors) & comp)))
-            assert len(sub_anchors) <= 2, "anchor invariant violated"
+            if len(sub_anchors) > 2:
+                raise HeightReductionFault(
+                    f"splitting at bag {c} leaves a component with anchors "
+                    f"{sub_anchors}; at most 2 allowed"
+                )
             child = build(comp, sub_anchors)
             out_parent[child] = r_idx
         return r_idx

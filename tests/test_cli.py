@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,22 @@ import pytest
 import kslab
 from kslab.cli import main
 from kslab.instances import grid_graph, path_graph
-from kslab.metric_core import GraphFormatError, all_pairs_shortest_paths, graph_to_json
+from kslab.metric_core import all_pairs_shortest_paths, graph_to_json
 from kslab.spanner_cover import SpannerSystem, shortest_path_tree, verify_stretch
 from kslab.tree_decomp import module_graph_decomposition
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def cli_input_error(capsys, *argv) -> str:
+    """The message of a CLI call that rejects its input: exit status 2 and
+    one stderr line, returned without its "kslab: error: " prefix."""
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kslab: error: ") and err.count("\n") == 1, err
+    return err[len("kslab: error: "):]
 
 
 def test_run_path_rounds_opt(tmp_path, capsys):
@@ -167,10 +177,12 @@ def test_integral_rational_costs_are_ints(tmp_path):
      ([0, 3], [1], r"init_config\[1\]: vertex 3 not in 0\.\.2")],
     ids=["sequence", "init_config"],
 )
-def test_instance_vertex_out_of_range(tmp_path, init, sigma, where):
+def test_instance_vertex_out_of_range(tmp_path, capsys, init, sigma, where):
     gp, ip = _write_pair(tmp_path, [[0, 1, 1], [1, 2, 1]], 3, init, sigma)
-    with pytest.raises(GraphFormatError, match=where):
-        run_cli("run", "--graph", gp, "--instance", ip, "--algo", "opt")
+    msg = cli_input_error(
+        capsys, "run", "--graph", gp, "--instance", ip, "--algo", "opt"
+    )
+    assert re.search(where, msg)
 
 
 @pytest.mark.parametrize(
@@ -181,12 +193,36 @@ def test_instance_vertex_out_of_range(tmp_path, init, sigma, where):
      ([0, 1], r"^top level: expected a JSON object")],
     ids=["init_config", "sequence", "init_config-type", "top-level"],
 )
-def test_instance_file_errors_name_the_field(tmp_path, doc, where):
+def test_instance_file_errors_name_the_field(tmp_path, capsys, doc, where):
     gp, ip = _write_pair(tmp_path, [[0, 1, 1], [1, 2, 1]], 3, [0], [1])
     with open(ip, "w") as fh:
         json.dump(doc, fh)
-    with pytest.raises(GraphFormatError, match=where):
-        run_cli("run", "--graph", gp, "--instance", ip, "--algo", "opt")
+    msg = cli_input_error(
+        capsys, "run", "--graph", gp, "--instance", ip, "--algo", "opt"
+    )
+    assert re.search(where, msg)
+
+
+def test_bad_decomposition_file_is_one_line(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_to_json(path_graph(3)))
+    tdp = tmp_path / "bad.json"
+    tdp.write_text(json.dumps({"bags": [[0]], "root": 0}))
+    msg = cli_input_error(capsys, "verify", "--graph", str(gp), "--td", str(tdp))
+    assert msg == "parent: missing field\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_bad_spanner_file_is_one_line(tmp_path, capsys, command):
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_to_json(grid_graph(3, 3)))
+    sysp = tmp_path / "bad.json"
+    sysp.write_text(json.dumps({"trees": [{"root": 0}], "q": 1, "r": 0}))
+    argv = ["--graph", str(gp), "--spanners", str(sysp)]
+    if command == "run":
+        argv += ["--algo", "spanner"]
+    msg = cli_input_error(capsys, command, *argv)
+    assert msg == "trees[0].parent: missing field\n"
 
 
 def test_csv_format(tmp_path):

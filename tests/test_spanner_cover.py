@@ -18,6 +18,9 @@ from kslab.spanner_cover import (
     HeavyPathIndex,
     NoLabeledServerOnRootPath,
     SpannerSystem,
+    StretchClaimRejected,
+    _best_tree_table,
+    certify_min_stretch,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,
@@ -28,6 +31,7 @@ from kslab.spanner_cover import (
     system_from_json,
     verify_stretch,
 )
+from test_rational_weights import _fraction_graph
 
 
 def _grid_system():
@@ -74,6 +78,135 @@ def test_certify_rejects_false_claim():
     dm = all_pairs_shortest_paths(g)
     with pytest.raises(ValueError):
         certify_system(g, dm, (shortest_path_tree(g, 0),), 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# The best-tree distance table against per-pair heavy-path distances, and
+# the stretch measure and check against a brute-force Fraction oracle.
+
+
+def _random_spanning_tree(g, rng):
+    """A spanning tree grown from a random root by random frontier edges."""
+    root = rng.randrange(g.n)
+    parent = [None] * g.n
+    inside = {root}
+    while len(inside) < g.n:
+        frontier = sorted(
+            (v, u) for u in inside for v, _ in g.adj[u] if v not in inside
+        )
+        v, u = frontier[rng.randrange(len(frontier))]
+        parent[v] = u
+        inside.add(v)
+    return spanning_tree_from_parent(g, root, parent)
+
+
+def _stretch_cases():
+    """(graph, trees) with mu = 1, 2, 3 on grids, weighted trees, partial
+    k-trees and half-integer graphs; trees alternate shortest-path and random."""
+    rng = SplitMix64(5150)
+    tree_parent = [None] + [rng.randrange(v) for v in range(1, 25)]
+    graphs = [
+        grid_graph(4, 4),
+        grid_graph(3, 7),
+        Graph(25, [(p, v, 1 + rng.randrange(4)) for v, p in enumerate(tree_parent) if v]),
+        random_partial_ktree(rng, 30, 3, max_weight=9)[0],
+        random_partial_ktree(rng, 18, 2)[0],
+        _fraction_graph(SplitMix64(4242), 12),
+        _fraction_graph(SplitMix64(4243), 20),
+    ]
+    for g in graphs:
+        for mu in (1, 2, 3):
+            yield g, tuple(
+                _random_spanning_tree(g, rng) if i % 2
+                else shortest_path_tree(g, rng.randrange(g.n))
+                for i in range(mu)
+            )
+
+
+def _oracle_min_stretch(g, dm, trees):
+    hps = [HeavyPathIndex(t) for t in trees]
+    worst = (Fraction(1), None)
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            ratio = Fraction(min(hp.dist(x, y) for hp in hps)) / dm.dist[x][y]
+            if ratio > worst[0]:
+                worst = (ratio, (x, y))
+    return worst
+
+
+def _oracle_tightest_r(g, dm, trees, q):
+    """The smallest r with (q, r)-stretch: max over pairs of best - q*d."""
+    hps = [HeavyPathIndex(t) for t in trees]
+    return max(
+        min(hp.dist(x, y) for hp in hps) - q * dm.dist[x][y]
+        for x in range(g.n) for y in range(x + 1, g.n)
+    )
+
+
+def _oracle_stretch_check(g, dm, trees, q, r):
+    """(ok, excess, witness): the largest best - (q*d + r) > 0, first pair
+    x < y on ties."""
+    hps = [HeavyPathIndex(t) for t in trees]
+    worst = None
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            best = min(hp.dist(x, y) for hp in hps)
+            excess = Fraction(best) - (Fraction(q) * dm.dist[x][y] + Fraction(r))
+            if excess > 0 and (worst is None or excess > worst[0]):
+                worst = (excess, (x, y))
+    return (True, None, None) if worst is None else (False, *worst)
+
+
+def test_best_tree_table_matches_heavy_path_distances():
+    for g, trees in _stretch_cases():
+        table = _best_tree_table(trees)
+        hps = [HeavyPathIndex(t) for t in trees]
+        for x in range(g.n):
+            for y in range(g.n):
+                d = table[x][y]
+                assert type(d) in (int, Fraction), (g, len(trees), x, y)
+                assert d == min(hp.dist(x, y) for hp in hps), (g, len(trees), x, y)
+
+
+def test_measure_and_verify_match_fraction_oracle():
+    failing_with_r = 0
+    for g, trees in _stretch_cases():
+        dm = all_pairs_shortest_paths(g)
+        system = SpannerSystem(trees=trees)
+        q, witness = measure_min_stretch(g, dm, system)
+        assert type(q) is Fraction
+        assert (q, witness) == _oracle_min_stretch(g, dm, trees)
+        claims = [(q, 0), (q - Fraction(1, 100), 0), (1, Fraction(1, 2)),
+                  (Fraction(3, 2), 1), (q, -1), (q + 1, -1)]
+        for cq in (Fraction(3, 2), Fraction(5, 4), 1):
+            # right at the edge: r passes, r - 1/7 fails by exactly 1/7
+            r = _oracle_tightest_r(g, dm, trees, cq)
+            claims += [(cq, r), (cq, r - Fraction(1, 7))]
+        for cq, cr in claims:
+            check = verify_stretch(g, dm, system, cq, cr)
+            expected = _oracle_stretch_check(g, dm, trees, cq, cr)
+            assert (check.ok, check.excess, check.witness) == expected, (g, cq, cr)
+            failing_with_r += not check.ok and cr != 0
+        assert certify_min_stretch(dm, trees).q == q
+    assert failing_with_r > 0
+
+
+def test_stretch_ties_keep_the_first_pair():
+    # BFS tree of the 2x3 grid from 0 drops edges (3, 4) and (4, 5): both
+    # pairs stretch 1 -> 3, so they tie on ratio, and under (1, 1) on excess
+    g = grid_graph(2, 3)
+    dm = all_pairs_shortest_paths(g)
+    system = SpannerSystem(trees=(shortest_path_tree(g, 0),))
+    hp = HeavyPathIndex(system.trees[0])
+    assert hp.dist(3, 4) == hp.dist(4, 5) == 3
+    assert dm.dist[3][4] == dm.dist[4][5] == 1
+    assert measure_min_stretch(g, dm, system) == (3, (3, 4))
+    check = verify_stretch(g, dm, system, 1, 1)
+    assert (check.ok, check.excess, check.witness) == (False, 1, (3, 4))
+    assert check.message == "pair (3, 4) exceeds q*d+r by 1"
+    with pytest.raises(StretchClaimRejected) as info:
+        certify_system(g, dm, system.trees, 1, 1)
+    assert info.value.check.witness == (3, 4)
 
 
 # ---------------------------------------------------------------------------
