@@ -4,8 +4,16 @@ Only fixed-width big-endian unsigned integers are supported: both the
 oracle and the online algorithm derive every field width from public
 parameters, so no self-delimiting codes are needed.  Width 0 is legal and
 writes nothing (used when a parameter makes the choice unique).
+
+The hex dump and its load each convert the whole tape in one pass, in time
+linear in its bit length.
 """
 from __future__ import annotations
+
+
+# bit lists <-> ASCII binary digits, for the one-pass hex codec
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class TapeError(RuntimeError):
@@ -49,15 +57,17 @@ class AdviceTape:
         """Consume `width` bits at the cursor; never silently pads."""
         if width < 0:
             raise ValueError("width must be nonnegative")
-        if self.read_cursor + width > len(self._bits):
+        start = self.read_cursor
+        end = start + width
+        if end > len(self._bits):
             raise TapeExhausted(
-                f"read of {width} bits at cursor {self.read_cursor} "
+                f"read of {width} bits at cursor {start} "
                 f"exceeds {len(self._bits)} written bits"
             )
         value = 0
-        for _ in range(width):
-            value = (value << 1) | self._bits[self.read_cursor]
-            self.read_cursor += 1
+        for b in self._bits[start:end]:
+            value = (value << 1) | b
+        self.read_cursor = end
         self.bits_read += width
         return value
 
@@ -72,9 +82,7 @@ class AdviceTape:
         if nbits == 0:
             return "", 0
         nbytes = (nbits + 7) // 8
-        acc = 0
-        for b in self._bits:
-            acc = (acc << 1) | b
+        acc = int(bytes(self._bits).translate(_BITS_TO_DIGITS), 2)
         acc <<= nbytes * 8 - nbits  # pad at the tail
         return acc.to_bytes(nbytes, "big").hex(), nbits
 
@@ -90,8 +98,8 @@ class AdviceTape:
             acc = int.from_bytes(bytes.fromhex(hexstr), "big")
         except ValueError as exc:
             raise BadHexTape(f"bad hex string: {exc}") from exc
-        for i in range(nbits):
-            tape._bits.append((acc >> (total - 1 - i)) & 1)
+        digits = format(acc, f"0{total}b")[:nbits]
+        tape._bits = list(digits.encode().translate(_DIGITS_TO_BITS))
         return tape
 
     def __repr__(self) -> str:

@@ -122,6 +122,11 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _vertices(doc, field: str, n: int) -> list:
     """doc[field] as a vertex list, every entry checked to lie in 0..n-1."""
     vs = json_field(doc, field)
@@ -138,14 +143,11 @@ def _build_instance(spec: RunSpec) -> Instance:
     rng = SplitMix64(spec.seed)
     td = None
     if spec.graph:
-        with open(spec.graph) as fh:
-            g = graph_from_json(fh.read())
+        g = graph_from_json(_read(spec.graph))
         if spec.td:
-            with open(spec.td) as fh:
-                td = TreeDecomposition.from_json(fh.read())
+            td = TreeDecomposition.from_json(_read(spec.td))
         if spec.instance:
-            with open(spec.instance) as fh:
-                doc = parse_json(fh.read())
+            doc = parse_json(_read(spec.instance))
             init = _vertices(doc, "init_config", g.n)
             sigma = _vertices(doc, "sequence", g.n)
             params = {"source": spec.graph, "instance": spec.instance}
@@ -267,8 +269,7 @@ def _step_spanner(spec: RunSpec, inst: Instance, dm, opt: Schedule):
     g, init, sigma = inst.g, inst.init, inst.sigma
     extra = {}
     if spec.spanners:
-        with open(spec.spanners) as fh:
-            system = system_from_json(g, fh.read(), dm)
+        system = system_from_json(g, _read(spec.spanners), dm)
     else:
         roots = random_distinct_vertices(SplitMix64(spec.seed ^ 0xB0F5), 2, g.n)
         trees = [shortest_path_tree(g, r) for r in roots]
@@ -302,9 +303,12 @@ def cmd_run(spec: RunSpec) -> int:
     opt_cost, opt = _opt(g, init, sigma, dm)
     log.info("instance: N=%d k=%d n=%d opt=%s", g.n, len(init), len(sigma), opt_cost)
     online_cost, ok, extra, run, tape = ALGOS[spec.algo](spec, inst, dm, opt)
+    extra = _jsonable(extra)
     tape_dump = None
     if run is not None:
         ok = ok and run.bits_read <= run.bit_budget
+        # the run spells every move in ints and str costs already, so the
+        # thousands of move dicts skip _jsonable
         extra["moves"] = run.to_json()["moves"]
         tape_dump = tape.to_hex()
     results = {
@@ -345,7 +349,7 @@ def cmd_run(spec: RunSpec) -> int:
         },
         "tape_bits": tape_dump[1] if tape_dump else None,
         "results": _jsonable(results),
-        "extra": _jsonable(extra),
+        "extra": extra,
     }
     _emit(spec, report)
     return 0 if ok else 1
@@ -422,11 +426,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.graph) as fh:
-        g = graph_from_json(fh.read())
+    g = graph_from_json(_read(args.graph))
     if args.td:
-        with open(args.td) as fh:
-            td = TreeDecomposition.from_json(fh.read())
+        td = TreeDecomposition.from_json(_read(args.td))
         check = verify_decomposition(g, td)
         if check:
             print(f"pass: width={td.width} height={td.height}")
@@ -434,10 +436,10 @@ def cmd_verify(args) -> int:
         print(f"fail: axiom {check.axiom}, witness {check.witness}: {check.message}")
         return 1
     if args.spanners:
-        with open(args.spanners) as fh:
-            text = fh.read()
         try:
-            system = system_from_json(g, text, all_pairs_shortest_paths(g))
+            system = system_from_json(
+                g, _read(args.spanners), all_pairs_shortest_paths(g)
+            )
         except StretchClaimRejected as exc:
             print(f"fail: {exc}")
             return 1
@@ -504,8 +506,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a malformed input file is reported on one stderr
-    line naming the field, with exit status 2."""
+    """Run one command; an input file that is malformed, missing or
+    unreadable is reported on one stderr line naming the field or the path,
+    with exit status 2."""
     level = os.environ.get("KSL_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = make_parser().parse_args(argv)
@@ -517,6 +520,11 @@ def main(argv=None) -> int:
         return cmd_verify(args)
     except GraphFormatError as exc:
         print(f"kslab: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:  # not about a file the user named
+            raise
+        print(f"kslab: error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -80,6 +80,17 @@ def check_leg_end(t: int, y: int, sid: int, reached: int) -> None:
         )
 
 
+def request_servers(opt: Schedule, n: int) -> list[int]:
+    """The server id of the move serving each request 0..n-1; raise
+    InvalidSchedule at the first request that no move serves."""
+    serving = {m.t: m.server for m in opt.moves}
+    servers = [serving.get(t) for t in range(n)]
+    if None in servers:
+        t = servers.index(None)
+        raise InvalidSchedule(t, "t", "no move serves this request")
+    return servers
+
+
 @dataclass
 class GpcMove:
     t: int
@@ -184,10 +195,9 @@ def generate_advice(
         _write_address(tape, td, widths, *last_address[i])
 
     # Two records per request: retrieval relay, then next parking relay.
-    serving = {m.t: m.server for m in opt.moves}
+    servers = request_servers(opt, len(sigma))
     progress = [0] * len(init)  # position within each trajectory
-    for t, y in enumerate(sigma):
-        sid = serving[t]
+    for t, (y, sid) in enumerate(zip(sigma, servers)):
         bag, z = last_address[sid]
         _write_address(tape, td, widths, bag, z)  # where the server sits
         progress[sid] += 1

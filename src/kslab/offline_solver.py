@@ -179,7 +179,7 @@ def _assign_server_ids(init, steps):
     positions = list(init)
     moves = []
     for t, src, dst, cost in steps:
-        sid = min(i for i, p in enumerate(positions) if p == src)
+        sid = positions.index(src)
         positions[sid] = dst
         moves.append(Move(t=t, server=sid, src=src, dst=dst, cost=cost))
     return moves

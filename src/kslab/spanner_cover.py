@@ -36,7 +36,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .advice_tape import AdviceTape
-from .gpc import ceil_log2, check_leg_end, server_trajectories
+from .gpc import ceil_log2, check_leg_end, request_servers, server_trajectories
 from .metric_core import (
     DistanceMatrix,
     Graph,
@@ -536,10 +536,9 @@ def generate_advice_spanner(
         bindings[i] = (p, head)
         tape.write_uint(p, w_mu)
         tape.write_uint(hps[p].seg_ordinal(v), _ordinal_width(hps[p], x0))
-    serving = {m.t: m.server for m in opt.moves}
+    servers = request_servers(opt, len(sigma))
     progress = [0] * len(init)
-    for t, y in enumerate(sigma):
-        sid = serving[t]
+    for t, (y, sid) in enumerate(zip(sigma, servers)):
         traj = trajectories[sid]
         x = traj[progress[sid]]
         p, head = bindings[sid]

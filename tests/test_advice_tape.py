@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab.advice_tape import AdviceTape, BadHexTape, TapeExhausted, ValueTooWide
@@ -103,3 +105,53 @@ def test_hex_negative_bit_length():
 def test_hex_bad_digits():
     with pytest.raises(BadHexTape, match="bad hex string"):
         AdviceTape.from_hex("zz", 4)
+
+
+# The per-bit codec that the one-pass one replaced, kept as the reference.
+def _to_hex_oracle(bits: list[int]) -> tuple[str, int]:
+    nbits = len(bits)
+    if nbits == 0:
+        return "", 0
+    nbytes = (nbits + 7) // 8
+    acc = 0
+    for b in bits:
+        acc = (acc << 1) | b
+    acc <<= nbytes * 8 - nbits
+    return acc.to_bytes(nbytes, "big").hex(), nbits
+
+
+def _from_hex_oracle(hexstr: str, nbits: int) -> list[int]:
+    total = len(hexstr) * 4
+    acc = int.from_bytes(bytes.fromhex(hexstr), "big")
+    return [(acc >> (total - 1 - i)) & 1 for i in range(nbits)]
+
+
+# leading zeros, then any bits: 0..300 in all, any length mod 4 and mod 8
+_bit_lists = st.tuples(
+    st.integers(0, 40), st.lists(st.integers(0, 1), max_size=260)
+).map(lambda zb: [0] * zb[0] + zb[1])
+
+
+@settings(deadline=None)
+@given(_bit_lists)
+def test_hex_codec_matches_per_bit_oracle(bits):
+    t = AdviceTape()
+    for b in bits:
+        t.write_uint(b, 1)
+    hexstr, nbits = t.to_hex()
+    assert (hexstr, nbits) == _to_hex_oracle(bits)
+    for m in range(len(hexstr) * 4 + 1):  # every m <= nbits, and the pad bits
+        assert AdviceTape.from_hex(hexstr, m)._bits == _from_hex_oracle(hexstr, m)
+    assert AdviceTape.from_hex(hexstr, nbits)._bits == bits
+
+
+def test_hex_round_trip_200k_bits():
+    rng = random.Random(200_000)
+    bits = [0] * 13 + [rng.getrandbits(1) for _ in range(200_000 - 13)]
+    t = AdviceTape()
+    t._bits = list(bits)
+    hexstr, nbits = t.to_hex()
+    assert (len(hexstr), nbits) == (50_000, 200_000)
+    back = AdviceTape.from_hex(hexstr, nbits)
+    assert back._bits == bits
+    assert back.read_uint(13) == 0 and back.read_cursor == 13

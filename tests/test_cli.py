@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import kslab
 from kslab.cli import main
-from kslab.instances import grid_graph, path_graph
+from kslab.instances import grid_graph, path_decomposition, path_graph
 from kslab.metric_core import all_pairs_shortest_paths, graph_to_json
 from kslab.spanner_cover import SpannerSystem, shortest_path_tree, verify_stretch
 from kslab.tree_decomp import module_graph_decomposition
@@ -223,6 +224,48 @@ def test_bad_spanner_file_is_one_line(tmp_path, capsys, command):
         argv += ["--algo", "spanner"]
     msg = cli_input_error(capsys, command, *argv)
     assert msg == "trees[0].parent: missing field\n"
+
+
+# (command and the files it reads, the file that cannot be read)
+UNREADABLE = [
+    (["run", "--algo", "gpc", "--graph", "--td"], "--graph"),
+    (["run", "--algo", "gpc", "--graph", "--td"], "--td"),
+    (["run", "--graph", "--instance"], "--instance"),
+    (["run", "--algo", "spanner", "--graph", "--spanners"], "--spanners"),
+    (["verify", "--graph", "--td"], "--graph"),
+    (["verify", "--graph", "--td"], "--td"),
+    (["verify", "--graph", "--spanners"], "--spanners"),
+]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "argv,bad", UNREADABLE, ids=[f"{a[0]}{b}" for a, b in UNREADABLE]
+)
+def test_unreadable_input_file_is_one_line(tmp_path, capsys, argv, bad, kind):
+    g = path_graph(3)
+    texts = {
+        "--graph": graph_to_json(g),
+        "--td": json.dumps(path_decomposition(3).to_json()),
+        "--instance": json.dumps({"init_config": [0], "sequence": [2]}),
+        "--spanners": json.dumps(
+            SpannerSystem(trees=(shortest_path_tree(g, 0),), q=1, r=0).to_json()
+        ),
+    }
+    paths = {}
+    for flag, text in texts.items():
+        paths[flag] = tmp_path / (flag[2:] + ".json")
+        paths[flag].write_text(text)
+    paths[bad] = tmp_path / "nope.json"
+    code = errno.ENOENT
+    if kind == "directory":
+        paths[bad].mkdir()
+        code = errno.EISDIR
+    full = []
+    for arg in argv:
+        full += [arg, str(paths[arg])] if arg in paths else [arg]
+    msg = cli_input_error(capsys, *full)
+    assert msg == f"{paths[bad]}: {os.strerror(code)}\n"
 
 
 def test_csv_format(tmp_path):

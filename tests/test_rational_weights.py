@@ -1,6 +1,7 @@
 """Exact-arithmetic paths that integer-weight suites never touch."""
 from fractions import Fraction
 
+from kslab.cli import _canonical, _jsonable
 from kslab.gpc import generate_advice, run_online
 from kslab.instances import SplitMix64, random_distinct_vertices, random_requests
 from kslab.metric_core import Graph, all_pairs_shortest_paths
@@ -58,7 +59,7 @@ def test_flow_scaling_matches_dp_on_rational_weights():
         assert sched.total_cost == c_fl
 
 
-def test_gpc_exact_on_rational_weights():
+def _rational_gpc_runs():
     from kslab.instances import random_partial_ktree
 
     rng = SplitMix64(4244)
@@ -79,11 +80,16 @@ def test_gpc_exact_on_rational_weights():
         tape = generate_advice(g, dm, red, init, sigma, opt_s)
         tape.rewind()
         run = run_online(g, dm, red, init, sigma, tape)
+        yield run, opt_c
+
+
+def test_gpc_exact_on_rational_weights():
+    for run, opt_c in _rational_gpc_runs():
         assert run.online_cost == opt_c
         assert isinstance(run.online_cost, (int, Fraction))
 
 
-def test_spanner_mu3_on_rational_weights():
+def _rational_spanner_runs():
     rng = SplitMix64(4245)
     g = _fraction_graph(rng, 14)
     dm = all_pairs_shortest_paths(g)
@@ -98,6 +104,23 @@ def test_spanner_mu3_on_rational_weights():
         tape = generate_advice_spanner(g, dm, system, init, sigma, opt_s)
         tape.rewind()
         run = run_online_spanner(g, system, hp, init, sigma, tape)
+        yield run, opt_c, q, dm
+
+
+def test_spanner_mu3_on_rational_weights():
+    for run, opt_c, q, dm in _rational_spanner_runs():
         assert run.cost <= (q + 0) * opt_c
         for m in run.log:
             assert m.cost <= q * dm.dist[m.src][m.request]
+
+
+def test_run_moves_are_already_jsonable():
+    # `kslab run` puts these move lists in its report without `_jsonable`
+    gpc = [r for r, _ in _rational_gpc_runs()]
+    spanner = [r for r, *_ in _rational_spanner_runs()]
+    for runs in (gpc, spanner):
+        moves = [m for run in runs for m in run.to_json()["moves"]]
+        for move in moves:
+            assert _jsonable(move) == move
+            assert _canonical(_jsonable(move)) == _canonical(move)
+        assert any("/" in m["cost"] for m in moves)  # Fraction costs occur

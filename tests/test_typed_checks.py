@@ -57,6 +57,23 @@ def _end_last_move_elsewhere(opt: Schedule, n_vertices: int) -> Schedule:
     return Schedule(moves=moves + [wrong], total_cost=opt.total_cost)
 
 
+def _drop_last_move(opt: Schedule) -> Schedule:
+    """The schedule without the move that serves the last request."""
+    *moves, _ = sorted(opt.moves, key=lambda m: m.t)
+    return Schedule(moves=moves, total_cost=opt.total_cost)
+
+
+def _ktree_gpc_instance():
+    rng = SplitMix64(31)
+    g, td = random_partial_ktree(rng, 20, 2)
+    dm = all_pairs_shortest_paths(g)
+    init = random_distinct_vertices(rng, 2, g.n)
+    sigma = random_requests(rng, 8, g.n)
+    red = reduce_height(td, g.n)
+    _, opt = opt_cost_dp(g, init, sigma, dm)
+    return g, dm, red, init, sigma, opt
+
+
 def force_uncertified_leg():
     # both BFS trees stretch the leg 5 -> 10 (d = 2) to 4, so a system that
     # claims (1, 0) covers the first leg 0 -> 5 and then no tree is left
@@ -95,16 +112,26 @@ def force_spanner_trajectory_mismatch():
 
 
 def force_gpc_trajectory_mismatch():
-    rng = SplitMix64(31)
-    g, td = random_partial_ktree(rng, 20, 2)
-    dm = all_pairs_shortest_paths(g)
-    init = random_distinct_vertices(rng, 2, g.n)
-    sigma = random_requests(rng, 8, g.n)
-    red = reduce_height(td, g.n)
-    _, opt = opt_cost_dp(g, init, sigma, dm)
+    g, dm, red, init, sigma, opt = _ktree_gpc_instance()
     bad = _end_last_move_elsewhere(opt, g.n)
     with pytest.raises(InvalidSchedule) as info:
         generate_advice(g, dm, red, init, sigma, bad)
+    return info.value
+
+
+def force_spanner_missing_move():
+    g, dm, system = _grid_system()
+    init, sigma = (0, 5), [15, 10, 3]
+    _, opt = opt_cost_dp(g, init, sigma, dm)
+    with pytest.raises(InvalidSchedule) as info:
+        generate_advice_spanner(g, dm, system, init, sigma, _drop_last_move(opt))
+    return info.value
+
+
+def force_gpc_missing_move():
+    g, dm, red, init, sigma, opt = _ktree_gpc_instance()
+    with pytest.raises(InvalidSchedule) as info:
+        generate_advice(g, dm, red, init, sigma, _drop_last_move(opt))
     return info.value
 
 
@@ -144,6 +171,8 @@ CASES = {
     "relay_off_tree_path": force_relay_off_tree_path,
     "spanner_trajectory_mismatch": force_spanner_trajectory_mismatch,
     "gpc_trajectory_mismatch": force_gpc_trajectory_mismatch,
+    "spanner_missing_move": force_spanner_missing_move,
+    "gpc_missing_move": force_gpc_missing_move,
     "splitter_not_halving": force_splitter_not_halving,
     "third_anchor": force_third_anchor,
 }
@@ -173,6 +202,16 @@ def test_trajectory_mismatch_names_request(case):
 
 def test_spanner_trajectory_mismatch_is_the_last_request():
     assert force_spanner_trajectory_mismatch().t == 3
+
+
+@pytest.mark.parametrize(
+    "case,t", [(force_spanner_missing_move, 2), (force_gpc_missing_move, 7)],
+    ids=["spanner", "gpc"],
+)
+def test_missing_move_names_request(case, t):
+    exc = case()
+    assert (exc.t, exc.field) == (t, "t")
+    assert str(exc) == f"t={t} t: no move serves this request"
 
 
 def test_splitter_not_halving_names_anchors():
@@ -211,6 +250,8 @@ def test_checks_fire_under_python_O():
         "relay_off_tree_path RelayOffTreePath",
         "spanner_trajectory_mismatch InvalidSchedule",
         "gpc_trajectory_mismatch InvalidSchedule",
+        "spanner_missing_move InvalidSchedule",
+        "gpc_missing_move InvalidSchedule",
         "splitter_not_halving HeightReductionFault",
         "third_anchor HeightReductionFault",
     ]
