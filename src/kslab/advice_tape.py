@@ -10,10 +10,13 @@ linear in its bit length.
 """
 from __future__ import annotations
 
+import re
+
 
 # bit lists <-> ASCII binary digits, for the one-pass hex codec
 _BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_NOT_HEX = re.compile(r"[^0-9a-fA-F]")
 
 
 class TapeError(RuntimeError):
@@ -29,7 +32,8 @@ class TapeExhausted(TapeError):
 
 
 class BadHexTape(TapeError):
-    """A hex dump that cannot hold the bit length it claims."""
+    """A hex dump with a non-hex character, or too short for the bit length
+    it claims."""
 
 
 class AdviceTape:
@@ -93,6 +97,12 @@ class AdviceTape:
         if not 0 <= nbits <= total:
             raise BadHexTape(
                 f"bit length {nbits} not in 0..{total} for {len(hexstr)} hex digits"
+            )
+        bad = _NOT_HEX.search(hexstr)
+        if bad:  # bytes.fromhex would skip whitespace and shift the bits
+            raise BadHexTape(
+                f"bad hex string: {bad.group()!r} at index {bad.start()} "
+                "is not a hex digit"
             )
         try:
             acc = int.from_bytes(bytes.fromhex(hexstr), "big")

@@ -104,6 +104,27 @@ class RunSpec:
     dump_instance: str | None
 
 
+class BadFlag(ValueError):
+    """A `kslab run` argument outside its domain, named by its flag."""
+
+    def __init__(self, flag: str, message: str):
+        super().__init__(f"{flag}: {message}")
+
+
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise BadFlag(flag, f"must be at least {low}, got {value}")
+
+
+def _random_servers(rng: SplitMix64, k: int, n_vertices: int) -> tuple[int, ...]:
+    """`--k` distinct random vertices of a graph on n_vertices vertices."""
+    if not 1 <= k <= n_vertices:
+        raise BadFlag(
+            "--k", f"need 1..{n_vertices} servers on {n_vertices} vertices, got {k}"
+        )
+    return random_distinct_vertices(rng, k, n_vertices)
+
+
 class Instance(NamedTuple):
     """A run's graph, servers, requests, decomposition and family params."""
 
@@ -140,6 +161,8 @@ def _vertices(doc, field: str, n: int) -> list:
 
 def _build_instance(spec: RunSpec) -> Instance:
     """Resolve the graph, servers, requests and decomposition of a run."""
+    _at_least("--n", spec.n, 0)
+    _at_least("--size", spec.size, 0)
     rng = SplitMix64(spec.seed)
     td = None
     if spec.graph:
@@ -149,17 +172,24 @@ def _build_instance(spec: RunSpec) -> Instance:
         if spec.instance:
             doc = parse_json(_read(spec.instance))
             init = _vertices(doc, "init_config", g.n)
+            if not init:
+                raise GraphFormatError("init_config", "expected at least one server")
             sigma = _vertices(doc, "sequence", g.n)
             params = {"source": spec.graph, "instance": spec.instance}
         else:
-            init = random_distinct_vertices(rng, spec.k, g.n)
+            init = _random_servers(rng, spec.k, g.n)
             sigma = random_requests(rng, spec.n, g.n)
             params = {"source": spec.graph}
     elif spec.family == "path-rounds":
         bits = spec.bits if spec.bits is not None else rng.bit_string(max(1, spec.n // 7))
         n_path = spec.size or 5
         g = path_graph(n_path)
-        sigma = adversary.path_round_sequence(bits, n_path)
+        try:
+            sigma = adversary.path_round_sequence(bits, n_path)
+        except adversary.PathTooShort as exc:
+            raise BadFlag("--size", str(exc)) from None
+        except ValueError as exc:
+            raise BadFlag("--bits", str(exc)) from None
         init = adversary.PATH_ROUND_INIT
         td = path_decomposition(n_path)
         params = {"bits": bits, "path_size": n_path}
@@ -171,6 +201,7 @@ def _build_instance(spec: RunSpec) -> Instance:
         td = module_graph_decomposition(spec.gamma)
         params = {"gamma": spec.gamma, "rounds": spec.rounds, "perms": seqs.perms}
     elif spec.family == "gb":
+        _at_least("--modules", spec.modules, 1)
         seqs = _seeded_valid_sequence(rng, spec.gamma, spec.modules, spec.rounds)
         g = adversary.gb_graph(spec.modules, spec.gamma)
         sigma = list(seqs.requests)
@@ -185,22 +216,30 @@ def _build_instance(spec: RunSpec) -> Instance:
     elif spec.family == "random-ktree":
         n_vertices = spec.size or 20
         width = min(4, max(1, spec.k))
+        if n_vertices <= width:
+            raise BadFlag(
+                "--size",
+                f"a random partial {width}-tree needs at least {width + 1} "
+                f"vertices, got {n_vertices}",
+            )
         g, td = random_partial_ktree(rng, n_vertices, width)
-        init = random_distinct_vertices(rng, spec.k, g.n)
+        init = _random_servers(rng, spec.k, g.n)
         sigma = random_requests(rng, spec.n, g.n)
         params = {"n_vertices": n_vertices, "width": width}
     elif spec.family == "grid":
         side = spec.size or 4
         g = grid_graph(side, side)
-        init = random_distinct_vertices(rng, spec.k, g.n)
+        init = _random_servers(rng, spec.k, g.n)
         sigma = random_requests(rng, spec.n, g.n)
         params = {"side": side}
     else:
-        raise SystemExit(f"unknown family {spec.family!r}; pass --family or --graph")
+        raise BadFlag("--family", "pass --family or --graph")
     return Instance(g, tuple(init), list(sigma), td, params)
 
 
 def _seeded_valid_sequence(rng: SplitMix64, gamma: int, m: int, rounds: int):
+    _at_least("--gamma", gamma, 2)
+    _at_least("--rounds", rounds, 0)
     perms = []
     for _ in range(rounds):
         row = []
@@ -228,7 +267,7 @@ def _step_opt(spec: RunSpec, inst: Instance, dm, opt: Schedule):
 
 def _step_perm(spec: RunSpec, inst: Instance, dm, opt: Schedule):
     if spec.family not in ("module", "gb"):
-        raise SystemExit("--algo perm needs --family module or gb")
+        raise BadFlag("--algo", "perm needs --family module or gb")
     modules = spec.modules if spec.family == "gb" else 1
     seq = adversary.valid_sequence(spec.gamma, modules, inst.params["perms"])
     schedule = adversary.perm_algorithm(inst.g, seq, inst.init)
@@ -249,7 +288,7 @@ def _step_perm(spec: RunSpec, inst: Instance, dm, opt: Schedule):
 def _step_gpc(spec: RunSpec, inst: Instance, dm, opt: Schedule):
     g, init, sigma, td = inst.g, inst.init, inst.sigma, inst.td
     if td is None:
-        raise SystemExit("--algo gpc needs a tree decomposition (--td or family)")
+        raise BadFlag("--algo", "gpc needs a tree decomposition (--td or family)")
     check = verify_decomposition(g, td)
     if not check:
         raise SystemExit(f"decomposition invalid: {check.message}")
@@ -507,8 +546,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; an input file that is malformed, missing or
-    unreadable is reported on one stderr line naming the field or the path,
-    with exit status 2."""
+    unreadable, or a run argument outside its domain, is reported on one
+    stderr line naming the field, the path or the flag, with exit status 2."""
     level = os.environ.get("KSL_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = make_parser().parse_args(argv)
@@ -518,7 +557,7 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return cmd_bounds(args)
         return cmd_verify(args)
-    except GraphFormatError as exc:
+    except (GraphFormatError, BadFlag) as exc:
         print(f"kslab: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -3,7 +3,12 @@
 Two independent routes are provided: a dynamic program over server
 configurations (the oracle for everything else, and the basis for
 enumerating all optimal schedules), and a min-cost flow of value k on the
-request DAG that scales past the DP guard.  The flow is solved by k
+request DAG that scales past the DP guard.  After each request one server
+stands on it (Koutsoupias and Papadimitriou, J. ACM 1995), so a DP state
+is the multiset of the other k-1 servers: a layer holds at most
+C(N+k-2, k-1) states, only a state whose winning move did not start on
+the previous request keeps a back-pointer, and ties go to the least
+source vertex.  The flow is solved by k
 successive shortest paths (heap Dijkstra on reduced costs) in
 O(k * n^2 log n) for n requests, over plain index arrays and exact ints,
 with no graph library.  Both emit lazy schedules: exactly one server
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from bisect import bisect, insort
 from heapq import heappop, heappush
 from math import lcm
 
@@ -185,58 +191,81 @@ def _assign_server_ids(init, steps):
     return moves
 
 
-def _dp_layers(dist, init, sigma) -> list[dict[tuple, tuple]]:
-    """Forward pass of the DP over sorted configurations.
+def _replace_one(conf: tuple, out: int, into: int) -> tuple:
+    """The sorted tuple `conf` with one copy of `out` replaced by `into`."""
+    rest = list(conf)
+    rest.remove(out)
+    insort(rest, into)
+    return tuple(rest)
 
-    layers[t][config] = (least cost of serving sigma[:t] and ending in
-    config, (prev_config, src_vertex)); ties go to the lexicographically
-    smallest predecessor/source.
+
+def _dp_layers(dist, init, sigma):
+    """Forward pass of the DP; yields (layer, moved) for t = 0..n.
+
+    After request t-1 a server stands on p_t = sigma[t-1] (p_0 =
+    min(init)), so a state is the sorted tuple R of the other k-1 servers,
+    and layer[R] is the least cost of serving sigma[:t] and ending at
+    R + (p_t,).  Serving sigma[t] from p_t keeps R; serving it from some
+    s != p_t in R gives R - s + p_t.  The configurations a state R' of
+    layer t+1 comes from are R' + (s,) over its sources s, which grow with
+    s, so a tie goes to the least source, which is also the least
+    predecessor configuration; moved[R'] holds the winning source where it
+    is not p_t (moved is empty for t = 0).
     """
-    layer: dict[tuple, tuple] = {tuple(sorted(init)): (0, None)}
-    layers = [layer]
+    if not init and sigma:
+        raise ValueError(f"init: no servers to serve {len(sigma)} requests")
+    p = min(init, default=None)
+    layer = {tuple(sorted(init))[1:]: 0}
+    yield layer, {}
     for r in sigma:
-        nxt: dict[tuple, tuple] = {}
-        for conf, (cost, _) in layer.items():
-            for src in set(conf):
-                step = dist[src][r]
-                new_cost = cost + step
-                lst = list(conf)
-                lst.remove(src)
-                lst.append(r)
-                new_conf = tuple(sorted(lst))
-                prev = nxt.get(new_conf)
+        step = dist[p][r]
+        nxt = {conf: cost + step for conf, cost in layer.items()}
+        moved: dict[tuple, int] = {}
+        for conf, cost in layer.items():
+            for i, s in enumerate(conf):
+                if s == p:  # the same move as serving from p_t
+                    continue
+                new_cost = cost + dist[s][r]
+                rest = conf[:i] + conf[i + 1:]
+                j = bisect(rest, p)
+                new_conf = rest[:j] + (p,) + rest[j:]
+                best = nxt.get(new_conf)
                 if (
-                    prev is None
-                    or new_cost < prev[0]
-                    or (new_cost == prev[0] and (conf, src) < prev[1])
+                    best is None
+                    or new_cost < best
+                    or (new_cost == best and s < moved.get(new_conf, p))
                 ):
-                    nxt[new_conf] = (new_cost, (conf, src))
+                    nxt[new_conf] = new_cost
+                    moved[new_conf] = s
         layer = nxt
-        layers.append(layer)
-    return layers
+        p = r
+        yield layer, moved
 
 
 def opt_cost_dp(
     g: Graph, init, sigma, dm: DistanceMatrix | None = None
 ) -> tuple[int | Fraction, Schedule]:
-    """Provably minimal offline cost via DP over sorted configurations.
+    """Provably minimal offline cost via DP over server configurations.
 
     Returns one optimal lazy schedule (deterministic tie-breaking: the
-    lexicographically smallest predecessor/source at every state).
+    least source vertex at every state, and the least final state).
     """
     _guard(g.n, len(init), len(sigma), DP_GUARD, "opt_cost_dp")
     if dm is None:
         dm = all_pairs_shortest_paths(g)
     dist = dm.dist
-    layers = _dp_layers(dist, init, sigma)
-    last = layers[-1]
-    best_conf = min(last, key=lambda c: (last[c][0], c))
-    best_cost = last[best_conf][0]
+    back = []  # back[t]: the sparse back-pointers into layer t
+    for layer, moved in _dp_layers(dist, init, sigma):
+        back.append(moved)
+    conf = min(layer, key=lambda c: (layer[c], c))
+    best_cost = layer[conf]
     # Back-trace one optimal chain of (src -> request) steps.
     steps = []
-    conf = best_conf
     for t in range(len(sigma) - 1, -1, -1):
-        _, (conf, src) = layers[t + 1][conf]
+        p = sigma[t - 1] if t else min(init)
+        src = back[t + 1].get(conf, p)
+        if src != p:
+            conf = _replace_one(conf, p, src)
         steps.append((t, src, sigma[t], dist[src][sigma[t]]))
     steps.reverse()
     schedule = Schedule(moves=_assign_server_ids(init, steps), total_cost=best_cost)
@@ -255,9 +284,9 @@ def opt_all_schedules(
     if dm is None:
         dm = all_pairs_shortest_paths(g)
     dist = dm.dist
-    layers = _dp_layers(dist, init, sigma)
-    best_cost = min(cost for cost, _ in layers[-1].values())
-    finals = sorted(c for c, (cost, _) in layers[-1].items() if cost == best_cost)
+    layers = [layer for layer, _ in _dp_layers(dist, init, sigma)]
+    best_cost = min(layers[-1].values())
+    finals = sorted(c for c, cost in layers[-1].items() if cost == best_cost)
 
     schedules: list[Schedule] = []
 
@@ -274,14 +303,18 @@ def opt_all_schedules(
             )
             return
         r = sigma[t - 1]
-        lst0 = list(conf)
-        lst0.remove(r)  # the request vertex is occupied after serving it
+        p = sigma[t - 2] if t > 1 else min(init)
         for src in range(g.n):  # any vertex the server may have come from
-            prev_conf = tuple(sorted(lst0 + [src]))
+            if src == p:
+                prev_conf = conf
+            elif p in conf:
+                prev_conf = _replace_one(conf, p, src)
+            else:  # conf + src, the previous configuration, lacks p
+                continue
             prev = layers[t - 1].get(prev_conf)
-            if prev is not None and prev[0] + dist[src][r] == cost:
+            if prev is not None and prev + dist[src][r] == cost:
                 steps_rev.append(src)
-                backtrack(t - 1, prev_conf, prev[0], steps_rev)
+                backtrack(t - 1, prev_conf, prev, steps_rev)
                 steps_rev.pop()
 
     for final in finals:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,16 @@ def test_hex_negative_bit_length():
 def test_hex_bad_digits():
     with pytest.raises(BadHexTape, match="bad hex string"):
         AdviceTape.from_hex("zz", 4)
+
+
+@pytest.mark.parametrize("gap", [" ", "\n", "\t"], ids=["space", "newline", "tab"])
+def test_hex_whitespace_is_rejected(gap):
+    # bytes.fromhex skips whitespace, which would load "ab cd" as 0xabc...
+    where = re.escape(f"{gap!r} at index 2 is not a hex digit")
+    with pytest.raises(BadHexTape, match=where):
+        AdviceTape.from_hex(f"ab{gap}cd", 16)
+    with pytest.raises(BadHexTape, match="at index 4"):
+        AdviceTape.from_hex(f"abcd{gap}", 16)
 
 
 # The per-bit codec that the one-pass one replaced, kept as the reference.

@@ -115,7 +115,8 @@ def test_readme_run_reports_are_pinned(argv, digest, tmp_path):
 
 
 # Larger runs pinned the same way: N^3 * n > DP_GUARD sends the first one's
-# OPT down the flow route; the second certifies a spanner on a 64-vertex grid.
+# OPT down the flow route; the second certifies a spanner on a 64-vertex grid;
+# the third serves ~2000 path-round requests from a long DP-route schedule.
 # Each also pins its exact OPT, which does not depend on which optimal
 # schedule the solver picks.
 LARGER_RUNS = [
@@ -130,11 +131,18 @@ LARGER_RUNS = [
         "1eaf34befc6be86b8624b74c8fc7b7bb782c4201943feeed14987624c8c249db",
         37,
     ),
+    (
+        ["--family", "path-rounds", "--size", "5", "--n", "2000", "--algo", "gpc"],
+        "9743dbabdec1312bc9f01b981a1754be40535ed2fa8b19723657c6cb2ff740bb",
+        1140,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,digest,opt_cost", LARGER_RUNS, ids=["ktree-flow-gpc", "grid8-spanner"]
+    "argv,digest,opt_cost",
+    LARGER_RUNS,
+    ids=["ktree-flow-gpc", "grid8-spanner", "rounds2000-gpc"],
 )
 def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     out = tmp_path / "r.json"
@@ -266,6 +274,47 @@ def test_unreadable_input_file_is_one_line(tmp_path, capsys, argv, bad, kind):
         full += [arg, str(paths[arg])] if arg in paths else [arg]
     msg = cli_input_error(capsys, *full)
     assert msg == f"{paths[bad]}: {os.strerror(code)}\n"
+
+
+# (run arguments, the message after "kslab: error: ")
+BAD_RUN_ARGS = [
+    (["--family", "grid", "--size", "3", "--k", "0"],
+     "--k: need 1..9 servers on 9 vertices, got 0"),
+    (["--family", "grid", "--size", "2", "--k", "5"],
+     "--k: need 1..4 servers on 4 vertices, got 5"),
+    (["--family", "random-ktree", "--size", "10", "--k", "0"],
+     "--k: need 1..10 servers on 10 vertices, got 0"),
+    (["--family", "grid", "--n", "-3"], "--n: must be at least 0, got -3"),
+    (["--family", "grid", "--size", "-2"], "--size: must be at least 0, got -2"),
+    (["--family", "random-ktree", "--size", "3", "--k", "3"],
+     "--size: a random partial 3-tree needs at least 4 vertices, got 3"),
+    (["--family", "path-rounds", "--size", "2"],
+     "--size: rounds need a path of size >= 5, got 2"),
+    (["--family", "path-rounds", "--bits", "1x0"],
+     "--bits: round types must be a nonempty 0/1 string, got '1x0'"),
+    (["--family", "module", "--gamma", "0"], "--gamma: must be at least 2, got 0"),
+    (["--family", "module", "--rounds", "-1"], "--rounds: must be at least 0, got -1"),
+    (["--family", "gb", "--modules", "0"], "--modules: must be at least 1, got 0"),
+    (["--algo", "opt"], "--family: pass --family or --graph"),
+    (["--family", "grid", "--algo", "perm"], "--algo: perm needs --family module or gb"),
+    (["--family", "grid", "--algo", "gpc"],
+     "--algo: gpc needs a tree decomposition (--td or family)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", BAD_RUN_ARGS, ids=[" ".join(a) for a, _ in BAD_RUN_ARGS]
+)
+def test_bad_run_argument_is_one_line(capsys, argv, message):
+    assert cli_input_error(capsys, "run", *argv) == message + "\n"
+
+
+def test_empty_init_config_is_one_line(tmp_path, capsys):
+    gp, ip = _write_pair(tmp_path, [[0, 1, 1], [1, 2, 1]], 3, [], [1])
+    msg = cli_input_error(
+        capsys, "run", "--graph", gp, "--instance", ip, "--algo", "opt"
+    )
+    assert msg == "init_config: expected at least one server\n"
 
 
 def test_csv_format(tmp_path):

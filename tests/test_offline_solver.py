@@ -214,10 +214,10 @@ def _network_simplex_cost(dm, init, sigma):
 
 
 @st.composite
-def _small_instances(draw):
+def _small_instances(draw, max_servers=3):
     """Connected graphs on <= 7 vertices with weights in {1, 3/2, ..., 4},
-    1..3 servers (init vertices may repeat) and up to 8 requests (empty
-    and occupied vertices included)."""
+    1..max_servers servers (init vertices may repeat) and up to 8 requests
+    (empty and occupied vertices included)."""
     n_v = draw(st.integers(2, 7))
     weight = st.integers(2, 8).map(lambda h: Fraction(h, 2))
     edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n_v)}
@@ -226,7 +226,7 @@ def _small_instances(draw):
         if u < v:
             edges.setdefault((u, v), draw(weight))
     g = Graph(n_v, [(u, v, w) for (u, v), w in edges.items()])
-    init = tuple(draw(st.lists(vertex, min_size=1, max_size=3)))
+    init = tuple(draw(st.lists(vertex, min_size=1, max_size=max_servers)))
     sigma = draw(st.lists(vertex, max_size=8))
     return g, init, sigma
 
@@ -279,3 +279,106 @@ def test_validate_lazy_schedule_raises_located(tamper, t, field):
     assert (err.value.t, err.value.field) == (t, field)
     where = field if t is None else f"t={t} {field}"
     assert str(err.value).startswith(f"{where}: ")
+
+
+# The DP over whole sorted configurations that the (k-1)-server DP
+# replaced, kept as the reference: each state stores its cost and its
+# least (predecessor, source) pair.
+def _oracle_layers(dist, init, sigma):
+    layer = {tuple(sorted(init)): (0, None)}
+    layers = [layer]
+    for r in sigma:
+        nxt = {}
+        for conf, (cost, _) in layer.items():
+            for src in set(conf):
+                new_cost = cost + dist[src][r]
+                lst = list(conf)
+                lst.remove(src)
+                lst.append(r)
+                new_conf = tuple(sorted(lst))
+                prev = nxt.get(new_conf)
+                if (
+                    prev is None
+                    or new_cost < prev[0]
+                    or (new_cost == prev[0] and (conf, src) < prev[1])
+                ):
+                    nxt[new_conf] = (new_cost, (conf, src))
+        layer = nxt
+        layers.append(layer)
+    return layers
+
+
+def _oracle_schedule(dist, init, sigma):
+    layers = _oracle_layers(dist, init, sigma)
+    last = layers[-1]
+    conf = min(last, key=lambda c: (last[c][0], c))
+    steps = []
+    for t in range(len(sigma) - 1, -1, -1):
+        _, (conf, src) = layers[t + 1][conf]
+        steps.append((t, src, sigma[t], dist[src][sigma[t]]))
+    steps.reverse()
+    moves = offline_solver._assign_server_ids(init, steps)
+    return Schedule(moves=moves, total_cost=min(c for c, _ in last.values()))
+
+
+def _oracle_all_schedules(n_vertices, dist, init, sigma):
+    layers = _oracle_layers(dist, init, sigma)
+    best = min(cost for cost, _ in layers[-1].values())
+    found = []
+
+    def backtrack(t, conf, cost, steps_rev):
+        if t == 0:
+            steps = [
+                (i, src, sigma[i], dist[src][sigma[i]])
+                for i, src in enumerate(reversed(steps_rev))
+            ]
+            moves = offline_solver._assign_server_ids(init, steps)
+            found.append(Schedule(moves=moves, total_cost=best))
+            return
+        r = sigma[t - 1]
+        rest = list(conf)
+        rest.remove(r)
+        for src in range(n_vertices):
+            prev_conf = tuple(sorted(rest + [src]))
+            prev = layers[t - 1].get(prev_conf)
+            if prev is not None and prev[0] + dist[src][r] == cost:
+                steps_rev.append(src)
+                backtrack(t - 1, prev_conf, prev[0], steps_rev)
+                steps_rev.pop()
+
+    for conf, (cost, _) in sorted(layers[-1].items()):
+        if cost == best:
+            backtrack(len(sigma), conf, cost, [])
+    found.sort(key=lambda s: s.move_triples())
+    return found
+
+
+def _moves(schedule):
+    return schedule.total_cost, [
+        (m.t, m.server, m.src, m.dst, m.cost) for m in schedule.moves
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_instances(max_servers=4))
+@example((path_graph(5), (2, 2, 0, 2), [2, 0, 4, 2, 4, 0]))  # repeats, occupied
+@example((path_graph(5), (4, 0, 0, 3), [0, 0, 4, 1, 4]))
+@example((Graph(3, [(0, 1, Fraction(3, 2)), (1, 2, 2)]), (1, 1), []))
+def test_dp_matches_configuration_oracle(instance):
+    g, init, sigma = instance
+    dm = all_pairs_shortest_paths(g)
+    cost, sched = opt_cost_dp(g, init, sigma, dm)
+    oracle = _oracle_schedule(dm.dist, init, sigma)
+    assert cost == oracle.total_cost
+    assert _moves(sched) == _moves(oracle)
+    assert [_moves(s) for s in opt_all_schedules(g, init, sigma, dm)] == [
+        _moves(s) for s in _oracle_all_schedules(g.n, dm.dist, init, sigma)
+    ]
+
+
+@pytest.mark.parametrize("solve", [opt_cost_dp, opt_all_schedules])
+def test_dp_without_servers(solve):
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="init: no servers to serve 2 requests"):
+        solve(g, (), [0, 2])
+    assert opt_cost_dp(g, (), [])[0] == 0

@@ -6,6 +6,7 @@ fires, and returns the error it raised.  The cases use no `assert`, so
 `test_checks_fire_under_python_O` can run them in a subprocess under -O,
 where every `assert` is stripped.
 """
+import ast
 import os
 import subprocess
 import sys
@@ -255,3 +256,17 @@ def test_checks_fire_under_python_O():
         "splitter_not_halving HeightReductionFault",
         "third_anchor HeightReductionFault",
     ]
+
+
+def test_src_has_no_assert():
+    # python -O strips every assert, so no check in kslab may be one; this
+    # test itself uses pytest.fail for the same reason.
+    root = Path(kslab.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    if found:
+        pytest.fail(f"assert statements in kslab: {', '.join(found)}")
