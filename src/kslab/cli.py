@@ -105,7 +105,7 @@ class RunSpec:
 
 
 class BadFlag(ValueError):
-    """A `kslab run` argument outside its domain, named by its flag."""
+    """A `kslab` argument missing or outside its domain, named by its flag."""
 
     def __init__(self, flag: str, message: str):
         super().__init__(f"{flag}: {message}")
@@ -291,7 +291,8 @@ def _step_gpc(spec: RunSpec, inst: Instance, dm, opt: Schedule):
         raise BadFlag("--algo", "gpc needs a tree decomposition (--td or family)")
     check = verify_decomposition(g, td)
     if not check:
-        raise SystemExit(f"decomposition invalid: {check.message}")
+        flag = "--td" if spec.td else "--family"
+        raise BadFlag(flag, f"decomposition invalid: {check.message}")
     red = reduce_height(td, g.n)
     tape = generate_advice(g, dm, red, init, sigma, opt)
     tape.rewind()
@@ -454,7 +455,7 @@ def cmd_bounds(args) -> int:
             exact, closed = adversary.treewidth_advice_bound(alpha, args.n)
             rows.append(f"{alpha},{exact:.6f},{closed:.6f}")
     else:
-        raise SystemExit("pass --tau or --alpha (comma-separated list)")
+        raise BadFlag("--tau/--alpha", "pass one of them (a comma-separated list)")
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -487,7 +488,7 @@ def cmd_verify(args) -> int:
             return 1
         print(f"pass: ({system.q}, {system.r})-stretch verified, mu={system.mu}")
         return 0
-    raise SystemExit("pass --td or --spanners")
+    raise BadFlag("--td/--spanners", "pass one of them")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -111,17 +111,26 @@ def random_partial_ktree(
         adj[v].add(u)
 
     def connected_without(u: int, v: int) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if (x, y) in ((u, v), (v, u)):
-                    continue
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == n
+        """Whether v is reachable from u without the edge u-v.
+
+        The graph is connected at every step, so that is whether dropping
+        u-v keeps it connected.  A search from u and one from v take turns
+        popping one vertex each; they stop when they meet or when one runs
+        out, so an edge costs about twice the smaller side it would cut off.
+        """
+        side = {u: 0, v: 1}
+        stacks = ([u], [v])
+        while stacks[0] and stacks[1]:
+            for s in (0, 1):
+                x = stacks[s].pop()
+                for y in adj[x]:
+                    t = side.get(y)
+                    if t is None:
+                        side[y] = s
+                        stacks[s].append(y)
+                    elif t != s and (x, y) not in ((u, v), (v, u)):
+                        return True
+        return False
 
     order = sorted(edges)
     rng.shuffle(order)

@@ -404,7 +404,8 @@ def opt_cost_flow(
     on the way (Chrobak, Karloff, Payne, Vishwanathan 1991).  B exceeds the
     positive cost of any flow, so a min-cost flow covers every request and
     OPT = flow cost + n*B.  Distances are scaled by the lcm of their
-    denominators, so every cost is an exact int.
+    denominators (1 when every edge weight is an int), so every cost is an
+    exact int.
     """
     if dm is None:
         dm = all_pairs_shortest_paths(g)
@@ -413,15 +414,18 @@ def opt_cost_flow(
     if n == 0:
         return 0, Schedule(moves=[], total_cost=0)
     dist = dm.dist
-    scale = lcm(
-        *(
-            d.denominator
-            for row in dist
-            for d in row
-            if isinstance(d, Fraction)
-        ),
-        1,
-    )
+    if all(isinstance(w, int) for _, _, w in g.edges):
+        scale = 1  # int weights give int distances
+    else:
+        scale = lcm(
+            *(
+                d.denominator
+                for row in dist
+                for d in row
+                if isinstance(d, Fraction)
+            ),
+            1,
+        )
     # Nodes: S = 0, s_i = 1 + i, ri_t = k + 1 + 2t, ro_t = ri_t + 1, T last.
     sink = k + 1 + 2 * n
     arcs = [(0, 1 + i, 0) for i in range(k)]

@@ -379,8 +379,8 @@ def exact_treewidth(g: Graph) -> tuple[int, TreeDecomposition]:
 # bag is a centroid; with two anchors it is chosen on the anchor-to-anchor
 # path so that both anchor-side components halve.  Every two levels the
 # component size halves, giving height <= 2*log2(bags) + O(1), and bags
-# are first pruned to at most N+1, comfortably under the asserted
-# 4*ceil(log2 N).
+# are first pruned to at most N+1, comfortably under 4*ceil(log2 N).
+# Nothing here enforces that bound; tests/test_tree_decomp.py checks it.
 
 
 def _simplify(td: TreeDecomposition) -> tuple[list[set[int]], list[set[int]]]:
@@ -439,12 +439,29 @@ def _components(nodes: set[int], adj, removed: int) -> list[set[int]]:
 
 
 def _centroid(nodes: set[int], adj) -> int:
-    best = None
-    for c in sorted(nodes):
-        worst = max((len(x) for x in _components(nodes, adj, c)), default=0)
-        if best is None or (worst, c) < best:
-            best = (worst, c)
-    return best[1]
+    """The bag of the connected piece whose removal leaves the smallest
+    largest component, least id on ties.
+
+    One subtree-size pass from min(nodes): removing c leaves its child
+    subtrees and the rest of the piece, |nodes| - size[c] bags.
+    """
+    root = min(nodes)
+    parent = {root: root}
+    order = [root]
+    for u in order:  # breadth-first; order grows as the loop runs
+        for v in adj[u]:
+            if v in nodes and v not in parent:
+                parent[v] = u
+                order.append(v)
+    size = dict.fromkeys(order, 1)
+    heaviest_child = dict.fromkeys(order, 0)
+    for u in reversed(order[1:]):
+        p = parent[u]
+        size[p] += size[u]
+        heaviest_child[p] = max(heaviest_child[p], size[u])
+    return min(
+        (max(heaviest_child[c], len(order) - size[c]), c) for c in order
+    )[1]
 
 
 def _tree_path(nodes: set[int], adj, a: int, b: int) -> list[int]:

@@ -116,7 +116,8 @@ def test_readme_run_reports_are_pinned(argv, digest, tmp_path):
 
 # Larger runs pinned the same way: N^3 * n > DP_GUARD sends the first one's
 # OPT down the flow route; the second certifies a spanner on a 64-vertex grid;
-# the third serves ~2000 path-round requests from a long DP-route schedule.
+# the third serves ~2000 path-round requests from a long DP-route schedule;
+# the fourth generates and height-reduces a 600-vertex partial 3-tree.
 # Each also pins its exact OPT, which does not depend on which optimal
 # schedule the solver picks.
 LARGER_RUNS = [
@@ -136,13 +137,19 @@ LARGER_RUNS = [
         "9743dbabdec1312bc9f01b981a1754be40535ed2fa8b19723657c6cb2ff740bb",
         1140,
     ),
+    (
+        ["--family", "random-ktree", "--size", "600", "--k", "3", "--n", "60",
+         "--algo", "gpc"],
+        "b9644ea5875e960ca207957f5686237698ced9c5c20aaff29bc3fd892d1d16e8",
+        158,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest,opt_cost",
     LARGER_RUNS,
-    ids=["ktree-flow-gpc", "grid8-spanner", "rounds2000-gpc"],
+    ids=["ktree-flow-gpc", "grid8-spanner", "rounds2000-gpc", "ktree600-flow-gpc"],
 )
 def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     out = tmp_path / "r.json"
@@ -307,6 +314,29 @@ BAD_RUN_ARGS = [
 )
 def test_bad_run_argument_is_one_line(capsys, argv, message):
     assert cli_input_error(capsys, "run", *argv) == message + "\n"
+
+
+def test_bounds_without_a_table_is_one_line(capsys):
+    msg = cli_input_error(capsys, "bounds", "--n", "1000")
+    assert msg == "--tau/--alpha: pass one of them (a comma-separated list)\n"
+
+
+def test_verify_without_a_structure_is_one_line(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_to_json(path_graph(3)))
+    msg = cli_input_error(capsys, "verify", "--graph", str(gp))
+    assert msg == "--td/--spanners: pass one of them\n"
+
+
+def test_run_with_an_invalid_decomposition_is_one_line(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_to_json(path_graph(3)))
+    tdp = tmp_path / "td.json"
+    tdp.write_text(json.dumps({"bags": [[0, 1]], "parent": [None], "root": 0}))
+    msg = cli_input_error(
+        capsys, "run", "--graph", str(gp), "--td", str(tdp), "--algo", "gpc"
+    )
+    assert msg == "--td: decomposition invalid: vertex 2 not covered by any bag\n"
 
 
 def test_empty_init_config_is_one_line(tmp_path, capsys):

@@ -59,6 +59,28 @@ def test_flow_scaling_matches_dp_on_rational_weights():
         assert sched.total_cost == c_fl
 
 
+def test_flow_matches_dp_on_fraction_weights_with_int_distances():
+    # each 5/2 chord is longer than the two unit edges beside it, so every
+    # distance is an int although not every weight is: the flow takes
+    # scale = 1 from its distance scan, not from the int-weight shortcut
+    n = 11
+    edges = [(v, v + 1, 1) for v in range(n - 1)]
+    edges += [(v, v + 2, Fraction(5, 2)) for v in range(0, n - 2, 2)]
+    g = Graph(n, edges)
+    assert any(isinstance(w, Fraction) for _, _, w in g.edges)
+    dm = all_pairs_shortest_paths(g)
+    assert all(type(d) is int for row in dm.dist for d in row)
+    rng = SplitMix64(4245)
+    for i in range(10):
+        k = 1 + rng.randrange(3)
+        init = random_distinct_vertices(rng, k, n)
+        sigma = random_requests(rng, 1 + rng.randrange(12), n)
+        c_dp, _ = opt_cost_dp(g, init, sigma, dm)
+        c_fl, sched = opt_cost_flow(g, init, sigma, dm)
+        assert c_dp == c_fl == sched.total_cost, f"instance {i}"
+        assert type(c_fl) is int
+
+
 def _rational_gpc_runs():
     from kslab.instances import random_partial_ktree
 

@@ -2,7 +2,10 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kslab import tree_decomp
 from kslab.adversary import gb_graph, module_graph
 from kslab.instances import (
     SplitMix64,
@@ -15,6 +18,8 @@ from kslab.metric_core import Graph, GraphFormatError, all_pairs_shortest_paths
 from kslab.tree_decomp import (
     InstanceTooLarge,
     TreeDecomposition,
+    _centroid,
+    _components,
     exact_treewidth,
     gb_decomposition,
     intersect_shortest_path,
@@ -134,6 +139,66 @@ def test_reduce_height_random_partial_2_trees():
         assert verify_decomposition(g, red)
         assert red.width <= 3 * td.width + 2 <= 8
         assert red.height <= 4 * math.ceil(math.log2(n))
+
+
+def _oracle_centroid(nodes, adj):
+    """The quadratic search: remove each bag and measure what is left."""
+    best = None
+    for c in sorted(nodes):
+        worst = max((len(x) for x in _components(nodes, adj, c)), default=0)
+        if best is None or (worst, c) < best:
+            best = (worst, c)
+    return best[1]
+
+
+@st.composite
+def _tree_pieces(draw):
+    """A random tree on shuffled ids and a connected piece of it."""
+    n = draw(st.integers(1, 40))
+    ids = draw(st.permutations(range(n)))
+    adj = [set() for _ in range(n)]
+    for i in range(1, n):
+        p = draw(st.integers(0, i - 1))
+        adj[ids[i]].add(ids[p])
+        adj[ids[p]].add(ids[i])
+    keep = draw(st.sets(st.integers(0, n - 1)))
+    start = draw(st.integers(0, n - 1))
+    piece = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v in keep and v not in piece:
+                piece.add(v)
+                stack.append(v)
+    return adj, piece
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_pieces())
+def test_centroid_matches_quadratic_oracle(tree_piece):
+    adj, piece = tree_piece
+    whole = set(range(len(adj)))
+    assert _centroid(whole, adj) == _oracle_centroid(whole, adj)
+    assert _centroid(piece, adj) == _oracle_centroid(piece, adj)
+
+
+def test_centroid_ties_take_the_least_bag():
+    # a path of four bags has two centroids; a star's hub wins although
+    # it has the largest id
+    path = [{1}, {0, 2}, {1, 3}, {2}]
+    assert _centroid({0, 1, 2, 3}, path) == 1
+    star = [{3}, {3}, {3}, {0, 1, 2}]
+    assert _centroid({0, 1, 2, 3}, star) == 3
+
+
+def test_reduce_height_matches_oracle_driven_run(monkeypatch):
+    rng = SplitMix64(78)
+    cases = [random_partial_ktree(rng, 10 + rng.randrange(140), 1 + i % 4)
+             for i in range(16)]
+    fast = [reduce_height(td, g.n).to_json() for g, td in cases]
+    monkeypatch.setattr(tree_decomp, "_centroid", _oracle_centroid)
+    assert fast == [reduce_height(td, g.n).to_json() for g, td in cases]
 
 
 def test_lca_against_naive_walk():
