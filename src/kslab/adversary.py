@@ -133,9 +133,6 @@ class UnitLayout:
     def w_of_mask(self, mask: int) -> int:
         return self.w_by_mask[mask]
 
-    def w_of_size(self, size: int) -> list[int]:
-        return [w for w in self.w_ids if bin(self.mask_of[w]).count("1") == size]
-
 
 def _unit_layout(gamma: int, offset: int) -> UnitLayout:
     u_ids = tuple(range(offset, offset + gamma))
@@ -272,10 +269,6 @@ class ValidSequence:
     rounds: int
     perms: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
     requests: tuple[int, ...]
-
-    @property
-    def round_length(self) -> int:
-        return 4 * self.gamma * self.m
 
 
 def _check_perm(p, gamma: int) -> tuple[int, ...]:

@@ -138,7 +138,7 @@ def _write_address(
 ) -> None:
     w_h, w_b = widths
     tape.write_uint(td.depth[bag_idx], w_h)
-    tape.write_uint(td.in_bag_index(bag_idx, v), w_b)
+    tape.write_uint(td.bags[bag_idx].index(v), w_b)
 
 
 def _read_address(
@@ -156,7 +156,7 @@ def _read_address(
     bag = td.ancestor_at_depth(ref_bag, depth)
     if idx >= len(td.bags[bag]):
         raise NoServerAtAddress(f"index {idx} outside bag {bag}")
-    return td.vertex_at(bag, idx)
+    return td.bags[bag][idx]
 
 
 def generate_advice(

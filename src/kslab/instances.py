@@ -35,9 +35,6 @@ class SplitMix64:
     def randint(self, lo: int, hi: int) -> int:
         return lo + self.randrange(hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, lst: list) -> None:
         for i in range(len(lst) - 1, 0, -1):
             j = self.randrange(i + 1)

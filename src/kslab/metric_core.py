@@ -141,9 +141,6 @@ class DistanceMatrix:
         self.dist = dist
         self.next_hop = next_hop
 
-    def distance(self, u: int, v: int) -> Weight:
-        return self.dist[u][v]
-
 
 def single_source_distances(g: Graph, s: int) -> list[Weight]:
     """Exact distances from s to every vertex: Dijkstra over (distance, vertex).

@@ -56,32 +56,23 @@ ENUM_GUARD = 10**6
 
 @dataclass(frozen=True)
 class Move:
-    """One schedule entry.
-
-    For lazy offline schedules `dst` is the requested vertex and `via` is
-    None.  Online replays reuse the same record with `via` = the request
-    vertex visited en route and `dst` = the subsequent parking vertex.
-    Initial relocations carry t = -1.
-    """
+    """One entry of a lazy schedule: server moves src -> dst, the vertex
+    requested at step t."""
 
     t: int
     server: int
     src: int
     dst: int
     cost: int | Fraction
-    via: int | None = None
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "t": self.t,
             "server": self.server,
             "from": self.src,
             "to": self.dst,
             "cost": num_to_json(self.cost),
         }
-        if self.via is not None:
-            obj["via"] = self.via
-        return obj
 
 
 @dataclass
@@ -104,7 +95,6 @@ class Schedule:
                 src=m["from"],
                 dst=m["to"],
                 cost=num_from_json(m["cost"], f"moves[{i}].cost"),
-                via=m.get("via"),
             )
             for i, m in enumerate(obj["moves"])
         ]
@@ -118,13 +108,7 @@ class Schedule:
 
 def replay_cost(dm: DistanceMatrix, schedule: Schedule):
     """Recompute the schedule's cost from the metric; sanity oracle."""
-    total = 0
-    for m in schedule.moves:
-        if m.via is None:
-            total += dm.dist[m.src][m.dst]
-        else:
-            total += dm.dist[m.src][m.via] + dm.dist[m.via][m.dst]
-    return total
+    return sum(dm.dist[m.src][m.dst] for m in schedule.moves)
 
 
 def validate_lazy_schedule(
@@ -147,8 +131,6 @@ def validate_lazy_schedule(
         m = by_t.get(t)
         if m is None:
             raise InvalidSchedule(t, "t", "no move serves this request")
-        if m.via is not None:
-            raise InvalidSchedule(t, "via", f"a lazy move has no via, got {m.via}")
         if not (isinstance(m.server, int) and 0 <= m.server < len(positions)):
             raise InvalidSchedule(t, "server", f"no server {m.server!r}")
         if positions[m.server] != m.src:

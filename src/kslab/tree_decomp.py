@@ -4,6 +4,7 @@ explicit decompositions of the unit/module graph families.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .metric_core import (
@@ -59,27 +60,20 @@ class TreeDecomposition:
         )
         depth = [-1] * b
         depth[root] = 0
-        order = [root]
         stack = [root]
         while stack:
             u = stack.pop()
             for v in self.children[u]:
                 depth[v] = depth[u] + 1
-                order.append(v)
                 stack.append(v)
         if any(d < 0 for d in depth):
             raise ValueError("parent links do not form a single rooted tree")
         self.depth: tuple[int, ...] = tuple(depth)
-        self._dfs_order = tuple(order)
-        self._pos = [
-            {v: i for i, v in enumerate(bag)} for bag in self.bags
-        ]
         rep: dict[int, int] = {}
         for i, bag in enumerate(self.bags):
             for v in bag:
                 rep.setdefault(v, i)
         self.representative_bag: dict[int, int] = rep
-        self._lift: list[list[int]] | None = None
 
     @property
     def num_bags(self) -> int:
@@ -93,40 +87,9 @@ class TreeDecomposition:
     def height(self) -> int:
         return max(self.depth)
 
-    def vertices(self) -> set[int]:
-        return set(self.representative_bag)
-
-    def in_bag_index(self, bag_idx: int, v: int) -> int:
-        return self._pos[bag_idx][v]
-
-    def vertex_at(self, bag_idx: int, pos: int) -> int:
-        return self.bags[bag_idx][pos]
-
-    # -- ancestor machinery (binary lifting) --------------------------------
-
-    def _ensure_lift(self) -> None:
-        if self._lift is not None:
-            return
-        b = self.num_bags
-        levels = max(1, max(self.depth).bit_length())
-        up = [[0] * b for _ in range(levels)]
-        for i in range(b):
-            p = self.parent[i]
-            up[0][i] = i if p is None else p
-        for k in range(1, levels):
-            prev = up[k - 1]
-            up[k] = [prev[prev[i]] for i in range(b)]
-        self._lift = up
-
-    def _lift_by(self, i: int, steps: int) -> int:
-        self._ensure_lift()
-        k = 0
-        while steps:
-            if steps & 1:
-                i = self._lift[k][i]
-            steps >>= 1
-            k += 1
-        return i
+    # -- ancestors by parent walks ------------------------------------------
+    # The online algorithm only queries height-reduced decompositions, so
+    # every walk is short.
 
     def ancestor_at_depth(self, bag_idx: int, d: int) -> int:
         """The unique ancestor of bag_idx at depth d (d <= its depth)."""
@@ -134,23 +97,20 @@ class TreeDecomposition:
             raise ValueError(
                 f"depth {d} not on the root path of bag {bag_idx}"
             )
-        return self._lift_by(bag_idx, self.depth[bag_idx] - d)
+        for _ in range(self.depth[bag_idx] - d):
+            bag_idx = self.parent[bag_idx]
+        return bag_idx
 
     def lca_bag(self, i: int, j: int) -> int:
         """Deepest common ancestor of two bags."""
-        self._ensure_lift()
-        di, dj = self.depth[i], self.depth[j]
-        if di > dj:
-            i, j = j, i
-            di, dj = dj, di
-        j = self._lift_by(j, dj - di)
-        if i == j:
-            return i
-        for k in range(len(self._lift) - 1, -1, -1):
-            if self._lift[k][i] != self._lift[k][j]:
-                i = self._lift[k][i]
-                j = self._lift[k][j]
-        return self.parent[i]
+        parent, depth = self.parent, self.depth
+        while depth[i] > depth[j]:
+            i = parent[i]
+        while depth[j] > depth[i]:
+            j = parent[j]
+        while i != j:
+            i, j = parent[i], parent[j]
+        return i
 
     # -- serialization -------------------------------------------------------
 
@@ -377,46 +337,50 @@ def exact_treewidth(g: Graph) -> tuple[int, TreeDecomposition]:
 # (the bags facing already-processed parts), so new bags merge at most
 # three old ones: width <= 3*alpha + 2.  With at most one anchor the split
 # bag is a centroid; with two anchors it is chosen on the anchor-to-anchor
-# path so that both anchor-side components halve.  Every two levels the
-# component size halves, giving height <= 2*log2(bags) + O(1), and bags
-# are first pruned to at most N+1, comfortably under 4*ceil(log2 N).
-# Nothing here enforces that bound; tests/test_tree_decomp.py checks it.
+# path so that both anchor-side components halve.  Either choice reads
+# one rooted pass over the piece (breadth-first order, parents, subtree
+# sizes), so finding a split costs time linear in its piece.  Every two
+# levels the component size halves, giving height <= 2*log2(bags) + O(1),
+# and bags are first pruned to at most N+1 by contracting subset bags.
+# Nothing here enforces the 4*ceil(log2 N) bound;
+# tests/test_tree_decomp.py checks it.
 
 
 def _simplify(td: TreeDecomposition) -> tuple[list[set[int]], list[set[int]]]:
-    """Contract bags that are subsets of a neighbor; returns (bags, adj)."""
+    """Contract bags that are subsets of a neighbor; returns (bags, adj).
+
+    Each step contracts the least bag that is a subset of a neighbor into
+    the least such neighbor.  Bags never change, so a contraction can only
+    make candidates of the merged bag and of the contracted bag's other
+    neighbors; just those go back on the min-heap of bags to examine.
+    """
     bags = [set(b) for b in td.bags]
     adj: list[set[int]] = [set() for b in bags]
     for i, p in enumerate(td.parent):
         if p is not None:
             adj[i].add(p)
             adj[p].add(i)
-    alive = set(range(len(bags)))
-    changed = True
-    while changed and len(alive) > 1:
-        changed = False
-        for i in sorted(alive):
-            for j in sorted(adj[i]):
-                if bags[i] <= bags[j]:
-                    for x in adj[i]:
-                        if x != j:
-                            adj[x].discard(i)
-                            adj[x].add(j)
-                            adj[j].add(x)
-                    adj[j].discard(i)
-                    adj[i].clear()
-                    alive.discard(i)
-                    changed = True
-                    break
-            if changed:
-                break
-    idx = {old: new for new, old in enumerate(sorted(alive))}
-    new_bags = [bags[old] for old in sorted(alive)]
-    new_adj: list[set[int]] = [set() for _ in new_bags]
-    for old in sorted(alive):
-        for nb in adj[old]:
-            new_adj[idx[old]].add(idx[nb])
-    return new_bags, new_adj
+    alive = [True] * len(bags)
+    todo = list(range(len(bags)))  # sorted, hence already a heap
+    while todo:
+        i = heapq.heappop(todo)
+        if not alive[i]:
+            continue
+        j = min((j for j in adj[i] if bags[i] <= bags[j]), default=None)
+        if j is None:
+            continue
+        for x in adj[i] - {j}:
+            adj[x].discard(i)
+            adj[x].add(j)
+            adj[j].add(x)
+            heapq.heappush(todo, x)
+        adj[j].discard(i)
+        adj[i].clear()
+        alive[i] = False
+        heapq.heappush(todo, j)
+    kept = [i for i in range(len(bags)) if alive[i]]
+    idx = {old: new for new, old in enumerate(kept)}
+    return [bags[i] for i in kept], [{idx[nb] for nb in adj[i]} for i in kept]
 
 
 def _components(nodes: set[int], adj, removed: int) -> list[set[int]]:
@@ -438,14 +402,9 @@ def _components(nodes: set[int], adj, removed: int) -> list[set[int]]:
     return comps
 
 
-def _centroid(nodes: set[int], adj) -> int:
-    """The bag of the connected piece whose removal leaves the smallest
-    largest component, least id on ties.
-
-    One subtree-size pass from min(nodes): removing c leaves its child
-    subtrees and the rest of the piece, |nodes| - size[c] bags.
-    """
-    root = min(nodes)
+def _rooted(nodes: set[int], adj, root: int):
+    """Breadth-first order, parents and subtree sizes of the connected
+    piece rooted at root; the root is its own parent."""
     parent = {root: root}
     order = [root]
     for u in order:  # breadth-first; order grows as the loop runs
@@ -454,48 +413,41 @@ def _centroid(nodes: set[int], adj) -> int:
                 parent[v] = u
                 order.append(v)
     size = dict.fromkeys(order, 1)
-    heaviest_child = dict.fromkeys(order, 0)
     for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    return order, parent, size
+
+
+def _centroid(nodes: set[int], adj) -> int:
+    """The bag of the connected piece whose removal leaves the smallest
+    largest component, least id on ties.
+
+    Rooted at min(nodes): removing c leaves its child subtrees and the
+    rest of the piece, |nodes| - size[c] bags.
+    """
+    order, parent, size = _rooted(nodes, adj, min(nodes))
+    heaviest_child = dict.fromkeys(order, 0)
+    for u in order[1:]:
         p = parent[u]
-        size[p] += size[u]
         heaviest_child[p] = max(heaviest_child[p], size[u])
     return min(
-        (max(heaviest_child[c], len(order) - size[c]), c) for c in order
+        (max(heaviest_child[c], len(nodes) - size[c]), c) for c in order
     )[1]
 
 
-def _tree_path(nodes: set[int], adj, a: int, b: int) -> list[int]:
-    prev = {a: a}
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        if u == b:
-            break
-        for v in adj[u]:
-            if v in nodes and v not in prev:
-                prev[v] = u
-                stack.append(v)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
 def _path_splitter(nodes: set[int], adj, a1: int, a2: int) -> int:
-    path = _tree_path(nodes, adj, a1, a2)
-    best = None
-    for x in path:
-        comps = _components(nodes, adj, x)
-        side1 = next((len(c) for c in comps if a1 in c), 0)
-        side2 = next((len(c) for c in comps if a2 in c), 0)
-        worst = max(side1, side2)
-        if best is None or (worst, x) < best:
-            best = (worst, x)
-    if best[0] > len(nodes) // 2:
-        raise HeightReductionFault(
-            f"splitting at bag {best[1]} leaves {best[0]} of {len(nodes)} bags "
-            f"on one side of anchors ({a1}, {a2}); at most {len(nodes) // 2} allowed"
-        )
+    """The bag on the a1-a2 path whose removal leaves the smaller largest
+    anchor side, least id on ties.
+
+    Rooted at a1: removing x leaves |nodes| - size[x] bags on a1's side
+    and the subtree of x's child toward a2 on a2's side.
+    """
+    _, parent, size = _rooted(nodes, adj, a1)
+    best = (len(nodes) - size[a2], a2)
+    x = a2
+    while x != a1:
+        child, x = x, parent[x]
+        best = min(best, (max(len(nodes) - size[x], size[child]), x))
     return best[1]
 
 
@@ -524,15 +476,21 @@ def reduce_height(td: TreeDecomposition, n_vertices: int) -> TreeDecomposition:
         out_parent.append(None)
         r_idx = len(out_bags) - 1
         for comp in _components(nodes, adj, c):
-            door = next(iter(adj[c] & comp))
-            sub_anchors = tuple(sorted({door} | (set(anchors) & comp)))
+            held = set(anchors) & comp
+            sub_anchors = tuple(sorted({next(iter(adj[c] & comp))} | held))
             if len(sub_anchors) > 2:
                 raise HeightReductionFault(
                     f"splitting at bag {c} leaves a component with anchors "
                     f"{sub_anchors}; at most 2 allowed"
                 )
-            child = build(comp, sub_anchors)
-            out_parent[child] = r_idx
+            # an anchor side above half the piece breaks the height bound
+            if len(anchors) == 2 and held and len(comp) > len(nodes) // 2:
+                raise HeightReductionFault(
+                    f"splitting at bag {c} leaves {len(comp)} of {len(nodes)} "
+                    f"bags on one side of anchors ({anchors[0]}, {anchors[1]}); "
+                    f"at most {len(nodes) // 2} allowed"
+                )
+            out_parent[build(comp, sub_anchors)] = r_idx
         return r_idx
 
     root = build(set(range(len(bags))), ())

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from itertools import combinations
 
@@ -20,6 +22,8 @@ from kslab.tree_decomp import (
     TreeDecomposition,
     _centroid,
     _components,
+    _path_splitter,
+    _simplify,
     exact_treewidth,
     gb_decomposition,
     intersect_shortest_path,
@@ -192,13 +196,142 @@ def test_centroid_ties_take_the_least_bag():
     assert _centroid({0, 1, 2, 3}, star) == 3
 
 
+def _oracle_path_splitter(nodes, adj, a1, a2):
+    """The quadratic search: one component search per bag on the a1-a2 path."""
+    prev = {a1: a1}
+    stack = [a1]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v in nodes and v not in prev:
+                prev[v] = u
+                stack.append(v)
+    path = [a2]
+    while path[-1] != a1:
+        path.append(prev[path[-1]])
+    best = None
+    for x in path:
+        comps = _components(nodes, adj, x)
+        side1 = next((len(c) for c in comps if a1 in c), 0)
+        side2 = next((len(c) for c in comps if a2 in c), 0)
+        if best is None or (max(side1, side2), x) < best:
+            best = (max(side1, side2), x)
+    return best[1]
+
+
+def _oracle_simplify(td):
+    """The restart scan: after each contraction, look again from bag 0."""
+    bags = [set(b) for b in td.bags]
+    adj = [set() for b in bags]
+    for i, p in enumerate(td.parent):
+        if p is not None:
+            adj[i].add(p)
+            adj[p].add(i)
+    alive = set(range(len(bags)))
+    changed = True
+    while changed and len(alive) > 1:
+        changed = False
+        for i in sorted(alive):
+            for j in sorted(adj[i]):
+                if bags[i] <= bags[j]:
+                    for x in adj[i]:
+                        if x != j:
+                            adj[x].discard(i)
+                            adj[x].add(j)
+                            adj[j].add(x)
+                    adj[j].discard(i)
+                    adj[i].clear()
+                    alive.discard(i)
+                    changed = True
+                    break
+            if changed:
+                break
+    idx = {old: new for new, old in enumerate(sorted(alive))}
+    new_bags = [bags[old] for old in sorted(alive)]
+    new_adj = [set() for _ in new_bags]
+    for old in sorted(alive):
+        for nb in adj[old]:
+            new_adj[idx[old]].add(idx[nb])
+    return new_bags, new_adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_pieces(), st.data())
+def test_path_splitter_matches_quadratic_oracle(tree_piece, data):
+    adj, piece = tree_piece
+    for nodes in (set(range(len(adj))), piece):
+        if len(nodes) > 1:
+            a1, a2 = data.draw(st.lists(st.sampled_from(sorted(nodes)),
+                                        min_size=2, max_size=2, unique=True))
+            assert (_path_splitter(nodes, adj, a1, a2)
+                    == _oracle_path_splitter(nodes, adj, a1, a2))
+
+
+def _hung_path(m):
+    """Bags (i, i+1) for i < m, with a one-vertex bag (i,) hung off each."""
+    bags = [(i, i + 1) for i in range(m)] + [(i,) for i in range(m)]
+    parent = [None] + list(range(m - 1)) + list(range(m))
+    return TreeDecomposition(bags, parent, 0)
+
+
+def _random_bag_tree(randint, n, universe=6):
+    """A bag tree on shuffled ids in which about half the bags are drawn
+    inside their parent's bag, so many are subsets of a neighbor;
+    randint(lo, hi) draws from lo..hi inclusive."""
+    ids = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = randint(0, i)
+        ids[i], ids[j] = ids[j], ids[i]
+    bags, parent = [()] * n, [None] * n
+    for i in range(n):
+        p = randint(0, i - 1) if i else None
+        pool = bags[ids[p]] if p is not None and randint(0, 1) else range(universe + 1)
+        bag = {v for v in pool if randint(0, 1)} or {min(pool)}
+        bags[ids[i]] = tuple(bag)
+        parent[ids[i]] = None if p is None else ids[p]
+    return TreeDecomposition(bags, parent, ids[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.randoms(use_true_random=False))
+def test_simplify_matches_restart_scan(n, rnd):
+    td = _random_bag_tree(rnd.randint, n)
+    assert _simplify(td) == _oracle_simplify(td)
+
+
 def test_reduce_height_matches_oracle_driven_run(monkeypatch):
     rng = SplitMix64(78)
-    cases = [random_partial_ktree(rng, 10 + rng.randrange(140), 1 + i % 4)
-             for i in range(16)]
-    fast = [reduce_height(td, g.n).to_json() for g, td in cases]
+    tds = [random_partial_ktree(rng, 10 + rng.randrange(140), 1 + i % 4)[1]
+           for i in range(16)]
+    tds += [path_decomposition(300), _hung_path(150), gb_decomposition(2, 3),
+            module_graph_decomposition(3)]
+    tds += [_random_bag_tree(rng.randint, 20 + rng.randrange(100), universe=12)
+            for _ in range(8)]
+    fast = [reduce_height(td, 0).to_json() for td in tds]
     monkeypatch.setattr(tree_decomp, "_centroid", _oracle_centroid)
-    assert fast == [reduce_height(td, g.n).to_json() for g, td in cases]
+    monkeypatch.setattr(tree_decomp, "_path_splitter", _oracle_path_splitter)
+    monkeypatch.setattr(tree_decomp, "_simplify", _oracle_simplify)
+    assert fast == [reduce_height(td, 0).to_json() for td in tds]
+
+
+# sha256 of the canonical JSON of reduce_height(td).to_json(), recorded with
+# the splitter that searched components once per path bag and the subset
+# contraction that rescanned from bag 0 after every step; the hung bags
+# contract into the path, so both reduce to the same bytes
+@pytest.mark.parametrize(
+    "make,digest",
+    [
+        (lambda: path_decomposition(2000),
+         "ad1439278fe5f12b46e2066e744c5fe67dd434939b6148dc9dffd48d3b277088"),
+        (lambda: _hung_path(1999),
+         "ad1439278fe5f12b46e2066e744c5fe67dd434939b6148dc9dffd48d3b277088"),
+    ],
+    ids=["path-2000", "hung-path-3998"],
+)
+def test_long_path_reductions_are_pinned(make, digest):
+    red = reduce_height(make(), 2000)
+    text = json.dumps(red.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_lca_against_naive_walk():

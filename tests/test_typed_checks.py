@@ -140,7 +140,7 @@ def force_splitter_not_halving():
     # a splitter that only sees the first anchor cannot halve a chain
     td = path_decomposition(20)
     first_anchor_only = mock.patch.object(
-        tree_decomp, "_tree_path", lambda nodes, adj, a, b: [a]
+        tree_decomp, "_path_splitter", lambda nodes, adj, a1, a2: a1
     )
     with first_anchor_only, pytest.raises(
         HeightReductionFault, match="on one side of anchors"
@@ -152,10 +152,14 @@ def force_splitter_not_halving():
 def force_third_anchor():
     # splitting off the anchor-to-anchor path, away from it, leaves both
     # anchors and the new door in one component
-    real_path, real_splitter = tree_decomp._tree_path, tree_decomp._path_splitter
+    real_splitter = tree_decomp._path_splitter
 
     def off_path(nodes, adj, a1, a2):
-        path = set(real_path(nodes, adj, a1, a2))
+        _, parent, _ = tree_decomp._rooted(nodes, adj, a1)
+        path, x = {a2}, a2
+        while x != a1:
+            x = parent[x]
+            path.add(x)
         far = [c for c in sorted(nodes) if c not in path and not adj[c] & path]
         return far[0] if far else real_splitter(nodes, adj, a1, a2)
 
