@@ -292,8 +292,7 @@ def valid_sequence(gamma: int, m: int, perms) -> ValidSequence:
     element vertices in ascending order, side-2 chains, then all side-1
     element vertices.  Round length is 4*gamma*m.
     """
-    layout = gb_layout(m, gamma) if m > 1 else None
-    modules = layout.modules if layout else (module_layout(gamma),)
+    modules = gb_layout(m, gamma).modules
     norm = tuple(
         tuple(
             (_check_perm(p1, gamma), _check_perm(p2, gamma))
@@ -326,12 +325,7 @@ def valid_sequence(gamma: int, m: int, perms) -> ValidSequence:
 
 def module_projection_is_valid(seq: ValidSequence) -> bool:
     """Check the subset-chain property of every per-module projection."""
-    modules = (
-        gb_layout(seq.m, seq.gamma).modules
-        if seq.m > 1
-        else (module_layout(seq.gamma),)
-    )
-    for i, ml in enumerate(modules):
+    for ml in gb_layout(seq.m, seq.gamma).modules:
         for side in ml.sides():
             chain = [
                 side.mask_of[r] for r in seq.requests if r in side.mask_of
@@ -351,9 +345,7 @@ def module_projection_is_valid(seq: ValidSequence) -> bool:
 
 def perm_init(gamma: int, m: int = 1) -> tuple[int, ...]:
     """Canonical start: one server on every side-1 element vertex."""
-    if m > 1:
-        return gb_layout(m, gamma).all_u1()
-    return module_layout(gamma).side1.u_ids
+    return gb_layout(m, gamma).all_u1()
 
 
 def perm_algorithm(g: Graph, seq: ValidSequence, init) -> Schedule:
@@ -364,9 +356,7 @@ def perm_algorithm(g: Graph, seq: ValidSequence, init) -> Schedule:
     Servers never leave their module.
     """
     gamma, m = seq.gamma, seq.m
-    modules = (
-        gb_layout(m, gamma).modules if m > 1 else (module_layout(gamma),)
-    )
+    modules = gb_layout(m, gamma).modules
     expected_init = perm_init(gamma, m)
     if tuple(sorted(init)) != tuple(sorted(expected_init)):
         raise InvalidSequence(

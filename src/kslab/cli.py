@@ -349,7 +349,7 @@ def cmd_run(spec: RunSpec) -> int:
         ok = ok and run.bits_read <= run.bit_budget
         # the run spells every move in ints and str costs already, so the
         # thousands of move dicts skip _jsonable
-        extra["moves"] = run.to_json()["moves"]
+        extra["moves"] = run.moves_json()
         tape_dump = tape.to_hex()
     results = {
         "opt_cost": opt_cost,

@@ -1,11 +1,12 @@
 """Graph-Path-Cover: optimal online service from tape advice.
 
-The oracle replays an optimal lazy schedule and, for every leg x -> y of a
-server's trajectory, picks a relay vertex z that lies both on the
-canonical shortest x-y path and in the least-common-ancestor bag of the
-representative bags of x and y.  The online side parks each server on its
-relay between serves, so every leg costs d(x,z) + d(z,y) = d(x,y) and the
-total equals the offline optimum exactly.
+The oracle walks an optimal lazy schedule once (offline_solver.serve_order,
+which also checks it) and, for every leg x -> y of a server's trajectory,
+picks a relay vertex z that lies both on the canonical shortest x-y path
+and in the least-common-ancestor bag of the representative bags of x and
+y.  The online side parks each server on its relay between serves, so
+every leg costs d(x,z) + d(z,y) = d(x,y) and the total equals the offline
+optimum exactly.
 
 Every record is one (bag depth, in-bag index) address: depth identifies
 the ancestor bag of the current request's representative bag, the index a
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from .advice_tape import AdviceTape
 from .metric_core import DistanceMatrix, Graph
-from .offline_solver import InvalidSchedule, Schedule
+from .offline_solver import Schedule, serve_order
 from .tree_decomp import TreeDecomposition, intersect_shortest_path
 
 
@@ -58,39 +59,6 @@ def gpc_bit_budget_nominal(td: TreeDecomposition, k: int, n: int) -> int:
     return (2 * n + k) * (w_h + w_b)
 
 
-def server_trajectories(init, sigma, opt: Schedule) -> list[list[int]]:
-    """Per-server vertex trajectories [start, served, served, ...]."""
-    trajectories = [[x] for x in init]
-    for m in sorted(opt.moves, key=lambda m: m.t):
-        if trajectories[m.server][-1] != m.src:
-            raise ValueError(
-                f"schedule move {m} does not continue server {m.server}'s "
-                f"trajectory at {trajectories[m.server][-1]}"
-            )
-        trajectories[m.server].append(m.dst)
-    return trajectories
-
-
-def check_leg_end(t: int, y: int, sid: int, reached: int) -> None:
-    """Raise InvalidSchedule unless server sid, serving request t at y,
-    reaches y on its trajectory; a move that ends elsewhere fails here."""
-    if reached != y:
-        raise InvalidSchedule(
-            t, "dst", f"server {sid} reaches {reached}, request is {y}"
-        )
-
-
-def request_servers(opt: Schedule, n: int) -> list[int]:
-    """The server id of the move serving each request 0..n-1; raise
-    InvalidSchedule at the first request that no move serves."""
-    serving = {m.t: m.server for m in opt.moves}
-    servers = [serving.get(t) for t in range(n)]
-    if None in servers:
-        t = servers.index(None)
-        raise InvalidSchedule(t, "t", "no move serves this request")
-    return servers
-
-
 @dataclass
 class GpcMove:
     t: int
@@ -108,29 +76,20 @@ class GpcRun:
     bits_read: int
     log: list[GpcMove]
     bit_budget: int
-    h: int
-    width: int
-    k: int
-    n: int
 
-    def to_json(self) -> dict:
-        return {
-            "online_cost": str(self.online_cost),
-            "bits_read": self.bits_read,
-            "bit_budget": self.bit_budget,
-            "params": {"h": self.h, "width": self.width, "k": self.k, "n": self.n},
-            "moves": [
-                {
-                    "t": m.t,
-                    "request": m.request,
-                    "server": m.server,
-                    "from": m.retrieved_from,
-                    "parked_at": m.parked_at,
-                    "cost": str(m.cost),
-                }
-                for m in self.log
-            ],
-        }
+    def moves_json(self) -> list[dict]:
+        """The moves as the report spells them: ints and str costs."""
+        return [
+            {
+                "t": m.t,
+                "request": m.request,
+                "server": m.server,
+                "from": m.retrieved_from,
+                "parked_at": m.parked_at,
+                "cost": str(m.cost),
+            }
+            for m in self.log
+        ]
 
 
 def _write_address(
@@ -175,40 +134,27 @@ def generate_advice(
     """
     widths = address_widths(td)
     tape = AdviceTape()
-    trajectories = server_trajectories(init, sigma, opt)
+    servers, first, after = serve_order(init, sigma, opt)
     rep = td.representative_bag
 
-    def relay(x: int, y: int) -> tuple[int, int]:
-        """(bag, vertex) for the parking relay of leg x -> y."""
+    def relay(x: int, u: int | None) -> tuple[int, int]:
+        """(bag, vertex) where a server at x parks until it serves request
+        u: a relay on the shortest x-sigma[u] path (None: x itself)."""
+        y = x if u is None else sigma[u]
         if x == y:
             return rep[x], x
         z_bag = td.lca_bag(rep[x], rep[y])
         return z_bag, intersect_shortest_path(dm, td, x, y, z_bag)
 
     # Initial records, in server-id order; untouched servers park in place.
-    last_address: list[tuple[int, int]] = []
-    for i, x0 in enumerate(init):
-        if len(trajectories[i]) > 1:
-            last_address.append(relay(x0, trajectories[i][1]))
-        else:
-            last_address.append((rep[x0], x0))
-        _write_address(tape, td, widths, *last_address[i])
-
+    parked = [relay(x0, u) for x0, u in zip(init, first)]
+    for address in parked:
+        _write_address(tape, td, widths, *address)
     # Two records per request: retrieval relay, then next parking relay.
-    servers = request_servers(opt, len(sigma))
-    progress = [0] * len(init)  # position within each trajectory
     for t, (y, sid) in enumerate(zip(sigma, servers)):
-        bag, z = last_address[sid]
-        _write_address(tape, td, widths, bag, z)  # where the server sits
-        progress[sid] += 1
-        traj = trajectories[sid]
-        check_leg_end(t, y, sid, traj[progress[sid]])
-        if progress[sid] + 1 < len(traj):
-            nxt = relay(y, traj[progress[sid] + 1])
-        else:
-            nxt = (rep[y], y)
-        last_address[sid] = nxt
-        _write_address(tape, td, widths, nxt[0], nxt[1])
+        _write_address(tape, td, widths, *parked[sid])
+        parked[sid] = relay(y, after[t])
+        _write_address(tape, td, widths, *parked[sid])
     return tape
 
 
@@ -261,8 +207,4 @@ def run_online(
         bits_read=tape.bits_read,
         log=log,
         bit_budget=gpc_bit_budget(td, k, len(sigma)),
-        h=td.height,
-        width=td.width,
-        k=k,
-        n=len(sigma),
     )

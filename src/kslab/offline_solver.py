@@ -111,6 +111,46 @@ def replay_cost(dm: DistanceMatrix, schedule: Schedule):
     return sum(dm.dist[m.src][m.dst] for m in schedule.moves)
 
 
+def serve_order(
+    init, sigma, schedule: Schedule
+) -> tuple[list[int], list[int | None], list[int | None]]:
+    """Walk a lazy schedule once in request order.
+
+    Returns (servers, first, after): servers[t] serves request t, first[i]
+    is the first request server i serves and after[t] the next request
+    servers[t] serves (None: there is none).  Raises InvalidSchedule at the
+    first request t that has no move ("t"), names no server ("server"), or
+    whose move does not start where its server stands ("src") or does not
+    end on the request ("dst").
+    """
+    by_t = {m.t: m for m in schedule.moves}
+    positions = list(init)
+    servers = []
+    for t, y in enumerate(sigma):
+        m = by_t.get(t)
+        if m is None:
+            raise InvalidSchedule(t, "t", "no move serves this request")
+        sid = m.server
+        if not (isinstance(sid, int) and 0 <= sid < len(positions)):
+            raise InvalidSchedule(t, "server", f"no server {sid!r}")
+        if positions[sid] != m.src:
+            raise InvalidSchedule(
+                t, "src", f"server {sid} is at {positions[sid]}, not {m.src}"
+            )
+        if m.dst != y:
+            raise InvalidSchedule(
+                t, "dst", f"server {sid} reaches {m.dst}, request is {y}"
+            )
+        positions[sid] = y
+        servers.append(sid)
+    first: list[int | None] = [None] * len(positions)
+    after: list[int | None] = [None] * len(servers)
+    for t in range(len(servers) - 1, -1, -1):
+        after[t] = first[servers[t]]
+        first[servers[t]] = t
+    return servers, first, after
+
+
 def validate_lazy_schedule(
     dm: DistanceMatrix, init, sigma, schedule: Schedule
 ) -> None:
@@ -120,29 +160,18 @@ def validate_lazy_schedule(
         raise InvalidSchedule(
             None, "moves", f"{len(schedule.moves)} moves for {n} requests"
         )
-    positions = list(init)
     by_t: dict[int, Move] = {}
     for m in schedule.moves:
         if m.t in by_t:
             raise InvalidSchedule(m.t, "t", "two moves serve this request")
         by_t[m.t] = m
+    serve_order(init, sigma, schedule)
     total = 0
-    for t, r in enumerate(sigma):
-        m = by_t.get(t)
-        if m is None:
-            raise InvalidSchedule(t, "t", "no move serves this request")
-        if not (isinstance(m.server, int) and 0 <= m.server < len(positions)):
-            raise InvalidSchedule(t, "server", f"no server {m.server!r}")
-        if positions[m.server] != m.src:
-            raise InvalidSchedule(
-                t, "src", f"server {m.server} is at {positions[m.server]}, not {m.src}"
-            )
-        if m.dst != r:
-            raise InvalidSchedule(t, "dst", f"move ends at {m.dst}, request is {r}")
+    for t in range(n):
+        m = by_t[t]
         d = dm.dist[m.src][m.dst]
         if m.cost != d:
             raise InvalidSchedule(t, "cost", f"{m.cost} != d({m.src}, {m.dst}) = {d}")
-        positions[m.server] = m.dst
         total += m.cost
     if total != schedule.total_cost:
         raise InvalidSchedule(

@@ -36,7 +36,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .advice_tape import AdviceTape
-from .gpc import ceil_log2, check_leg_end, request_servers, server_trajectories
+from .gpc import ceil_log2
 from .metric_core import (
     DistanceMatrix,
     Graph,
@@ -49,7 +49,7 @@ from .metric_core import (
     parse_json,
     single_source_distances,
 )
-from .offline_solver import Schedule
+from .offline_solver import Schedule, serve_order
 
 
 class NoLabeledServerOnRootPath(RuntimeError):
@@ -104,6 +104,7 @@ def spanning_tree_from_parent(g: Graph, root: int, parent) -> SpanningTree:
     if parent[root] is not None:
         raise ValueError("root must have parent None")
     weights: list[Weight | None] = [None] * g.n
+    children: list[list[int]] = [[] for _ in range(g.n)]
     for v, p in enumerate(parent):
         if v == root:
             continue
@@ -112,17 +113,14 @@ def spanning_tree_from_parent(g: Graph, root: int, parent) -> SpanningTree:
         if not g.has_edge(v, p):
             raise ValueError(f"tree edge ({v}, {p}) is not a graph edge")
         weights[v] = g.weight(v, p)
-    # reachability check doubles as an acyclicity check
-    for v in range(g.n):
-        u = v
-        hops = 0
-        while parent[u] is not None:
-            u = parent[u]
-            hops += 1
-            if hops > g.n:
-                raise ValueError("parent links contain a cycle")
-        if u != root:
-            raise ValueError(f"vertex {v} does not reach the root")
+        children[p].append(v)
+    # every other vertex has one parent, so the walk down from the root
+    # misses a vertex exactly when parent links close a cycle
+    reached = [root]
+    for u in reached:  # grows as the loop runs
+        reached.extend(children[u])
+    if len(reached) != g.n:
+        raise ValueError("parent links contain a cycle")
     return SpanningTree(root=root, parent=parent, edge_weight=tuple(weights))
 
 
@@ -523,44 +521,38 @@ def generate_advice_spanner(
     hps = [HeavyPathIndex(t) for t in system.trees]
     w_mu, _ = spanner_widths(system.mu, g.n)
     tape = AdviceTape()
-    trajectories = server_trajectories(init, sigma, opt)
+    servers, first, after = serve_order(init, sigma, opt)
     bindings: list[tuple[int, int]] = [(-1, -1)] * len(init)
-    for i, x0 in enumerate(init):
-        if len(trajectories[i]) > 1:
-            p, head = _pick_leg_tree(
-                hps, system, dm, bindings, i, x0, trajectories[i][1], None
-            )
-            v = hps[p].lca(x0, trajectories[i][1])
+
+    def bind(sid: int, x: int, u: int | None, p: int, t: int | None) -> None:
+        """Bind server sid, standing at x, for its leg to request u and
+        write the record; with no leg (u None) it stays on tree p's heavy
+        path through x.  t is the request whose record this is."""
+        if u is None:
+            head, v = hps[p].head[x], x
         else:
-            p, head, v = 0, hps[0].head[x0], x0
-        bindings[i] = (p, head)
+            y = sigma[u]
+            p, head = _pick_leg_tree(hps, system, dm, bindings, sid, x, y, t)
+            v = hps[p].lca(x, y)
+        bindings[sid] = (p, head)
         tape.write_uint(p, w_mu)
-        tape.write_uint(hps[p].seg_ordinal(v), _ordinal_width(hps[p], x0))
-    servers = request_servers(opt, len(sigma))
-    progress = [0] * len(init)
+        tape.write_uint(hps[p].seg_ordinal(v), _ordinal_width(hps[p], x))
+
+    for i, (x0, u) in enumerate(zip(init, first)):
+        bind(i, x0, u, 0, None)
+    positions = list(init)
     for t, (y, sid) in enumerate(zip(sigma, servers)):
-        traj = trajectories[sid]
-        x = traj[progress[sid]]
         p, head = bindings[sid]
         tape.write_uint(p, w_mu)
         tape.write_uint(
-            hps[p].seg_ordinal(hps[p].lca(x, y)), _ordinal_width(hps[p], y)
+            hps[p].seg_ordinal(hps[p].lca(positions[sid], y)),
+            _ordinal_width(hps[p], y),
         )
-        holders = sorted(i for i, b in enumerate(bindings) if b == (p, head))
+        holders = [i for i, b in enumerate(bindings) if b == (p, head)]
         if len(holders) > 1:
             tape.write_uint(holders.index(sid), _suffix_width(len(holders)))
-        progress[sid] += 1
-        check_leg_end(t, y, sid, traj[progress[sid]])
-        if progress[sid] + 1 < len(traj):
-            q_idx, head2 = _pick_leg_tree(
-                hps, system, dm, bindings, sid, y, traj[progress[sid] + 1], t
-            )
-            v2 = hps[q_idx].lca(y, traj[progress[sid] + 1])
-        else:
-            q_idx, head2, v2 = p, hps[p].head[y], y
-        tape.write_uint(q_idx, w_mu)
-        tape.write_uint(hps[q_idx].seg_ordinal(v2), _ordinal_width(hps[q_idx], y))
-        bindings[sid] = (q_idx, head2)
+        positions[sid] = y
+        bind(sid, y, after[t], p, t)
     return tape
 
 
@@ -582,37 +574,24 @@ class SpannerRun:
     bits_read: int
     log: list[SpannerMove]
     labels: list[int]
-    mu: int
-    n_vertices: int
-    k: int
-    n: int
+    bit_budget: int
     ambiguous_retrievals: int = 0
     suffix_bits: int = 0
 
-    @property
-    def bit_budget(self) -> int:
-        return spanner_bit_budget(self.mu, self.n_vertices, self.k, self.n)
-
-    def to_json(self) -> dict:
-        return {
-            "cost": str(self.cost),
-            "bits_read": self.bits_read,
-            "bit_budget": self.bit_budget,
-            "suffix_bits": self.suffix_bits,
-            "labels": list(self.labels),
-            "moves": [
-                {
-                    "t": m.t,
-                    "request": m.request,
-                    "server": m.server,
-                    "tree": m.tree,
-                    "from": m.src,
-                    "relay": m.relay,
-                    "cost": str(m.cost),
-                }
-                for m in self.log
-            ],
-        }
+    def moves_json(self) -> list[dict]:
+        """The moves as the report spells them: ints and str costs."""
+        return [
+            {
+                "t": m.t,
+                "request": m.request,
+                "server": m.server,
+                "tree": m.tree,
+                "from": m.src,
+                "relay": m.relay,
+                "cost": str(m.cost),
+            }
+            for m in self.log
+        ]
 
 
 def run_online_spanner(
@@ -701,10 +680,7 @@ def run_online_spanner(
         bits_read=tape.bits_read,
         log=log,
         labels=[b[0] for b in bindings],
-        mu=system.mu,
-        n_vertices=g.n,
-        k=k,
-        n=len(sigma),
+        bit_budget=spanner_bit_budget(system.mu, g.n, k, len(sigma)),
         ambiguous_retrievals=ambiguous,
         suffix_bits=suffix_bits,
     )

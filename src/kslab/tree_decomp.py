@@ -384,21 +384,22 @@ def _simplify(td: TreeDecomposition) -> tuple[list[set[int]], list[set[int]]]:
 
 
 def _components(nodes: set[int], adj, removed: int) -> list[set[int]]:
+    """The components of nodes minus removed, in order of their least bag."""
     comps = []
-    left = set(nodes)
-    left.discard(removed)
-    while left:
-        start = min(left)
+    seen = {removed}
+    for start in sorted(nodes):
+        if start in seen:
+            continue
         comp = {start}
         stack = [start]
         while stack:
             u = stack.pop()
             for v in adj[u]:
-                if v in left and v not in comp:
+                if v in nodes and v != removed and v not in comp:
                     comp.add(v)
                     stack.append(v)
         comps.append(comp)
-        left -= comp
+        seen |= comp
     return comps
 
 

@@ -9,7 +9,6 @@ from kslab.gpc import (
     generate_advice,
     gpc_bit_budget,
     run_online,
-    server_trajectories,
 )
 from kslab.instances import (
     SplitMix64,
@@ -20,7 +19,14 @@ from kslab.instances import (
     random_requests,
 )
 from kslab.metric_core import all_pairs_shortest_paths
-from kslab.offline_solver import opt_cost_dp
+from kslab.offline_solver import (
+    InvalidSchedule,
+    Move,
+    Schedule,
+    opt_cost_dp,
+    replay_cost,
+    serve_order,
+)
 from kslab.tree_decomp import module_graph_decomposition, reduce_height
 
 
@@ -72,11 +78,19 @@ def test_module_round_replay():
 
 
 def test_trajectories_reject_inconsistent_schedule():
-    from kslab.offline_solver import Move, Schedule
-
     broken = Schedule(moves=[Move(t=0, server=0, src=2, dst=3, cost=1)], total_cost=1)
-    with pytest.raises(ValueError):
-        server_trajectories((0,), [3], broken)
+    with pytest.raises(InvalidSchedule) as err:
+        serve_order((0,), [3], broken)
+    assert (err.value.t, err.value.field) == (0, "src")
+
+
+def test_bad_server_id_names_request():
+    g = path_graph(5)
+    dm = all_pairs_shortest_paths(g)
+    bad = Schedule(moves=[Move(t=0, server=5, src=0, dst=4, cost=4)], total_cost=4)
+    with pytest.raises(InvalidSchedule) as err:
+        generate_advice(g, dm, path_decomposition(5), (0, 2), [4], bad)
+    assert (err.value.t, err.value.field) == (0, "server")
 
 
 def test_corrupt_tape_raises_address_error():
@@ -149,8 +163,4 @@ def test_per_move_relay_identity():
         x, y, z = prev_vertex[sid], move.request, move.retrieved_from
         assert dm.dist[x][z] + dm.dist[z][y] == dm.dist[x][y]
         prev_vertex[sid] = y
-    trajs = server_trajectories(init, sigma, opt_s)
-    total_legs = sum(
-        dm.dist[a][b] for tr in trajs for a, b in zip(tr, tr[1:])
-    )
-    assert total_legs == opt_c == run.online_cost
+    assert replay_cost(dm, opt_s) == opt_c == run.online_cost

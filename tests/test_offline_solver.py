@@ -105,7 +105,7 @@ def test_flow_matches_dp_on_random_instances():
 def test_lazification_never_costs_more():
     # dropping parking moves and serving straight from the previous serve
     # position can only shorten a run (triangle inequality, per server)
-    from kslab.gpc import generate_advice, run_online, server_trajectories
+    from kslab.gpc import generate_advice, run_online
     from kslab.tree_decomp import reduce_height
 
     rng = SplitMix64(606)
@@ -119,11 +119,7 @@ def test_lazification_never_costs_more():
         tape = generate_advice(g, dm, red, init, sigma, opt_s)
         tape.rewind()
         run = run_online(g, dm, red, init, sigma, tape)
-        lazy_cost = sum(
-            dm.dist[a][b]
-            for tr in server_trajectories(init, sigma, opt_s)
-            for a, b in zip(tr, tr[1:])
-        )
+        lazy_cost = replay_cost(dm, opt_s)
         assert lazy_cost <= run.online_cost
         assert lazy_cost == opt_c  # relays sit on shortest paths: equality
 

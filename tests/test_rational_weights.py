@@ -141,7 +141,7 @@ def test_run_moves_are_already_jsonable():
     gpc = [r for r, _ in _rational_gpc_runs()]
     spanner = [r for r, *_ in _rational_spanner_runs()]
     for runs in (gpc, spanner):
-        moves = [m for run in runs for m in run.to_json()["moves"]]
+        moves = [m for run in runs for m in run.moves_json()]
         for move in moves:
             assert _jsonable(move) == move
             assert _canonical(_jsonable(move)) == _canonical(move)

@@ -13,7 +13,7 @@ from kslab.instances import (
     random_requests,
 )
 from kslab.metric_core import Graph, GraphFormatError, all_pairs_shortest_paths
-from kslab.offline_solver import opt_cost_dp
+from kslab.offline_solver import InvalidSchedule, Move, Schedule, opt_cost_dp
 from kslab.spanner_cover import (
     HeavyPathIndex,
     NoLabeledServerOnRootPath,
@@ -319,6 +319,14 @@ def test_single_request_single_server():
     assert len(run.log) == 1
 
 
+def test_bad_server_id_names_request():
+    g, dm, system = _grid_system()
+    bad = Schedule(moves=[Move(t=0, server=5, src=0, dst=15, cost=6)], total_cost=6)
+    with pytest.raises(InvalidSchedule) as err:
+        generate_advice_spanner(g, dm, system, (0, 5), [15], bad)
+    assert (err.value.t, err.value.field) == (0, "server")
+
+
 def test_grid_suite_within_q_plus_r():
     g, dm, system = _grid_system()
     hp = [HeavyPathIndex(t) for t in system.trees]
@@ -462,9 +470,12 @@ def test_system_json_rejects_non_tree_edges():
         ([1, 2], r"^top level: expected a JSON object"),
         ({"mu": 2, "trees": [{"root": 0, "parent": [None, 0, 1, 0, 1, 2, 3, 4, 5]}]},
          r"^mu: 2 but 1 trees given"),
+        # 1 and 2 are each other's parent, so neither hangs off the root
+        ({"trees": [{"root": 0, "parent": [None, 2, 1, 0, 3, 4, 3, 6, 7]}]},
+         r"^trees\[0\]: parent links contain a cycle$"),
     ],
     ids=["parent", "root", "trees", "trees-type", "tree-type", "parent-type",
-         "root-type", "top-level", "mu"],
+         "root-type", "top-level", "mu", "cycle"],
 )
 def test_system_json_errors_name_the_field(obj, where):
     g = grid_graph(3, 3)

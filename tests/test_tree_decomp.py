@@ -334,6 +334,21 @@ def test_long_path_reductions_are_pinned(make, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _star(leaves: int) -> TreeDecomposition:
+    """Hub bag (0, 1) with leaf bags (0, i) hung off it."""
+    bags = [(0, 1)] + [(0, i) for i in range(2, leaves + 2)]
+    return TreeDecomposition(bags, [None] + [0] * leaves, 0)
+
+
+def test_star_reduction_is_pinned():
+    # recorded when each component's start was min() of the bags left over
+    red = reduce_height(_star(2000), 2002)
+    text = json.dumps(red.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "54e795954b63a4b69b398934454518a8f6fcc668856ebd7d82f24adef63488c4"
+    )
+
+
 def test_lca_against_naive_walk():
     rng = SplitMix64(501)
     # random rooted bag tree; bag contents are irrelevant to LCA queries
