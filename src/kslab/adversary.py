@@ -325,16 +325,16 @@ def valid_sequence(gamma: int, m: int, perms) -> ValidSequence:
 
 def module_projection_is_valid(seq: ValidSequence) -> bool:
     """Check the subset-chain property of every per-module projection."""
-    for ml in gb_layout(seq.m, seq.gamma).modules:
+    gamma = seq.gamma
+    for ml in gb_layout(seq.m, gamma).modules:
         for side in ml.sides():
             chain = [
                 side.mask_of[r] for r in seq.requests if r in side.mask_of
             ]
-            per_round = len(chain) // seq.rounds
-            if per_round != seq.gamma:
+            if len(chain) != gamma * seq.rounds:
                 return False
             for r in range(seq.rounds):
-                part = chain[r * per_round : (r + 1) * per_round]
+                part = chain[r * gamma : (r + 1) * gamma]
                 if part[0] != 0:
                     return False
                 for a, b in zip(part, part[1:]):

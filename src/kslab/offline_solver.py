@@ -8,11 +8,13 @@ stands on it (Koutsoupias and Papadimitriou, J. ACM 1995), so a DP state
 is the multiset of the other k-1 servers: a layer holds at most
 C(N+k-2, k-1) states, only a state whose winning move did not start on
 the previous request keeps a back-pointer, and ties go to the least
-source vertex.  The flow is solved by k
-successive shortest paths (heap Dijkstra on reduced costs) in
-O(k * n^2 log n) for n requests, over plain index arrays and exact ints,
-with no graph library.  Both emit lazy schedules: exactly one server
-moves per request, directly to the requested vertex.
+source vertex.  The flow network keeps at most k + min(t, N) arcs into
+request t (from the servers, and from the latest earlier request at each
+vertex), so O(n * (k + N)) arcs for n requests.  It is solved by k
+successive shortest paths (the first from one pass over the DAG, the
+rest by heap Dijkstra on reduced costs), over plain index arrays and
+exact ints, with no graph library.  Both emit lazy schedules: exactly one
+server moves per request, directly to the requested vertex.
 """
 from __future__ import annotations
 
@@ -25,7 +27,9 @@ from math import lcm
 from .metric_core import (
     DistanceMatrix,
     Graph,
+    GraphFormatError,
     all_pairs_shortest_paths,
+    json_field,
     num_from_json,
     num_to_json,
 )
@@ -88,17 +92,24 @@ class Schedule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Schedule":
-        moves = [
-            Move(
-                t=m["t"],
-                server=m["server"],
-                src=m["from"],
-                dst=m["to"],
-                cost=num_from_json(m["cost"], f"moves[{i}].cost"),
+        """The schedule `to_json` wrote; a missing field or a bad number
+        raises GraphFormatError naming it, as in "moves[2].server"."""
+        raw = json_field(obj, "moves")
+        if not isinstance(raw, list):
+            raise GraphFormatError("moves", "expected a list of moves")
+        moves = []
+        for i, m in enumerate(raw):
+            where = f"moves[{i}]"
+            moves.append(
+                Move(
+                    t=json_field(m, "t", where),
+                    server=json_field(m, "server", where),
+                    src=json_field(m, "from", where),
+                    dst=json_field(m, "to", where),
+                    cost=num_from_json(json_field(m, "cost", where), f"{where}.cost"),
+                )
             )
-            for i, m in enumerate(obj["moves"])
-        ]
-        total = num_from_json(obj["total_cost"], "total_cost")
+        total = num_from_json(json_field(obj, "total_cost"), "total_cost")
         return cls(moves=moves, total_cost=total)
 
     def move_triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -344,9 +355,14 @@ def _min_cost_flow(n_nodes: int, arcs, k: int) -> tuple[int, list[int]]:
     paths must reach the sink.  Returns the flow cost and each arc's flow
     (0 or 1) in the order of `arcs`.
 
-    k successive shortest paths: one forward pass over the DAG gives
-    feasible potentials, then each unit goes along a heap-Dijkstra shortest
-    path in the (nonnegative) reduced costs of the residual network.
+    k successive shortest paths: one forward pass over the DAG gives exact
+    shortest distances from node 0, which are feasible potentials, and the
+    predecessor arcs it records are the first unit's shortest path, so unit
+    1 needs no search.  Each later unit goes along a heap-Dijkstra shortest
+    path in the (nonnegative) reduced costs of the residual network.  The
+    pass keeps the first arc, in tail order, that reaches a node's
+    distance, which is the arc that a Dijkstra from node 0 on these
+    potentials would pick, since it settles every node at 0 in id order.
     """
     sink = n_nodes - 1
     to: list[int] = []  # arc e and its reverse e ^ 1
@@ -365,35 +381,38 @@ def _min_cost_flow(n_nodes: int, arcs, k: int) -> tuple[int, list[int]]:
     inf = float("inf")  # "not reached" sentinel; never enters a sum
     pot: list = [inf] * n_nodes
     pot[0] = 0
+    prev = [0] * n_nodes
     for u in range(n_nodes):
         for e in adj[u]:
             if cap[e] and pot[u] + cost[e] < pot[to[e]]:
                 pot[to[e]] = pot[u] + cost[e]
-    for _ in range(k):
-        dist: list = [inf] * n_nodes
-        prev = [0] * n_nodes
-        dist[0] = 0
-        heap = [(0, 0)]
-        while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            if u == sink:
-                break
-            base = d + pot[u]
-            for e in adj[u]:
-                if cap[e]:
-                    v = to[e]
-                    nd = base + cost[e] - pot[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev[v] = e
-                        heappush(heap, (nd, v))
-        # Nodes left unsettled (or unreached) get the sink's distance, which
-        # keeps every residual reduced cost nonnegative.
-        reach = dist[sink]
-        for v in range(n_nodes):
-            pot[v] += dist[v] if dist[v] < reach else reach
+                prev[to[e]] = e
+    for unit in range(k):
+        if unit:
+            dist: list = [inf] * n_nodes
+            prev = [0] * n_nodes
+            dist[0] = 0
+            heap = [(0, 0)]
+            while heap:
+                d, u = heappop(heap)
+                if d > dist[u]:
+                    continue
+                if u == sink:
+                    break
+                base = d + pot[u]
+                for e in adj[u]:
+                    if cap[e]:
+                        v = to[e]
+                        nd = base + cost[e] - pot[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            prev[v] = e
+                            heappush(heap, (nd, v))
+            # Nodes left unsettled (or unreached) get the sink's distance,
+            # which keeps every residual reduced cost nonnegative.
+            reach = dist[sink]
+            for v in range(n_nodes):
+                pot[v] += dist[v] if dist[v] < reach else reach
         v = sink
         while v:
             e = prev[v]
@@ -417,6 +436,18 @@ def opt_cost_flow(
     OPT = flow cost + n*B.  Distances are scaled by the lcm of their
     denominators (1 when every edge weight is an int), so every cost is an
     exact int.
+
+    The arcs into ri_t come only from the k server nodes and from ro_u for
+    u the latest earlier request at each distinct vertex: at most
+    k + min(t, N) of them, where the full DAG has k + t.  This loses no
+    optimum, by an exchange argument.  Say a server S serves u at vertex a
+    and next serves w, and u < u' < w is the next request at a, served by
+    another server S' coming from src'.  Let S serve u' at cost 0 and take
+    over the rest of S''s route; S' goes from src' to sigma_w and then on
+    as S did.  It pays d(src', sigma_w) <= d(src', a) + d(a, sigma_w), so
+    the cost does not rise.  Done at the least skipped u', the exchange
+    leaves no arc that skips a request at or before u', so at most n
+    exchanges turn an optimum into one whose every arc is kept.
     """
     if dm is None:
         dm = all_pairs_shortest_paths(g)
@@ -442,14 +473,19 @@ def opt_cost_flow(
     arcs = [(0, 1 + i, 0) for i in range(k)]
     arcs += [(1 + i, sink, 0) for i in range(k)]
     big = 1  # B: 1 + the sum over requests of the costliest arc into ri_t
+    last: dict[int, int] = {}  # vertex -> its latest request so far, oldest first
     for t, r in enumerate(sigma):
         ri = k + 1 + 2 * t
         into = [int(dist[x][r] * scale) for x in init]
-        into += [int(dist[sigma[u]][r] * scale) for u in range(t)]
+        into += [int(dist[y][r] * scale) for y in last]
         big += max(into)
         arcs += [(1 + i, ri, into[i]) for i in range(k)]
-        arcs += [(k + 2 + 2 * u, ri, into[k + u]) for u in range(t)]
+        arcs += [
+            (k + 2 + 2 * u, ri, c) for u, c in zip(last.values(), into[k:])
+        ]
         arcs.append((ri + 1, sink, 0))
+        last.pop(r, None)
+        last[r] = t
     arcs += [(k + 1 + 2 * t, k + 2 + 2 * t, -big) for t in range(n)]
     flow_cost, flow = _min_cost_flow(sink + 1, arcs, k)
     total = Fraction(flow_cost + n * big, scale)

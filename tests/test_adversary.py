@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, log2
@@ -221,6 +222,17 @@ def test_projection_validity():
         seq = valid_sequence(gamma, m, perms)
         assert len(seq.requests) == 2 * 4 * gamma * m
         assert module_projection_is_valid(seq)
+
+
+def test_projection_validity_without_rounds():
+    assert module_projection_is_valid(valid_sequence(2, 1, ()))
+
+
+def test_projection_rejects_a_request_past_the_rounds():
+    seq = valid_sequence(2, 1, ((((0, 1), (1, 0)),),) * 2)
+    assert module_projection_is_valid(seq)
+    extra = replace(seq, requests=seq.requests + seq.requests[:1])
+    assert not module_projection_is_valid(extra)
 
 
 def test_perm_costs_one_per_request():

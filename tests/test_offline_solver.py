@@ -21,11 +21,12 @@ from kslab.instances import (
     random_requests,
 )
 from kslab import offline_solver
-from kslab.metric_core import Graph, all_pairs_shortest_paths
+from kslab.metric_core import Graph, GraphFormatError, all_pairs_shortest_paths
 from kslab.offline_solver import (
     FlowDecodeError,
     InstanceTooLarge,
     InvalidSchedule,
+    Move,
     Schedule,
     opt_all_schedules,
     opt_cost_dp,
@@ -137,6 +138,26 @@ def test_schedule_json_round_trip():
     validate_lazy_schedule(dm, PATH_ROUND_INIT, sigma, again)
 
 
+@pytest.mark.parametrize(
+    "field,location",
+    [
+        ("t", "moves[1].t"),
+        ("server", "moves[1].server"),
+        ("from", "moves[1].from"),
+        ("to", "moves[1].to"),
+        ("cost", "moves[1].cost"),
+        ("total_cost", "total_cost"),
+    ],
+)
+def test_schedule_from_json_names_missing_field(field, location):
+    _, sched = opt_cost_dp(path_graph(5), (1, 3), [2, 4])
+    obj = sched.to_json()
+    del (obj if field == "total_cost" else obj["moves"][1])[field]
+    with pytest.raises(GraphFormatError) as err:
+        Schedule.from_json(obj)
+    assert str(err.value) == f"{location}: missing field"
+
+
 def test_all_schedules_contains_dp_schedule_and_is_minimal():
     rng = SplitMix64(405)
     for _ in range(25):
@@ -209,11 +230,52 @@ def _network_simplex_cost(dm, init, sigma):
     return Fraction(nx.network_simplex(G)[0], scale)
 
 
+def _dense_flow_cost(dm, init, sigma):
+    """OPT and its schedule from the min-cost flow on the full request DAG,
+    an arc from every request to every later one: the network whose arcs
+    `opt_cost_flow` prunes, on opt_cost_flow's node ids."""
+    k, n = len(init), len(sigma)
+    dist = dm.dist
+    scale = lcm(*(d.denominator for row in dist for d in row), 1)
+
+    def w(x, y):
+        return int(dist[x][y] * scale)
+
+    sink = k + 1 + 2 * n
+    big = 1 + sum(
+        max(w(x, r) for x in (*init, *sigma[:t])) for t, r in enumerate(sigma)
+    )
+    arcs = [(0, 1 + i, 0) for i in range(k)] + [(1 + i, sink, 0) for i in range(k)]
+    for t, r in enumerate(sigma):
+        ri = k + 1 + 2 * t
+        arcs += [(1 + i, ri, w(x, r)) for i, x in enumerate(init)]
+        arcs += [(k + 2 + 2 * u, ri, w(sigma[u], r)) for u in range(t)]
+        arcs += [(ri, ri + 1, -big), (ri + 1, sink, 0)]
+    cost, flow = offline_solver._min_cost_flow(sink + 1, arcs, k)
+    succ = {u: v for (u, v, _), f in zip(arcs, flow) if f}
+    server_of = {}
+    for i in range(k):
+        v = succ[1 + i]
+        while v != sink:
+            t, is_ro = divmod(v - k - 1, 2)
+            if not is_ro:
+                server_of[t] = i
+            v = succ[v]
+    positions, moves = list(init), []
+    for t, r in enumerate(sigma):
+        i = server_of[t]
+        src = positions[i]
+        moves.append(Move(t=t, server=i, src=src, dst=r, cost=dist[src][r]))
+        positions[i] = r
+    total = Fraction(cost + n * big, scale)
+    return total, Schedule(moves=moves, total_cost=total)
+
+
 @st.composite
-def _small_instances(draw, max_servers=3):
+def _small_instances(draw, max_servers=3, max_requests=8):
     """Connected graphs on <= 7 vertices with weights in {1, 3/2, ..., 4},
-    1..max_servers servers (init vertices may repeat) and up to 8 requests
-    (empty and occupied vertices included)."""
+    1..max_servers servers (init vertices may repeat) and up to
+    max_requests requests (empty and occupied vertices included)."""
     n_v = draw(st.integers(2, 7))
     weight = st.integers(2, 8).map(lambda h: Fraction(h, 2))
     edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n_v)}
@@ -223,7 +285,7 @@ def _small_instances(draw, max_servers=3):
             edges.setdefault((u, v), draw(weight))
     g = Graph(n_v, [(u, v, w) for (u, v), w in edges.items()])
     init = tuple(draw(st.lists(vertex, min_size=1, max_size=max_servers)))
-    sigma = draw(st.lists(vertex, max_size=8))
+    sigma = draw(st.lists(vertex, max_size=max_requests))
     return g, init, sigma
 
 
@@ -239,6 +301,54 @@ def test_flow_matches_dp_and_network_simplex(instance):
     assert c_fl == c_dp == _network_simplex_cost(dm, init, sigma)
     validate_lazy_schedule(dm, init, sigma, s_fl)
     assert replay_cost(dm, s_fl) == c_fl
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_instances(max_servers=4, max_requests=14))
+@example((path_graph(5), (2, 2, 0), [2, 0, 4, 2, 4, 0, 0, 2, 4, 4]))
+@example((path_graph(4), (3, 3, 3), [0, 3, 0, 3, 1, 0, 1, 3]))
+def test_sparse_flow_matches_dense_flow_and_dp(instance):
+    g, init, sigma = instance
+    dm = all_pairs_shortest_paths(g)
+    c_fl, s_fl = opt_cost_flow(g, init, sigma, dm)
+    c_dense, s_dense = _dense_flow_cost(dm, init, sigma)
+    assert c_fl == c_dense == opt_cost_dp(g, init, sigma, dm)[0]
+    validate_lazy_schedule(dm, init, sigma, s_fl)
+    validate_lazy_schedule(dm, init, sigma, s_dense)
+
+
+def test_flow_keeps_one_arc_per_vertex_into_each_request(monkeypatch):
+    # arcs: S -> s_i and s_i -> T per server, ri_t -> ro_t and ro_t -> T per
+    # request, and into ri_t one per server plus one per distinct earlier
+    # requested vertex (from its latest request)
+    seen = []
+
+    def count(arcs, cost, flow):
+        seen.append(len(arcs))
+        return cost, flow
+
+    _tampered_flow(monkeypatch, count)
+    rng = SplitMix64(407)
+    g, _ = random_partial_ktree(rng, 12, 2, max_weight=5)
+    init = random_distinct_vertices(rng, 3, g.n)
+    sigma = random_requests(rng, 80, g.n)
+    k, n = len(init), len(sigma)
+    opt_cost_flow(g, init, sigma)
+    into = sum(k + len(set(sigma[:t])) for t in range(n))
+    assert seen == [2 * k + 2 * n + into]
+    assert into < k * n + n * (n - 1) // 2  # the full DAG's arcs into requests
+
+
+def test_flow_on_a_long_path_round_sequence():
+    # the instance of `kslab run --family path-rounds --size 5 --n 2000`
+    # (seed 0): 1,995 requests on 5 vertices, where the full request DAG
+    # would hold ~2 M arcs
+    g = path_graph(5)
+    sigma = path_round_sequence(SplitMix64(0).bit_string(2000 // 7), 5)
+    dm = all_pairs_shortest_paths(g)
+    cost, sched = opt_cost_flow(g, PATH_ROUND_INIT, sigma, dm)
+    assert cost == opt_cost_dp(g, PATH_ROUND_INIT, sigma, dm)[0] == 1140
+    validate_lazy_schedule(dm, PATH_ROUND_INIT, sigma, sched)
 
 
 # One case per lazy-schedule check: each raises InvalidSchedule naming
