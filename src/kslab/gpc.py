@@ -185,10 +185,11 @@ def run_online(
                 f"request {t}: no server parked at decoded vertex {z1}"
             )
         sid = holders[0]
-        serve_cost = dm.dist[z1][y]
+        dy = dm.dist[y]  # a relay forces no row of its own
+        serve_cost = dy[z1]
         positions[sid] = y
         z2 = _read_address(tape, td, widths, y)
-        park_cost = dm.dist[y][z2]
+        park_cost = dy[z2]
         positions[sid] = z2
         cost += serve_cost + park_cost
         log.append(

@@ -4,10 +4,12 @@ Distances are kept exact: integer weights give integer distances, Fraction
 weights give Fraction distances.  Floats are rejected so that cost-equality
 checks elsewhere never need tolerances.
 
-The metric is N exact single-source Dijkstra runs, O(N·M log N) in all.
+The metric computes a row, the distances from one source, the first time
+it is read, by a Dijkstra run over distance levels, and keeps it; a run
+that reads only the rows of its servers and requests computes no others.
 Among equal-length shortest paths the lexicographically smallest vertex
-sequence is reconstructed: each next hop is the smallest neighbour on some
-shortest path.
+sequence is reconstructed: the next hop from u toward y is the smallest
+neighbour of u on some shortest path, read off the row of y.
 """
 from __future__ import annotations
 
@@ -129,68 +131,87 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+class _LazyRows:
+    """rows[v]: the distances from v, computed on first read and kept."""
+
+    def __init__(self, g: Graph):
+        self._g = g
+        self._rows: list[list[Weight] | None] = [None] * g.n
+
+    def __getitem__(self, v: int) -> list[Weight]:
+        row = self._rows[v]
+        if row is None:
+            row = self._rows[v] = single_source_distances(self._g, v)
+        return row
+
+    def __iter__(self):  # every row, in vertex order
+        return (self[v] for v in range(self._g.n))
+
+
 class DistanceMatrix:
     """Exact all-pairs distances with next-hop path reconstruction.
 
+    dist[u][v] is d(u, v); a row is computed the first time it is read.
     Tie-breaking: among equal-length shortest paths the lexicographically
     smallest vertex sequence is reconstructed, which makes every downstream
     run reproducible.
     """
 
-    def __init__(self, dist, next_hop):
-        self.dist = dist
-        self.next_hop = next_hop
+    def __init__(self, g: Graph):
+        self.g = g
+        self.dist = _LazyRows(g)
+
+    def next_hop(self, u: int, y: int) -> int:
+        """The smallest neighbour x of u with w(u, x) + d(x, y) == d(u, y),
+        read off the row of y (d is symmetric); u itself when u == y."""
+        if u == y:
+            return u
+        dy = self.dist[y]
+        d = dy[u]
+        for x, w in self.g.adj[u]:  # adj is sorted by vertex id
+            if w + dy[x] == d:
+                return x
+        raise InconsistentMetric(
+            f"no neighbour of {u} lies on a shortest path to {y}"
+        )
 
 
 def single_source_distances(g: Graph, s: int) -> list[Weight]:
-    """Exact distances from s to every vertex: Dijkstra over (distance, vertex).
+    """Exact distances from s to every vertex: Dijkstra by distance levels.
 
-    None marks a vertex not reached yet; connectivity is a Graph invariant,
-    so none survives.
+    The heap holds each distinct tentative distance once, and level[d] the
+    vertices reached at d.  Weights are >= 1, so scanning level d never adds
+    to it; a vertex whose distance dropped below the level it was filed
+    under is stale there and skipped.  None marks a vertex not reached yet;
+    connectivity is a Graph invariant, so none survives.
     """
     dist: list[Weight | None] = [None] * g.n
     dist[s] = 0
-    done = [False] * g.n
-    heap: list[tuple[Weight, int]] = [(0, s)]
+    heap: list[Weight] = [0]
+    level: dict[Weight, list[int]] = {0: [s]}
     adj = g.adj
     while heap:
-        d, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            nd = d + w
-            dv = dist[v]
-            if dv is None or nd < dv:
-                dist[v] = nd
-                heappush(heap, (nd, v))
+        d = heappop(heap)
+        for u in level.pop(d):
+            if dist[u] != d:
+                continue
+            for v, w in adj[u]:
+                nd = d + w
+                dv = dist[v]
+                if dv is None or nd < dv:
+                    dist[v] = nd
+                    bucket = level.get(nd)
+                    if bucket is None:
+                        level[nd] = [v]
+                        heappush(heap, nd)
+                    else:
+                        bucket.append(v)
     return dist
 
 
 def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
-    """One exact Dijkstra per source: O(N·M log N) on the sparse graphs here.
-
-    next_hop[u][v] is the smallest neighbour of u on some shortest u-v path,
-    which reconstructs the lexicographically smallest shortest path.
-    """
-    n = g.n
-    dist = [single_source_distances(g, s) for s in range(n)]
-    next_hop: list[list[int]] = [[0] * n for _ in range(n)]
-    for u in range(n):
-        next_hop[u][u] = u
-        du = dist[u]
-        for v in range(n):
-            if v == u:
-                continue
-            for x, w in g.adj[u]:  # adj is sorted by vertex id
-                if w + dist[x][v] == du[v]:
-                    next_hop[u][v] = x
-                    break
-            else:
-                raise InconsistentMetric(
-                    f"no neighbour of {u} lies on a shortest path to {v}"
-                )
-    return DistanceMatrix(dist, next_hop)
+    """The exact metric of g; each row is one Dijkstra run, on first read."""
+    return DistanceMatrix(g)
 
 
 def shortest_path_vertices(dm: DistanceMatrix, x: int, y: int) -> list[int]:
@@ -198,7 +219,7 @@ def shortest_path_vertices(dm: DistanceMatrix, x: int, y: int) -> list[int]:
     path = [x]
     u = x
     while u != y:
-        u = dm.next_hop[u][y]
+        u = dm.next_hop(u, y)
         path.append(u)
     return path
 

@@ -240,14 +240,15 @@ def _dp_layers(dist, init, sigma):
     layer = {tuple(sorted(init))[1:]: 0}
     yield layer, {}
     for r in sigma:
-        step = dist[p][r]
+        dr = dist[r]  # d(s, r) == d(r, s): one row per request
+        step = dr[p]
         nxt = {conf: cost + step for conf, cost in layer.items()}
         moved: dict[tuple, int] = {}
         for conf, cost in layer.items():
             for i, s in enumerate(conf):
                 if s == p:  # the same move as serving from p_t
                     continue
-                new_cost = cost + dist[s][r]
+                new_cost = cost + dr[s]
                 rest = conf[:i] + conf[i + 1:]
                 j = bisect(rest, p)
                 new_conf = rest[:j] + (p,) + rest[j:]
@@ -325,6 +326,7 @@ def opt_all_schedules(
             )
             return
         r = sigma[t - 1]
+        dr = dist[r]
         p = sigma[t - 2] if t > 1 else min(init)
         for src in range(g.n):  # any vertex the server may have come from
             if src == p:
@@ -334,7 +336,7 @@ def opt_all_schedules(
             else:  # conf + src, the previous configuration, lacks p
                 continue
             prev = layers[t - 1].get(prev_conf)
-            if prev is not None and prev + dist[src][r] == cost:
+            if prev is not None and prev + dr[src] == cost:
                 steps_rev.append(src)
                 backtrack(t - 1, prev_conf, prev, steps_rev)
                 steps_rev.pop()
@@ -455,6 +457,8 @@ def opt_cost_flow(
     n = len(sigma)
     if n == 0:
         return 0, Schedule(moves=[], total_cost=0)
+    if k == 0:
+        raise ValueError(f"init: no servers to serve {n} requests")
     dist = dm.dist
     if all(isinstance(w, int) for _, _, w in g.edges):
         scale = 1  # int weights give int distances
@@ -476,8 +480,9 @@ def opt_cost_flow(
     last: dict[int, int] = {}  # vertex -> its latest request so far, oldest first
     for t, r in enumerate(sigma):
         ri = k + 1 + 2 * t
-        into = [int(dist[x][r] * scale) for x in init]
-        into += [int(dist[y][r] * scale) for y in last]
+        dr = dist[r]
+        into = [int(dr[x] * scale) for x in init]
+        into += [int(dr[y] * scale) for y in last]
         big += max(into)
         arcs += [(1 + i, ri, into[i]) for i in range(k)]
         arcs += [

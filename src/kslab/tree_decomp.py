@@ -188,17 +188,17 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionCheck:
             return DecompositionCheck(
                 False, 1, v, f"vertex {v} not covered by any bag"
             )
-    bag_sets = [set(b) for b in td.bags]
-    for u, v, _ in g.edges:
-        if not any(u in b and v in b for b in bag_sets):
-            return DecompositionCheck(
-                False, 2, (u, v), f"edge ({u}, {v}) inside no bag"
-            )
-    # Connectivity: the bags holding each vertex must form a subtree.
     holding: dict[int, list[int]] = {}
     for i, b in enumerate(td.bags):
         for v in b:
             holding.setdefault(v, []).append(i)
+    bag_sets = [set(b) for b in td.bags]
+    for u, v, _ in g.edges:  # every bag holding both is one that holds u
+        if not any(v in bag_sets[i] for i in holding[u]):
+            return DecompositionCheck(
+                False, 2, (u, v), f"edge ({u}, {v}) inside no bag"
+            )
+    # Connectivity: the bags holding each vertex must form a subtree.
     adj: list[list[int]] = [[] for _ in range(td.num_bags)]
     for i, p in enumerate(td.parent):
         if p is not None:

@@ -1,6 +1,10 @@
 from fractions import Fraction
+from heapq import heappop, heappush
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslab.metric_core import (
     DisconnectedGraph,
@@ -22,6 +26,7 @@ from kslab.metric_core import (
 from kslab.adversary import module_graph, module_layout, unit_graph
 from kslab.instances import SplitMix64, grid_graph, path_graph, random_partial_ktree
 from kslab import metric_core
+from kslab.cli import main
 from kslab.spanner_cover import shortest_path_tree
 from test_rational_weights import _fraction_graph
 
@@ -243,8 +248,9 @@ def test_dijkstra_matches_floyd_warshall_oracle():
     for g in _oracle_graphs():
         dist, next_hop = _floyd_warshall(g)
         dm = all_pairs_shortest_paths(g)
-        assert dm.dist == dist, g
-        assert dm.next_hop == next_hop, g
+        assert list(dm.dist) == dist, g
+        n = g.n
+        assert [[dm.next_hop(u, v) for v in range(n)] for u in range(n)] == next_hop, g
 
 
 def test_shortest_path_tree_parents_match_oracle():
@@ -268,5 +274,83 @@ def test_next_hop_without_shortest_path_raises(monkeypatch):
         return [2 * d for d in real(g, s)]
 
     monkeypatch.setattr(metric_core, "single_source_distances", doubled)
-    with pytest.raises(InconsistentMetric, match="no neighbour of 0"):
-        all_pairs_shortest_paths(g)
+    dm = all_pairs_shortest_paths(g)  # rows, and the check, wait for a read
+    with pytest.raises(InconsistentMetric, match="no neighbour of 0 .* to 3"):
+        dm.next_hop(0, 3)
+    with pytest.raises(InconsistentMetric, match="no neighbour of 0 .* to 3"):
+        shortest_path_vertices(dm, 0, 3)
+
+
+def _heap_dijkstra(g, s):
+    """Test oracle: Dijkstra over a heap of (distance, vertex) pairs."""
+    dist = [None] * g.n
+    dist[s] = 0
+    done = [False] * g.n
+    heap = [(0, s)]
+    while heap:
+        d, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in g.adj[u]:
+            nd = d + w
+            if dist[v] is None or nd < dist[v]:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return dist
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A random spanning tree plus extra edges, with int weights 1..max or
+    Fraction weights >= 1 in steps of 1/2 or 1/3."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["int3", "int1000", "half", "third"]))
+
+    def weight():
+        if kind == "int3":
+            return draw(st.integers(1, 3))
+        if kind == "int1000":
+            return draw(st.integers(1, 1000))
+        den = 2 if kind == "half" else 3
+        return Fraction(draw(st.integers(den, 4 * den)), den)
+
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, v - 1)), v)] = weight()
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), weight())
+    return Graph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_connected_graphs())
+def test_level_dijkstra_matches_heap_dijkstra(g):
+    for s in range(g.n):
+        assert metric_core.single_source_distances(g, s) == _heap_dijkstra(g, s)
+
+
+def test_gpc_run_reads_only_server_and_request_rows(monkeypatch, tmp_path):
+    real = metric_core.single_source_distances
+    sources = []
+
+    def recorded(g, s):
+        sources.append(s)
+        return real(g, s)
+
+    monkeypatch.setattr(metric_core, "single_source_distances", recorded)
+    out = tmp_path / "r.json"
+    argv = [
+        "run", "--family", "random-ktree", "--size", "80", "--k", "3",
+        "--n", "25", "--seed", "5", "--algo", "gpc", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["results"]["pass"] is True
+    needed = set(report["instance"]["init_config"]) | set(
+        report["instance"]["sequence"]
+    )
+    assert sources and len(sources) == len(set(sources))  # each row once
+    assert set(sources) <= needed

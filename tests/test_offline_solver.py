@@ -481,7 +481,7 @@ def test_dp_matches_configuration_oracle(instance):
     ]
 
 
-@pytest.mark.parametrize("solve", [opt_cost_dp, opt_all_schedules])
+@pytest.mark.parametrize("solve", [opt_cost_dp, opt_all_schedules, opt_cost_flow])
 def test_dp_without_servers(solve):
     g = path_graph(3)
     with pytest.raises(ValueError, match="init: no servers to serve 2 requests"):

@@ -67,6 +67,81 @@ def test_missing_vertex_reported():
     assert check.witness == 3
 
 
+def _full_scan_verify(g, td):
+    """Test oracle: the three axioms, each edge checked against every bag."""
+    covered = set()
+    for bag in td.bags:
+        for v in bag:
+            if not (0 <= v < g.n):
+                return tree_decomp.DecompositionCheck(
+                    False, 1, v, f"bag vertex {v} outside the graph"
+                )
+        covered.update(bag)
+    for v in range(g.n):
+        if v not in covered:
+            return tree_decomp.DecompositionCheck(
+                False, 1, v, f"vertex {v} not covered by any bag"
+            )
+    bag_sets = [set(b) for b in td.bags]
+    for u, v, _ in g.edges:
+        if not any(u in b and v in b for b in bag_sets):
+            return tree_decomp.DecompositionCheck(
+                False, 2, (u, v), f"edge ({u}, {v}) inside no bag"
+            )
+    holding = {}
+    for i, b in enumerate(td.bags):
+        for v in b:
+            holding.setdefault(v, []).append(i)
+    adj = [[] for _ in range(td.num_bags)]
+    for i, p in enumerate(td.parent):
+        if p is not None:
+            adj[i].append(p)
+            adj[p].append(i)
+    for v, nodes in holding.items():
+        node_set = set(nodes)
+        seen = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w in node_set and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(node_set):
+            return tree_decomp.DecompositionCheck(
+                False, 3, v, f"bags containing vertex {v} are not connected in the tree"
+            )
+    return tree_decomp.DecompositionCheck(True, message="all three axioms hold")
+
+
+def _corrupted_decompositions():
+    """Random partial k-tree decompositions with one vertex dropped from
+    every bag that covers an edge, or from a single bag."""
+    rng = SplitMix64(77)
+    for _ in range(120):
+        g, td = random_partial_ktree(rng, 5 + rng.randrange(40), 1 + rng.randrange(4))
+        bags = [list(b) for b in td.bags]
+        if rng.randrange(2):
+            u, v, _ = g.edges[rng.randrange(g.m)]
+            drop = (u, v)[rng.randrange(2)]
+            hit = [i for i, b in enumerate(bags) if u in b and v in b]
+        else:
+            hit = [rng.randrange(len(bags))]
+            drop = bags[hit[0]][rng.randrange(len(bags[hit[0]]))]
+        for i in hit:
+            bags[i].remove(drop)
+        yield g, TreeDecomposition(bags, td.parent, td.root)
+
+
+def test_edge_coverage_matches_full_scan_on_corrupted_decompositions():
+    axioms = []
+    for g, td in _corrupted_decompositions():
+        check = verify_decomposition(g, td)
+        assert check == _full_scan_verify(g, td), (g, td.bags)
+        axioms.append(check.axiom)
+    assert axioms.count(2) >= 40  # most corruptions break edge coverage
+
+
 # Expected widths frozen from an exhaustive elimination-order search over
 # all vertex permutations (independent of the memoized DP under test).
 def test_exact_treewidth_trees():
