@@ -14,13 +14,13 @@ from kslab.offline_solver import opt_cost_dp
 from kslab.spanner_cover import (
     HeavyPathIndex,
     SpannerSystem,
+    StretchClaimRejected,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,
     run_online_spanner,
     shortest_path_tree,
     spanner_bit_budget,
-    verify_stretch,
 )
 
 g = grid_graph(4, 4)
@@ -28,10 +28,13 @@ dm = all_pairs_shortest_paths(g)
 trees = (shortest_path_tree(g, 0), shortest_path_tree(g, 15))
 
 print("== measuring what two corner BFS trees certify on a 4x4 grid ==")
-one = SpannerSystem(trees=trees[:1])
-check = verify_stretch(g, dm, one, 1, 0)
-print(f"one tree, claim (1,0): {'ok' if check else 'fails'}, "
-      f"worst pair {check.witness} off by {check.excess}")
+try:
+    certify_system(g, dm, trees[:1], 1, 0)
+    print("one tree, claim (1,0): ok")
+except StretchClaimRejected as exc:
+    check = exc.check
+    print(f"one tree, claim (1,0): fails, "
+          f"worst pair {check.witness} off by {check.excess}")
 q, pair = measure_min_stretch(g, dm, SpannerSystem(trees=trees))
 print(f"both trees: minimal q at r=0 is {q} (witness pair {pair})")
 system = certify_system(g, dm, trees, q, 0)

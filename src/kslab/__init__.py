@@ -58,7 +58,6 @@ from .spanner_cover import (
     spanner_bit_budget,
     spanning_tree_from_parent,
     system_from_json,
-    verify_stretch,
 )
 from .adversary import (
     BadPermutation,

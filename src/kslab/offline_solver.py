@@ -435,9 +435,9 @@ def opt_cost_flow(
     ri_u -> ... -> T and pays d(init_i, sigma_t), d(sigma_t, sigma_u), ...
     on the way (Chrobak, Karloff, Payne, Vishwanathan 1991).  B exceeds the
     positive cost of any flow, so a min-cost flow covers every request and
-    OPT = flow cost + n*B.  Distances are scaled by the lcm of their
-    denominators (1 when every edge weight is an int), so every cost is an
-    exact int.
+    OPT = flow cost + n*B.  Distances are scaled by the lcm of the edge
+    weights' denominators (1 when every weight is an int); each distance is
+    a sum of edge weights, so every scaled cost is an exact int.
 
     The arcs into ri_t come only from the k server nodes and from ro_u for
     u the latest earlier request at each distinct vertex: at most
@@ -460,18 +460,9 @@ def opt_cost_flow(
     if k == 0:
         raise ValueError(f"init: no servers to serve {n} requests")
     dist = dm.dist
-    if all(isinstance(w, int) for _, _, w in g.edges):
-        scale = 1  # int weights give int distances
-    else:
-        scale = lcm(
-            *(
-                d.denominator
-                for row in dist
-                for d in row
-                if isinstance(d, Fraction)
-            ),
-            1,
-        )
+    scale = lcm(
+        *(w.denominator for _, _, w in g.edges if isinstance(w, Fraction)), 1
+    )
     # Nodes: S = 0, s_i = 1 + i, ri_t = k + 1 + 2t, ro_t = ri_t + 1, T last.
     sink = k + 1 + 2 * n
     arcs = [(0, 1 + i, 0) for i in range(k)]

@@ -50,6 +50,7 @@ from .metric_core import (
     single_source_distances,
 )
 from .offline_solver import Schedule, serve_order
+from .tree_decomp import rooted_walk
 
 
 class NoLabeledServerOnRootPath(RuntimeError):
@@ -104,7 +105,6 @@ def spanning_tree_from_parent(g: Graph, root: int, parent) -> SpanningTree:
     if parent[root] is not None:
         raise ValueError("root must have parent None")
     weights: list[Weight | None] = [None] * g.n
-    children: list[list[int]] = [[] for _ in range(g.n)]
     for v, p in enumerate(parent):
         if v == root:
             continue
@@ -113,13 +113,9 @@ def spanning_tree_from_parent(g: Graph, root: int, parent) -> SpanningTree:
         if not g.has_edge(v, p):
             raise ValueError(f"tree edge ({v}, {p}) is not a graph edge")
         weights[v] = g.weight(v, p)
-        children[p].append(v)
     # every other vertex has one parent, so the walk down from the root
     # misses a vertex exactly when parent links close a cycle
-    reached = [root]
-    for u in reached:  # grows as the loop runs
-        reached.extend(children[u])
-    if len(reached) != g.n:
+    if len(rooted_walk(parent, root)[0]) != g.n:
         raise ValueError("parent links contain a cycle")
     return SpanningTree(root=root, parent=parent, edge_weight=tuple(weights))
 
@@ -144,29 +140,16 @@ class HeavyPathIndex:
     """Heavy-path decomposition of one rooted tree.
 
     head[v] is the top vertex of v's heavy path; any root-to-v path crosses
-    at most ceil(log2 N) heavy paths.  `order` is a preorder: the subtree
-    of v is the slice of `size[v]` vertices of it that starts at v.
+    at most ceil(log2 N) heavy paths.  `order`, `children`, `depth` and
+    `size` are the tree's rooted_walk: the subtree of v is the slice of
+    `size[v]` vertices of `order` that starts at v.
     """
 
     def __init__(self, tree: SpanningTree):
         self.tree = tree
         n = tree.n
         parent = tree.parent
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(parent):
-            if p is not None:
-                children[p].append(v)
-        order = []
-        stack = [tree.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(children[u])
-        size = [1] * n
-        for u in reversed(order):
-            p = parent[u]
-            if p is not None:
-                size[p] += size[u]
+        order, children, depth, size = rooted_walk(parent, tree.root)
         heavy: list[int | None] = [None] * n
         for u in range(n):
             if children[u]:
@@ -180,15 +163,12 @@ class HeavyPathIndex:
                 head[u] = u
             else:
                 head[u] = head[p]
-        depth = [0] * n
         depw: list[Weight] = [0] * n
-        for u in order:
-            p = parent[u]
-            if p is not None:
-                depth[u] = depth[p] + 1
-                depw[u] = depw[p] + tree.edge_weight[u]
+        for u in order[1:]:
+            depw[u] = depw[parent[u]] + tree.edge_weight[u]
         self.parent = parent
         self.order = order
+        self.children = children
         self.size = size
         self.head = head
         self.depth = depth
@@ -292,11 +272,9 @@ def _tree_distance_rows(hp: HeavyPathIndex):
     """
     order, parent, weight = hp.order, hp.parent, hp.tree.edge_weight
     pos = [0] * len(order)
-    children_left = [0] * len(order)
     for i, u in enumerate(order):
         pos[u] = i
-        if parent[u] is not None:
-            children_left[parent[u]] += 1
+    children_left = [len(c) for c in hp.children]
     # itemgetter of one index returns the item itself, not a 1-tuple
     to_vertex_order = itemgetter(*pos) if len(order) > 1 else tuple
     rows = {order[0]: [hp.weighted_depth[u] for u in order]}
@@ -346,8 +324,9 @@ def _max_ratio(best, dm: DistanceMatrix) -> tuple[Fraction, tuple[int, int] | No
     return Fraction(num, den), witness
 
 
-def _check_stretch(best, dm: DistanceMatrix, q, r) -> StretchCheck:
-    """best <= q*d_G + r on every pair, or the pair x < y of largest excess
+def _certified(trees: tuple, best, dm: DistanceMatrix, q, r) -> SpannerSystem:
+    """trees with their (q, r) claim if best <= q*d_G + r on every pair;
+    otherwise StretchClaimRejected names the pair x < y of largest excess
     (the first one on ties).
 
     With q = qn/qd and r = rn/rd the test is b·qd·rd <= qn·rd·d + rn·qd, so
@@ -364,21 +343,16 @@ def _check_stretch(best, dm: DistanceMatrix, q, r) -> StretchCheck:
                 excess = b - (q * d + r)
                 if worst is None or excess > worst[0]:
                     worst = (excess, (x, y))
-    if worst is None:
-        return StretchCheck(True, message=f"({q}, {r})-stretch holds")
-    return StretchCheck(
-        False,
-        witness=worst[1],
-        excess=worst[0],
-        message=f"pair {worst[1]} exceeds q*d+r by {worst[0]}",
-    )
-
-
-def verify_stretch(
-    g: Graph, dm: DistanceMatrix, system: SpannerSystem, q, r
-) -> StretchCheck:
-    """Exact check of best-tree distance <= q*d_G + r over all pairs."""
-    return _check_stretch(_best_tree_table(system.trees), dm, q, r)
+    if worst is not None:
+        raise StretchClaimRejected(
+            StretchCheck(
+                False,
+                witness=worst[1],
+                excess=worst[0],
+                message=f"pair {worst[1]} exceeds q*d+r by {worst[0]}",
+            )
+        )
+    return SpannerSystem(trees=trees, q=q, r=r)
 
 
 def measure_min_stretch(
@@ -386,13 +360,6 @@ def measure_min_stretch(
 ) -> tuple[Fraction, tuple[int, int] | None]:
     """Smallest q with (q, 0)-stretch, as an exact ratio, with its witness."""
     return _max_ratio(_best_tree_table(system.trees), dm)
-
-
-def _certified(trees: tuple, best, dm: DistanceMatrix, q, r) -> SpannerSystem:
-    check = _check_stretch(best, dm, q, r)
-    if not check:
-        raise StretchClaimRejected(check)
-    return SpannerSystem(trees=trees, q=q, r=r)
 
 
 def certify_system(

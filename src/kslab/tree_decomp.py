@@ -28,6 +28,40 @@ class HeightReductionFault(RuntimeError):
     """A split broke an invariant that bounds the reduced width or height."""
 
 
+def rooted_walk(parent, root: int):
+    """(order, children, depth, size) of the tree hanging from root.
+
+    parent[v] is the node above v or None, and names a node in range; the
+    root's own link is ignored.  order is a preorder of the nodes reached from
+    root in which the subtree of v is the slice of size[v] entries starting
+    at v; children[v] lists v's children in ascending order.  A node on or
+    below a parent cycle is never reached, so len(order) < len(parent)
+    exactly when some node does not hang from root; such a node keeps
+    depth -1 and size 0.
+    """
+    n = len(parent)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p is not None and v != root:
+            children[p].append(v)
+    order = []
+    depth = [-1] * n
+    depth[root] = 0
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for c in children[u]:
+            depth[c] = depth[u] + 1
+        stack.extend(children[u])
+    size = [0] * n
+    for u in reversed(order):
+        size[u] += 1
+        if u != root:
+            size[parent[u]] += size[u]
+    return order, children, depth, size
+
+
 class TreeDecomposition:
     """Rooted bag tree.
 
@@ -48,25 +82,11 @@ class TreeDecomposition:
             raise ValueError("parent array and root must match the bag list")
         if self.parent[root] is not None:
             raise ValueError("root must have parent None")
-        children: list[list[int]] = [[] for _ in range(b)]
         for i, p in enumerate(self.parent):
-            if i == root:
-                continue
-            if p is None or not (0 <= p < b):
+            if i != root and (p is None or not (0 <= p < b)):
                 raise ValueError(f"bag {i} has invalid parent {p!r}")
-            children[p].append(i)
-        self.children: tuple[tuple[int, ...], ...] = tuple(
-            tuple(c) for c in children
-        )
-        depth = [-1] * b
-        depth[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in self.children[u]:
-                depth[v] = depth[u] + 1
-                stack.append(v)
-        if any(d < 0 for d in depth):
+        order, _, depth, _ = rooted_walk(self.parent, root)
+        if len(order) != b:
             raise ValueError("parent links do not form a single rooted tree")
         self.depth: tuple[int, ...] = tuple(depth)
         rep: dict[int, int] = {}
@@ -198,23 +218,14 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionCheck:
             return DecompositionCheck(
                 False, 2, (u, v), f"edge ({u}, {v}) inside no bag"
             )
-    # Connectivity: the bags holding each vertex must form a subtree.
-    adj: list[list[int]] = [[] for _ in range(td.num_bags)]
-    for i, p in enumerate(td.parent):
-        if p is not None:
-            adj[i].append(p)
-            adj[p].append(i)
+    # Connectivity: the bags holding v form a subtree exactly when one of
+    # them, the top, has no parent that also holds v.
+    parent = td.parent
     for v, nodes in holding.items():
-        node_set = set(nodes)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in node_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(node_set):
+        tops = sum(
+            1 for i in nodes if parent[i] is None or v not in bag_sets[parent[i]]
+        )
+        if tops != 1:
             return DecompositionCheck(
                 False,
                 3,

@@ -5,15 +5,29 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import kslab
 from kslab.cli import main
-from kslab.instances import grid_graph, path_decomposition, path_graph
-from kslab.metric_core import all_pairs_shortest_paths, graph_to_json
-from kslab.spanner_cover import SpannerSystem, shortest_path_tree, verify_stretch
+from kslab.instances import (
+    SplitMix64,
+    grid_graph,
+    path_decomposition,
+    path_graph,
+    random_distinct_vertices,
+    random_partial_ktree,
+    random_requests,
+)
+from kslab.metric_core import all_pairs_shortest_paths, graph_to_json, num_to_json
+from kslab.spanner_cover import (
+    SpannerSystem,
+    StretchClaimRejected,
+    certify_system,
+    shortest_path_tree,
+)
 from kslab.tree_decomp import module_graph_decomposition
 
 
@@ -158,6 +172,36 @@ def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     assert results["pass"] is True
     assert results["opt_cost"] == opt_cost
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_fraction_flow_run_report_is_pinned(tmp_path, monkeypatch):
+    # a 90-vertex partial 3-tree with half-integer weights, 3 servers and 30
+    # requests: N^3 * n > DP_GUARD, so OPT takes the flow route on Fraction
+    # distances.  Relative file names keep the report's spec path-free.
+    rng = SplitMix64(86)
+    g, td = random_partial_ktree(rng, 90, 3)
+    edges = [
+        [u, v, num_to_json(Fraction(rng.randint(2, 8), 2))] for u, v, _ in g.edges
+    ]
+    init = random_distinct_vertices(rng, 3, g.n)
+    sigma = random_requests(rng, 30, g.n)
+    monkeypatch.chdir(tmp_path)
+    Path("g.json").write_text(json.dumps({"n": g.n, "edges": edges}))
+    Path("i.json").write_text(
+        json.dumps({"init_config": list(init), "sequence": sigma})
+    )
+    Path("td.json").write_text(json.dumps(td.to_json()))
+    assert run_cli(
+        "run", "--graph", "g.json", "--instance", "i.json", "--td", "td.json",
+        "--algo", "gpc", "--out", "r.json",
+    ) == 0
+    report = Path("r.json").read_bytes()
+    results = json.loads(report)["results"]
+    assert results["pass"] is True
+    assert results["opt_cost"] == "247/2"
+    assert hashlib.sha256(report).hexdigest() == (
+        "c305745863c530085118db031bb307e70c8820020ee70d5657212b59bf18cab1"
+    )
 
 
 def test_cli_import_leaves_networkx_out():
@@ -423,7 +467,9 @@ def test_verify_spanner_claim(tmp_path, capsys):
     bad = SpannerSystem(trees=(shortest_path_tree(g, 0),), q=1, r=0)
     sysp.write_text(json.dumps(bad.to_json()))
     assert run_cli("verify", "--graph", str(gp), "--spanners", str(sysp)) == 1
-    worst = verify_stretch(g, all_pairs_shortest_paths(g), bad, 1, 0).witness
+    with pytest.raises(StretchClaimRejected) as info:
+        certify_system(g, all_pairs_shortest_paths(g), bad.trees, 1, 0)
+    worst = info.value.check.witness
     assert f"pair {worst} exceeds" in capsys.readouterr().out
     ok = SpannerSystem(
         trees=(shortest_path_tree(g, 0), shortest_path_tree(g, 15)), q=3, r=0

@@ -1,6 +1,7 @@
 """Exact-arithmetic paths that integer-weight suites never touch."""
 from fractions import Fraction
 
+from kslab import metric_core
 from kslab.cli import _canonical, _jsonable
 from kslab.gpc import generate_advice, run_online
 from kslab.instances import SplitMix64, random_distinct_vertices, random_requests
@@ -59,10 +60,31 @@ def test_flow_scaling_matches_dp_on_rational_weights():
         assert sched.total_cost == c_fl
 
 
+def test_flow_scale_reads_only_server_and_request_rows(monkeypatch):
+    # the scale comes from the edge weights, so the flow computes the rows
+    # of its servers and requests only, each once
+    real = metric_core.single_source_distances
+    sources = []
+
+    def recorded(g, s):
+        sources.append(s)
+        return real(g, s)
+
+    monkeypatch.setattr(metric_core, "single_source_distances", recorded)
+    rng = SplitMix64(4247)
+    g = _fraction_graph(rng, 40)
+    init = random_distinct_vertices(rng, 2, g.n)
+    sigma = random_requests(rng, 12, g.n)
+    cost, sched = opt_cost_flow(g, init, sigma, all_pairs_shortest_paths(g))
+    assert isinstance(cost, Fraction) and sched.total_cost == cost
+    assert len(sources) == len(set(sources))
+    assert set(sources) <= set(init) | set(sigma)
+
+
 def test_flow_matches_dp_on_fraction_weights_with_int_distances():
     # each 5/2 chord is longer than the two unit edges beside it, so every
-    # distance is an int although not every weight is: the flow takes
-    # scale = 1 from its distance scan, not from the int-weight shortcut
+    # distance is an int although not every weight is: the flow scales its
+    # costs by the weights' lcm denominator 2 all the same
     n = 11
     edges = [(v, v + 1, 1) for v in range(n - 1)]
     edges += [(v, v + 2, Fraction(5, 2)) for v in range(0, n - 2, 2)]

@@ -29,7 +29,6 @@ from kslab.spanner_cover import (
     spanner_bit_budget,
     spanning_tree_from_parent,
     system_from_json,
-    verify_stretch,
 )
 from test_rational_weights import _fraction_graph
 
@@ -50,27 +49,30 @@ def test_tree_is_its_own_spanner():
     g = path_graph(7)
     dm = all_pairs_shortest_paths(g)
     t = shortest_path_tree(g, 3)
-    assert verify_stretch(g, dm, SpannerSystem(trees=(t,)), 1, 0)
+    assert certify_system(g, dm, (t,), 1, 0).q == 1
 
 
 def test_grid_single_bfs_tree_fails_1_0():
     g = grid_graph(4, 4)
     dm = all_pairs_shortest_paths(g)
-    sys1 = SpannerSystem(trees=(shortest_path_tree(g, 0),))
-    check = verify_stretch(g, dm, sys1, 1, 0)
+    t = shortest_path_tree(g, 0)
+    with pytest.raises(StretchClaimRejected) as info:
+        certify_system(g, dm, (t,), 1, 0)
+    check = info.value.check
     assert not check
     x, y = check.witness
     assert check.excess > 0
-    hp = HeavyPathIndex(sys1.trees[0])
+    hp = HeavyPathIndex(t)
     assert hp.dist(x, y) - dm.dist[x][y] == check.excess
 
 
 def test_measured_min_q_certifies():
     g, dm, system = _grid_system()
     assert isinstance(system.q, (int, Fraction))
-    assert verify_stretch(g, dm, system, system.q, 0)
+    assert certify_system(g, dm, system.trees, system.q, 0).q == system.q
     # one notch tighter must fail
-    assert not verify_stretch(g, dm, system, system.q - Fraction(1, 100), 0)
+    with pytest.raises(StretchClaimRejected):
+        certify_system(g, dm, system.trees, system.q - Fraction(1, 100), 0)
 
 
 def test_certify_rejects_false_claim():
@@ -183,10 +185,14 @@ def test_measure_and_verify_match_fraction_oracle():
             r = _oracle_tightest_r(g, dm, trees, cq)
             claims += [(cq, r), (cq, r - Fraction(1, 7))]
         for cq, cr in claims:
-            check = verify_stretch(g, dm, system, cq, cr)
+            try:
+                certify_system(g, dm, trees, cq, cr)
+                got = (True, None, None)
+            except StretchClaimRejected as exc:
+                got = (exc.check.ok, exc.check.excess, exc.check.witness)
             expected = _oracle_stretch_check(g, dm, trees, cq, cr)
-            assert (check.ok, check.excess, check.witness) == expected, (g, cq, cr)
-            failing_with_r += not check.ok and cr != 0
+            assert got == expected, (g, cq, cr)
+            failing_with_r += not got[0] and cr != 0
         assert certify_min_stretch(dm, trees).q == q
     assert failing_with_r > 0
 
@@ -201,12 +207,11 @@ def test_stretch_ties_keep_the_first_pair():
     assert hp.dist(3, 4) == hp.dist(4, 5) == 3
     assert dm.dist[3][4] == dm.dist[4][5] == 1
     assert measure_min_stretch(g, dm, system) == (3, (3, 4))
-    check = verify_stretch(g, dm, system, 1, 1)
-    assert (check.ok, check.excess, check.witness) == (False, 1, (3, 4))
-    assert check.message == "pair (3, 4) exceeds q*d+r by 1"
     with pytest.raises(StretchClaimRejected) as info:
         certify_system(g, dm, system.trees, 1, 1)
-    assert info.value.check.witness == (3, 4)
+    check = info.value.check
+    assert (check.ok, check.excess, check.witness) == (False, 1, (3, 4))
+    assert check.message == "pair (3, 4) exceeds q*d+r by 1"
 
 
 # ---------------------------------------------------------------------------

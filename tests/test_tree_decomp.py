@@ -29,6 +29,7 @@ from kslab.tree_decomp import (
     intersect_shortest_path,
     module_graph_decomposition,
     reduce_height,
+    rooted_walk,
     verify_decomposition,
 )
 
@@ -116,7 +117,8 @@ def _full_scan_verify(g, td):
 
 def _corrupted_decompositions():
     """Random partial k-tree decompositions with one vertex dropped from
-    every bag that covers an edge, or from a single bag."""
+    every bag that covers an edge, or from a single bag, or from one bag
+    whose parent and a child both hold it (which splits its subtree)."""
     rng = SplitMix64(77)
     for _ in range(120):
         g, td = random_partial_ktree(rng, 5 + rng.randrange(40), 1 + rng.randrange(4))
@@ -131,6 +133,21 @@ def _corrupted_decompositions():
         for i in hit:
             bags[i].remove(drop)
         yield g, TreeDecomposition(bags, td.parent, td.root)
+    rng = SplitMix64(78)
+    for _ in range(120):
+        g, td = random_partial_ktree(rng, 5 + rng.randrange(40), 1 + rng.randrange(4))
+        parent = td.parent
+        interior = sorted(
+            (p, v)
+            for i, p in enumerate(parent)
+            if p is not None and parent[p] is not None
+            for v in set(td.bags[i]) & set(td.bags[p]) & set(td.bags[parent[p]])
+        )
+        if interior:
+            p, v = interior[rng.randrange(len(interior))]
+            bags = [list(b) for b in td.bags]
+            bags[p].remove(v)
+            yield g, TreeDecomposition(bags, parent, td.root)
 
 
 def test_edge_coverage_matches_full_scan_on_corrupted_decompositions():
@@ -140,6 +157,9 @@ def test_edge_coverage_matches_full_scan_on_corrupted_decompositions():
         assert check == _full_scan_verify(g, td), (g, td.bags)
         axioms.append(check.axiom)
     assert axioms.count(2) >= 40  # most corruptions break edge coverage
+    # 78 today: 13 from the first two kinds and 65 of the 113 interior
+    # drops (the other 48 uncover an edge first)
+    assert axioms.count(3) >= 60
 
 
 # Expected widths frozen from an exhaustive elimination-order search over
@@ -545,8 +565,71 @@ def test_json_round_trip():
         ('{"bags": [[0], [1]], "parent": [null, "0"], "root": 0}', r"^parent\[1\]: '0' is not a bag id"),
         ('{"bags": [[0]], "parent": [null], "root": 3}', r"^root: 3 is not a bag id"),
         ('{"bags": [[0], [1]], "parent": [null, null], "root": 0}', r"^parent: bag 1 has invalid parent"),
+        ('{"bags": [[0], [1], [2]], "parent": [null, 2, 1], "root": 0}',
+         r"^parent: parent links do not form a single rooted tree$"),
     ],
 )
 def test_json_errors_are_located(text, error):
     with pytest.raises(GraphFormatError, match=error):
         TreeDecomposition.from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# Rooted walks of parent arrays.
+
+
+@st.composite
+def _parent_arrays(draw):
+    """A random tree on shuffled ids, then up to two links redrawn at random
+    (to None, to the node itself or into a cycle), and the tree's root."""
+    n = draw(st.integers(1, 30))
+    ids = draw(st.permutations(range(n)))
+    parent = [None] * n
+    for i in range(1, n):
+        parent[ids[i]] = ids[draw(st.integers(0, i - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        parent[draw(st.integers(0, n - 1))] = draw(st.none() | st.integers(0, n - 1))
+    return parent, ids[0]
+
+
+def _naive_subtree(parent, root, u):
+    """u and everything below it, by recursion over a full child scan; the
+    root's own link is ignored."""
+    kids = [v for v in range(len(parent)) if v != root and parent[v] == u]
+    return [u] + [x for c in kids for x in _naive_subtree(parent, root, c)]
+
+
+def _naive_depth(parent, root, v):
+    """Links from v up to root, or -1 if v does not hang from root."""
+    steps = 0
+    while v != root:
+        v = parent[v]
+        steps += 1
+        if v is None or steps > len(parent):
+            return -1
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parent_arrays())
+def test_rooted_walk_matches_naive_recursion(case):
+    parent, root = case
+    n = len(parent)
+    order, children, depth, size = rooted_walk(parent, root)
+    assert order[0] == root
+    assert sorted(order) == sorted(_naive_subtree(parent, root, root))
+    pos = {u: i for i, u in enumerate(order)}
+    for u in range(n):
+        assert children[u] == [
+            v for v in range(n) if v != root and parent[v] == u
+        ]
+        assert depth[u] == _naive_depth(parent, root, u)
+        if u in pos:
+            below = _naive_subtree(parent, root, u)
+            assert size[u] == len(below)
+            assert sorted(order[pos[u]:pos[u] + size[u]]) == sorted(below)
+        else:
+            assert size[u] == 0
+    assert (len(order) < n) == any(
+        _naive_depth(parent, root, v) < 0 for v in range(n)
+    )
