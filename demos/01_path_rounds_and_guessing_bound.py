@@ -19,7 +19,7 @@ from kslab.adversary import (
     sgkh_bound_per_request,
 )
 from kslab.instances import path_graph
-from kslab.offline_solver import opt_all_schedules, opt_cost_dp
+from kslab.offline_solver import count_optimal_schedules, opt_cost_dp
 
 g = path_graph(5)
 
@@ -50,17 +50,21 @@ print("guesses recovered from the optimal schedule:",
       extract_round_guesses(PATH_ROUND_INIT, schedule, len(bits)))
 
 print()
-print("== some optimal schedule resets to {2, 4} at round boundaries ==")
-for sched in opt_all_schedules(g, PATH_ROUND_INIT, path_round_sequence("10", 5)):
-    pos = list(PATH_ROUND_INIT)
-    boundaries = []
-    for m in sched.moves:
-        pos[m.server] = m.dst
-        if m.t % 7 == 6:
-            boundaries.append(tuple(sorted(pos)))
-    if all(b == tuple(sorted(PATH_ROUND_INIT)) for b in boundaries):
-        print("found one:", sched.move_triples())
-        break
+print("== the one optimal schedule resets to {2, 4} at round boundaries ==")
+sigma = path_round_sequence("10", 5)
+_, count = count_optimal_schedules(g, PATH_ROUND_INIT, sigma)
+_, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma)
+pos = list(PATH_ROUND_INIT)
+boundaries = []
+for m in sched.moves:
+    pos[m.server] = m.dst
+    if m.t % 7 == 6:
+        boundaries.append(tuple(sorted(pos)))
+assert count == 1
+assert all(b == tuple(sorted(PATH_ROUND_INIT)) for b in boundaries)
+print(f"round types 10: {count} optimal schedule, back on {{2, 4}} after "
+      f"each of its {len(boundaries)} rounds")
+print("its moves:", sched.move_triples())
 
 print()
 print("== advice needed per sequence length n, by target ratio ==")

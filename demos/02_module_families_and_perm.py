@@ -3,10 +3,10 @@
 
 A gamma-module graph wires two subset gadgets back to back.  Valid request
 sequences grow one subset element per step, so exactly one server motion
-costs 1 per request; every rival motion pays double somewhere.  The DP
-enumeration confirms the optimum is unique, which is the engine of the
-treewidth advice lower bound: each of the (gamma!)^(n/(2 gamma)) valid
-sequences needs its own advice string.
+costs 1 per request; every rival motion pays double somewhere.  Counting
+the DP's optimal paths confirms the optimum is unique, which is the engine
+of the treewidth advice lower bound: each of the (gamma!)^(n/(2 gamma))
+valid sequences needs its own advice string.
 """
 from kslab.adversary import (
     count_valid_sequences,
@@ -19,7 +19,7 @@ from kslab.adversary import (
     treewidth_advice_bound,
     unit_graph,
 )
-from kslab.offline_solver import opt_all_schedules, opt_cost_dp
+from kslab.offline_solver import count_optimal_schedules
 from kslab.tree_decomp import (
     gb_decomposition,
     module_graph_decomposition,
@@ -39,11 +39,10 @@ mg = module_graph(2)
 init = perm_init(2)
 for seq in enumerate_round_sequences(2):
     sched = perm_algorithm(mg, seq, init)
-    opt_cost, _ = opt_cost_dp(mg, init, list(seq.requests))
-    alts = opt_all_schedules(mg, init, list(seq.requests))
+    opt_cost, count = count_optimal_schedules(mg, init, list(seq.requests))
     print(
         f"requests {seq.requests}: PERM pays {sched.total_cost}, "
-        f"opt {opt_cost}, optimal schedules: {len(alts)}"
+        f"opt {opt_cost}, optimal schedules: {count}"
     )
 
 print()

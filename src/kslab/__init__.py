@@ -19,7 +19,7 @@ from .offline_solver import (
     InstanceTooLarge,
     Move,
     Schedule,
-    opt_all_schedules,
+    count_optimal_schedules,
     opt_cost_dp,
     opt_cost_flow,
 )

@@ -40,10 +40,12 @@ from .metric_core import (
 )
 from .offline_solver import (
     InstanceTooLarge,
+    InvalidSchedule,
     Schedule,
-    opt_all_schedules,
+    count_optimal_schedules,
     opt_cost_dp,
     opt_cost_flow,
+    validate_lazy_schedule,
 )
 from .spanner_cover import (
     HeavyPathIndex,
@@ -272,17 +274,19 @@ def _step_perm(spec: RunSpec, inst: Instance, dm, opt: Schedule):
     seq = adversary.valid_sequence(spec.gamma, modules, inst.params["perms"])
     schedule = adversary.perm_algorithm(inst.g, seq, inst.init)
     ok = schedule.total_cost == opt.total_cost == len(inst.sigma)
+    # PERM's schedule is the unique optimum iff the optimum is unique and
+    # PERM's is a lazy schedule of that cost.
     try:
-        all_opt = opt_all_schedules(inst.g, inst.init, inst.sigma, dm)
+        opt_cost, count = count_optimal_schedules(inst.g, inst.init, inst.sigma, dm)
     except InstanceTooLarge:
-        unique = None
+        return schedule.total_cost, ok, {"unique_opt": None}, None, None
+    try:
+        validate_lazy_schedule(dm, inst.init, inst.sigma, schedule)
+    except InvalidSchedule:
+        unique = False
     else:
-        unique = (
-            len(all_opt) == 1
-            and all_opt[0].move_triples() == schedule.move_triples()
-        )
-        ok = ok and unique
-    return schedule.total_cost, ok, {"unique_opt": unique}, None, None
+        unique = count == 1 and schedule.total_cost == opt_cost
+    return schedule.total_cost, ok and unique, {"unique_opt": unique}, None, None
 
 
 def _step_gpc(spec: RunSpec, inst: Instance, dm, opt: Schedule):

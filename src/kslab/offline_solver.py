@@ -2,19 +2,21 @@
 
 Two independent routes are provided: a dynamic program over server
 configurations (the oracle for everything else, and the basis for
-enumerating all optimal schedules), and a min-cost flow of value k on the
+counting the optimal schedules), and a min-cost flow of value k on the
 request DAG that scales past the DP guard.  After each request one server
 stands on it (Koutsoupias and Papadimitriou, J. ACM 1995), so a DP state
 is the multiset of the other k-1 servers: a layer holds at most
 C(N+k-2, k-1) states, only a state whose winning move did not start on
 the previous request keeps a back-pointer, and ties go to the least
-source vertex.  The flow network keeps at most k + min(t, N) arcs into
-request t (from the servers, and from the latest earlier request at each
-vertex), so O(n * (k + N)) arcs for n requests.  It is solved by k
-successive shortest paths (the first from one pass over the DAG, the
-rest by heap Dijkstra on reduced costs), over plain index arrays and
-exact ints, with no graph library.  Both emit lazy schedules: exactly one
-server moves per request, directly to the requested vertex.
+source vertex.  Counting the optimal schedules keeps (least cost, number
+of cost-minimal ways in) per state instead.  The flow network keeps at
+most k + min(t, N) arcs into request t (from the servers, and from the
+latest earlier request at each vertex), so O(n * (k + N)) arcs for n
+requests.  It is solved by k successive shortest paths (the first from
+one pass over the DAG, the rest by heap Dijkstra on reduced costs), over
+plain index arrays and exact ints, with no graph library.  Both emit lazy
+schedules: exactly one server moves per request, directly to the
+requested vertex.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ class InvalidSchedule(ValueError):
 
 
 DP_GUARD = 10**7
-ENUM_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -190,11 +191,11 @@ def validate_lazy_schedule(
         )
 
 
-def _guard(n_vertices: int, k: int, n_requests: int, limit: int, what: str):
+def _guard(n_vertices: int, k: int, n_requests: int, what: str):
     size = (n_vertices**k) * max(n_requests, 1)
-    if size > limit:
+    if size > DP_GUARD:
         raise InstanceTooLarge(
-            f"{what}: N^k*n = {size} exceeds the guard {limit}"
+            f"{what}: N^k*n = {size} exceeds the guard {DP_GUARD}"
         )
 
 
@@ -273,7 +274,7 @@ def opt_cost_dp(
     Returns one optimal lazy schedule (deterministic tie-breaking: the
     least source vertex at every state, and the least final state).
     """
-    _guard(g.n, len(init), len(sigma), DP_GUARD, "opt_cost_dp")
+    _guard(g.n, len(init), len(sigma), "opt_cost_dp")
     if dm is None:
         dm = all_pairs_shortest_paths(g)
     dist = dm.dist
@@ -295,57 +296,41 @@ def opt_cost_dp(
     return best_cost, schedule
 
 
-def opt_all_schedules(
+def count_optimal_schedules(
     g: Graph, init, sigma, dm: DistanceMatrix | None = None
-) -> list[Schedule]:
-    """Exhaustively enumerate every cost-minimal lazy schedule.
+) -> tuple[int | Fraction, int]:
+    """OPT and the number of distinct optimal (t, src, dst) schedules.
 
-    Schedules are distinguished by their (t, src, dst) move sequences;
-    relabeling servers that share a vertex does not create a new schedule.
+    One forward pass over the states of `_dp_layers`, each holding (least
+    cost, number of cost-minimal ways in).  A move counts once per distinct
+    source, and a source equal to p_t is the move from p_t, so paths through
+    the states are in bijection with schedules.
     """
-    _guard(g.n, len(init), len(sigma), ENUM_GUARD, "opt_all_schedules")
+    _guard(g.n, len(init), len(sigma), "count_optimal_schedules")
+    if not init and sigma:
+        raise ValueError(f"init: no servers to serve {len(sigma)} requests")
     if dm is None:
         dm = all_pairs_shortest_paths(g)
     dist = dm.dist
-    layers = [layer for layer, _ in _dp_layers(dist, init, sigma)]
-    best_cost = min(layers[-1].values())
-    finals = sorted(c for c, cost in layers[-1].items() if cost == best_cost)
-
-    schedules: list[Schedule] = []
-
-    def backtrack(t: int, conf: tuple, cost: int, steps_rev: list) -> None:
-        if t == 0:
-            steps = [
-                (i, src, sigma[i], dist[src][sigma[i]])
-                for i, src in enumerate(reversed(steps_rev))
-            ]
-            schedules.append(
-                Schedule(
-                    moves=_assign_server_ids(init, steps), total_cost=best_cost
-                )
-            )
-            return
-        r = sigma[t - 1]
+    p = min(init, default=None)
+    layer = {tuple(sorted(init))[1:]: (0, 1)}
+    for r in sigma:
         dr = dist[r]
-        p = sigma[t - 2] if t > 1 else min(init)
-        for src in range(g.n):  # any vertex the server may have come from
-            if src == p:
-                prev_conf = conf
-            elif p in conf:
-                prev_conf = _replace_one(conf, p, src)
-            else:  # conf + src, the previous configuration, lacks p
-                continue
-            prev = layers[t - 1].get(prev_conf)
-            if prev is not None and prev + dr[src] == cost:
-                steps_rev.append(src)
-                backtrack(t - 1, prev_conf, prev, steps_rev)
-                steps_rev.pop()
-
-    for final in finals:
-        backtrack(len(sigma), final, best_cost, [])
-    # Distinct by construction; sort for a stable order.
-    schedules.sort(key=lambda s: s.move_triples())
-    return schedules
+        step = dr[p]
+        nxt = {conf: (cost + step, ways) for conf, (cost, ways) in layer.items()}
+        for conf, (cost, ways) in layer.items():
+            for s in set(conf) - {p}:
+                new_cost = cost + dr[s]
+                new_conf = _replace_one(conf, s, p)
+                best = nxt.get(new_conf)
+                if best is None or new_cost < best[0]:
+                    nxt[new_conf] = (new_cost, ways)
+                elif new_cost == best[0]:
+                    nxt[new_conf] = (new_cost, best[1] + ways)
+        layer = nxt
+        p = r
+    best_cost = min(cost for cost, _ in layer.values())
+    return best_cost, sum(ways for cost, ways in layer.values() if cost == best_cost)
 
 
 def _min_cost_flow(n_nodes: int, arcs, k: int) -> tuple[int, list[int]]:

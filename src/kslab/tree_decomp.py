@@ -294,14 +294,7 @@ def exact_treewidth(g: Graph) -> tuple[int, TreeDecomposition]:
         choice[mask] = pick
         return result
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n * n + 1000))
-    try:
-        width = best(full)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    width = best(full)  # recursion depth <= n + 1, n <= 20 by the guard
 
     # Recover the elimination order (choice picks the last-eliminated).
     rev = []

@@ -37,7 +37,7 @@ from kslab.instances import (
     random_requests,
 )
 from kslab.metric_core import Graph, all_pairs_shortest_paths
-from kslab.offline_solver import opt_all_schedules, opt_cost_dp
+from kslab.offline_solver import count_optimal_schedules, opt_cost_dp
 from kslab.spanner_cover import (
     HeavyPathIndex,
     SpannerSystem,
@@ -197,18 +197,18 @@ def test_c5_perm_optimality_and_uniqueness():
             sched = perm_algorithm(g, seq, init)
             sigma = list(seq.requests)
             assert sched.total_cost == len(sigma)
-            opt_cost, _ = opt_cost_dp(g, init, sigma)
+            opt_cost, opt = opt_cost_dp(g, init, sigma)
             assert opt_cost == sched.total_cost
-            everything = opt_all_schedules(g, init, sigma)
-            assert len(everything) == 1, "optimum must be unique"
-            assert everything[0].move_triples() == sched.move_triples()
+            count = count_optimal_schedules(g, init, sigma)
+            assert count == (opt_cost, 1), "optimum must be unique"
+            assert opt.move_triples() == sched.move_triples()
             checked += 1
     _report(
         5,
         t0,
         f"{checked} one- and two-round module instances: PERM cost equals "
-        "sequence length equals OPT, and the DP back-trace enumerates "
-        "exactly one optimal schedule (PERM's)",
+        "sequence length equals OPT, and the DP counts exactly one optimal "
+        "schedule (PERM's)",
     )
 
 

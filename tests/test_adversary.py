@@ -31,7 +31,7 @@ from kslab.adversary import (
     valid_sequence,
 )
 from kslab.instances import path_graph
-from kslab.offline_solver import opt_all_schedules, opt_cost_dp, opt_cost_flow
+from kslab.offline_solver import count_optimal_schedules, opt_cost_dp, opt_cost_flow
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +87,18 @@ def test_round_cost_dichotomy_type0():
 
 
 def test_round_boundary_normalization():
-    # some optimal lazy schedule returns to {2,4} at every round boundary
+    # the optimal lazy schedule is unique and returns to {2,4} at every
+    # round boundary
     g = path_graph(5)
     for bits in ["".join(b) for b in product("01", repeat=3)]:
         sigma = path_round_sequence(bits, 5)
-        found = False
-        for sched in opt_all_schedules(g, PATH_ROUND_INIT, sigma):
-            pos = list(PATH_ROUND_INIT)
-            ok = True
-            for m in sched.moves:
-                pos[m.server] = m.dst
-                if m.t % 7 == 6 and sorted(pos) != sorted(PATH_ROUND_INIT):
-                    ok = False
-                    break
-            if ok:
-                found = True
-                break
-        assert found, bits
+        cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma)
+        assert count_optimal_schedules(g, PATH_ROUND_INIT, sigma) == (cost, 1), bits
+        pos = list(PATH_ROUND_INIT)
+        for m in sched.moves:
+            pos[m.server] = m.dst
+            if m.t % 7 == 6:
+                assert sorted(pos) == sorted(PATH_ROUND_INIT), (bits, m.t)
 
 
 def test_guess_extraction_on_optimal_schedule():
@@ -250,11 +245,10 @@ def test_perm_uniqueness_single_round():
     init = perm_init(2)
     for seq in enumerate_round_sequences(2):
         sched = perm_algorithm(g, seq, init)
-        cost, _ = opt_cost_dp(g, init, list(seq.requests))
+        cost, opt = opt_cost_dp(g, init, list(seq.requests))
         assert cost == sched.total_cost == 8
-        everything = opt_all_schedules(g, init, list(seq.requests))
-        assert len(everything) == 1
-        assert everything[0].move_triples() == sched.move_triples()
+        assert count_optimal_schedules(g, init, list(seq.requests)) == (8, 1)
+        assert opt.move_triples() == sched.move_triples()
 
 
 def test_perm_never_crosses_source():

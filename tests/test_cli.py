@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from kslab.instances import (
     random_requests,
 )
 from kslab.metric_core import all_pairs_shortest_paths, graph_to_json, num_to_json
+from kslab.offline_solver import Schedule
 from kslab.spanner_cover import (
     SpannerSystem,
     StretchClaimRejected,
@@ -172,6 +174,72 @@ def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     assert results["pass"] is True
     assert results["opt_cost"] == opt_cost
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# `perm` reports pinned the same way, beyond the README's one-round gamma 2
+# run: three rounds of gamma 2 and ten rounds of gamma 3, both unique_opt true.
+PERM_RUNS = [
+    (
+        ["--family", "module", "--gamma", "2", "--rounds", "3", "--algo", "perm"],
+        "c4f0bb01ca4247ab80b78415448b2b776d2bc39a9e22ffb4de94a68c15f630cb",
+    ),
+    (
+        ["--family", "module", "--gamma", "3", "--rounds", "10", "--algo", "perm"],
+        "2fc99985c87ae31a1d6c81a3dfd100c14778528d8606c372ba0f1d4d437bfe9c",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PERM_RUNS, ids=["module-g2-r3", "module-g3-r10"])
+def test_perm_run_reports_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("run", *argv, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["extra"]["unique_opt"] is True
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,unique",
+    [
+        (["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "1"], True),
+        (["--family", "module", "--gamma", "3", "--rounds", "20"], True),
+        # N^k * n > DP_GUARD: uniqueness is not decided
+        (["--family", "module", "--gamma", "4", "--rounds", "1"], None),
+    ],
+    ids=["gb-m2-g2", "module-g3-r20", "module-g4"],
+)
+def test_perm_uniqueness_is_decided_under_the_dp_guard(argv, unique, tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("run", *argv, "--algo", "perm", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["extra"]["unique_opt"] is unique
+    assert report["results"]["pass"] is True
+
+
+def test_perm_schedule_that_is_not_lazy_is_not_the_unique_optimum(
+    tmp_path, monkeypatch
+):
+    # the same moves with the first two server ids swapped: the count still
+    # finds one optimum, but this schedule moves servers from where none stands
+    from kslab import adversary
+
+    real = adversary.perm_algorithm
+
+    def swapped(g, seq, init):
+        sched = real(g, seq, init)
+        a, b, *rest = sched.moves
+        a, b = replace(a, server=b.server), replace(b, server=a.server)
+        return Schedule(moves=[a, b, *rest], total_cost=sched.total_cost)
+
+    monkeypatch.setattr(adversary, "perm_algorithm", swapped)
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "run", "--family", "module", "--gamma", "2", "--rounds", "1",
+        "--algo", "perm", "--out", str(out),
+    ) == 1
+    report = json.loads(out.read_text())
+    assert report["extra"]["unique_opt"] is False
+    assert report["results"]["pass"] is False
 
 
 def test_fraction_flow_run_report_is_pinned(tmp_path, monkeypatch):

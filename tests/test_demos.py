@@ -20,6 +20,9 @@ def test_demo_exits_zero(demo, tmp_path):
         capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
+    if demo.stem == "02_module_families_and_perm":
+        # PERM's schedule is the unique optimum on all four sequences
+        assert out.stdout.count("optimal schedules: 1\n") == 4, out.stdout
 
 
 def test_demos_are_found():

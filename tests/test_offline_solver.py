@@ -28,7 +28,7 @@ from kslab.offline_solver import (
     InvalidSchedule,
     Move,
     Schedule,
-    opt_all_schedules,
+    count_optimal_schedules,
     opt_cost_dp,
     opt_cost_flow,
     replay_cost,
@@ -70,18 +70,23 @@ def test_guard():
         opt_cost_dp(g, tuple(range(6)), list(range(20)) * 50)
 
 
+def test_count_runs_under_the_dp_guard():
+    g = path_graph(20)
+    with pytest.raises(InstanceTooLarge, match="count_optimal_schedules"):
+        count_optimal_schedules(g, tuple(range(6)), list(range(20)) * 50)
+
+
 def test_all_schedules_single_server():
     g = path_graph(4)
-    scheds = opt_all_schedules(g, (0,), [2])
-    assert len(scheds) == 1
-    assert scheds[0].total_cost == 2
+    assert count_optimal_schedules(g, (0,), [2]) == (2, 1)
 
 
 def test_all_schedules_symmetric_pair():
     # either server may serve the middle vertex at cost 1
     g = path_graph(5)
-    scheds = opt_all_schedules(g, (1, 3), [2])
-    assert len(scheds) == 2
+    dm = all_pairs_shortest_paths(g)
+    assert count_optimal_schedules(g, (1, 3), [2], dm) == (1, 2)
+    scheds = _oracle_all_schedules(g.n, dm.dist, (1, 3), [2])
     assert {s.move_triples() for s in scheds} == {((0, 1, 2),), ((0, 3, 2),)}
 
 
@@ -166,12 +171,13 @@ def test_all_schedules_contains_dp_schedule_and_is_minimal():
         init = random_distinct_vertices(rng, 2, g.n)
         sigma = random_requests(rng, 1 + rng.randrange(8), g.n)
         cost, sched = opt_cost_dp(g, init, sigma, dm)
-        everything = opt_all_schedules(g, init, sigma, dm)
+        everything = _oracle_all_schedules(g.n, dm.dist, init, sigma)
         assert all(s.total_cost == cost for s in everything)
         assert sched.move_triples() in {s.move_triples() for s in everything}
-        # enumerated schedules are pairwise distinct
+        # enumerated schedules are pairwise distinct, and all of them counted
         triples = [s.move_triples() for s in everything]
         assert len(triples) == len(set(triples))
+        assert count_optimal_schedules(g, init, sigma, dm) == (cost, len(triples))
 
 
 def _tampered_flow(monkeypatch, tamper):
@@ -476,12 +482,26 @@ def test_dp_matches_configuration_oracle(instance):
     oracle = _oracle_schedule(dm.dist, init, sigma)
     assert cost == oracle.total_cost
     assert _moves(sched) == _moves(oracle)
-    assert [_moves(s) for s in opt_all_schedules(g, init, sigma, dm)] == [
-        _moves(s) for s in _oracle_all_schedules(g.n, dm.dist, init, sigma)
-    ]
 
 
-@pytest.mark.parametrize("solve", [opt_cost_dp, opt_all_schedules, opt_cost_flow])
+@settings(max_examples=300, deadline=None)
+@given(_small_instances(max_servers=4))
+@example((path_graph(5), (2, 2, 0, 2), [2, 0, 4, 2, 4, 0]))  # repeats, occupied
+@example((path_graph(5), (4, 0, 0, 3), [0, 0, 4, 1, 4]))
+@example((path_graph(3), (0, 0, 2), [1, 0, 2]))  # two servers on p_0 = 0
+@example((Graph(3, [(0, 1, Fraction(3, 2)), (1, 2, 2)]), (1, 1), []))
+def test_count_matches_configuration_oracle(instance):
+    # the count is the number of distinct optimal (t, src, dst) schedules
+    g, init, sigma = instance
+    dm = all_pairs_shortest_paths(g)
+    cost, count = count_optimal_schedules(g, init, sigma, dm)
+    assert cost == opt_cost_dp(g, init, sigma, dm)[0]
+    assert count == len(_oracle_all_schedules(g.n, dm.dist, init, sigma))
+
+
+@pytest.mark.parametrize(
+    "solve", [opt_cost_dp, count_optimal_schedules, opt_cost_flow]
+)
 def test_dp_without_servers(solve):
     g = path_graph(3)
     with pytest.raises(ValueError, match="init: no servers to serve 2 requests"):
