@@ -9,13 +9,15 @@ is the multiset of the other k-1 servers: a layer holds at most
 C(N+k-2, k-1) states, only a state whose winning move did not start on
 the previous request keeps a back-pointer, and ties go to the least
 source vertex.  Counting the optimal schedules keeps (least cost, number
-of cost-minimal ways in) per state instead.  The flow network keeps at
-most k + min(t, N) arcs into request t (from the servers, and from the
-latest earlier request at each vertex), so O(n * (k + N)) arcs for n
-requests.  It is solved by k successive shortest paths (the first from
-one pass over the DAG, the rest by heap Dijkstra on reduced costs), over
-plain index arrays and exact ints, with no graph library.  Both emit lazy
-schedules: exactly one server moves per request, directly to the
+of cost-minimal ways in) per state instead.  The flow network is never
+stored: its at most k + min(t, N) arcs into request t (from the servers,
+and from the latest earlier request at each vertex) are read off the
+request sequence and the metric rows of the requested vertices.  It is
+solved by k successive shortest paths (the first from one pass over the
+DAG, the rest by heap Dijkstra on reduced costs over the forward arcs and
+the reverses of the few that carry flow) in exact ints, with no graph
+library.  Its ties go by node id, and its cost is read off the
+potentials.  Both emit lazy schedules: exactly one server moves per request, directly to the
 requested vertex.
 """
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from bisect import bisect, insort
 from heapq import heappop, heappush
+from itertools import chain
 from math import lcm
 
 from .metric_core import (
@@ -333,51 +336,57 @@ def count_optimal_schedules(
     return best_cost, sum(ways for cost, ways in layer.values() if cost == best_cost)
 
 
-def _min_cost_flow(n_nodes: int, arcs, k: int) -> tuple[int, list[int]]:
-    """Exact min-cost flow of value k from node 0 to node n_nodes - 1.
+def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
+    """Min-cost flow of value k = len(init) on `opt_cost_flow`'s implicit
+    network, given rows[t], the scaled metric row of sigma[t], the ranges
+    `ends` and B = big.  Returns the flow cost and succ: succ[v] (pred[v])
+    is the head (tail) of the arc out of (into) v that carries a unit, None
+    if none does; S and T aside, a node carries at most one.
 
-    `arcs` holds (tail, head, cost) triples of capacity 1 with int costs,
-    negative ones allowed.  Node ids must be a topological order (tail <
-    head), every node must be reachable from node 0, and k arc-disjoint
-    paths must reach the sink.  Returns the flow cost and each arc's flow
-    (0 or 1) in the order of `arcs`.
-
-    k successive shortest paths: one forward pass over the DAG gives exact
-    shortest distances from node 0, which are feasible potentials, and the
-    predecessor arcs it records are the first unit's shortest path, so unit
-    1 needs no search.  Each later unit goes along a heap-Dijkstra shortest
-    path in the (nonnegative) reduced costs of the residual network.  The
-    pass keeps the first arc, in tail order, that reaches a node's
-    distance, which is the arc that a Dijkstra from node 0 on these
-    potentials would pick, since it settles every node at 0 in id order.
+    Unit 1 follows the predecessors of one forward pass over the DAG in
+    node order: exact distances from S, so feasible potentials, and the
+    first arc to reach a node's distance is the one a Dijkstra from S on
+    them would pick, as it settles every node at 0 in id order.  Units 2..k
+    go along heap-Dijkstra shortest paths in the reduced costs.
     """
-    sink = n_nodes - 1
-    to: list[int] = []  # arc e and its reverse e ^ 1
-    cap: list[int] = []
-    cost: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u, v, c in arcs:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(1)
-        cost.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-        cost.append(-c)
+    k = len(init)
+    ri0 = k + 1  # ri_t = ri0 + 2t, ro_t = ri_t + 1
+    sink = ri0 + 2 * len(sigma)
+    vert = [None, *init, *(y for y in sigma for _ in ("ri", "ro"))]  # node -> vertex
+    succ: list = [None] * (sink + 1)
+    pred: list = [None] * (sink + 1)
+
+    def arcs(u):
+        # u's residual arcs as (head, cost), each to a distinct head; for
+        # s_i and ro_t also their arc to succ[u], which carries a unit
+        if u == 0:
+            return [(v, 0) for v in range(1, ri0) if succ[v] is None]
+        if u < ri0:
+            costs = [row[vert[u]] for row in rows]
+            return chain(((sink, 0),), zip(range(ri0, sink, 2), costs))
+        t, is_ro = divmod(u - ri0, 2)
+        p = pred[u]
+        if not is_ro:
+            return ((u + 1, -big),) if p is None else ((p, -rows[t][vert[p]]),)
+        heads = range(u + 1, ri0 + 2 * ends[t] + 1, 2)
+        costs = map(rows[t].__getitem__, sigma[t + 1:ends[t] + 1])
+        back = ((p, big),) if p is not None else ()
+        return chain(((sink, 0),), zip(heads, costs), back)
+
     inf = float("inf")  # "not reached" sentinel; never enters a sum
-    pot: list = [inf] * n_nodes
+    pot: list = [inf] * (sink + 1)
     pot[0] = 0
-    prev = [0] * n_nodes
-    for u in range(n_nodes):
-        for e in adj[u]:
-            if cap[e] and pot[u] + cost[e] < pot[to[e]]:
-                pot[to[e]] = pot[u] + cost[e]
-                prev[to[e]] = e
+    prev = [0] * (sink + 1)
+    for u in range(sink):
+        base = pot[u]
+        for v, c in arcs(u):
+            if base + c < pot[v]:
+                pot[v] = base + c
+                prev[v] = u
+    cost = 0
     for unit in range(k):
         if unit:
-            dist: list = [inf] * n_nodes
-            prev = [0] * n_nodes
+            dist: list = [inf] * (sink + 1)
             dist[0] = 0
             heap = [(0, 0)]
             while heap:
@@ -387,27 +396,32 @@ def _min_cost_flow(n_nodes: int, arcs, k: int) -> tuple[int, list[int]]:
                 if u == sink:
                     break
                 base = d + pot[u]
-                for e in adj[u]:
-                    if cap[e]:
-                        v = to[e]
-                        nd = base + cost[e] - pot[v]
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            prev[v] = e
-                            heappush(heap, (nd, v))
+                full = succ[u]  # u's arc that carries a unit, if any
+                for v, c in arcs(u):
+                    nd = base + c - pot[v]
+                    if nd < dist[v] and v != full:
+                        dist[v] = nd
+                        prev[v] = u
+                        heappush(heap, (nd, v))
             # Nodes left unsettled (or unreached) get the sink's distance,
             # which keeps every residual reduced cost nonnegative.
             reach = dist[sink]
-            for v in range(n_nodes):
-                pot[v] += dist[v] if dist[v] < reach else reach
+            for v, dv in enumerate(dist):
+                pot[v] += dv if dv < reach else reach
+        cost += pot[sink]
         v = sink
         while v:
-            e = prev[v]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            v = to[e ^ 1]
-    flow = cap[1::2]
-    return sum(c * f for (_, _, c), f in zip(arcs, flow)), flow
+            u = prev[v]
+            if u < v:  # a forward arc: it carries this unit
+                succ[u] = v
+                pred[v] = u
+            else:  # the reverse of v -> u: that arc's unit is cancelled
+                if succ[v] == u:
+                    succ[v] = None
+                if pred[u] == v:
+                    pred[u] = None
+            v = u
+    return cost, succ
 
 
 def opt_cost_flow(
@@ -435,6 +449,17 @@ def opt_cost_flow(
     the cost does not rise.  Done at the least skipped u', the exchange
     leaves no arc that skips a request at or before u', so at most n
     exchanges turn an optimum into one whose every arc is kept.
+
+    No arc is stored: ro_u feeds ri_t for u < t <= ends[u], the next
+    request at sigma_u (n - 1 if none), and costs are read off the requests'
+    scaled rows.  A node's residual arcs are, in the order relaxed, s_i: T,
+    ri_0 .. ri_{n-1}; ri_t: the reverse to its tail, else ro_t; ro_t: T,
+    ri_{t+1} .. ri_{ends[t]}, the reverse to ri_t.  Their heads are
+    distinct, so node ids alone break ties, as in an arc-list solver on the
+    same node ids: nodes are scanned, or popped at equal distance, in id
+    order, and a node keeps the first tail that reaches its distance.  The
+    flow cost, the sum of the units' path costs (pot[T] after each), is
+    checked against the cost of the decoded schedule.
     """
     if dm is None:
         dm = all_pairs_shortest_paths(g)
@@ -448,40 +473,33 @@ def opt_cost_flow(
     scale = lcm(
         *(w.denominator for _, _, w in g.edges if isinstance(w, Fraction)), 1
     )
+    scaled = {r: dist[r] for r in set(sigma)}  # a row per requested vertex
+    if scale > 1:
+        scaled = {r: [int(x * scale) for x in row] for r, row in scaled.items()}
+    rows = [scaled[r] for r in sigma]
     # Nodes: S = 0, s_i = 1 + i, ri_t = k + 1 + 2t, ro_t = ri_t + 1, T last.
     sink = k + 1 + 2 * n
-    arcs = [(0, 1 + i, 0) for i in range(k)]
-    arcs += [(1 + i, sink, 0) for i in range(k)]
     big = 1  # B: 1 + the sum over requests of the costliest arc into ri_t
-    last: dict[int, int] = {}  # vertex -> its latest request so far, oldest first
-    for t, r in enumerate(sigma):
-        ri = k + 1 + 2 * t
-        dr = dist[r]
-        into = [int(dr[x] * scale) for x in init]
-        into += [int(dr[y] * scale) for y in last]
-        big += max(into)
-        arcs += [(1 + i, ri, into[i]) for i in range(k)]
-        arcs += [
-            (k + 2 + 2 * u, ri, c) for u, c in zip(last.values(), into[k:])
-        ]
-        arcs.append((ri + 1, sink, 0))
-        last.pop(r, None)
+    ends = [n - 1] * n  # ro_u feeds ri_t for u < t <= ends[u]
+    last: dict[int, int] = {}  # vertex -> its latest request so far
+    for t, (r, row) in enumerate(zip(sigma, rows)):
+        big += max(map(row.__getitem__, (*init, *last)))
+        if r in last:
+            ends[last[r]] = t
         last[r] = t
-    arcs += [(k + 1 + 2 * t, k + 2 + 2 * t, -big) for t in range(n)]
-    flow_cost, flow = _min_cost_flow(sink + 1, arcs, k)
+    flow_cost, succ = _flow_units(init, sigma, rows, ends, big)
     total = Fraction(flow_cost + n * big, scale)
     total = int(total) if total.denominator == 1 else total
 
     # Each server's unit: s_i -> ri_t -> ro_t -> ri_u -> ... -> T.
-    succ = {u: v for (u, v, _), f in zip(arcs, flow) if f}
     serve_t: dict[int, int] = {}
     for i in range(k):
-        v = succ.get(1 + i)
+        v = succ[1 + i]
         while v is not None and v != sink:
             t, is_ro = divmod(v - k - 1, 2)
             if not is_ro:
                 serve_t[t] = i
-            v = succ.get(v)
+            v = succ[v]
     if len(serve_t) != n:
         missed = min(set(range(n)) - serve_t.keys())
         raise FlowDecodeError(f"flow failed to cover request t={missed}")

@@ -54,7 +54,8 @@ from .tree_decomp import rooted_walk
 
 
 class NoLabeledServerOnRootPath(RuntimeError):
-    """No server with the decoded label sits on the decoded heavy path."""
+    """No server with the decoded label (and suffix) sits on the decoded
+    heavy path, or the label names no tree of the system."""
 
 
 class UncertifiedLeg(RuntimeError):
@@ -440,6 +441,14 @@ def _ordinal_width(hp: HeavyPathIndex, ref: int) -> int:
     return ceil_log2(hp.seg_ordinal(ref) + 1)
 
 
+def _read_label(tape: AdviceTape, hp: list, w_mu: int, where: str) -> int:
+    """A tree label off the tape; one that names no tree raises."""
+    p = tape.read_uint(w_mu)
+    if p >= len(hp):
+        raise NoLabeledServerOnRootPath(f"{where}: label {p} but {len(hp)} trees")
+    return p
+
+
 def _pick_leg_tree(
     hps, system: SpannerSystem, dm, bindings, sid: int, x: int, y: int, t
 ) -> tuple[int, int]:
@@ -584,7 +593,7 @@ def run_online_spanner(
     ambiguous = 0
     suffix_bits = 0
     for i in range(k):
-        p = tape.read_uint(w_mu)
+        p = _read_label(tape, hp, w_mu, f"initial record {i}")
         s = tape.read_uint(_ordinal_width(hp[p], positions[i]))
         segs = hp[p].segments_on_root_path(positions[i])
         if s >= len(segs):
@@ -595,7 +604,7 @@ def run_online_spanner(
     cost = 0
     log: list[SpannerMove] = []
     for t, y in enumerate(sigma):
-        p = tape.read_uint(w_mu)
+        p = _read_label(tape, hp, w_mu, f"request {t}")
         s = tape.read_uint(_ordinal_width(hp[p], y))
         segs = hp[p].segments_on_root_path(y)
         if s >= len(segs):
@@ -612,7 +621,13 @@ def run_online_spanner(
             ambiguous += 1
             width = _suffix_width(len(candidates))
             suffix_bits += width
-            sid = candidates[tape.read_uint(width)]
+            pick = tape.read_uint(width)
+            if pick >= len(candidates):
+                raise NoLabeledServerOnRootPath(
+                    f"request {t}: suffix {pick} beyond the {len(candidates)} "
+                    f"label-{p} servers on heavy path {head}"
+                )
+            sid = candidates[pick]
         else:
             sid = candidates[0]
         src = positions[sid]
@@ -622,7 +637,7 @@ def run_online_spanner(
             raise RelayOffTreePath(t, p, src, y, relay)
         cost += move_cost
         positions[sid] = y
-        q_idx = tape.read_uint(w_mu)
+        q_idx = _read_label(tape, hp, w_mu, f"request {t} parking")
         s2 = tape.read_uint(_ordinal_width(hp[q_idx], y))
         segs2 = hp[q_idx].segments_on_root_path(y)
         if s2 >= len(segs2):

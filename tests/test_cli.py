@@ -272,6 +272,38 @@ def test_fraction_flow_run_report_is_pinned(tmp_path, monkeypatch):
     )
 
 
+def test_mixed_fraction_flow_run_report_is_pinned(tmp_path, monkeypatch):
+    # a 60-vertex partial 3-tree whose "p/q" weights have denominators 1..5,
+    # so the flow scales its costs by 60; 3 servers and 60 requests drawn
+    # from --seed: N^3 * n > DP_GUARD, so OPT takes the flow route
+    rng = SplitMix64(151)
+    g, td = random_partial_ktree(rng, 60, 3)
+    edges = []
+    for u, v, _ in g.edges:
+        q = rng.randint(1, 5)
+        edges.append([u, v, num_to_json(Fraction(rng.randint(q, 4 * q), q))])
+    flow_calls = []
+    real = kslab.cli.opt_cost_flow
+    monkeypatch.setattr(
+        kslab.cli, "opt_cost_flow", lambda *a: flow_calls.append(a) or real(*a)
+    )
+    monkeypatch.chdir(tmp_path)
+    Path("g.json").write_text(json.dumps({"n": g.n, "edges": edges}))
+    Path("td.json").write_text(json.dumps(td.to_json()))
+    assert run_cli(
+        "run", "--graph", "g.json", "--td", "td.json", "--k", "3", "--n", "60",
+        "--seed", "5", "--algo", "gpc", "--out", "r.json",
+    ) == 0
+    report = Path("r.json").read_bytes()
+    results = json.loads(report)["results"]
+    assert results["pass"] is True
+    assert results["opt_cost"] == "4233/20"
+    assert len(flow_calls) == 1
+    assert hashlib.sha256(report).hexdigest() == (
+        "424cb73746ef0b66aeed4a2b73ba0b8a21f8938594307671fc3277d66a202865"
+    )
+
+
 def test_cli_import_leaves_networkx_out():
     code = "import sys, kslab.cli; sys.exit('networkx' in sys.modules)"
     src = str(Path(kslab.__file__).resolve().parent.parent)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 
 import pytest
@@ -181,17 +182,17 @@ def test_all_schedules_contains_dp_schedule_and_is_minimal():
 
 
 def _tampered_flow(monkeypatch, tamper):
-    real = offline_solver._min_cost_flow
+    real = offline_solver._flow_units
 
-    def fake(n_nodes, arcs, k):
-        cost, flow = real(n_nodes, arcs, k)
-        return tamper(arcs, cost, flow)
+    def fake(init, sigma, rows, ends, big):
+        cost, succ = real(init, sigma, rows, ends, big)
+        return tamper(cost, succ)
 
-    monkeypatch.setattr(offline_solver, "_min_cost_flow", fake)
+    monkeypatch.setattr(offline_solver, "_flow_units", fake)
 
 
 def test_flow_decode_checks_cost(monkeypatch):
-    _tampered_flow(monkeypatch, lambda arcs, cost, flow: (cost + 1, flow))
+    _tampered_flow(monkeypatch, lambda cost, succ: (cost + 1, succ))
     with pytest.raises(FlowDecodeError, match="schedule costs 3, flow costs 4"):
         opt_cost_flow(path_graph(5), (0, 4), [2, 3])
 
@@ -199,8 +200,8 @@ def test_flow_decode_checks_cost(monkeypatch):
 def test_flow_decode_checks_coverage(monkeypatch):
     ri_0 = 3  # node ids: S, the 2 server nodes, then request 0's in-node
 
-    def drop_first_request(arcs, cost, flow):
-        return cost, [0 if v == ri_0 else f for (_, v, _), f in zip(arcs, flow)]
+    def drop_first_request(cost, succ):
+        return cost, [None if v == ri_0 else v for v in succ]
 
     _tampered_flow(monkeypatch, drop_first_request)
     with pytest.raises(FlowDecodeError, match="cover request t=0"):
@@ -236,13 +237,117 @@ def _network_simplex_cost(dm, init, sigma):
     return Fraction(nx.network_simplex(G)[0], scale)
 
 
-def _dense_flow_cost(dm, init, sigma):
-    """OPT and its schedule from the min-cost flow on the full request DAG,
-    an arc from every request to every later one: the network whose arcs
-    `opt_cost_flow` prunes, on opt_cost_flow's node ids."""
+# A general min-cost flow on an explicit arc list: the oracle for the
+# schedules of `opt_cost_flow`, which never builds its arcs.
+def _min_cost_flow(n_nodes: int, arcs, k: int) -> tuple[int, list[int]]:
+    """Exact min-cost flow of value k from node 0 to node n_nodes - 1.
+
+    `arcs` holds (tail, head, cost) triples of capacity 1 with int costs,
+    negative ones allowed.  Node ids must be a topological order (tail <
+    head), every node must be reachable from node 0, and k arc-disjoint
+    paths must reach the sink.  Returns the flow cost and each arc's flow
+    (0 or 1) in the order of `arcs`.
+
+    k successive shortest paths: one forward pass over the DAG gives exact
+    shortest distances from node 0, which are feasible potentials, and the
+    predecessor arcs it records are the first unit's shortest path, so unit
+    1 needs no search.  Each later unit goes along a heap-Dijkstra shortest
+    path in the (nonnegative) reduced costs of the residual network.  The
+    pass keeps the first arc, in tail order, that reaches a node's
+    distance, which is the arc that a Dijkstra from node 0 on these
+    potentials would pick, since it settles every node at 0 in id order.
+    """
+    sink = n_nodes - 1
+    to: list[int] = []  # arc e and its reverse e ^ 1
+    cap: list[int] = []
+    cost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    for u, v, c in arcs:
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(1)
+        cost.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+        cost.append(-c)
+    inf = float("inf")  # "not reached" sentinel; never enters a sum
+    pot: list = [inf] * n_nodes
+    pot[0] = 0
+    prev = [0] * n_nodes
+    for u in range(n_nodes):
+        for e in adj[u]:
+            if cap[e] and pot[u] + cost[e] < pot[to[e]]:
+                pot[to[e]] = pot[u] + cost[e]
+                prev[to[e]] = e
+    for unit in range(k):
+        if unit:
+            dist: list = [inf] * n_nodes
+            prev = [0] * n_nodes
+            dist[0] = 0
+            heap = [(0, 0)]
+            while heap:
+                d, u = heappop(heap)
+                if d > dist[u]:
+                    continue
+                if u == sink:
+                    break
+                base = d + pot[u]
+                for e in adj[u]:
+                    if cap[e]:
+                        v = to[e]
+                        nd = base + cost[e] - pot[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            prev[v] = e
+                            heappush(heap, (nd, v))
+            # Nodes left unsettled (or unreached) get the sink's distance,
+            # which keeps every residual reduced cost nonnegative.
+            reach = dist[sink]
+            for v in range(n_nodes):
+                pot[v] += dist[v] if dist[v] < reach else reach
+        v = sink
+        while v:
+            e = prev[v]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            v = to[e ^ 1]
+    flow = cap[1::2]
+    return sum(c * f for (_, _, c), f in zip(arcs, flow)), flow
+
+
+def _sparse_arcs(dist, init, sigma, scale):
+    """The arc list and B of the pruned request DAG on opt_cost_flow's node
+    ids: into ri_t one arc per server and one from the latest earlier
+    request at each distinct vertex."""
     k, n = len(init), len(sigma)
-    dist = dm.dist
-    scale = lcm(*(d.denominator for row in dist for d in row), 1)
+    # Nodes: S = 0, s_i = 1 + i, ri_t = k + 1 + 2t, ro_t = ri_t + 1, T last.
+    sink = k + 1 + 2 * n
+    arcs = [(0, 1 + i, 0) for i in range(k)]
+    arcs += [(1 + i, sink, 0) for i in range(k)]
+    big = 1  # B: 1 + the sum over requests of the costliest arc into ri_t
+    last: dict[int, int] = {}  # vertex -> its latest request so far, oldest first
+    for t, r in enumerate(sigma):
+        ri = k + 1 + 2 * t
+        dr = dist[r]
+        into = [int(dr[x] * scale) for x in init]
+        into += [int(dr[y] * scale) for y in last]
+        big += max(into)
+        arcs += [(1 + i, ri, into[i]) for i in range(k)]
+        arcs += [
+            (k + 2 + 2 * u, ri, c) for u, c in zip(last.values(), into[k:])
+        ]
+        arcs.append((ri + 1, sink, 0))
+        last.pop(r, None)
+        last[r] = t
+    arcs += [(k + 1 + 2 * t, k + 2 + 2 * t, -big) for t in range(n)]
+    return arcs, big
+
+
+def _dense_arcs(dist, init, sigma, scale):
+    """The arc list and B of the full request DAG, an arc from every request
+    to every later one: the network whose arcs `opt_cost_flow` prunes."""
+    k, n = len(init), len(sigma)
 
     def w(x, y):
         return int(dist[x][y] * scale)
@@ -257,7 +362,17 @@ def _dense_flow_cost(dm, init, sigma):
         arcs += [(1 + i, ri, w(x, r)) for i, x in enumerate(init)]
         arcs += [(k + 2 + 2 * u, ri, w(sigma[u], r)) for u in range(t)]
         arcs += [(ri, ri + 1, -big), (ri + 1, sink, 0)]
-    cost, flow = offline_solver._min_cost_flow(sink + 1, arcs, k)
+    return arcs, big
+
+
+def _arc_list_flow(dm, init, sigma, build, scale):
+    """OPT and its schedule from `_min_cost_flow` on the arcs `build` makes,
+    on opt_cost_flow's node ids."""
+    k, n = len(init), len(sigma)
+    dist = dm.dist
+    arcs, big = build(dist, init, sigma, scale)
+    sink = k + 1 + 2 * n
+    cost, flow = _min_cost_flow(sink + 1, arcs, k)
     succ = {u: v for (u, v, _), f in zip(arcs, flow) if f}
     server_of = {}
     for i in range(k):
@@ -275,6 +390,12 @@ def _dense_flow_cost(dm, init, sigma):
         positions[i] = r
     total = Fraction(cost + n * big, scale)
     return total, Schedule(moves=moves, total_cost=total)
+
+
+def _dense_flow_cost(dm, init, sigma):
+    """OPT and its schedule from the min-cost flow on the full request DAG."""
+    scale = lcm(*(d.denominator for row in dm.dist for d in row), 1)
+    return _arc_list_flow(dm, init, sigma, _dense_arcs, scale)
 
 
 @st.composite
@@ -323,25 +444,61 @@ def test_sparse_flow_matches_dense_flow_and_dp(instance):
     validate_lazy_schedule(dm, init, sigma, s_dense)
 
 
-def test_flow_keeps_one_arc_per_vertex_into_each_request(monkeypatch):
-    # arcs: S -> s_i and s_i -> T per server, ri_t -> ro_t and ro_t -> T per
-    # request, and into ri_t one per server plus one per distinct earlier
-    # requested vertex (from its latest request)
+@settings(max_examples=200, deadline=None)
+@given(_small_instances(max_servers=4, max_requests=14))
+@example((path_graph(5), (2, 2, 0), [2, 0, 4, 2, 4, 0, 0, 2, 4, 4]))
+@example((path_graph(4), (3, 3, 3), [0, 3, 0, 3, 1, 0, 1, 3]))
+def test_flow_schedule_matches_arc_list_oracle(instance):
+    # the implicit network breaks ties by node id, as the arc-list solver
+    # does on the same arcs, so its schedule is the same move for move
+    g, init, sigma = instance
+    dm = all_pairs_shortest_paths(g)
+    _, sched = opt_cost_flow(g, init, sigma, dm)
+    # opt_cost_flow's scale: the lcm of the edge weights' denominators
+    scale = lcm(*(w.denominator for _, _, w in g.edges if isinstance(w, Fraction)), 1)
+    _, oracle = _arc_list_flow(dm, init, sigma, _sparse_arcs, scale)
+    assert _moves(sched) == _moves(oracle)
+
+
+@pytest.mark.parametrize("n_v,k,n", [(60, 3, 60), (40, 4, 120)])
+def test_flow_schedule_matches_arc_list_oracle_on_larger_instances(n_v, k, n):
+    rng = SplitMix64(408 + n_v)
+    g, _ = random_partial_ktree(rng, n_v, 3, max_weight=9)
+    dm = all_pairs_shortest_paths(g)
+    init = random_distinct_vertices(rng, k, g.n)
+    sigma = random_requests(rng, n, g.n)
+    _, sched = opt_cost_flow(g, init, sigma, dm)
+    _, oracle = _arc_list_flow(dm, init, sigma, _sparse_arcs, 1)
+    assert _moves(sched) == _moves(oracle)
+
+
+def test_flow_feeds_each_request_from_one_arc_per_vertex(monkeypatch):
+    # ro_u feeds ri_t for u < t <= ends[u]: into ri_t go one arc per server
+    # and one per distinct earlier requested vertex, from its latest request
     seen = []
+    real = offline_solver._flow_units
 
-    def count(arcs, cost, flow):
-        seen.append(len(arcs))
-        return cost, flow
+    def spy(init, sigma, rows, ends, big):
+        seen.append(ends)
+        return real(init, sigma, rows, ends, big)
 
-    _tampered_flow(monkeypatch, count)
+    monkeypatch.setattr(offline_solver, "_flow_units", spy)
     rng = SplitMix64(407)
     g, _ = random_partial_ktree(rng, 12, 2, max_weight=5)
     init = random_distinct_vertices(rng, 3, g.n)
     sigma = random_requests(rng, 80, g.n)
     k, n = len(init), len(sigma)
     opt_cost_flow(g, init, sigma)
+    [ends] = seen
+    for t in range(n):
+        feeders = [u for u in range(t) if t <= ends[u]]
+        latest = {y: u for u, y in enumerate(sigma[:t])}
+        assert feeders == sorted(latest.values()), f"request {t}"
+    # S -> s_i and s_i -> T per server, ri_t -> ro_t and ro_t -> T per
+    # request, and the arcs into the requests
+    arcs = 2 * k + 2 * n + k * n + sum(e - u for u, e in enumerate(ends))
     into = sum(k + len(set(sigma[:t])) for t in range(n))
-    assert seen == [2 * k + 2 * n + into]
+    assert arcs == 2 * k + 2 * n + into
     assert into < k * n + n * (n - 1) // 2  # the full DAG's arcs into requests
 
 
@@ -507,3 +664,33 @@ def test_dp_without_servers(solve):
     with pytest.raises(ValueError, match="init: no servers to serve 2 requests"):
         solve(g, (), [0, 2])
     assert opt_cost_dp(g, (), [])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "path-rounds", "--n", "40"],
+        ["--family", "path-rounds", "--size", "7", "--n", "60"],
+        ["--family", "module", "--gamma", "2", "--rounds", "3"],
+        ["--family", "module", "--gamma", "3", "--rounds", "2"],
+        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "1"],
+        ["--family", "random-ktree", "--size", "14", "--k", "3", "--n", "25"],
+        ["--family", "random-ktree", "--size", "30", "--k", "2", "--n", "40"],
+        ["--family", "grid", "--size", "4", "--k", "3", "--n", "25"],
+    ],
+    ids=lambda flags: "-".join(flags[1::2]),
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_matches_dp_on_every_family(flags, seed):
+    # the instances `kslab run` builds: the flow's schedule is a lazy one of
+    # the DP's exact cost
+    from kslab import cli
+
+    args = cli.make_parser().parse_args(["run", *flags, "--seed", str(seed)])
+    g, init, sigma, _, _ = cli._build_instance(cli.RunSpec(**vars(args)))
+    dm = all_pairs_shortest_paths(g)
+    c_dp, _ = opt_cost_dp(g, init, sigma, dm)
+    c_fl, s_fl = opt_cost_flow(g, init, sigma, dm)
+    assert c_fl == c_dp
+    validate_lazy_schedule(dm, init, sigma, s_fl)
+    assert replay_cost(dm, s_fl) == c_dp
