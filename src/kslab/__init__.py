@@ -10,9 +10,7 @@ from .metric_core import (
     SelfLoop,
     all_pairs_shortest_paths,
     graph_from_json,
-    graph_from_text,
     graph_to_json,
-    graph_to_text,
     shortest_path_vertices,
 )
 from .offline_solver import (
@@ -27,7 +25,6 @@ from .tree_decomp import (
     HeightReductionFault,
     NoIntersection,
     TreeDecomposition,
-    exact_treewidth,
     gb_decomposition,
     intersect_shortest_path,
     module_graph_decomposition,

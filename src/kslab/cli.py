@@ -313,7 +313,12 @@ def _step_spanner(spec: RunSpec, inst: Instance, dm, opt: Schedule):
     g, init, sigma = inst.g, inst.init, inst.sigma
     extra = {}
     if spec.spanners:
-        system = system_from_json(g, _read(spec.spanners), dm)
+        try:
+            system = system_from_json(g, _read(spec.spanners), dm)
+        except StretchClaimRejected as exc:
+            raise BadFlag("--spanners", str(exc)) from None
+        if system.q is None:
+            raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
     else:
         roots = random_distinct_vertices(SplitMix64(spec.seed ^ 0xB0F5), 2, g.n)
         trees = [shortest_path_tree(g, r) for r in roots]

@@ -41,8 +41,8 @@ class InconsistentMetric(RuntimeError):
 
 
 class GraphFormatError(GraphError):
-    """Malformed external input, carrying its location: a line (graph text),
-    an index (graph JSON) or a field of an instance, schedule or spanner file.
+    """Malformed external input, carrying its location: an index (graph
+    JSON) or a field of an instance, decomposition or spanner file.
     """
 
     def __init__(self, location: str, message: str):
@@ -83,6 +83,10 @@ class Graph:
             if key in seen:
                 raise GraphError(f"duplicate edge {key}")
             seen[key] = w
+        if len(seen) < n - 1:  # checked before anything is sized by n
+            raise DisconnectedGraph(
+                f"{n} vertices need at least {n - 1} edges, got {len(seen)}"
+            )
         self.n = n
         self.edges: tuple[tuple[int, int, Weight], ...] = tuple(
             (u, v, seen[(u, v)]) for (u, v) in sorted(seen)
@@ -228,8 +232,7 @@ def shortest_path_vertices(dm: DistanceMatrix, x: int, y: int) -> list[int]:
 # External formats.
 #
 # Exact numbers in JSON: an int, or a "p/q" string in lowest terms with q > 1.
-# Text:  first line "N M", then M lines "u v w".
-# JSON:  {"n": N, "edges": [[u, v, w], ...]}.
+# Graph: {"n": N, "edges": [[u, v, w], ...]}.
 
 
 def num_to_json(x):
@@ -245,13 +248,14 @@ def num_to_json(x):
 def num_from_json(x, location: str) -> Weight:
     """The exact number an int or a "p/q" string stands for.
 
-    Strings are read by `Fraction`, so "3" and "1.5" pass too.  Integral
-    values come back as ints; anything else raises GraphFormatError naming
-    `location`.
+    Strings are read by `Fraction`, so "3" and "1.5" pass too, but not
+    exponent forms: "1e99999999" would have Fraction build its power of
+    ten.  Integral values come back as ints; anything else raises
+    GraphFormatError naming `location`.
     """
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    if isinstance(x, str):
+    if isinstance(x, str) and "e" not in x.lower():
         try:
             f = Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -267,6 +271,9 @@ def parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"line {exc.lineno}", exc.msg) from exc
+    except (ValueError, RecursionError) as exc:
+        # an int past Python's digit limit, or nesting past the stack
+        raise GraphFormatError("top level", str(exc)) from exc
 
 
 def json_field(obj, key: str, where: str = ""):
@@ -286,53 +293,12 @@ def is_vertex(v, n: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
-def graph_from_text(text: str) -> Graph:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise GraphFormatError("line 1", "missing 'N M' header")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphFormatError("line 1", "header must be 'N M'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphFormatError("line 1", "header must hold two integers")
-    edges = []
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}", "expected 'u v w'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}", "u and v must be integers")
-        edges.append((u, v, num_from_json(parts[2], f"line {lineno}")))
-    if len(edges) != m:
-        raise GraphFormatError(
-            f"line {lineno}", f"header promised {m} edges, found {len(edges)}"
-        )
-    try:
-        return Graph(n, edges)
-    except GraphFormatError:
-        raise
-    except GraphError as exc:
-        raise GraphFormatError(f"line {lineno}", str(exc)) from exc
-
-
-def graph_to_text(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v} {w}" for u, v, w in g.edges)
-    return "\n".join(out) + "\n"
-
-
 def graph_from_json(text: str) -> Graph:
     obj = parse_json(text)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError("top level", "expected {'n': ..., 'edges': [...]}")
+    if not isinstance(obj["edges"], list):
+        raise GraphFormatError("edges", "expected a list of [u, v, w]")
     edges = []
     for i, e in enumerate(obj["edges"]):
         if not isinstance(e, list) or len(e) != 3:

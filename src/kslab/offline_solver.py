@@ -32,10 +32,7 @@ from math import lcm
 from .metric_core import (
     DistanceMatrix,
     Graph,
-    GraphFormatError,
     all_pairs_shortest_paths,
-    json_field,
-    num_from_json,
     num_to_json,
 )
 
@@ -93,28 +90,6 @@ class Schedule:
             "total_cost": num_to_json(self.total_cost),
             "moves": [m.to_json() for m in self.moves],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Schedule":
-        """The schedule `to_json` wrote; a missing field or a bad number
-        raises GraphFormatError naming it, as in "moves[2].server"."""
-        raw = json_field(obj, "moves")
-        if not isinstance(raw, list):
-            raise GraphFormatError("moves", "expected a list of moves")
-        moves = []
-        for i, m in enumerate(raw):
-            where = f"moves[{i}]"
-            moves.append(
-                Move(
-                    t=json_field(m, "t", where),
-                    server=json_field(m, "server", where),
-                    src=json_field(m, "from", where),
-                    dst=json_field(m, "to", where),
-                    cost=num_from_json(json_field(m, "cost", where), f"{where}.cost"),
-                )
-            )
-        total = num_from_json(json_field(obj, "total_cost"), "total_cost")
-        return cls(moves=moves, total_cost=total)
 
     def move_triples(self) -> tuple[tuple[int, int, int], ...]:
         """(t, src, dst) view: schedule identity modulo server relabeling."""

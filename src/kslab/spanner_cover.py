@@ -404,8 +404,9 @@ def system_from_json(g: Graph, text: str, dm: DistanceMatrix) -> SpannerSystem:
             trees.append(spanning_tree_from_parent(g, root, parent))
         except ValueError as exc:
             raise GraphFormatError(where, str(exc)) from exc
-    if obj.get("mu") is not None and obj["mu"] != len(trees):
-        raise GraphFormatError("mu", f"{obj['mu']} but {len(trees)} trees given")
+    mu = obj.get("mu")
+    if mu is not None and (type(mu) is not int or mu != len(trees)):
+        raise GraphFormatError("mu", f"{mu!r} but {len(trees)} trees given")
     if obj.get("q") is None or obj.get("r") is None:
         return SpannerSystem(trees=tuple(trees))
     q, r = num_from_json(obj["q"], "q"), num_from_json(obj["r"], "r")
@@ -441,12 +442,29 @@ def _ordinal_width(hp: HeavyPathIndex, ref: int) -> int:
     return ceil_log2(hp.seg_ordinal(ref) + 1)
 
 
-def _read_label(tape: AdviceTape, hp: list, w_mu: int, where: str) -> int:
-    """A tree label off the tape; one that names no tree raises."""
+def _write_binding(
+    tape: AdviceTape, hps: list, w_mu: int, p: int, v: int, ref: int
+) -> None:
+    """Record tree p and the ordinal of v's heavy path on ref's root path."""
+    tape.write_uint(p, w_mu)
+    tape.write_uint(hps[p].seg_ordinal(v), _ordinal_width(hps[p], ref))
+
+
+def _read_binding(
+    tape: AdviceTape, hps: list, w_mu: int, v: int, where: str
+) -> tuple[int, int, int]:
+    """(tree p, head, exit) of the heavy path a record names on v's root
+    path in tree p; a label or ordinal that names none raises."""
     p = tape.read_uint(w_mu)
-    if p >= len(hp):
-        raise NoLabeledServerOnRootPath(f"{where}: label {p} but {len(hp)} trees")
-    return p
+    if p >= len(hps):
+        raise NoLabeledServerOnRootPath(f"{where}: label {p} but {len(hps)} trees")
+    s = tape.read_uint(_ordinal_width(hps[p], v))
+    segs = hps[p].segments_on_root_path(v)
+    if s >= len(segs):
+        raise NoLabeledServerOnRootPath(
+            f"{where}: segment {s} beyond root path of {v}"
+        )
+    return (p, *segs[s])
 
 
 def _pick_leg_tree(
@@ -511,19 +529,14 @@ def generate_advice_spanner(
             p, head = _pick_leg_tree(hps, system, dm, bindings, sid, x, y, t)
             v = hps[p].lca(x, y)
         bindings[sid] = (p, head)
-        tape.write_uint(p, w_mu)
-        tape.write_uint(hps[p].seg_ordinal(v), _ordinal_width(hps[p], x))
+        _write_binding(tape, hps, w_mu, p, v, x)
 
     for i, (x0, u) in enumerate(zip(init, first)):
         bind(i, x0, u, 0, None)
     positions = list(init)
     for t, (y, sid) in enumerate(zip(sigma, servers)):
         p, head = bindings[sid]
-        tape.write_uint(p, w_mu)
-        tape.write_uint(
-            hps[p].seg_ordinal(hps[p].lca(positions[sid], y)),
-            _ordinal_width(hps[p], y),
-        )
+        _write_binding(tape, hps, w_mu, p, hps[p].lca(positions[sid], y), y)
         holders = [i for i, b in enumerate(bindings) if b == (p, head)]
         if len(holders) > 1:
             tape.write_uint(holders.index(sid), _suffix_width(len(holders)))
@@ -593,25 +606,12 @@ def run_online_spanner(
     ambiguous = 0
     suffix_bits = 0
     for i in range(k):
-        p = _read_label(tape, hp, w_mu, f"initial record {i}")
-        s = tape.read_uint(_ordinal_width(hp[p], positions[i]))
-        segs = hp[p].segments_on_root_path(positions[i])
-        if s >= len(segs):
-            raise NoLabeledServerOnRootPath(
-                f"initial record {i}: segment {s} beyond {len(segs)}"
-            )
-        bindings[i] = (p, segs[s][0])
+        where = f"initial record {i}"
+        bindings[i] = _read_binding(tape, hp, w_mu, positions[i], where)[:2]
     cost = 0
     log: list[SpannerMove] = []
     for t, y in enumerate(sigma):
-        p = _read_label(tape, hp, w_mu, f"request {t}")
-        s = tape.read_uint(_ordinal_width(hp[p], y))
-        segs = hp[p].segments_on_root_path(y)
-        if s >= len(segs):
-            raise NoLabeledServerOnRootPath(
-                f"request {t}: segment {s} beyond root path of {y}"
-            )
-        head, relay = segs[s]
+        p, head, relay = _read_binding(tape, hp, w_mu, y, f"request {t}")
         candidates = [i for i in range(k) if bindings[i] == (p, head)]
         if not candidates:
             raise NoLabeledServerOnRootPath(
@@ -637,14 +637,8 @@ def run_online_spanner(
             raise RelayOffTreePath(t, p, src, y, relay)
         cost += move_cost
         positions[sid] = y
-        q_idx = _read_label(tape, hp, w_mu, f"request {t} parking")
-        s2 = tape.read_uint(_ordinal_width(hp[q_idx], y))
-        segs2 = hp[q_idx].segments_on_root_path(y)
-        if s2 >= len(segs2):
-            raise NoLabeledServerOnRootPath(
-                f"request {t}: parking segment {s2} beyond root path of {y}"
-            )
-        bindings[sid] = (q_idx, segs2[s2][0])
+        where = f"request {t} parking"
+        bindings[sid] = _read_binding(tape, hp, w_mu, y, where)[:2]
         log.append(
             SpannerMove(
                 t=t,

@@ -1,6 +1,6 @@
-"""Tree decompositions: axiom verification, exact treewidth for tiny
-graphs, logarithmic height restriction, ancestor/LCA addressing, and the
-explicit decompositions of the unit/module graph families.
+"""Tree decompositions: axiom verification, logarithmic height
+restriction, ancestor/LCA addressing, and the explicit decompositions of
+the unit/module graph families.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .metric_core import (
     parse_json,
     shortest_path_vertices,
 )
-from .offline_solver import InstanceTooLarge
 from . import adversary
 
 
@@ -233,104 +232,6 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionCheck:
                 f"bags containing vertex {v} are not connected in the tree",
             )
     return DecompositionCheck(True, message="all three axioms hold")
-
-
-# ---------------------------------------------------------------------------
-# Exact treewidth by dynamic programming over eliminated vertex sets.
-
-
-def _boundary_size(adj_masks, elim: int, v: int) -> int:
-    """Neighbors of v outside elim, reachable through eliminated vertices."""
-    comp = 1 << v
-    frontier = comp
-    boundary = 0
-    while frontier:
-        reach = 0
-        f = frontier
-        while f:
-            u = (f & -f).bit_length() - 1
-            f &= f - 1
-            reach |= adj_masks[u]
-        reach &= ~comp
-        boundary |= reach & ~elim
-        frontier = reach & elim
-        comp |= reach
-    return bin(boundary).count("1")
-
-
-def exact_treewidth(g: Graph) -> tuple[int, TreeDecomposition]:
-    """Minimum width over all elimination orderings, with a witness.
-
-    Memoized over eliminated subsets, so only graphs with N <= 20 are
-    admitted.  The returned decomposition always verifies.
-    """
-    n = g.n
-    if n > 20:
-        raise InstanceTooLarge(f"exact treewidth guarded to N <= 20, got {n}")
-    adj_masks = [0] * n
-    for u, v, _ in g.edges:
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
-    full = (1 << n) - 1
-    memo: dict[int, int] = {0: -1}
-    choice: dict[int, int] = {}
-
-    def best(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        result = n  # upper sentinel
-        pick = -1
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            rest = mask & ~(1 << v)
-            cand = max(best(rest), _boundary_size(adj_masks, rest, v))
-            if cand < result:
-                result = cand
-                pick = v
-        memo[mask] = result
-        choice[mask] = pick
-        return result
-
-    width = best(full)  # recursion depth <= n + 1, n <= 20 by the guard
-
-    # Recover the elimination order (choice picks the last-eliminated).
-    rev = []
-    mask = full
-    while mask:
-        v = choice[mask]
-        rev.append(v)
-        mask &= ~(1 << v)
-    order = rev[::-1]
-
-    # Build bags from the order; parent = bag of the earliest-eliminated
-    # neighbor at elimination time.
-    pos = {v: i for i, v in enumerate(order)}
-    work = [set() for _ in range(n)]
-    for u, v, _ in g.edges:
-        work[u].add(v)
-        work[v].add(u)
-    bags = []
-    seps = []
-    for v in order:
-        c = sorted(work[v])
-        bags.append(sorted(c + [v]))
-        seps.append(c)
-        for a in c:
-            for b in c:
-                if a != b:
-                    work[a].add(b)
-            work[a].discard(v)
-    parent: list[int | None] = [None] * n
-    for i in range(n):
-        if seps[i]:
-            parent[i] = min(pos[u] for u in seps[i])
-        elif i < n - 1:
-            parent[i] = i + 1  # cannot happen on connected graphs
-    td = TreeDecomposition(bags, parent, root=n - 1)
-    return width, td
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,25 @@ def test_bad_spanner_file_is_one_line(tmp_path, capsys, command):
     assert msg == "trees[0].parent: missing field\n"
 
 
+@pytest.mark.parametrize(
+    "claim,message",
+    [({}, "--spanners: spanner file carries no (q, r) claim\n"),
+     ({"q": 1, "r": 0}, "--spanners: stretch certificate rejected: ")],
+    ids=["no-claim", "rejected-claim"],
+)
+def test_run_needs_a_spanner_claim_that_holds(tmp_path, capsys, claim, message):
+    g = grid_graph(3, 3)
+    gp = tmp_path / "g.json"
+    gp.write_text(graph_to_json(g))
+    sysp = tmp_path / "system.json"
+    tree = shortest_path_tree(g, 0)
+    sysp.write_text(json.dumps({"trees": [{"root": 0, "parent": tree.parent}], **claim}))
+    msg = cli_input_error(
+        capsys, "run", "--algo", "spanner", "--graph", str(gp), "--spanners", str(sysp)
+    )
+    assert msg.startswith(message)
+
+
 # (command and the files it reads, the file that cannot be read)
 UNREADABLE = [
     (["run", "--algo", "gpc", "--graph", "--td"], "--graph"),

@@ -16,9 +16,7 @@ from kslab.metric_core import (
     SelfLoop,
     all_pairs_shortest_paths,
     graph_from_json,
-    graph_from_text,
     graph_to_json,
-    graph_to_text,
     num_from_json,
     num_to_json,
     shortest_path_vertices,
@@ -171,19 +169,6 @@ def test_lexicographic_tie_break():
     assert shortest_path_vertices(dm, 0, 3) == [0, 1, 3]
 
 
-def test_text_round_trip_and_errors():
-    g = path_graph(4)
-    assert graph_from_text(graph_to_text(g)).edges == g.edges
-    with pytest.raises(GraphFormatError, match="line 1"):
-        graph_from_text("")
-    with pytest.raises(GraphFormatError, match="line 2"):
-        graph_from_text("2 1\n0 1")
-    with pytest.raises(GraphFormatError, match="line 3"):
-        graph_from_text("3 2\n0 1 1\n1 2 zero")
-    with pytest.raises(GraphFormatError, match="line 2"):
-        graph_from_text("2 2\n0 1 1")  # edge count mismatch
-
-
 def test_json_round_trip_and_errors():
     g = Graph(3, [(0, 1, Fraction(3, 2)), (1, 2, 2)])
     g2 = graph_from_json(graph_to_json(g))
@@ -202,6 +187,19 @@ def test_exact_number_codec():
     for bad in (1.5, None, True, "x/2", "1/0"):
         with pytest.raises(GraphFormatError, match=r"moves\[3\]\.cost"):
             num_from_json(bad, "moves[3].cost")
+
+
+def test_exponent_strings_are_not_numbers():
+    # "1e99999999" would have Fraction build a power of ten of that size
+    for bad in ("1e3", "2E-1", "1.5e0"):
+        with pytest.raises(GraphFormatError, match="^w: bad number"):
+            num_from_json(bad, "w")
+
+
+def test_too_few_edges_fail_before_anything_is_sized_by_n():
+    # so {"n": 10**12, "edges": []} allocates nothing per vertex
+    with pytest.raises(DisconnectedGraph, match="4 vertices need at least 3 edges"):
+        Graph(4, [(0, 1, 1)])
 
 
 def _floyd_warshall(g):

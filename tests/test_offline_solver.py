@@ -22,7 +22,7 @@ from kslab.instances import (
     random_requests,
 )
 from kslab import offline_solver
-from kslab.metric_core import Graph, GraphFormatError, all_pairs_shortest_paths
+from kslab.metric_core import Graph, all_pairs_shortest_paths
 from kslab.offline_solver import (
     FlowDecodeError,
     InstanceTooLarge,
@@ -129,39 +129,6 @@ def test_lazification_never_costs_more():
         lazy_cost = replay_cost(dm, opt_s)
         assert lazy_cost <= run.online_cost
         assert lazy_cost == opt_c  # relays sit on shortest paths: equality
-
-
-def test_schedule_json_round_trip():
-    from kslab.offline_solver import Schedule
-
-    g = path_graph(5)
-    dm = all_pairs_shortest_paths(g)
-    sigma = path_round_sequence("1", 5)
-    _, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma, dm)
-    again = Schedule.from_json(sched.to_json())
-    assert again.total_cost == sched.total_cost
-    assert again.move_triples() == sched.move_triples()
-    validate_lazy_schedule(dm, PATH_ROUND_INIT, sigma, again)
-
-
-@pytest.mark.parametrize(
-    "field,location",
-    [
-        ("t", "moves[1].t"),
-        ("server", "moves[1].server"),
-        ("from", "moves[1].from"),
-        ("to", "moves[1].to"),
-        ("cost", "moves[1].cost"),
-        ("total_cost", "total_cost"),
-    ],
-)
-def test_schedule_from_json_names_missing_field(field, location):
-    _, sched = opt_cost_dp(path_graph(5), (1, 3), [2, 4])
-    obj = sched.to_json()
-    del (obj if field == "total_cost" else obj["moves"][1])[field]
-    with pytest.raises(GraphFormatError) as err:
-        Schedule.from_json(obj)
-    assert str(err.value) == f"{location}: missing field"
 
 
 def test_all_schedules_contains_dp_schedule_and_is_minimal():

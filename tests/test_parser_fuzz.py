@@ -1,0 +1,182 @@
+"""Arbitrary JSON fed to every input file a `kslab run` reads.
+
+Each file is either an arbitrary JSON value or a valid file with one of
+its parts replaced by arbitrary JSON or removed.  Every case must end in a
+finished run (exit 0) or in one `kslab: error:` line with exit status 2,
+never a traceback; and a file that a run accepts holds only the JSON types
+its format names (an int is never a bool or a float).
+"""
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kslab.cli import main
+from kslab.instances import grid_graph
+from kslab.metric_core import graph_to_json
+from kslab.spanner_cover import shortest_path_tree
+
+GRID = grid_graph(3, 3)
+VALID = {
+    "--graph": json.loads(graph_to_json(GRID)),
+    # rows {0,1} and {1,2} of the grid
+    "--td": {"bags": [list(range(6)), list(range(3, 9))], "parent": [None, 0], "root": 0},
+    "--spanners": {
+        "mu": 2,
+        "q": 3,
+        "r": 0,
+        "trees": [
+            {"root": r, "parent": list(shortest_path_tree(GRID, r).parent)}
+            for r in (0, 8)
+        ],
+    },
+    "--instance": {"init_config": [0, 8], "sequence": [4, 2, 6, 4]},
+}
+# the tree from vertex 0 alone, at its stretch
+ONE_TREE = {"mu": 1, "q": 5, "r": 0, "trees": VALID["--spanners"]["trees"][:1]}
+# The JSON types of each format: "int"; "num", an int or a "p/q" string;
+# a trailing "?" admits null; [s] is a list of s, a tuple a list of that
+# length; a dict an object with at least those keys, a key ending in "?"
+# being optional.
+SHAPES = {
+    "--graph": {"n": "int", "edges": [("int", "int", "num")]},
+    "--td": {"bags": [["int"]], "parent": ["int?"], "root": "int"},
+    "--spanners": {
+        "trees": [{"root": "int", "parent": ["int?"]}],
+        "mu?": "int?",
+        "q?": "num?",
+        "r?": "num?",
+    },
+    "--instance": {"init_config": ["int"], "sequence": ["int"]},
+}
+# each fuzzed file is read by a run that also needs the others valid
+RUNS = {
+    "--graph": ["--algo", "opt"],
+    "--td": ["--algo", "gpc", "--td"],
+    "--spanners": ["--algo", "spanner", "--spanners"],
+    "--instance": ["--algo", "gpc", "--td", "--instance"],
+}
+
+# any code point, lone surrogates too: json.dumps writes them as escapes
+TEXT = st.text(st.characters(codec=None), max_size=4)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(TEXT, kids, max_size=3),
+    max_leaves=5,
+)
+
+
+DROP = object()  # a mutation that removes the part instead
+
+
+def parts(doc, at=()):
+    """The paths to every part of doc below the top, as key/index tuples."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield at + (key,)
+        if isinstance(value, (dict, list)):
+            yield from parts(value, at + (key,))
+
+
+def mutate(doc, path, value):
+    """A copy of doc with the part at path set to value (DROP: removed)."""
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    key, rest = path[0], path[1:]
+    if rest:
+        out[key] = mutate(out[key], rest, value)
+    elif value is DROP:
+        del out[key]
+    else:
+        out[key] = value
+    return out
+
+
+def near(valid):
+    """Arbitrary JSON, or valid with one of its parts replaced by arbitrary
+    JSON or removed."""
+    edit = st.tuples(st.sampled_from(list(parts(valid))), JSON | st.just(DROP))
+    return JSON | edit.map(lambda e: mutate(valid, *e))
+
+
+def typed(value, shape) -> bool:
+    """Whether value has the JSON types SHAPES writes as shape."""
+    if isinstance(shape, str):
+        if value is None:
+            return shape.endswith("?")
+        if isinstance(value, bool):
+            return False
+        return isinstance(value, int) or (
+            shape.startswith("num") and isinstance(value, str)
+        )
+    if isinstance(shape, tuple):
+        return (
+            isinstance(value, list)
+            and len(value) == len(shape)
+            and all(map(typed, value, shape))
+        )
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(typed(v, shape[0]) for v in value)
+    return isinstance(value, dict) and all(
+        typed(value[key.rstrip("?")], s) if key.rstrip("?") in value
+        else key.endswith("?")
+        for key, s in shape.items()
+    )
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The valid input files, by flag, and the report path."""
+    d = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for flag, doc in VALID.items():
+        paths[flag] = d / f"{flag[2:]}.json"
+        paths[flag].write_text(json.dumps(doc))
+    return paths, d / "report.json"
+
+
+def run_argv(files, flag, text) -> list[str]:
+    """The `kslab run` that reads text as its `flag` file and the valid
+    files for the rest."""
+    paths, report = files
+    fuzzed = paths[flag].with_name("fuzzed.json")
+    fuzzed.write_text(text)
+    argv = ["run", "--k", "2", "--n", "4", "--out", str(report)] + RUNS[flag][:2]
+    for f in ["--graph"] + RUNS[flag][2:]:
+        argv += [f, str(fuzzed if f == flag else paths[f])]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=st.one_of(
+    [st.tuples(st.just(flag), near(doc)) for flag, doc in sorted(VALID.items())]
+))
+@example(case=("--graph", {"n": 3, "edges": 5}))
+@example(case=("--spanners", {**ONE_TREE, "mu": True}))
+@example(case=("--spanners", {**ONE_TREE, "mu": 1.0}))
+def test_every_input_file_fails_on_one_line_or_runs(files, case):
+    flag, doc = case
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(run_argv(files, flag, json.dumps(doc)))
+    if code == 2:
+        assert err.getvalue().startswith("kslab: error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert code == 0, err.getvalue()
+        assert typed(doc, SHAPES[flag]), doc
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+    ids=["int-past-digit-limit", "nested-past-the-stack"],
+)
+@pytest.mark.parametrize("flag", sorted(VALID))
+def test_json_python_cannot_hold_is_one_line(files, capsys, flag, text):
+    assert main(run_argv(files, flag, text)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kslab: error: ") and err.count("\n") == 1, err

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,20 +10,17 @@ from kslab import tree_decomp
 from kslab.adversary import gb_graph, module_graph
 from kslab.instances import (
     SplitMix64,
-    grid_graph,
     path_decomposition,
     path_graph,
     random_partial_ktree,
 )
 from kslab.metric_core import Graph, GraphFormatError, all_pairs_shortest_paths
 from kslab.tree_decomp import (
-    InstanceTooLarge,
     TreeDecomposition,
     _centroid,
     _components,
     _path_splitter,
     _simplify,
-    exact_treewidth,
     gb_decomposition,
     intersect_shortest_path,
     module_graph_decomposition,
@@ -160,57 +156,6 @@ def test_edge_coverage_matches_full_scan_on_corrupted_decompositions():
     # 78 today: 13 from the first two kinds and 65 of the 113 interior
     # drops (the other 48 uncover an edge first)
     assert axioms.count(3) >= 60
-
-
-# Expected widths frozen from an exhaustive elimination-order search over
-# all vertex permutations (independent of the memoized DP under test).
-def test_exact_treewidth_trees():
-    w, td = exact_treewidth(path_graph(5))
-    assert w == 1 and verify_decomposition(path_graph(5), td)
-    star = Graph(6, [(0, i, 1) for i in range(1, 6)])
-    w, td = exact_treewidth(star)
-    assert w == 1 and verify_decomposition(star, td)
-
-
-def test_exact_treewidth_k4():
-    k4 = Graph(4, [(u, v, 1) for u, v in combinations(range(4), 2)])
-    w, td = exact_treewidth(k4)
-    assert w == 3
-    assert verify_decomposition(k4, td)
-
-
-def test_exact_treewidth_grid():
-    g = grid_graph(3, 3)
-    w, td = exact_treewidth(g)
-    assert w == 3
-    assert verify_decomposition(g, td)
-    # lower-bound cross-check: a width-2 graph reduces to nothing by
-    # repeatedly deleting vertices of degree <= 2; the grid does not
-    adj = {v: {x for x, _ in g.adj[v]} for v in range(g.n)}
-    while True:
-        low = [v for v in adj if len(adj[v]) <= 1]
-        two = [v for v in adj if len(adj[v]) == 2]
-        if low:
-            v = low[0]
-            for u in adj[v]:
-                adj[u].discard(v)
-            del adj[v]
-        elif two:
-            v = two[0]
-            a, b = sorted(adj[v])
-            adj[a].discard(v)
-            adj[b].discard(v)
-            adj[a].add(b)
-            adj[b].add(a)
-            del adj[v]
-        else:
-            break
-    assert adj, "3x3 grid must not be series-parallel reducible"
-
-
-def test_exact_treewidth_guard():
-    with pytest.raises(InstanceTooLarge):
-        exact_treewidth(path_graph(21))
 
 
 def test_reduce_height_p64():
