@@ -35,6 +35,7 @@ from .metric_core import (
     graph_to_json,
     is_vertex,
     json_field,
+    num_from_json,
     num_to_json,
     parse_json,
 )
@@ -165,6 +166,12 @@ def _build_instance(spec: RunSpec) -> Instance:
     """Resolve the graph, servers, requests and decomposition of a run."""
     _at_least("--n", spec.n, 0)
     _at_least("--size", spec.size, 0)
+    if spec.graph and spec.family:
+        raise BadFlag("--family", "cannot be combined with --graph")
+    if not spec.graph:
+        for flag, path in (("--instance", spec.instance), ("--td", spec.td)):
+            if path:
+                raise BadFlag(flag, "needs --graph")
     rng = SplitMix64(spec.seed)
     td = None
     if spec.graph:
@@ -446,13 +453,27 @@ def _emit(spec: RunSpec, report: dict) -> None:
         sys.stdout.write(text)
 
 
+def _bound_arg(flag: str, tok: str):
+    """One entry of a comma-separated --tau/--alpha list, as an exact number."""
+    try:
+        return num_from_json(tok, flag)
+    except GraphFormatError:
+        raise BadFlag(flag, f"bad number {tok!r}") from None
+
+
 def cmd_bounds(args) -> int:
+    _at_least("--n", args.n, 0)
+    if args.tau and args.alpha:
+        raise BadFlag("--tau/--alpha", "pass only one of them")
     rows = []
     if args.tau:
         rows.append("tau,bits,bits_per_request,bits_per_opt_cost")
         for tok in args.tau.split(","):
-            tau = Fraction(tok)
-            bits = adversary.sgkh_advice_bound(tau, args.n)
+            tau = _bound_arg("--tau", tok)
+            try:
+                bits = adversary.sgkh_advice_bound(tau, args.n)
+            except adversary.TauOutOfRange as exc:
+                raise BadFlag("--tau", str(exc)) from None
             rows.append(
                 f"{tok},{bits:.6f},{adversary.sgkh_bound_per_request(tau):.6f},"
                 f"{adversary.sgkh_bound_per_opt_cost(tau):.6f}"
@@ -460,8 +481,11 @@ def cmd_bounds(args) -> int:
     elif args.alpha:
         rows.append("alpha,exact_bits,closed_form_bits")
         for tok in args.alpha.split(","):
-            alpha = int(tok)
-            exact, closed = adversary.treewidth_advice_bound(alpha, args.n)
+            alpha = _bound_arg("--alpha", tok)
+            try:
+                exact, closed = adversary.treewidth_advice_bound(alpha, args.n)
+            except ValueError as exc:
+                raise BadFlag("--alpha", str(exc)) from None
             rows.append(f"{alpha},{exact:.6f},{closed:.6f}")
     else:
         raise BadFlag("--tau/--alpha", "pass one of them (a comma-separated list)")

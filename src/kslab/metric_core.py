@@ -297,6 +297,9 @@ def graph_from_json(text: str) -> Graph:
     obj = parse_json(text)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError("top level", "expected {'n': ..., 'edges': [...]}")
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise GraphFormatError("n", f"vertex count must be a positive int, got {n!r}")
     if not isinstance(obj["edges"], list):
         raise GraphFormatError("edges", "expected a list of [u, v, w]")
     edges = []
@@ -305,7 +308,7 @@ def graph_from_json(text: str) -> Graph:
             raise GraphFormatError(f"edges[{i}]", "expected [u, v, w]")
         edges.append((e[0], e[1], num_from_json(e[2], f"edges[{i}]")))
     try:
-        return Graph(obj["n"], edges)
+        return Graph(n, edges)
     except GraphError as exc:
         raise GraphFormatError("edges", str(exc)) from exc
 

@@ -1,24 +1,24 @@
 """Exact offline k-server optimum.
 
 Two independent routes are provided: a dynamic program over server
-configurations (the oracle for everything else, and the basis for
-counting the optimal schedules), and a min-cost flow of value k on the
-request DAG that scales past the DP guard.  After each request one server
-stands on it (Koutsoupias and Papadimitriou, J. ACM 1995), so a DP state
-is the multiset of the other k-1 servers: a layer holds at most
-C(N+k-2, k-1) states, only a state whose winning move did not start on
-the previous request keeps a back-pointer, and ties go to the least
-source vertex.  Counting the optimal schedules keeps (least cost, number
-of cost-minimal ways in) per state instead.  The flow network is never
-stored: its at most k + min(t, N) arcs into request t (from the servers,
-and from the latest earlier request at each vertex) are read off the
-request sequence and the metric rows of the requested vertices.  It is
-solved by k successive shortest paths (the first from one pass over the
-DAG, the rest by heap Dijkstra on reduced costs over the forward arcs and
-the reverses of the few that carry flow) in exact ints, with no graph
+configurations (the oracle for everything else), and a min-cost flow of
+value k on the request DAG that scales past the DP guard.  After each
+request one server stands on it (Koutsoupias and Papadimitriou, J. ACM
+1995), so a DP state is the multiset of the other k-1 servers: a layer
+holds at most C(N+k-2, k-1) states, only a state whose winning move did
+not start on the previous request keeps a back-pointer, and ties go to
+the least source vertex.  Each state also keeps its number of
+cost-minimal ways in, so the one forward pass gives both OPT and the
+number of optimal schedules.  The flow network is never stored: its at
+most k + min(t, N) arcs into request t (from the servers, and from the
+latest earlier request at each vertex) are read off the request sequence
+and the metric rows of the requested vertices.  It is solved by k
+successive shortest paths (the first from one pass over the DAG, the
+rest by heap Dijkstra on reduced costs over the forward arcs and the
+reverses of the few that carry flow) in exact ints, with no graph
 library.  Its ties go by node id, and its cost is read off the
-potentials.  Both emit lazy schedules: exactly one server moves per request, directly to the
-requested vertex.
+potentials.  Both emit lazy schedules: exactly one server moves per
+request, directly to the requested vertex.
 """
 from __future__ import annotations
 
@@ -205,40 +205,44 @@ def _dp_layers(dist, init, sigma):
 
     After request t-1 a server stands on p_t = sigma[t-1] (p_0 =
     min(init)), so a state is the sorted tuple R of the other k-1 servers,
-    and layer[R] is the least cost of serving sigma[:t] and ending at
-    R + (p_t,).  Serving sigma[t] from p_t keeps R; serving it from some
-    s != p_t in R gives R - s + p_t.  The configurations a state R' of
-    layer t+1 comes from are R' + (s,) over its sources s, which grow with
-    s, so a tie goes to the least source, which is also the least
+    and layer[R] = (cost, ways): the least cost of serving sigma[:t] and
+    ending at R + (p_t,), and the number of (t, src, dst) schedules of
+    sigma[:t] that do so at that cost.  Serving sigma[t] from p_t keeps R;
+    serving it from some s != p_t in R gives R - s + p_t.  A source that
+    repeats in R is one move, so it counts once, and paths through the
+    states are in bijection with schedules.  The configurations a state R'
+    of layer t+1 comes from are R' + (s,) over its sources s, which grow
+    with s, so a cost tie goes to the least source, which is also the least
     predecessor configuration; moved[R'] holds the winning source where it
     is not p_t (moved is empty for t = 0).
     """
     if not init and sigma:
         raise ValueError(f"init: no servers to serve {len(sigma)} requests")
     p = min(init, default=None)
-    layer = {tuple(sorted(init))[1:]: 0}
+    layer = {tuple(sorted(init))[1:]: (0, 1)}
     yield layer, {}
     for r in sigma:
         dr = dist[r]  # d(s, r) == d(r, s): one row per request
         step = dr[p]
-        nxt = {conf: cost + step for conf, cost in layer.items()}
+        nxt = {conf: (cost + step, ways) for conf, (cost, ways) in layer.items()}
         moved: dict[tuple, int] = {}
-        for conf, cost in layer.items():
+        for conf, (cost, ways) in layer.items():
             for i, s in enumerate(conf):
-                if s == p:  # the same move as serving from p_t
+                # the same move as serving from p_t, or as the previous s
+                if s == p or (i and conf[i - 1] == s):
                     continue
                 new_cost = cost + dr[s]
                 rest = conf[:i] + conf[i + 1:]
                 j = bisect(rest, p)
                 new_conf = rest[:j] + (p,) + rest[j:]
                 best = nxt.get(new_conf)
-                if (
-                    best is None
-                    or new_cost < best
-                    or (new_cost == best and s < moved.get(new_conf, p))
-                ):
-                    nxt[new_conf] = new_cost
+                if best is None or new_cost < best[0]:
+                    nxt[new_conf] = (new_cost, ways)
                     moved[new_conf] = s
+                elif new_cost == best[0]:
+                    nxt[new_conf] = (new_cost, best[1] + ways)
+                    if s < moved.get(new_conf, p):
+                        moved[new_conf] = s
         layer = nxt
         p = r
         yield layer, moved
@@ -259,8 +263,8 @@ def opt_cost_dp(
     back = []  # back[t]: the sparse back-pointers into layer t
     for layer, moved in _dp_layers(dist, init, sigma):
         back.append(moved)
-    conf = min(layer, key=lambda c: (layer[c], c))
-    best_cost = layer[conf]
+    conf = min(layer, key=lambda c: (layer[c][0], c))
+    best_cost = layer[conf][0]
     # Back-trace one optimal chain of (src -> request) steps.
     steps = []
     for t in range(len(sigma) - 1, -1, -1):
@@ -279,34 +283,14 @@ def count_optimal_schedules(
 ) -> tuple[int | Fraction, int]:
     """OPT and the number of distinct optimal (t, src, dst) schedules.
 
-    One forward pass over the states of `_dp_layers`, each holding (least
-    cost, number of cost-minimal ways in).  A move counts once per distinct
-    source, and a source equal to p_t is the move from p_t, so paths through
-    the states are in bijection with schedules.
+    Both are read off the last layer of `_dp_layers`: the least cost, and
+    the sum of `ways` over the states that reach it.
     """
     _guard(g.n, len(init), len(sigma), "count_optimal_schedules")
-    if not init and sigma:
-        raise ValueError(f"init: no servers to serve {len(sigma)} requests")
     if dm is None:
         dm = all_pairs_shortest_paths(g)
-    dist = dm.dist
-    p = min(init, default=None)
-    layer = {tuple(sorted(init))[1:]: (0, 1)}
-    for r in sigma:
-        dr = dist[r]
-        step = dr[p]
-        nxt = {conf: (cost + step, ways) for conf, (cost, ways) in layer.items()}
-        for conf, (cost, ways) in layer.items():
-            for s in set(conf) - {p}:
-                new_cost = cost + dr[s]
-                new_conf = _replace_one(conf, s, p)
-                best = nxt.get(new_conf)
-                if best is None or new_cost < best[0]:
-                    nxt[new_conf] = (new_cost, ways)
-                elif new_cost == best[0]:
-                    nxt[new_conf] = (new_cost, best[1] + ways)
-        layer = nxt
-        p = r
+    for layer, _ in _dp_layers(dm.dist, init, sigma):
+        pass
     best_cost = min(cost for cost, _ in layer.values())
     return best_cost, sum(ways for cost, ways in layer.values() if cost == best_cost)
 

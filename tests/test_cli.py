@@ -469,6 +469,11 @@ BAD_RUN_ARGS = [
     (["--family", "grid", "--algo", "perm"], "--algo: perm needs --family module or gb"),
     (["--family", "grid", "--algo", "gpc"],
      "--algo: gpc needs a tree decomposition (--td or family)"),
+    # flags the input source would ignore; no file is read before the check
+    (["--graph", "g.json", "--family", "grid"],
+     "--family: cannot be combined with --graph"),
+    (["--family", "grid", "--instance", "i.json"], "--instance: needs --graph"),
+    (["--family", "grid", "--td", "td.json", "--algo", "gpc"], "--td: needs --graph"),
 ]
 
 
@@ -482,6 +487,26 @@ def test_bad_run_argument_is_one_line(capsys, argv, message):
 def test_bounds_without_a_table_is_one_line(capsys):
     msg = cli_input_error(capsys, "bounds", "--n", "1000")
     assert msg == "--tau/--alpha: pass one of them (a comma-separated list)\n"
+
+
+# (bounds arguments, the message after "kslab: error: ")
+BAD_BOUNDS_ARGS = [
+    (["--tau", "2"], "--tau: tau must be in (1, 5/4], got 2"),
+    (["--tau", "x"], "--tau: bad number 'x'"),
+    (["--tau", "6/5,"], "--tau: bad number ''"),
+    (["--tau", "1e9"], "--tau: bad number '1e9'"),
+    (["--alpha", "5"], "--alpha: alpha must be an even integer >= 4, got 5"),
+    (["--alpha", "4.5"], "--alpha: alpha must be an even integer >= 4, got 9/2"),
+    (["--alpha", "4", "--n", "-5"], "--n: must be at least 0, got -5"),
+    (["--tau", "6/5", "--alpha", "4"], "--tau/--alpha: pass only one of them"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", BAD_BOUNDS_ARGS, ids=[" ".join(a) for a, _ in BAD_BOUNDS_ARGS]
+)
+def test_bad_bounds_argument_is_one_line(capsys, argv, message):
+    assert cli_input_error(capsys, "bounds", *argv) == message + "\n"
 
 
 def test_verify_without_a_structure_is_one_line(tmp_path, capsys):

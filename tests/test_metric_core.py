@@ -177,6 +177,9 @@ def test_json_round_trip_and_errors():
         graph_from_json('{"n": 3, "edges": [[0, 1, 1], [1, 2]]}')
     with pytest.raises(GraphFormatError):
         graph_from_json('{"n": 3, "edges": [[0, 1, 1]]}')  # disconnected
+    for n in ('"x"', "0", "true", "2.0"):
+        with pytest.raises(GraphFormatError, match="^n: vertex count must be a positive"):
+            graph_from_json('{"n": %s, "edges": []}' % n)
 
 
 def test_exact_number_codec():

@@ -623,6 +623,20 @@ def test_count_matches_configuration_oracle(instance):
     assert count == len(_oracle_all_schedules(g.n, dm.dist, init, sigma))
 
 
+def test_count_stays_exact_past_2_64():
+    # servers on the ends of the path 0-1-2; every round [1, 0, 2] costs 2,
+    # and the optimal schedules of m rounds number a(m) = 2a(m-1) + a(m-2)
+    g = path_graph(3)
+    dm = all_pairs_shortest_paths(g)
+    pell = [1, 2]
+    while len(pell) <= 100:
+        pell.append(2 * pell[-1] + pell[-2])
+    assert pell[100] > 2**64
+    for m in (0, 1, 2, 3, 10, 100):
+        sigma = [1, 0, 2] * m
+        assert count_optimal_schedules(g, (0, 2), sigma, dm) == (2 * m, pell[m])
+
+
 @pytest.mark.parametrize(
     "solve", [opt_cost_dp, count_optimal_schedules, opt_cost_flow]
 )
