@@ -29,7 +29,7 @@ from kslab.tree_decomp import (
 print("== unit graph, gamma = 3 ==")
 g, layout = unit_graph(3)
 print(f"vertices: {g.n} = 3 elements + {2**3 - 1} proper subsets")
-empty = layout.w_of_mask(0)
+empty = layout.w_by_mask[0]
 print(f"the empty-set vertex {empty} is adjacent to all elements:",
       [g.has_edge(u, empty) for u in layout.u_ids])
 

@@ -130,9 +130,6 @@ class UnitLayout:
     mask_of: dict[int, int]             # subset vertex id -> element bitmask
     w_by_mask: dict[int, int]           # element bitmask -> subset vertex id
 
-    def w_of_mask(self, mask: int) -> int:
-        return self.w_by_mask[mask]
-
 
 def _unit_layout(gamma: int, offset: int) -> UnitLayout:
     u_ids = tuple(range(offset, offset + gamma))
@@ -285,12 +282,32 @@ def _mask_prefix(perm: tuple[int, ...], j: int) -> int:
     return mask
 
 
+def _round_schema(modules, round_perms, gamma: int):
+    """Yield (request, source) for each request of one round, in order.
+
+    The round is side-1 subset chains interleaved across modules, all side-2
+    element vertices in ascending order, side-2 chains, then all side-1
+    element vertices.  PERM serves a subset request from the element vertex
+    its chain removes next, and an element request from the adjacent subset
+    vertex of the other side's chain.
+    """
+    for a, b in ((0, 1), (1, 0)):
+        chains = [
+            (ml.sides()[a], ml.sides()[b], pair[a])
+            for ml, pair in zip(modules, round_perms)
+        ]
+        for j in range(gamma):
+            for here, _, p in chains:
+                yield here.w_by_mask[_mask_prefix(p, j)], here.u_ids[p[j]]
+        for j in range(gamma):
+            for here, there, p in chains:
+                yield there.u_ids[j], here.w_by_mask[_mask_prefix(p, j)]
+
+
 def valid_sequence(gamma: int, m: int, perms) -> ValidSequence:
     """Assemble the round schema from per-round, per-module permutations.
 
-    Each round: side-1 subset chains interleaved across modules, all side-2
-    element vertices in ascending order, side-2 chains, then all side-1
-    element vertices.  Round length is 4*gamma*m.
+    Each round follows `_round_schema`; its length is 4*gamma*m.
     """
     modules = gb_layout(m, gamma).modules
     norm = tuple(
@@ -302,22 +319,11 @@ def valid_sequence(gamma: int, m: int, perms) -> ValidSequence:
     )
     if any(len(r) != m for r in norm):
         raise BadPermutation(f"each round needs {m} permutation pairs")
-    requests: list[int] = []
-    for round_perms in norm:
-        for j in range(gamma):  # side-1 chains
-            for i in range(m):
-                p1, _ = round_perms[i]
-                requests.append(modules[i].side1.w_of_mask(_mask_prefix(p1, j)))
-        for j in range(gamma):  # side-2 elements, fixed ascending order
-            for i in range(m):
-                requests.append(modules[i].side2.u_ids[j])
-        for j in range(gamma):  # side-2 chains
-            for i in range(m):
-                _, p2 = round_perms[i]
-                requests.append(modules[i].side2.w_of_mask(_mask_prefix(p2, j)))
-        for j in range(gamma):  # side-1 elements
-            for i in range(m):
-                requests.append(modules[i].side1.u_ids[j])
+    requests = [
+        req
+        for round_perms in norm
+        for req, _ in _round_schema(modules, round_perms, gamma)
+    ]
     return ValidSequence(
         gamma=gamma, m=m, rounds=len(norm), perms=norm, requests=tuple(requests)
     )
@@ -365,41 +371,20 @@ def perm_algorithm(g: Graph, seq: ValidSequence, init) -> Schedule:
         )
     where = {v: i for i, v in enumerate(init)}
     moves: list[Move] = []
-    t = 0
     for round_perms in seq.perms:
-        phases = []
-        for i in range(m):
-            p1, p2 = round_perms[i]
-            s1, s2 = modules[i].sides()
-            phases.append(
-                (
-                    # request vertex, source vertex per position j
-                    [(s1.w_of_mask(_mask_prefix(p1, j)), s1.u_ids[p1[j]]) for j in range(gamma)],
-                    [(s2.u_ids[j], s1.w_of_mask(_mask_prefix(p1, j))) for j in range(gamma)],
-                    [(s2.w_of_mask(_mask_prefix(p2, j)), s2.u_ids[p2[j]]) for j in range(gamma)],
-                    [(s1.u_ids[j], s2.w_of_mask(_mask_prefix(p2, j))) for j in range(gamma)],
+        for req, src in _round_schema(modules, round_perms, gamma):
+            t = len(moves)
+            if seq.requests[t] != req:
+                raise InvalidSequence(
+                    f"request {t} is {seq.requests[t]}, schema says {req}"
                 )
-            )
-        for phase in range(4):
-            for j in range(gamma):
-                for i in range(m):
-                    req, src = phases[i][phase][j]
-                    if seq.requests[t] != req:
-                        raise InvalidSequence(
-                            f"request {t} is {seq.requests[t]}, schema says {req}"
-                        )
-                    if src not in where:
-                        raise InvalidSequence(
-                            f"no server at {src} for request {t}"
-                        )
-                    if not g.has_edge(src, req):
-                        raise InvalidSequence(
-                            f"({src}, {req}) is not an edge; wrong graph?"
-                        )
-                    sid = where.pop(src)
-                    where[req] = sid
-                    moves.append(Move(t=t, server=sid, src=src, dst=req, cost=1))
-                    t += 1
+            if src not in where:
+                raise InvalidSequence(f"no server at {src} for request {t}")
+            if not g.has_edge(src, req):
+                raise InvalidSequence(f"({src}, {req}) is not an edge; wrong graph?")
+            sid = where.pop(src)
+            where[req] = sid
+            moves.append(Move(t=t, server=sid, src=src, dst=req, cost=1))
     return Schedule(moves=moves, total_cost=len(moves))
 
 
@@ -418,14 +403,15 @@ def treewidth_advice_bound(alpha: int, n: int) -> tuple[float, float]:
     """(exact_bits, closed_form_bits) for width-alpha instances.
 
     exact_bits  = (n/(2*gamma)) * log2(gamma!) with gamma = alpha/2, the
-                  log of the sequence count;
+                  log of the sequence count, summed as log2(2) + ... +
+                  log2(gamma) so no gamma! is built;
     closed_form = (n/2) * (log2(alpha) - 1.22), the published rounding.
     Both are reported; they differ and no side is adjudicated here.
     """
     if alpha < 4 or alpha % 2:
         raise ValueError(f"alpha must be an even integer >= 4, got {alpha}")
     gamma = alpha // 2
-    exact = (n / (2 * gamma)) * math.log2(factorial(gamma))
+    exact = (n / (2 * gamma)) * math.fsum(math.log2(i) for i in range(2, gamma + 1))
     closed = (n / 2) * (math.log2(alpha) - 1.22)
     return exact, closed
 

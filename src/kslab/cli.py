@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,7 +48,6 @@ from .offline_solver import (
     validate_lazy_schedule,
 )
 from .spanner_cover import (
-    HeavyPathIndex,
     StretchClaimRejected,
     certify_min_stretch,
     generate_advice_spanner,
@@ -81,30 +79,6 @@ CSV_COLUMNS = [
     "bit_budget",
     "pass",
 ]
-
-
-@dataclass
-class RunSpec:
-    """The `kslab run` arguments; their defaults live in `make_parser`."""
-
-    command: str
-    algo: str
-    family: str | None
-    graph: str | None
-    instance: str | None
-    td: str | None
-    spanners: str | None
-    gamma: int
-    modules: int
-    rounds: int
-    bits: str | None
-    k: int
-    n: int
-    size: int
-    seed: int
-    out: str | None
-    format: str
-    dump_instance: str | None
 
 
 class BadFlag(ValueError):
@@ -139,7 +113,10 @@ class Instance(NamedTuple):
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """obj as sorted, whitespace-free JSON, each Fraction spelled by
+    num_to_json."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=num_to_json)
+    return text + "\n"
 
 
 def _digest(text: str) -> str:
@@ -162,36 +139,37 @@ def _vertices(doc, field: str, n: int) -> list:
     return vs
 
 
-def _build_instance(spec: RunSpec) -> Instance:
-    """Resolve the graph, servers, requests and decomposition of a run."""
-    _at_least("--n", spec.n, 0)
-    _at_least("--size", spec.size, 0)
-    if spec.graph and spec.family:
+def _build_instance(args: argparse.Namespace) -> Instance:
+    """Resolve the graph, servers, requests and decomposition of a run from
+    its parsed `kslab run` arguments."""
+    _at_least("--n", args.n, 0)
+    _at_least("--size", args.size, 0)
+    if args.graph and args.family:
         raise BadFlag("--family", "cannot be combined with --graph")
-    if not spec.graph:
-        for flag, path in (("--instance", spec.instance), ("--td", spec.td)):
+    if not args.graph:
+        for flag, path in (("--instance", args.instance), ("--td", args.td)):
             if path:
                 raise BadFlag(flag, "needs --graph")
-    rng = SplitMix64(spec.seed)
+    rng = SplitMix64(args.seed)
     td = None
-    if spec.graph:
-        g = graph_from_json(_read(spec.graph))
-        if spec.td:
-            td = TreeDecomposition.from_json(_read(spec.td))
-        if spec.instance:
-            doc = parse_json(_read(spec.instance))
+    if args.graph:
+        g = graph_from_json(_read(args.graph))
+        if args.td:
+            td = TreeDecomposition.from_json(_read(args.td))
+        if args.instance:
+            doc = parse_json(_read(args.instance))
             init = _vertices(doc, "init_config", g.n)
             if not init:
                 raise GraphFormatError("init_config", "expected at least one server")
             sigma = _vertices(doc, "sequence", g.n)
-            params = {"source": spec.graph, "instance": spec.instance}
+            params = {"source": args.graph, "instance": args.instance}
         else:
-            init = _random_servers(rng, spec.k, g.n)
-            sigma = random_requests(rng, spec.n, g.n)
-            params = {"source": spec.graph}
-    elif spec.family == "path-rounds":
-        bits = spec.bits if spec.bits is not None else rng.bit_string(max(1, spec.n // 7))
-        n_path = spec.size or 5
+            init = _random_servers(rng, args.k, g.n)
+            sigma = random_requests(rng, args.n, g.n)
+            params = {"source": args.graph}
+    elif args.family == "path-rounds":
+        bits = args.bits if args.bits is not None else rng.bit_string(max(1, args.n // 7))
+        n_path = args.size or 5
         g = path_graph(n_path)
         try:
             sigma = adversary.path_round_sequence(bits, n_path)
@@ -202,29 +180,29 @@ def _build_instance(spec: RunSpec) -> Instance:
         init = adversary.PATH_ROUND_INIT
         td = path_decomposition(n_path)
         params = {"bits": bits, "path_size": n_path}
-    elif spec.family == "module":
-        seqs = _seeded_valid_sequence(rng, spec.gamma, 1, spec.rounds)
-        g = adversary.module_graph(spec.gamma)
+    elif args.family == "module":
+        seqs = _seeded_valid_sequence(rng, args.gamma, 1, args.rounds)
+        g = adversary.module_graph(args.gamma)
         sigma = list(seqs.requests)
-        init = adversary.perm_init(spec.gamma, 1)
-        td = module_graph_decomposition(spec.gamma)
-        params = {"gamma": spec.gamma, "rounds": spec.rounds, "perms": seqs.perms}
-    elif spec.family == "gb":
-        _at_least("--modules", spec.modules, 1)
-        seqs = _seeded_valid_sequence(rng, spec.gamma, spec.modules, spec.rounds)
-        g = adversary.gb_graph(spec.modules, spec.gamma)
+        init = adversary.perm_init(args.gamma, 1)
+        td = module_graph_decomposition(args.gamma)
+        params = {"gamma": args.gamma, "rounds": args.rounds, "perms": seqs.perms}
+    elif args.family == "gb":
+        _at_least("--modules", args.modules, 1)
+        seqs = _seeded_valid_sequence(rng, args.gamma, args.modules, args.rounds)
+        g = adversary.gb_graph(args.modules, args.gamma)
         sigma = list(seqs.requests)
-        init = adversary.perm_init(spec.gamma, spec.modules)
-        td = gb_decomposition(spec.modules, spec.gamma)
+        init = adversary.perm_init(args.gamma, args.modules)
+        td = gb_decomposition(args.modules, args.gamma)
         params = {
-            "gamma": spec.gamma,
-            "modules": spec.modules,
-            "rounds": spec.rounds,
+            "gamma": args.gamma,
+            "modules": args.modules,
+            "rounds": args.rounds,
             "perms": seqs.perms,
         }
-    elif spec.family == "random-ktree":
-        n_vertices = spec.size or 20
-        width = min(4, max(1, spec.k))
+    elif args.family == "random-ktree":
+        n_vertices = args.size or 20
+        width = min(4, max(1, args.k))
         if n_vertices <= width:
             raise BadFlag(
                 "--size",
@@ -232,14 +210,14 @@ def _build_instance(spec: RunSpec) -> Instance:
                 f"vertices, got {n_vertices}",
             )
         g, td = random_partial_ktree(rng, n_vertices, width)
-        init = _random_servers(rng, spec.k, g.n)
-        sigma = random_requests(rng, spec.n, g.n)
+        init = _random_servers(rng, args.k, g.n)
+        sigma = random_requests(rng, args.n, g.n)
         params = {"n_vertices": n_vertices, "width": width}
-    elif spec.family == "grid":
-        side = spec.size or 4
+    elif args.family == "grid":
+        side = args.size or 4
         g = grid_graph(side, side)
-        init = _random_servers(rng, spec.k, g.n)
-        sigma = random_requests(rng, spec.n, g.n)
+        init = _random_servers(rng, args.k, g.n)
+        sigma = random_requests(rng, args.n, g.n)
         params = {"side": side}
     else:
         raise BadFlag("--family", "pass --family or --graph")
@@ -270,15 +248,15 @@ def _opt(g, init, sigma, dm):
         return opt_cost_flow(g, init, sigma, dm)
 
 
-def _step_opt(spec: RunSpec, inst: Instance, dm, opt: Schedule):
+def _step_opt(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     return opt.total_cost, True, {"schedule": opt.to_json()}, None, None
 
 
-def _step_perm(spec: RunSpec, inst: Instance, dm, opt: Schedule):
-    if spec.family not in ("module", "gb"):
+def _step_perm(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
+    if args.family not in ("module", "gb"):
         raise BadFlag("--algo", "perm needs --family module or gb")
-    modules = spec.modules if spec.family == "gb" else 1
-    seq = adversary.valid_sequence(spec.gamma, modules, inst.params["perms"])
+    modules = args.modules if args.family == "gb" else 1
+    seq = adversary.valid_sequence(args.gamma, modules, inst.params["perms"])
     schedule = adversary.perm_algorithm(inst.g, seq, inst.init)
     ok = schedule.total_cost == opt.total_cost == len(inst.sigma)
     # PERM's schedule is the unique optimum iff the optimum is unique and
@@ -296,13 +274,13 @@ def _step_perm(spec: RunSpec, inst: Instance, dm, opt: Schedule):
     return schedule.total_cost, ok and unique, {"unique_opt": unique}, None, None
 
 
-def _step_gpc(spec: RunSpec, inst: Instance, dm, opt: Schedule):
+def _step_gpc(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     g, init, sigma, td = inst.g, inst.init, inst.sigma, inst.td
     if td is None:
         raise BadFlag("--algo", "gpc needs a tree decomposition (--td or family)")
     check = verify_decomposition(g, td)
     if not check:
-        flag = "--td" if spec.td else "--family"
+        flag = "--td" if args.td else "--family"
         raise BadFlag(flag, f"decomposition invalid: {check.message}")
     red = reduce_height(td, g.n)
     tape = generate_advice(g, dm, red, init, sigma, opt)
@@ -316,26 +294,26 @@ def _step_gpc(spec: RunSpec, inst: Instance, dm, opt: Schedule):
     return run.online_cost, run.online_cost == opt.total_cost, extra, run, tape
 
 
-def _step_spanner(spec: RunSpec, inst: Instance, dm, opt: Schedule):
+def _step_spanner(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     g, init, sigma = inst.g, inst.init, inst.sigma
     extra = {}
-    if spec.spanners:
+    if args.spanners:
         try:
-            system = system_from_json(g, _read(spec.spanners), dm)
+            system = system_from_json(g, _read(args.spanners), dm)
         except StretchClaimRejected as exc:
             raise BadFlag("--spanners", str(exc)) from None
         if system.q is None:
             raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
     else:
-        roots = random_distinct_vertices(SplitMix64(spec.seed ^ 0xB0F5), 2, g.n)
+        roots = random_distinct_vertices(SplitMix64(args.seed ^ 0xB0F5), 2, g.n)
         trees = [shortest_path_tree(g, r) for r in roots]
         system = certify_min_stretch(dm, trees)
         extra["spanner_roots"] = roots
     extra.update(q=system.q, r=system.r)
-    hp = [HeavyPathIndex(t) for t in system.trees]
     tape = generate_advice_spanner(g, dm, system, init, sigma, opt)
     tape.rewind()
-    run = run_online_spanner(g, system, hp, init, sigma, tape)
+    paths = [t.paths for t in system.trees]
+    run = run_online_spanner(g, system, paths, init, sigma, tape)
     extra.update(suffix_bits=run.suffix_bits, labels=run.labels)
     ok = run.cost <= (system.q + system.r) * opt.total_cost
     return run.cost, ok, extra, run, tape
@@ -352,19 +330,16 @@ ALGOS = {
 }
 
 
-def cmd_run(spec: RunSpec) -> int:
-    inst = _build_instance(spec)
+def cmd_run(args: argparse.Namespace) -> int:
+    inst = _build_instance(args)
     g, init, sigma, td = inst.g, inst.init, inst.sigma, inst.td
     dm = all_pairs_shortest_paths(g)
     opt_cost, opt = _opt(g, init, sigma, dm)
     log.info("instance: N=%d k=%d n=%d opt=%s", g.n, len(init), len(sigma), opt_cost)
-    online_cost, ok, extra, run, tape = ALGOS[spec.algo](spec, inst, dm, opt)
-    extra = _jsonable(extra)
+    online_cost, ok, extra, run, tape = ALGOS[args.algo](args, inst, dm, opt)
     tape_dump = None
     if run is not None:
         ok = ok and run.bits_read <= run.bit_budget
-        # the run spells every move in ints and str costs already, so the
-        # thousands of move dicts skip _jsonable
         extra["moves"] = run.moves_json()
         tape_dump = tape.to_hex()
     results = {
@@ -377,24 +352,24 @@ def cmd_run(spec: RunSpec) -> int:
     }
 
     instance_doc = {
-        "family": spec.family,
-        "params": _jsonable(inst.params),
-        "seed": spec.seed,
+        "family": args.family,
+        "params": inst.params,
+        "seed": args.seed,
         "N": g.n,
         "k": len(init),
         "init_config": list(init),
         "sequence": sigma,
     }
-    if spec.dump_instance:
-        with open(spec.dump_instance + ".graph.json", "w") as fh:
+    if args.dump_instance:
+        with open(args.dump_instance + ".graph.json", "w") as fh:
             fh.write(graph_to_json(g) + "\n")
-        with open(spec.dump_instance + ".instance.json", "w") as fh:
+        with open(args.dump_instance + ".instance.json", "w") as fh:
             fh.write(_canonical(instance_doc))
     report = {
         "format_version": FORMAT_VERSION,
         # the output path is not part of the experiment identity
         "spec": {
-            k: v for k, v in asdict(spec).items() if v is not None and k != "out"
+            k: v for k, v in vars(args).items() if v is not None and k != "out"
         },
         "instance": instance_doc,
         "digests": {
@@ -404,10 +379,10 @@ def cmd_run(spec: RunSpec) -> int:
             "tape": tape_dump[0] if tape_dump else None,
         },
         "tape_bits": tape_dump[1] if tape_dump else None,
-        "results": _jsonable(results),
+        "results": results,
         "extra": extra,
     }
-    _emit(spec, report)
+    _emit(args, report)
     return 0 if ok else 1
 
 
@@ -417,16 +392,8 @@ def _ratio(online, opt):
     return Fraction(online, opt)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return num_to_json(obj)
-
-
-def _emit(spec: RunSpec, report: dict) -> None:
-    if spec.format == "csv":
+def _emit(args: argparse.Namespace, report: dict) -> None:
+    if args.format == "csv":
         res = report["results"]
         inst = report["instance"]
         row = {
@@ -446,8 +413,8 @@ def _emit(spec: RunSpec, report: dict) -> None:
         text += ",".join("" if row[c] is None else str(row[c]) for c in CSV_COLUMNS) + "\n"
     else:
         text = _canonical(report)
-    if spec.out:
-        with open(spec.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -459,6 +426,10 @@ def _bound_arg(flag: str, tok: str):
         return num_from_json(tok, flag)
     except GraphFormatError:
         raise BadFlag(flag, f"bad number {tok!r}") from None
+
+
+# log2(gamma!) is a sum of gamma = alpha/2 logs; this keeps a row near 1 s
+ALPHA_MAX = 2 * 10**7
 
 
 def cmd_bounds(args) -> int:
@@ -482,6 +453,8 @@ def cmd_bounds(args) -> int:
         rows.append("alpha,exact_bits,closed_form_bits")
         for tok in args.alpha.split(","):
             alpha = _bound_arg("--alpha", tok)
+            if alpha > ALPHA_MAX:
+                raise BadFlag("--alpha", f"must be at most {ALPHA_MAX}, got {alpha}")
             try:
                 exact, closed = adversary.treewidth_advice_bound(alpha, args.n)
             except ValueError as exc:
@@ -537,8 +510,6 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--graph", help="graph JSON file")
     run.add_argument(
         "--instance",
-        "--seq",
-        dest="instance",
         help="instance sidecar JSON holding init_config and sequence "
         "(with --graph)",
     )
@@ -587,7 +558,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(RunSpec(**vars(args)))
+            return cmd_run(args)
         if args.command == "bounds":
             return cmd_bounds(args)
         return cmd_verify(args)

@@ -44,8 +44,8 @@ class SplitMix64:
         return "".join("01"[self.randrange(2)] for _ in range(m))
 
 
-def path_graph(n: int, weight: int = 1) -> Graph:
-    return Graph(n, [(i, i + 1, weight) for i in range(n - 1)])
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1, 1) for i in range(n - 1)])
 
 
 def path_decomposition(n: int) -> TreeDecomposition:

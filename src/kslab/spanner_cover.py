@@ -32,6 +32,7 @@ final q and a violating pair's excess are built as Fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 
@@ -95,6 +96,11 @@ class SpanningTree:
     def n(self) -> int:
         return len(self.parent)
 
+    @cached_property
+    def paths(self) -> HeavyPathIndex:
+        """The tree's heavy-path index, built on first read and kept."""
+        return HeavyPathIndex(self)
+
 
 def spanning_tree_from_parent(g: Graph, root: int, parent) -> SpanningTree:
     """Validate a parent array into a SpanningTree over g's edges."""
@@ -114,11 +120,12 @@ def spanning_tree_from_parent(g: Graph, root: int, parent) -> SpanningTree:
         if not g.has_edge(v, p):
             raise ValueError(f"tree edge ({v}, {p}) is not a graph edge")
         weights[v] = g.weight(v, p)
+    tree = SpanningTree(root=root, parent=parent, edge_weight=tuple(weights))
     # every other vertex has one parent, so the walk down from the root
     # misses a vertex exactly when parent links close a cycle
-    if len(rooted_walk(parent, root)[0]) != g.n:
+    if len(tree.paths.order) != g.n:
         raise ValueError("parent links contain a cycle")
-    return SpanningTree(root=root, parent=parent, edge_weight=tuple(weights))
+    return tree
 
 
 def shortest_path_tree(g: Graph, root: int) -> SpanningTree:
@@ -306,7 +313,7 @@ def _best_tree_table(trees: tuple[SpanningTree, ...]) -> list:
         raise ValueError("a spanner system needs at least one tree")
     best: list = [None] * trees[0].n
     for tree in trees:
-        for v, row in _tree_distance_rows(HeavyPathIndex(tree)):
+        for v, row in _tree_distance_rows(tree.paths):
             if best[v] is not None:
                 row = [a if a <= b else b for a, b in zip(best[v], row)]
             best[v] = row
@@ -512,7 +519,7 @@ def generate_advice_spanner(
     """
     if system.q is None or system.r is None:
         raise ValueError("spanner system must carry a certified (q, r)")
-    hps = [HeavyPathIndex(t) for t in system.trees]
+    hps = [t.paths for t in system.trees]
     w_mu, _ = spanner_widths(system.mu, g.n)
     tape = AdviceTape()
     servers, first, after = serve_order(init, sigma, opt)

@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -499,6 +500,7 @@ BAD_BOUNDS_ARGS = [
     (["--alpha", "4.5"], "--alpha: alpha must be an even integer >= 4, got 9/2"),
     (["--alpha", "4", "--n", "-5"], "--n: must be at least 0, got -5"),
     (["--tau", "6/5", "--alpha", "4"], "--tau/--alpha: pass only one of them"),
+    (["--alpha", "20000002"], "--alpha: must be at most 20000000, got 20000002"),
 ]
 
 
@@ -551,6 +553,58 @@ def test_csv_format(tmp_path):
     assert row.split(",")[-1] == "true"
 
 
+def test_csv_reports_are_pinned(tmp_path, monkeypatch):
+    # a perm run, and a spanner run on a 40-vertex partial 3-tree whose
+    # thirds weights make its costs and ratio Fractions; digests recorded
+    # before the report's JSON encoder last changed
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(
+        "run", "--family", "module", "--gamma", "2", "--rounds", "3",
+        "--algo", "perm", "--format", "csv", "--out", "perm.csv",
+    ) == 0
+    rng = SplitMix64(86)
+    g, _ = random_partial_ktree(rng, 40, 3)
+    edges = [
+        [u, v, num_to_json(Fraction(rng.randint(3, 9), 3))] for u, v, _ in g.edges
+    ]
+    Path("g.json").write_text(json.dumps({"n": g.n, "edges": edges}))
+    assert run_cli(
+        "run", "--graph", "g.json", "--k", "3", "--n", "30", "--seed", "2",
+        "--algo", "spanner", "--format", "csv", "--out", "spanner.csv",
+    ) == 0
+    row = Path("spanner.csv").read_text().splitlines()[1].split(",")
+    assert row[5:8] == ["418/3", "293/3", "418/293"]
+    digests = {
+        name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+        for name in ("perm.csv", "spanner.csv")
+    }
+    assert digests == {
+        "perm.csv": "05a85d227207fd4fee87ace134eb1e075c7ddb50c56758de88ddf21354a99609",
+        "spanner.csv": "c32555ac1b2c6c62b3741cd6367e4e2790572df03181b76835fea20311257ef5",
+    }
+
+
+def test_spanner_run_builds_each_heavy_path_index_once(tmp_path, monkeypatch):
+    # certification, advice and the online replay share each tree's index
+    from kslab.spanner_cover import HeavyPathIndex
+
+    built = []
+    real = HeavyPathIndex.__init__
+
+    def counting(self, tree):
+        built.append(tree)
+        real(self, tree)
+
+    monkeypatch.setattr(HeavyPathIndex, "__init__", counting)
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "run", "--family", "grid", "--size", "16", "--k", "2", "--n", "150",
+        "--algo", "spanner", "--seed", "1", "--out", str(out),
+    ) == 0
+    assert len(json.loads(out.read_text())["extra"]["spanner_roots"]) == 2
+    assert len(built) == 2
+
+
 def test_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -583,6 +637,16 @@ def test_bounds_alpha(capsys):
     alpha, exact, closed = lines[1].split(",")
     assert abs(float(exact) - 573.1203) < 1e-3
     assert float(closed) == 890.0
+
+
+def test_bounds_alpha_at_its_limit_is_fast(capsys):
+    # log2(gamma!) for gamma = 10**7 without building gamma!
+    t0 = perf_counter()
+    assert run_cli("bounds", "--alpha", "20000000", "--n", "1000") == 0
+    assert perf_counter() - t0 < 2.0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "20000000,10905.401459,11516.748332"
+    )
 
 
 def test_verify_decomposition_pass_and_fail(tmp_path, capsys):

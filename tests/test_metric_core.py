@@ -73,7 +73,7 @@ def test_unit_graph_vertex_count():
     # gamma + 2^gamma - 1 vertices; for gamma=3 that is 10
     g, layout = unit_graph(3)
     assert g.n == 10
-    empty = layout.w_of_mask(0)
+    empty = layout.w_by_mask[0]
     for u in layout.u_ids:
         assert g.has_edge(u, empty)
 

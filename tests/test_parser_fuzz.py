@@ -4,11 +4,15 @@ Each file is either an arbitrary JSON value or a valid file with one of
 its parts replaced by arbitrary JSON or removed.  Every case must end in a
 finished run (exit 0) or in one `kslab: error:` line with exit status 2,
 never a traceback; and a file that a run accepts holds only the JSON types
-its format names (an int is never a bool or a float).
+its format names (an int is never a bool or a float).  Typed draws keep
+the format's JSON types and break its meaning instead: vertices just out
+of range, nulls, "p/q" numbers, parent links that close a cycle and bags
+missing a vertex, so that they reach the checks behind the type checks.
 """
 import contextlib
 import io
 import json
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -150,15 +154,8 @@ def run_argv(files, flag, text) -> list[str]:
     return argv
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(case=st.one_of(
-    [st.tuples(st.just(flag), near(doc)) for flag, doc in sorted(VALID.items())]
-))
-@example(case=("--graph", {"n": 3, "edges": 5}))
-@example(case=("--spanners", {**ONE_TREE, "mu": True}))
-@example(case=("--spanners", {**ONE_TREE, "mu": 1.0}))
-def test_every_input_file_fails_on_one_line_or_runs(files, case):
-    flag, doc = case
+def outcome(files, flag, doc) -> int:
+    """Run a case and check the contract; its exit status."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(run_argv(files, flag, json.dumps(doc)))
@@ -168,6 +165,108 @@ def test_every_input_file_fails_on_one_line_or_runs(files, case):
     else:
         assert code == 0, err.getvalue()
         assert typed(doc, SHAPES[flag]), doc
+    return code
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=st.one_of(
+    [st.tuples(st.just(flag), near(doc)) for flag, doc in sorted(VALID.items())]
+))
+@example(case=("--graph", {"n": 3, "edges": 5}))
+@example(case=("--spanners", {**ONE_TREE, "mu": True}))
+@example(case=("--spanners", {**ONE_TREE, "mu": 1.0}))
+def test_every_input_file_fails_on_one_line_or_runs(files, case):
+    outcome(files, *case)
+
+
+def shape_at(shape, path):
+    """The SHAPES entry of the part at path."""
+    for key in path:
+        if isinstance(shape, dict):
+            shape = shape[key] if key in shape else shape[key + "?"]
+        else:
+            shape = shape[key] if isinstance(shape, tuple) else shape[0]
+    return shape
+
+
+def of_shape(shape):
+    """Values of shape's JSON types: ints just around the vertex range,
+    null where the shape allows it, and "p/q" strings for numbers."""
+    if isinstance(shape, str):
+        values = st.integers(-1, GRID.n + 1)
+        if shape.startswith("num"):
+            fractions = st.tuples(st.integers(-1, 3 * GRID.n), st.integers(0, 4))
+            values |= fractions.map(lambda pq: "%d/%d" % pq)
+        return values | st.none() if shape.endswith("?") else values
+    if isinstance(shape, tuple):
+        return st.tuples(*map(of_shape, shape)).map(list)
+    if isinstance(shape, list):
+        return st.lists(of_shape(shape[0]), max_size=4)
+    return st.fixed_dictionaries(
+        {key.rstrip("?"): of_shape(s) for key, s in shape.items()}
+    )
+
+
+def below(parent, u, v) -> bool:
+    """Whether u hangs from v (or is v) by parent links."""
+    while u is not None and u != v:
+        u = parent[u]
+    return u == v
+
+
+def cycles(doc, at, root):
+    """doc with one parent link of the array at `at` moved into its own
+    subtree."""
+    parent = reduce(lambda part, key: part[key], at, doc)
+    edits = [
+        (v, u)
+        for v in range(len(parent)) if v != root
+        for u in range(len(parent)) if below(parent, u, v)
+    ]
+    return st.sampled_from(edits).map(lambda e: mutate(doc, at + (e[0],), e[1]))
+
+
+def typed_near(flag):
+    """VALID[flag] with one part replaced by a value of its SHAPES type, or
+    with a parent cycle or a bag missing a vertex."""
+    doc = VALID[flag]
+    edits = [
+        st.sampled_from(list(parts(doc))).flatmap(
+            lambda path: of_shape(shape_at(SHAPES[flag], path)).map(
+                lambda value: mutate(doc, path, value)
+            )
+        )
+    ]
+    if flag == "--td":
+        edits.append(cycles(doc, ("parent",), doc["root"]))
+        drops = [(i, j) for i, bag in enumerate(doc["bags"]) for j in range(len(bag))]
+        edits.append(st.sampled_from(drops).map(
+            lambda e: mutate(doc, ("bags", e[0], e[1]), DROP)
+        ))
+    if flag == "--spanners":
+        for i, tree in enumerate(doc["trees"]):
+            edits.append(cycles(doc, ("trees", i, "parent"), tree["root"]))
+    return st.one_of(edits)
+
+
+# Typed draws that a check behind the type checks rejects, out of 150
+TYPED_REJECTIONS_FLOOR = 75
+
+
+def test_typed_draws_reach_the_checks_behind_the_types(files):
+    rejected = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=st.one_of(
+        [st.tuples(st.just(flag), typed_near(flag)) for flag in sorted(VALID)]
+    ))
+    def fuzz(case):
+        flag, doc = case
+        if outcome(files, flag, doc) == 2 and typed(doc, SHAPES[flag]):
+            rejected.append(case)
+
+    fuzz()
+    assert len(rejected) >= TYPED_REJECTIONS_FLOOR
 
 
 @pytest.mark.parametrize(

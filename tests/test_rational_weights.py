@@ -1,8 +1,9 @@
 """Exact-arithmetic paths that integer-weight suites never touch."""
+import json
 from fractions import Fraction
 
 from kslab import metric_core
-from kslab.cli import _canonical, _jsonable
+from kslab.cli import _canonical
 from kslab.gpc import generate_advice, run_online
 from kslab.instances import SplitMix64, random_distinct_vertices, random_requests
 from kslab.metric_core import Graph, all_pairs_shortest_paths
@@ -159,12 +160,12 @@ def test_spanner_mu3_on_rational_weights():
 
 
 def test_run_moves_are_already_jsonable():
-    # `kslab run` puts these move lists in its report without `_jsonable`
+    # `kslab run` writes these move lists as they are: plain JSON values that
+    # read back unchanged, with no Fraction for the encoder to spell
     gpc = [r for r, _ in _rational_gpc_runs()]
     spanner = [r for r, *_ in _rational_spanner_runs()]
     for runs in (gpc, spanner):
         moves = [m for run in runs for m in run.moves_json()]
         for move in moves:
-            assert _jsonable(move) == move
-            assert _canonical(_jsonable(move)) == _canonical(move)
+            assert json.loads(_canonical(move)) == move
         assert any("/" in m["cost"] for m in moves)  # Fraction costs occur
