@@ -5,7 +5,10 @@ oracle and the online algorithm derive every field width from public
 parameters, so no self-delimiting codes are needed.  Width 0 is legal and
 writes nothing (used when a parameter makes the choice unique).
 
-The hex dump and its load each convert the whole tape in one pass, in time
+The tape is stored as ASCII binary digits: each write appends one chunk
+of `width` digits, the chunks are joined into one string the first time a
+read needs them, and a read is one `int(digits, 2)` of a slice.  The hex
+dump and its load each convert the whole digit string in one pass, in time
 linear in its bit length.
 """
 from __future__ import annotations
@@ -13,9 +16,6 @@ from __future__ import annotations
 import re
 
 
-# bit lists <-> ASCII binary digits, for the one-pass hex codec
-_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _NOT_HEX = re.compile(r"[^0-9a-fA-F]")
 
 
@@ -40,13 +40,18 @@ class AdviceTape:
     """Append-only bit string with a read cursor and exact bit counters."""
 
     def __init__(self):
-        self._bits: list[int] = []
+        self._chunks: list[str] = []  # digits written since the last join
+        self._digits = ""  # the joined digits
+        self.bits_written = 0
         self.read_cursor = 0
         self.bits_read = 0
 
-    @property
-    def bits_written(self) -> int:
-        return len(self._bits)
+    def _joined(self) -> str:
+        """Every written digit as one string."""
+        if self._chunks:
+            self._digits += "".join(self._chunks)
+            self._chunks.clear()
+        return self._digits
 
     def write_uint(self, value: int, width: int) -> None:
         """Append `value` as `width` bits, most significant first."""
@@ -54,8 +59,9 @@ class AdviceTape:
             raise ValueError("width must be nonnegative")
         if value < 0 or value >> width:
             raise ValueTooWide(f"value {value} does not fit in {width} bits")
-        for i in range(width - 1, -1, -1):
-            self._bits.append((value >> i) & 1)
+        if width:
+            self._chunks.append(bin(value)[2:].zfill(width))
+            self.bits_written += width
 
     def read_uint(self, width: int) -> int:
         """Consume `width` bits at the cursor; never silently pads."""
@@ -63,17 +69,17 @@ class AdviceTape:
             raise ValueError("width must be nonnegative")
         start = self.read_cursor
         end = start + width
-        if end > len(self._bits):
+        if end > self.bits_written:
             raise TapeExhausted(
                 f"read of {width} bits at cursor {start} "
-                f"exceeds {len(self._bits)} written bits"
+                f"exceeds {self.bits_written} written bits"
             )
-        value = 0
-        for b in self._bits[start:end]:
-            value = (value << 1) | b
+        if not width:
+            return 0
+        digits = self._digits if end <= len(self._digits) else self._joined()
         self.read_cursor = end
         self.bits_read += width
-        return value
+        return int(digits[start:end], 2)
 
     def rewind(self) -> None:
         self.read_cursor = 0
@@ -82,12 +88,11 @@ class AdviceTape:
     # Dump format for run reports: hex string plus exact bit length, so a
     # report can be replayed bit for bit.
     def to_hex(self) -> tuple[str, int]:
-        nbits = len(self._bits)
+        nbits = self.bits_written
         if nbits == 0:
             return "", 0
         nbytes = (nbits + 7) // 8
-        acc = int(bytes(self._bits).translate(_BITS_TO_DIGITS), 2)
-        acc <<= nbytes * 8 - nbits  # pad at the tail
+        acc = int(self._joined(), 2) << (nbytes * 8 - nbits)  # pad at the tail
         return acc.to_bytes(nbytes, "big").hex(), nbits
 
     @classmethod
@@ -108,8 +113,8 @@ class AdviceTape:
             acc = int.from_bytes(bytes.fromhex(hexstr), "big")
         except ValueError as exc:
             raise BadHexTape(f"bad hex string: {exc}") from exc
-        digits = format(acc, f"0{total}b")[:nbits]
-        tape._bits = list(digits.encode().translate(_DIGITS_TO_BITS))
+        tape._digits = format(acc, f"0{total}b")[:nbits]
+        tape.bits_written = nbits
         return tape
 
     def __repr__(self) -> str:

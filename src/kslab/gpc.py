@@ -10,14 +10,19 @@ optimum exactly.
 
 Every record is one (bag depth, in-bag index) address: depth identifies
 the ancestor bag of the current request's representative bag, the index a
-vertex inside it.  Widths are ceil(log2(h+1)) and ceil(log2(width+1)); a
-tape holds k initial records plus two records per request, read eagerly in
-server-id order and request order.
+vertex inside it.  Field widths are w_h = ceil(log2(h+1)) and w_b =
+ceil(log2(width+1)), and a record is one uint of w_h + w_b bits holding
+depth << w_b | index: bit for bit the depth field followed by the index
+field.  A tape holds k initial records plus two records per request, read
+eagerly in server-id order and request order.  The oracle computes each
+distinct leg's relay once, and the online side walks each reference
+vertex's root path once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .advice_tape import AdviceTape
 from .metric_core import DistanceMatrix, Graph
@@ -59,8 +64,7 @@ def gpc_bit_budget_nominal(td: TreeDecomposition, k: int, n: int) -> int:
     return (2 * n + k) * (w_h + w_b)
 
 
-@dataclass
-class GpcMove:
+class GpcMove(NamedTuple):
     t: int
     request: int
     server: int
@@ -81,41 +85,15 @@ class GpcRun:
         """The moves as the report spells them: ints and str costs."""
         return [
             {
-                "t": m.t,
-                "request": m.request,
-                "server": m.server,
-                "from": m.retrieved_from,
-                "parked_at": m.parked_at,
-                "cost": str(m.cost),
+                "t": t,
+                "request": request,
+                "server": server,
+                "from": retrieved_from,
+                "parked_at": parked_at,
+                "cost": str(cost),
             }
-            for m in self.log
+            for t, request, server, retrieved_from, parked_at, cost, _ in self.log
         ]
-
-
-def _write_address(
-    tape: AdviceTape, td: TreeDecomposition, widths, bag_idx: int, v: int
-) -> None:
-    w_h, w_b = widths
-    tape.write_uint(td.depth[bag_idx], w_h)
-    tape.write_uint(td.bags[bag_idx].index(v), w_b)
-
-
-def _read_address(
-    tape: AdviceTape, td: TreeDecomposition, widths, ref_vertex: int
-) -> int:
-    """Resolve (depth, index) against the reference vertex's root path."""
-    w_h, w_b = widths
-    depth = tape.read_uint(w_h)
-    idx = tape.read_uint(w_b)
-    ref_bag = td.representative_bag[ref_vertex]
-    if depth > td.depth[ref_bag]:
-        raise NoServerAtAddress(
-            f"depth {depth} above no ancestor of bag {ref_bag}"
-        )
-    bag = td.ancestor_at_depth(ref_bag, depth)
-    if idx >= len(td.bags[bag]):
-        raise NoServerAtAddress(f"index {idx} outside bag {bag}")
-    return td.bags[bag][idx]
 
 
 def generate_advice(
@@ -132,29 +110,36 @@ def generate_advice(
     trajectory parks on the request itself, keeping the record format
     uniform (and the extra moves free).
     """
-    widths = address_widths(td)
+    w_h, w_b = address_widths(td)
     tape = AdviceTape()
     servers, first, after = serve_order(init, sigma, opt)
-    rep = td.representative_bag
+    rep, depth, bags = td.representative_bag, td.depth, td.bags
+    records: dict[tuple[int, int], int] = {}  # (x, y) -> its relay's record
 
-    def relay(x: int, u: int | None) -> tuple[int, int]:
-        """(bag, vertex) where a server at x parks until it serves request
-        u: a relay on the shortest x-sigma[u] path (None: x itself)."""
+    def relay(x: int, u: int | None) -> int:
+        """The record of the vertex where a server at x parks until it
+        serves request u: a relay on the shortest x-sigma[u] path (None: x
+        itself), in the least-common-ancestor bag of x's and sigma[u]'s."""
         y = x if u is None else sigma[u]
-        if x == y:
-            return rep[x], x
-        z_bag = td.lca_bag(rep[x], rep[y])
-        return z_bag, intersect_shortest_path(dm, td, x, y, z_bag)
+        record = records.get((x, y))
+        if record is None:
+            if x == y:
+                bag, z = rep[x], x
+            else:
+                bag = td.lca_bag(rep[x], rep[y])
+                z = intersect_shortest_path(dm, td, x, y, bag)
+            record = records[x, y] = depth[bag] << w_b | bags[bag].index(z)
+        return record
 
     # Initial records, in server-id order; untouched servers park in place.
     parked = [relay(x0, u) for x0, u in zip(init, first)]
-    for address in parked:
-        _write_address(tape, td, widths, *address)
+    for record in parked:
+        tape.write_uint(record, w_h + w_b)
     # Two records per request: retrieval relay, then next parking relay.
     for t, (y, sid) in enumerate(zip(sigma, servers)):
-        _write_address(tape, td, widths, *parked[sid])
+        tape.write_uint(parked[sid], w_h + w_b)
         parked[sid] = relay(y, after[t])
-        _write_address(tape, td, widths, *parked[sid])
+        tape.write_uint(parked[sid], w_h + w_b)
     return tape
 
 
@@ -167,42 +152,55 @@ def run_online(
     tape: AdviceTape,
 ) -> GpcRun:
     """Serve sigma by reading the tape; cost equals the offline optimum."""
-    widths = address_widths(td)
+    w_h, w_b = address_widths(td)
+    rep, parent, bags = td.representative_bag, td.parent, td.bags
+    root_paths: dict[int, list[int]] = {}  # vertex -> root .. its rep bag
+
+    def decode(ref_vertex: int) -> int:
+        """Read one record; resolve (depth, index) against the reference
+        vertex's root path."""
+        record = tape.read_uint(w_h + w_b)
+        depth, idx = record >> w_b, record & ((1 << w_b) - 1)
+        path = root_paths.get(ref_vertex)
+        if path is None:
+            path = []
+            bag = rep[ref_vertex]
+            while bag is not None:
+                path.append(bag)
+                bag = parent[bag]
+            path.reverse()
+            root_paths[ref_vertex] = path
+        if depth >= len(path):
+            raise NoServerAtAddress(
+                f"depth {depth} above no ancestor of bag {path[-1]}"
+            )
+        bag = path[depth]
+        if idx >= len(bags[bag]):
+            raise NoServerAtAddress(f"index {idx} outside bag {bag}")
+        return bags[bag][idx]
+
     k = len(init)
     positions = list(init)
     cost = 0
     # Initial parking moves, read eagerly in server-id order.
     for i in range(k):
-        z0 = _read_address(tape, td, widths, positions[i])
+        z0 = decode(positions[i])
         cost += dm.dist[positions[i]][z0]
         positions[i] = z0
     log: list[GpcMove] = []
     for t, y in enumerate(sigma):
-        z1 = _read_address(tape, td, widths, y)
-        holders = [i for i, p in enumerate(positions) if p == z1]
+        z1 = decode(y)
+        holders = positions.count(z1)
         if not holders:
             raise NoServerAtAddress(
                 f"request {t}: no server parked at decoded vertex {z1}"
             )
-        sid = holders[0]
+        sid = positions.index(z1)
         dy = dm.dist[y]  # a relay forces no row of its own
-        serve_cost = dy[z1]
-        positions[sid] = y
-        z2 = _read_address(tape, td, widths, y)
-        park_cost = dy[z2]
-        positions[sid] = z2
-        cost += serve_cost + park_cost
-        log.append(
-            GpcMove(
-                t=t,
-                request=y,
-                server=sid,
-                retrieved_from=z1,
-                parked_at=z2,
-                cost=serve_cost + park_cost,
-                candidates_at_address=len(holders),
-            )
-        )
+        positions[sid] = z2 = decode(y)
+        move_cost = dy[z1] + dy[z2]
+        cost += move_cost
+        log.append(GpcMove(t, y, sid, z1, z2, move_cost, holders))
     return GpcRun(
         online_cost=cost,
         bits_read=tape.bits_read,

@@ -27,7 +27,8 @@ from fractions import Fraction
 from bisect import bisect, insort
 from heapq import heappop, heappush
 from itertools import chain
-from math import lcm
+from math import comb, lcm
+from typing import NamedTuple
 
 from .metric_core import (
     DistanceMatrix,
@@ -59,10 +60,10 @@ class InvalidSchedule(ValueError):
 DP_GUARD = 10**7
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One entry of a lazy schedule: server moves src -> dst, the vertex
-    requested at step t."""
+    requested at step t.  A named tuple: immutable, hashable and cheap to
+    build, one per request; `_replace` gives a changed copy."""
 
     t: int
     server: int
@@ -169,11 +170,10 @@ def validate_lazy_schedule(
         )
 
 
-def _guard(n_vertices: int, k: int, n_requests: int, what: str):
-    size = (n_vertices**k) * max(n_requests, 1)
+def _guard(what: str, formula: str, size: int):
     if size > DP_GUARD:
         raise InstanceTooLarge(
-            f"{what}: N^k*n = {size} exceeds the guard {DP_GUARD}"
+            f"{what}: {formula} = {size} exceeds the guard {DP_GUARD}"
         )
 
 
@@ -188,7 +188,7 @@ def _assign_server_ids(init, steps):
     for t, src, dst, cost in steps:
         sid = positions.index(src)
         positions[sid] = dst
-        moves.append(Move(t=t, server=sid, src=src, dst=dst, cost=cost))
+        moves.append(Move(t, sid, src, dst, cost))
     return moves
 
 
@@ -214,12 +214,15 @@ def _dp_layers(dist, init, sigma):
     of layer t+1 comes from are R' + (s,) over its sources s, which grow
     with s, so a cost tie goes to the least source, which is also the least
     predecessor configuration; moved[R'] holds the winning source where it
-    is not p_t (moved is empty for t = 0).
+    is not p_t (moved is empty for t = 0).  Each configuration's distinct
+    (s, R - s) pairs are computed the first time it is expanded and kept,
+    at most C(N+k-2, k-1) lists.
     """
     if not init and sigma:
         raise ValueError(f"init: no servers to serve {len(sigma)} requests")
     p = min(init, default=None)
     layer = {tuple(sorted(init))[1:]: (0, 1)}
+    sources: dict[tuple, list] = {}  # conf -> its distinct (s, conf - s)
     yield layer, {}
     for r in sigma:
         dr = dist[r]  # d(s, r) == d(r, s): one row per request
@@ -227,12 +230,17 @@ def _dp_layers(dist, init, sigma):
         nxt = {conf: (cost + step, ways) for conf, (cost, ways) in layer.items()}
         moved: dict[tuple, int] = {}
         for conf, (cost, ways) in layer.items():
-            for i, s in enumerate(conf):
-                # the same move as serving from p_t, or as the previous s
-                if s == p or (i and conf[i - 1] == s):
+            pairs = sources.get(conf)
+            if pairs is None:
+                pairs = sources[conf] = [
+                    (s, conf[:i] + conf[i + 1:])
+                    for i, s in enumerate(conf)
+                    if not (i and conf[i - 1] == s)
+                ]
+            for s, rest in pairs:
+                if s == p:  # the same move as serving from p_t
                     continue
                 new_cost = cost + dr[s]
-                rest = conf[:i] + conf[i + 1:]
                 j = bisect(rest, p)
                 new_conf = rest[:j] + (p,) + rest[j:]
                 best = nxt.get(new_conf)
@@ -256,7 +264,9 @@ def opt_cost_dp(
     Returns one optimal lazy schedule (deterministic tie-breaking: the
     least source vertex at every state, and the least final state).
     """
-    _guard(g.n, len(init), len(sigma), "opt_cost_dp")
+    # the route guard: N^k*n, not the DP's real work, picks which solver's
+    # optimal schedule a run reports
+    _guard("opt_cost_dp", "N^k*n", g.n ** len(init) * max(len(sigma), 1))
     if dm is None:
         dm = all_pairs_shortest_paths(g)
     dist = dm.dist
@@ -284,9 +294,12 @@ def count_optimal_schedules(
     """OPT and the number of distinct optimal (t, src, dst) schedules.
 
     Both are read off the last layer of `_dp_layers`: the least cost, and
-    the sum of `ways` over the states that reach it.
+    the sum of `ways` over the states that reach it.  Guarded on the DP's
+    real work: C(N+k-2, k-1) states a layer, times n layers.
     """
-    _guard(g.n, len(init), len(sigma), "count_optimal_schedules")
+    k = len(init)
+    states = comb(g.n + k - 2, k - 1) if k else 1
+    _guard("count_optimal_schedules", "C(N+k-2,k-1)*n", states * max(len(sigma), 1))
     if dm is None:
         dm = all_pairs_shortest_paths(g)
     for layer, _ in _dp_layers(dm.dist, init, sigma):
@@ -467,9 +480,7 @@ def opt_cost_flow(
     for t in range(n):
         sid = serve_t[t]
         src = positions[sid]
-        moves.append(
-            Move(t=t, server=sid, src=src, dst=sigma[t], cost=dist[src][sigma[t]])
-        )
+        moves.append(Move(t, sid, src, sigma[t], dist[src][sigma[t]]))
         positions[sid] = sigma[t]
     cost = sum(m.cost for m in moves)
     if cost != total:

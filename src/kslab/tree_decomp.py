@@ -107,18 +107,8 @@ class TreeDecomposition:
         return max(self.depth)
 
     # -- ancestors by parent walks ------------------------------------------
-    # The online algorithm only queries height-reduced decompositions, so
-    # every walk is short.
-
-    def ancestor_at_depth(self, bag_idx: int, d: int) -> int:
-        """The unique ancestor of bag_idx at depth d (d <= its depth)."""
-        if not (0 <= d <= self.depth[bag_idx]):
-            raise ValueError(
-                f"depth {d} not on the root path of bag {bag_idx}"
-            )
-        for _ in range(self.depth[bag_idx] - d):
-            bag_idx = self.parent[bag_idx]
-        return bag_idx
+    # The advice oracle only queries height-reduced decompositions, so every
+    # walk is short.
 
     def lca_bag(self, i: int, j: int) -> int:
         """Deepest common ancestor of two bags."""

@@ -11,7 +11,7 @@ from kslab.advice_tape import AdviceTape, BadHexTape, TapeExhausted, ValueTooWid
 def test_write_bits_msb_first():
     t = AdviceTape()
     t.write_uint(5, 3)
-    assert t._bits == [1, 0, 1]
+    assert _read_bits(t) == [1, 0, 1]
     assert t.bits_written == 3
 
 
@@ -137,6 +137,11 @@ def _from_hex_oracle(hexstr: str, nbits: int) -> list[int]:
     return [(acc >> (total - 1 - i)) & 1 for i in range(nbits)]
 
 
+def _read_bits(tape: AdviceTape) -> list[int]:
+    """Every bit of the tape, read one at a time from its cursor."""
+    return [tape.read_uint(1) for _ in range(tape.bits_written - tape.read_cursor)]
+
+
 # leading zeros, then any bits: 0..300 in all, any length mod 4 and mod 8
 _bit_lists = st.tuples(
     st.integers(0, 40), st.lists(st.integers(0, 1), max_size=260)
@@ -152,17 +157,19 @@ def test_hex_codec_matches_per_bit_oracle(bits):
     hexstr, nbits = t.to_hex()
     assert (hexstr, nbits) == _to_hex_oracle(bits)
     for m in range(len(hexstr) * 4 + 1):  # every m <= nbits, and the pad bits
-        assert AdviceTape.from_hex(hexstr, m)._bits == _from_hex_oracle(hexstr, m)
-    assert AdviceTape.from_hex(hexstr, nbits)._bits == bits
+        assert _read_bits(AdviceTape.from_hex(hexstr, m)) == _from_hex_oracle(hexstr, m)
+    assert _read_bits(AdviceTape.from_hex(hexstr, nbits)) == bits
 
 
 def test_hex_round_trip_200k_bits():
     rng = random.Random(200_000)
     bits = [0] * 13 + [rng.getrandbits(1) for _ in range(200_000 - 13)]
     t = AdviceTape()
-    t._bits = list(bits)
+    for b in bits:
+        t.write_uint(b, 1)
     hexstr, nbits = t.to_hex()
     assert (len(hexstr), nbits) == (50_000, 200_000)
     back = AdviceTape.from_hex(hexstr, nbits)
-    assert back._bits == bits
+    assert _read_bits(back) == bits
+    back.rewind()
     assert back.read_uint(13) == 0 and back.read_cursor == 13

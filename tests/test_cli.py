@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -177,6 +176,37 @@ def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# gpc reports pinned byte for byte, tape hex, `tape_bits` and `extra.moves`
+# included: the 14,000-request path-rounds benchmark spec (a ~1 MB report),
+# a two-module gb spec, and the latter's CSV row.
+GPC_RUNS = [
+    (
+        ["--family", "path-rounds", "--size", "5", "--n", "14000", "--seed", "1",
+         "--algo", "gpc"],
+        "080a697ef12305e2c38afa7cab615ef0e2e4c4e337fc6e4acd822d5642ac9e85",
+    ),
+    (
+        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "3",
+         "--algo", "gpc"],
+        "45fd259ef03c992bcd1299412879337f1dfa7b472ead486a18e3bec60031ae8f",
+    ),
+    (
+        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "3",
+         "--algo", "gpc", "--format", "csv"],
+        "6d01b7b18cfe5c14eca340c83c51990b335b9020aa2b641d33a11148ab327e60",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GPC_RUNS, ids=["rounds14000-gpc", "gb-m2-g2-r3-gpc", "gb-gpc-csv"]
+)
+def test_gpc_run_reports_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "r.out"
+    assert run_cli("run", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # `perm` reports pinned the same way, beyond the README's one-round gamma 2
 # run: three rounds of gamma 2 and ten rounds of gamma 3, both unique_opt true.
 PERM_RUNS = [
@@ -204,10 +234,11 @@ def test_perm_run_reports_are_pinned(argv, digest, tmp_path):
     [
         (["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "1"], True),
         (["--family", "module", "--gamma", "3", "--rounds", "20"], True),
-        # N^k * n > DP_GUARD: uniqueness is not decided
-        (["--family", "module", "--gamma", "4", "--rounds", "1"], None),
+        (["--family", "module", "--gamma", "4", "--rounds", "1"], True),
+        # C(N+k-2, k-1) * n > DP_GUARD: uniqueness is not decided
+        (["--family", "module", "--gamma", "5", "--rounds", "1"], None),
     ],
-    ids=["gb-m2-g2", "module-g3-r20", "module-g4"],
+    ids=["gb-m2-g2", "module-g3-r20", "module-g4", "module-g5"],
 )
 def test_perm_uniqueness_is_decided_under_the_dp_guard(argv, unique, tmp_path):
     out = tmp_path / "r.json"
@@ -229,7 +260,7 @@ def test_perm_schedule_that_is_not_lazy_is_not_the_unique_optimum(
     def swapped(g, seq, init):
         sched = real(g, seq, init)
         a, b, *rest = sched.moves
-        a, b = replace(a, server=b.server), replace(b, server=a.server)
+        a, b = a._replace(server=b.server), b._replace(server=a.server)
         return Schedule(moves=[a, b, *rest], total_cost=sched.total_cost)
 
     monkeypatch.setattr(adversary, "perm_algorithm", swapped)

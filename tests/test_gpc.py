@@ -1,6 +1,13 @@
 import pytest
 
-from kslab.adversary import module_graph, perm_init, valid_sequence
+from kslab import gpc
+from kslab.adversary import (
+    PATH_ROUND_INIT,
+    module_graph,
+    path_round_sequence,
+    perm_init,
+    valid_sequence,
+)
 from kslab.advice_tape import AdviceTape
 from kslab.gpc import (
     NoServerAtAddress,
@@ -164,3 +171,68 @@ def test_per_move_relay_identity():
         assert dm.dist[x][z] + dm.dist[z][y] == dm.dist[x][y]
         prev_vertex[sid] = y
     assert replay_cost(dm, opt_s) == opt_c == run.online_cost
+
+
+def _path_rounds_case():
+    sigma = path_round_sequence("1011001110", 5)
+    return path_graph(5), path_decomposition(5), PATH_ROUND_INIT, sigma
+
+
+def _ktree_case():
+    rng = SplitMix64(77)
+    g, td = random_partial_ktree(rng, 30, 3, max_weight=3)
+    init = random_distinct_vertices(rng, 3, g.n)
+    return g, td, init, random_requests(rng, 60, g.n)
+
+
+WORK_CASES = pytest.mark.parametrize(
+    "case", [_path_rounds_case, _ktree_case], ids=["path-rounds", "ktree"]
+)
+
+
+@WORK_CASES
+def test_one_tape_record_per_address(case, monkeypatch):
+    # each (depth, index) address is one write and one read of w_h + w_b bits
+    g, td, init, sigma = case()
+    dm = all_pairs_shortest_paths(g)
+    red = reduce_height(td, g.n)
+    cost, sched = opt_cost_dp(g, init, sigma, dm)
+    calls = {"write_uint": 0, "read_uint": 0}
+    for name in calls:
+
+        def counting(self, *args, _name=name, _real=getattr(AdviceTape, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(AdviceTape, name, counting)
+    tape = generate_advice(g, dm, red, init, sigma, sched)
+    tape.rewind()
+    run = run_online(g, dm, red, init, sigma, tape)
+    records = 2 * len(sigma) + len(init)
+    assert calls == {"write_uint": records, "read_uint": records}
+    assert run.online_cost == cost
+    w_h, w_b = address_widths(red)
+    assert run.bits_read == tape.bits_written == records * (w_h + w_b)
+
+
+@WORK_CASES
+def test_relay_search_runs_once_per_distinct_leg(case, monkeypatch):
+    g, td, init, sigma = case()
+    dm = all_pairs_shortest_paths(g)
+    red = reduce_height(td, g.n)
+    _, sched = opt_cost_dp(g, init, sigma, dm)
+    searched = []
+    real = gpc.intersect_shortest_path
+
+    def recording(dm, td, x, y, bag_idx):
+        searched.append((x, y))
+        return real(dm, td, x, y, bag_idx)
+
+    monkeypatch.setattr(gpc, "intersect_shortest_path", recording)
+    generate_advice(g, dm, red, init, sigma, sched)
+    servers, first, after = serve_order(init, sigma, sched)
+    legs = [(x, sigma[u]) for x, u in zip(init, first) if u is not None]
+    legs += [(y, sigma[u]) for y, u in zip(sigma, after) if u is not None]
+    distinct = {(x, y) for x, y in legs if x != y}
+    assert len(distinct) < len(legs)  # some leg repeats
+    assert sorted(searched) == sorted(distinct)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
@@ -485,7 +484,7 @@ def test_flow_on_a_long_path_round_sequence():
 # the request index t (None for the schedule as a whole) and the field.
 def _swap(sched, i, **fields):
     moves = list(sched.moves)
-    moves[i] = replace(moves[i], **fields)
+    moves[i] = moves[i]._replace(**fields)
     return Schedule(moves=moves, total_cost=sched.total_cost)
 
 

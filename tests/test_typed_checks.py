@@ -10,7 +10,6 @@ import ast
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -54,7 +53,7 @@ def _end_last_move_elsewhere(opt: Schedule, n_vertices: int) -> Schedule:
     """The last move is its server's last, so the tampered end vertex still
     chains; only the check that the trajectory meets the request sees it."""
     *moves, last = sorted(opt.moves, key=lambda m: m.t)
-    wrong = replace(last, dst=(last.dst + 1) % n_vertices)
+    wrong = last._replace(dst=(last.dst + 1) % n_vertices)
     return Schedule(moves=moves + [wrong], total_cost=opt.total_cost)
 
 
