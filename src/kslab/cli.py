@@ -260,17 +260,20 @@ def _step_perm(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     schedule = adversary.perm_algorithm(inst.g, seq, inst.init)
     ok = schedule.total_cost == opt.total_cost == len(inst.sigma)
     # PERM's schedule is the unique optimum iff the optimum is unique and
-    # PERM's is a lazy schedule of that cost.
-    try:
-        opt_cost, count = count_optimal_schedules(inst.g, inst.init, inst.sigma, dm)
-    except InstanceTooLarge:
-        return schedule.total_cost, ok, {"unique_opt": None}, None, None
+    # PERM's is a lazy schedule of that cost.  The DP route counted the
+    # optima on its pass; the flow route's schedule needs a counting pass.
+    count = opt.optimal_count
+    if count is None:
+        try:
+            _, count = count_optimal_schedules(inst.g, inst.init, inst.sigma, dm)
+        except InstanceTooLarge:
+            return schedule.total_cost, ok, {"unique_opt": None}, None, None
     try:
         validate_lazy_schedule(dm, inst.init, inst.sigma, schedule)
     except InvalidSchedule:
         unique = False
     else:
-        unique = count == 1 and schedule.total_cost == opt_cost
+        unique = count == 1 and schedule.total_cost == opt.total_cost
     return schedule.total_cost, ok and unique, {"unique_opt": unique}, None, None
 
 

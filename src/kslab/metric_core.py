@@ -5,8 +5,10 @@ weights give Fraction distances.  Floats are rejected so that cost-equality
 checks elsewhere never need tolerances.
 
 The metric computes a row, the distances from one source, the first time
-it is read, by a Dijkstra run over distance levels, and keeps it; a run
-that reads only the rows of its servers and requests computes no others.
+it is read, and keeps it; a run that reads only the rows of its servers and
+requests computes no others.  On a graph whose every weight is 1 (every
+generated family) a row is one breadth-first search, O(N + M) with no heap;
+any other weight takes a Dijkstra run over distance levels, O(M log N).
 Among equal-length shortest paths the lexicographically smallest vertex
 sequence is reconstructed: the next hop from u toward y is the smallest
 neighbour of u on some shortest path, read off the row of y.
@@ -98,6 +100,8 @@ class Graph:
         self.adj: tuple[tuple[tuple[int, Weight], ...], ...] = tuple(
             tuple(sorted(a)) for a in adj
         )
+        # every weight is 1: distances are hop counts, a row is one BFS
+        self.unit_weights = all(w == 1 for _, _, w in self.edges)
         self._require_connected()
 
     def _require_connected(self) -> None:
@@ -181,9 +185,12 @@ class DistanceMatrix:
 
 
 def single_source_distances(g: Graph, s: int) -> list[Weight]:
-    """Exact distances from s to every vertex: Dijkstra by distance levels.
+    """Exact distances from s to every vertex.
 
-    The heap holds each distinct tentative distance once, and level[d] the
+    When every weight is 1 they are hop counts: breadth-first levels, where
+    `frontier` holds the vertices at distance d - 1 and a vertex takes the
+    first level that reaches it.  Otherwise Dijkstra by distance levels: the
+    heap holds each distinct tentative distance once, and level[d] the
     vertices reached at d.  Weights are >= 1, so scanning level d never adds
     to it; a vertex whose distance dropped below the level it was filed
     under is stale there and skipped.  None marks a vertex not reached yet;
@@ -191,9 +198,22 @@ def single_source_distances(g: Graph, s: int) -> list[Weight]:
     """
     dist: list[Weight | None] = [None] * g.n
     dist[s] = 0
+    adj = g.adj
+    if g.unit_weights:
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for v, _ in adj[u]:
+                    if dist[v] is None:
+                        dist[v] = d
+                        nxt.append(v)
+            frontier = nxt
+        return dist
     heap: list[Weight] = [0]
     level: dict[Weight, list[int]] = {0: [s]}
-    adj = g.adj
     while heap:
         d = heappop(heap)
         for u in level.pop(d):
@@ -214,7 +234,8 @@ def single_source_distances(g: Graph, s: int) -> list[Weight]:
 
 
 def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
-    """The exact metric of g; each row is one Dijkstra run, on first read."""
+    """The exact metric of g; each row is one BFS or Dijkstra run, on first
+    read."""
     return DistanceMatrix(g)
 
 

@@ -22,7 +22,7 @@ request, directly to the requested vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from bisect import bisect, insort
 from heapq import heappop, heappush
@@ -83,8 +83,13 @@ class Move(NamedTuple):
 
 @dataclass
 class Schedule:
+    """A lazy schedule and its cost.  `optimal_count` is the number of
+    distinct optimal (t, src, dst) schedules, when the solver that found
+    this one counted them on the way (the DP does), else None."""
+
     moves: list[Move]
     total_cost: int | Fraction
+    optimal_count: int | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -256,13 +261,22 @@ def _dp_layers(dist, init, sigma):
         yield layer, moved
 
 
+def _optimum(layer) -> tuple[int | Fraction, int]:
+    """A last DP layer's least cost, and the sum of `ways` over the states
+    that reach it: the number of optimal schedules."""
+    best_cost = min(cost for cost, _ in layer.values())
+    return best_cost, sum(ways for cost, ways in layer.values() if cost == best_cost)
+
+
 def opt_cost_dp(
     g: Graph, init, sigma, dm: DistanceMatrix | None = None
 ) -> tuple[int | Fraction, Schedule]:
     """Provably minimal offline cost via DP over server configurations.
 
     Returns one optimal lazy schedule (deterministic tie-breaking: the
-    least source vertex at every state, and the least final state).
+    least source vertex at every state, and the least final state), with
+    the number of optimal schedules, read off the same pass, as its
+    `optimal_count`.
     """
     # the route guard: N^k*n, not the DP's real work, picks which solver's
     # optimal schedule a run reports
@@ -273,8 +287,8 @@ def opt_cost_dp(
     back = []  # back[t]: the sparse back-pointers into layer t
     for layer, moved in _dp_layers(dist, init, sigma):
         back.append(moved)
-    conf = min(layer, key=lambda c: (layer[c][0], c))
-    best_cost = layer[conf][0]
+    best_cost, count = _optimum(layer)
+    conf = min(c for c, (cost, _) in layer.items() if cost == best_cost)
     # Back-trace one optimal chain of (src -> request) steps.
     steps = []
     for t in range(len(sigma) - 1, -1, -1):
@@ -284,8 +298,8 @@ def opt_cost_dp(
             conf = _replace_one(conf, p, src)
         steps.append((t, src, sigma[t], dist[src][sigma[t]]))
     steps.reverse()
-    schedule = Schedule(moves=_assign_server_ids(init, steps), total_cost=best_cost)
-    return best_cost, schedule
+    moves = _assign_server_ids(init, steps)
+    return best_cost, Schedule(moves, best_cost, optimal_count=count)
 
 
 def count_optimal_schedules(
@@ -293,9 +307,10 @@ def count_optimal_schedules(
 ) -> tuple[int | Fraction, int]:
     """OPT and the number of distinct optimal (t, src, dst) schedules.
 
-    Both are read off the last layer of `_dp_layers`: the least cost, and
-    the sum of `ways` over the states that reach it.  Guarded on the DP's
-    real work: C(N+k-2, k-1) states a layer, times n layers.
+    Both are read off the last layer of `_dp_layers`, as `opt_cost_dp`
+    does for its `optimal_count`; this pass is for a schedule that came
+    from the flow.  Guarded on the DP's real work: C(N+k-2, k-1) states a
+    layer, times n layers.
     """
     k = len(init)
     states = comb(g.n + k - 2, k - 1) if k else 1
@@ -304,8 +319,7 @@ def count_optimal_schedules(
         dm = all_pairs_shortest_paths(g)
     for layer, _ in _dp_layers(dm.dist, init, sigma):
         pass
-    best_cost = min(cost for cost, _ in layer.values())
-    return best_cost, sum(ways for cost, ways in layer.values() if cost == best_cost)
+    return _optimum(layer)
 
 
 def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:

@@ -159,13 +159,34 @@ LARGER_RUNS = [
         "b9644ea5875e960ca207957f5686237698ced9c5c20aaff29bc3fd892d1d16e8",
         158,
     ),
+    # the grid-spanner and ktree-gpc benchmark specs at seed 1, and the
+    # N = 2,000 partial 3-tree
+    (
+        ["--family", "grid", "--size", "16", "--k", "2", "--n", "150",
+         "--seed", "1", "--algo", "spanner"],
+        "953171c4f982912f06d1a131016cab3bad2a4298d9a3889e3fb11d15b8e66192",
+        999,
+    ),
+    (
+        ["--family", "random-ktree", "--size", "250", "--k", "3", "--n", "300",
+         "--seed", "1", "--algo", "gpc"],
+        "f289cdbbc0d467f689c85f4e87051600f98b8501f61e5e5212a258625a6beefa",
+        699,
+    ),
+    (
+        ["--family", "random-ktree", "--size", "2000", "--k", "3", "--n", "300",
+         "--seed", "1", "--algo", "gpc"],
+        "f51404b603ca02825d6a0d11014047aa07a1eaf881ad43286c32b863ba5beb5c",
+        874,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest,opt_cost",
     LARGER_RUNS,
-    ids=["ktree-flow-gpc", "grid8-spanner", "rounds2000-gpc", "ktree600-flow-gpc"],
+    ids=["ktree-flow-gpc", "grid8-spanner", "rounds2000-gpc", "ktree600-flow-gpc",
+         "grid16-spanner", "ktree250-gpc", "ktree2000-gpc"],
 )
 def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     out = tmp_path / "r.json"
@@ -246,6 +267,22 @@ def test_perm_uniqueness_is_decided_under_the_dp_guard(argv, unique, tmp_path):
     report = json.loads(out.read_text())
     assert report["extra"]["unique_opt"] is unique
     assert report["results"]["pass"] is True
+
+
+def test_perm_run_on_the_dp_route_makes_one_dp_pass(tmp_path, monkeypatch):
+    # OPT's schedule and the number of optima come off the same pass
+    real = kslab.offline_solver._dp_layers
+    calls = []
+    monkeypatch.setattr(
+        kslab.offline_solver, "_dp_layers", lambda *a: calls.append(a) or real(*a)
+    )
+    out = tmp_path / "r.json"
+    assert run_cli(
+        "run", "--family", "module", "--gamma", "3", "--rounds", "50",
+        "--algo", "perm", "--out", str(out),
+    ) == 0
+    assert json.loads(out.read_text())["extra"]["unique_opt"] is True
+    assert len(calls) == 1
 
 
 def test_perm_schedule_that_is_not_lazy_is_not_the_unique_optimum(

@@ -303,12 +303,15 @@ def _heap_dijkstra(g, s):
 
 @st.composite
 def _connected_graphs(draw):
-    """A random spanning tree plus extra edges, with int weights 1..max or
-    Fraction weights >= 1 in steps of 1/2 or 1/3."""
+    """A random spanning tree plus extra edges, with all weights 1 (the
+    breadth-first rows), int weights 1..max or Fraction weights >= 1 in
+    steps of 1/2 or 1/3."""
     n = draw(st.integers(1, 24))
-    kind = draw(st.sampled_from(["int3", "int1000", "half", "third"]))
+    kind = draw(st.sampled_from(["ones", "int3", "int1000", "half", "third"]))
 
     def weight():
+        if kind == "ones":
+            return 1
         if kind == "int3":
             return draw(st.integers(1, 3))
         if kind == "int1000":
@@ -329,8 +332,58 @@ def _connected_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_connected_graphs())
 def test_level_dijkstra_matches_heap_dijkstra(g):
+    # both row paths: breadth-first levels on all-ones graphs, level
+    # Dijkstra on the others
     for s in range(g.n):
         assert metric_core.single_source_distances(g, s) == _heap_dijkstra(g, s)
+
+
+def test_hop_counts_are_not_distances_under_other_weights():
+    # d(0, 2) is 2, via 1; a hop count would give 1 along the weight-3 edge
+    g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 3)])
+    assert not g.unit_weights
+    assert metric_core.single_source_distances(g, 0) == [0, 1, 2]
+    assert metric_core.single_source_distances(g, 2) == [2, 1, 0]
+    assert Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]).unit_weights
+
+
+class _HeapUsed(Exception):
+    pass
+
+
+def _no_heap(*args):
+    raise _HeapUsed
+
+
+@pytest.mark.parametrize("family", ["path-rounds", "module", "gb", "random-ktree", "grid"])
+def test_generated_family_rows_use_no_heap(family, monkeypatch, tmp_path):
+    # every generated family has unit weights, so every row is a BFS
+    monkeypatch.setattr(metric_core, "heappush", _no_heap)
+    out = tmp_path / "r.json"
+    argv = ["run", "--family", family, "--algo", "spanner", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["results"]["pass"] is True
+
+
+def test_weighted_graph_rows_use_the_heap(monkeypatch, tmp_path):
+    # the triangle above: one server at 0 serving 2 then 0 pays 2 + 2
+    pushes = []
+    monkeypatch.setattr(
+        metric_core, "heappush", lambda *a: pushes.append(a) or heappush(*a)
+    )
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(
+        json.dumps({"n": 3, "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 3]]})
+    )
+    (tmp_path / "i.json").write_text(
+        json.dumps({"init_config": [0], "sequence": [2, 0]})
+    )
+    argv = ["run", "--graph", "g.json", "--instance", "i.json", "--out", "r.json"]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["results"]["opt_cost"] == 4
+    assert [m["cost"] for m in report["extra"]["schedule"]["moves"]] == [2, 2]
+    assert pushes
 
 
 def test_gpc_run_reads_only_server_and_request_rows(monkeypatch, tmp_path):
