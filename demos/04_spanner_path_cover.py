@@ -32,9 +32,8 @@ try:
     certify_system(g, dm, trees[:1], 1, 0)
     print("one tree, claim (1,0): ok")
 except StretchClaimRejected as exc:
-    check = exc.check
     print(f"one tree, claim (1,0): fails, "
-          f"worst pair {check.witness} off by {check.excess}")
+          f"worst pair {exc.witness} off by {exc.excess}")
 q, pair = measure_min_stretch(g, dm, SpannerSystem(trees=trees))
 print(f"both trees: minimal q at r=0 is {q} (witness pair {pair})")
 system = certify_system(g, dm, trees, q, 0)

@@ -329,26 +329,6 @@ def valid_sequence(gamma: int, m: int, perms) -> ValidSequence:
     )
 
 
-def module_projection_is_valid(seq: ValidSequence) -> bool:
-    """Check the subset-chain property of every per-module projection."""
-    gamma = seq.gamma
-    for ml in gb_layout(seq.m, gamma).modules:
-        for side in ml.sides():
-            chain = [
-                side.mask_of[r] for r in seq.requests if r in side.mask_of
-            ]
-            if len(chain) != gamma * seq.rounds:
-                return False
-            for r in range(seq.rounds):
-                part = chain[r * gamma : (r + 1) * gamma]
-                if part[0] != 0:
-                    return False
-                for a, b in zip(part, part[1:]):
-                    if a & ~b or bin(b).count("1") != bin(a).count("1") + 1:
-                        return False
-    return True
-
-
 def perm_init(gamma: int, m: int = 1) -> tuple[int, ...]:
     """Canonical start: one server on every side-1 element vertex."""
     return gb_layout(m, gamma).all_u1()

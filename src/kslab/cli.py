@@ -416,8 +416,13 @@ def _emit(args: argparse.Namespace, report: dict) -> None:
         text += ",".join("" if row[c] is None else str(row[c]) for c in CSV_COLUMNS) + "\n"
     else:
         text = _canonical(report)
-    if args.out:
-        with open(args.out, "w") as fh:
+    _write(args.out, text)
+
+
+def _write(out: str | None, text: str) -> None:
+    """Write a command's output to the --out file, or to stdout without one."""
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -465,12 +470,7 @@ def cmd_bounds(args) -> int:
             rows.append(f"{alpha},{exact:.6f},{closed:.6f}")
     else:
         raise BadFlag("--tau/--alpha", "pass one of them (a comma-separated list)")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(rows) + "\n")
     return 0
 
 

@@ -43,13 +43,13 @@ class InconsistentMetric(RuntimeError):
 
 
 class GraphFormatError(GraphError):
-    """Malformed external input, carrying its location: an index (graph
-    JSON) or a field of an instance, decomposition or spanner file.
+    """Malformed external input; the message starts with its location: an
+    index (graph JSON) or a field of an instance, decomposition or spanner
+    file.
     """
 
     def __init__(self, location: str, message: str):
         super().__init__(f"{location}: {message}")
-        self.location = location
 
 
 def _check_weight(w) -> Weight:

@@ -102,11 +102,6 @@ class Schedule:
         return tuple((m.t, m.src, m.dst) for m in self.moves)
 
 
-def replay_cost(dm: DistanceMatrix, schedule: Schedule):
-    """Recompute the schedule's cost from the metric; sanity oracle."""
-    return sum(dm.dist[m.src][m.dst] for m in schedule.moves)
-
-
 def serve_order(
     init, sigma, schedule: Schedule
 ) -> tuple[list[int], list[int | None], list[int | None]]:

@@ -250,23 +250,16 @@ class SpannerSystem:
         }
 
 
-@dataclass
-class StretchCheck:
-    ok: bool
-    witness: tuple[int, int] | None = None
-    excess: Weight | None = None
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 class StretchClaimRejected(ValueError):
-    """A claimed (q, r) fails on some vertex pair; `check` names the worst."""
+    """A claimed (q, r) fails: `witness` is the pair x < y whose best tree
+    distance exceeds q*d + r the most, and `excess` is by how much."""
 
-    def __init__(self, check: StretchCheck):
-        super().__init__(f"stretch certificate rejected: {check.message}")
-        self.check = check
+    def __init__(self, witness: tuple[int, int], excess: Weight):
+        super().__init__(
+            f"stretch certificate rejected: pair {witness} exceeds q*d+r by {excess}"
+        )
+        self.witness = witness
+        self.excess = excess
 
 
 def _tree_distance_rows(hp: HeavyPathIndex):
@@ -352,14 +345,8 @@ def _certified(trees: tuple, best, dm: DistanceMatrix, q, r) -> SpannerSystem:
                 if worst is None or excess > worst[0]:
                     worst = (excess, (x, y))
     if worst is not None:
-        raise StretchClaimRejected(
-            StretchCheck(
-                False,
-                witness=worst[1],
-                excess=worst[0],
-                message=f"pair {worst[1]} exceeds q*d+r by {worst[0]}",
-            )
-        )
+        excess, witness = worst
+        raise StretchClaimRejected(witness, excess)
     return SpannerSystem(trees=trees, q=q, r=r)
 
 
@@ -561,7 +548,6 @@ class SpannerMove:
     src: int
     relay: int
     cost: Weight
-    candidates: int
 
 
 @dataclass
@@ -655,7 +641,6 @@ def run_online_spanner(
                 src=src,
                 relay=relay,
                 cost=move_cost,
-                candidates=len(candidates),
             )
         )
     return SpannerRun(

@@ -131,15 +131,14 @@ class TreeDecomposition:
         }
 
     @classmethod
-    def from_json(cls, obj) -> "TreeDecomposition":
-        """Load {"bags", "parent", "root"} from JSON text or a parsed object.
+    def from_json(cls, text: str) -> "TreeDecomposition":
+        """Load {"bags", "parent", "root"} from JSON text.
 
         A missing or mistyped field raises GraphFormatError naming it, as in
         "bags[2][0]" or "parent"; bag vertices are checked against a graph
         by verify_decomposition, not here.
         """
-        if isinstance(obj, str):
-            obj = parse_json(obj)
+        obj = parse_json(text)
         bags = json_field(obj, "bags")
         parent = json_field(obj, "parent")
         root = json_field(obj, "root")

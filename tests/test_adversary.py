@@ -18,7 +18,6 @@ from kslab.adversary import (
     gb_layout,
     module_graph,
     module_layout,
-    module_projection_is_valid,
     path_round_sequence,
     perm_algorithm,
     perm_init,
@@ -203,6 +202,26 @@ def test_round_choice_count_gamma2():
 def test_round_choice_count_gamma3():
     seqs = {s.requests for s in enumerate_round_sequences(3)}
     assert len(seqs) == 36
+
+
+def module_projection_is_valid(seq) -> bool:
+    """Check the subset-chain property of every per-module projection."""
+    gamma = seq.gamma
+    for ml in gb_layout(seq.m, gamma).modules:
+        for side in ml.sides():
+            chain = [
+                side.mask_of[r] for r in seq.requests if r in side.mask_of
+            ]
+            if len(chain) != gamma * seq.rounds:
+                return False
+            for r in range(seq.rounds):
+                part = chain[r * gamma : (r + 1) * gamma]
+                if part[0] != 0:
+                    return False
+                for a, b in zip(part, part[1:]):
+                    if a & ~b or bin(b).count("1") != bin(a).count("1") + 1:
+                        return False
+    return True
 
 
 def test_projection_validity():

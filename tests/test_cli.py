@@ -745,7 +745,7 @@ def test_verify_spanner_claim(tmp_path, capsys):
     assert run_cli("verify", "--graph", str(gp), "--spanners", str(sysp)) == 1
     with pytest.raises(StretchClaimRejected) as info:
         certify_system(g, all_pairs_shortest_paths(g), bad.trees, 1, 0)
-    worst = info.value.check.witness
+    worst = info.value.witness
     assert f"pair {worst} exceeds" in capsys.readouterr().out
     ok = SpannerSystem(
         trees=(shortest_path_tree(g, 0), shortest_path_tree(g, 15)), q=3, r=0

@@ -31,8 +31,8 @@ from kslab.offline_solver import (
     Move,
     Schedule,
     opt_cost_dp,
-    replay_cost,
     serve_order,
+    validate_lazy_schedule,
 )
 from kslab.tree_decomp import module_graph_decomposition, reduce_height
 
@@ -170,7 +170,8 @@ def test_per_move_relay_identity():
         x, y, z = prev_vertex[sid], move.request, move.retrieved_from
         assert dm.dist[x][z] + dm.dist[z][y] == dm.dist[x][y]
         prev_vertex[sid] = y
-    assert replay_cost(dm, opt_s) == opt_c == run.online_cost
+    validate_lazy_schedule(dm, init, sigma, opt_s)
+    assert opt_s.total_cost == opt_c == run.online_cost
 
 
 def _path_rounds_case():

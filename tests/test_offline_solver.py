@@ -31,7 +31,6 @@ from kslab.offline_solver import (
     count_optimal_schedules,
     opt_cost_dp,
     opt_cost_flow,
-    replay_cost,
     validate_lazy_schedule,
 )
 
@@ -104,8 +103,8 @@ def test_flow_matches_dp_on_random_instances():
         assert c_dp == c_fl, f"instance {i}: dp {c_dp} != flow {c_fl}"
         validate_lazy_schedule(dm, init, sigma, s_dp)
         validate_lazy_schedule(dm, init, sigma, s_fl)
-        assert replay_cost(dm, s_dp) == c_dp
-        assert replay_cost(dm, s_fl) == c_dp
+        assert s_dp.total_cost == c_dp
+        assert s_fl.total_cost == c_dp
 
 
 def test_lazification_never_costs_more():
@@ -125,7 +124,8 @@ def test_lazification_never_costs_more():
         tape = generate_advice(g, dm, red, init, sigma, opt_s)
         tape.rewind()
         run = run_online(g, dm, red, init, sigma, tape)
-        lazy_cost = replay_cost(dm, opt_s)
+        validate_lazy_schedule(dm, init, sigma, opt_s)
+        lazy_cost = opt_s.total_cost
         assert lazy_cost <= run.online_cost
         assert lazy_cost == opt_c  # relays sit on shortest paths: equality
 
@@ -393,7 +393,7 @@ def test_flow_matches_dp_and_network_simplex(instance):
     c_dp, _ = opt_cost_dp(g, init, sigma, dm)
     assert c_fl == c_dp == _network_simplex_cost(dm, init, sigma)
     validate_lazy_schedule(dm, init, sigma, s_fl)
-    assert replay_cost(dm, s_fl) == c_fl
+    assert s_fl.total_cost == c_fl
 
 
 @settings(max_examples=200, deadline=None)
@@ -673,4 +673,4 @@ def test_flow_matches_dp_on_every_family(flags, seed):
     c_fl, s_fl = opt_cost_flow(g, init, sigma, dm)
     assert c_fl == c_dp
     validate_lazy_schedule(dm, init, sigma, s_fl)
-    assert replay_cost(dm, s_fl) == c_dp
+    assert s_fl.total_cost == c_dp

@@ -58,12 +58,10 @@ def test_grid_single_bfs_tree_fails_1_0():
     t = shortest_path_tree(g, 0)
     with pytest.raises(StretchClaimRejected) as info:
         certify_system(g, dm, (t,), 1, 0)
-    check = info.value.check
-    assert not check
-    x, y = check.witness
-    assert check.excess > 0
+    x, y = info.value.witness
+    assert info.value.excess > 0
     hp = HeavyPathIndex(t)
-    assert hp.dist(x, y) - dm.dist[x][y] == check.excess
+    assert hp.dist(x, y) - dm.dist[x][y] == info.value.excess
 
 
 def test_measured_min_q_certifies():
@@ -189,7 +187,7 @@ def test_measure_and_verify_match_fraction_oracle():
                 certify_system(g, dm, trees, cq, cr)
                 got = (True, None, None)
             except StretchClaimRejected as exc:
-                got = (exc.check.ok, exc.check.excess, exc.check.witness)
+                got = (False, exc.excess, exc.witness)
             expected = _oracle_stretch_check(g, dm, trees, cq, cr)
             assert got == expected, (g, cq, cr)
             failing_with_r += not got[0] and cr != 0
@@ -209,9 +207,10 @@ def test_stretch_ties_keep_the_first_pair():
     assert measure_min_stretch(g, dm, system) == (3, (3, 4))
     with pytest.raises(StretchClaimRejected) as info:
         certify_system(g, dm, system.trees, 1, 1)
-    check = info.value.check
-    assert (check.ok, check.excess, check.witness) == (False, 1, (3, 4))
-    assert check.message == "pair (3, 4) exceeds q*d+r by 1"
+    assert (info.value.excess, info.value.witness) == (1, (3, 4))
+    assert str(info.value) == (
+        "stretch certificate rejected: pair (3, 4) exceeds q*d+r by 1"
+    )
 
 
 # ---------------------------------------------------------------------------

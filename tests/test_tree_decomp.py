@@ -489,7 +489,7 @@ def test_gb_decomposition():
 
 def test_json_round_trip():
     td = module_graph_decomposition(2)
-    again = TreeDecomposition.from_json(td.to_json())
+    again = TreeDecomposition.from_json(json.dumps(td.to_json()))
     assert again.bags == td.bags
     assert again.parent == td.parent
     assert again.root == td.root

@@ -10,6 +10,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -314,4 +315,51 @@ def test_src_has_no_unused_parameters():
     assert found == set(UNUSED_PARAMETERS), (
         f"unused but not allowlisted: {sorted(found - set(UNUSED_PARAMETERS))}; "
         f"allowlisted but read: {sorted(set(UNUSED_PARAMETERS) - found)}"
+    )
+
+
+# Top-level functions and classes of kslab that stay although no caller
+# outside the tests names them, each with why; none today.
+NAMES_WITHOUT_CALLERS: dict = {}
+
+
+def _names(tree) -> Counter:
+    """How often a syntax tree names each identifier, as a variable, an
+    attribute or an import."""
+    found = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.rpartition(".")[2]] += 1
+    return found
+
+
+def test_src_names_have_callers():
+    # kslab's callers are the package itself, the demos and the benchmark; a
+    # function or class only tests reach belongs in the tests as an oracle
+    src = Path(kslab.__file__).resolve().parent
+    repo = Path(__file__).resolve().parent.parent
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for root in (src, repo / "demos", repo / "bench")
+        for path in sorted(root.rglob("*.py"))
+        if not path.name.startswith("test_")
+    }
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    found = {
+        (str(path.relative_to(src)), node.name)
+        for path, tree in trees.items()
+        if path.is_relative_to(src)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        # only its own definition names it
+        and named[node.name] == _names(node)[node.name]
+    }
+    assert found == set(NAMES_WITHOUT_CALLERS), (
+        f"named by no caller but not allowlisted: "
+        f"{sorted(found - set(NAMES_WITHOUT_CALLERS))}; "
+        f"allowlisted but named: {sorted(set(NAMES_WITHOUT_CALLERS) - found)}"
     )
