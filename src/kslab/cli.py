@@ -150,6 +150,10 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         for flag, path in (("--instance", args.instance), ("--td", args.td)):
             if path:
                 raise BadFlag(flag, "needs --graph")
+    if args.bits is not None and args.family != "path-rounds":
+        raise BadFlag("--bits", "needs --family path-rounds")
+    if args.spanners is not None and args.algo != "spanner":
+        raise BadFlag("--spanners", "needs --algo spanner")
     rng = SplitMix64(args.seed)
     td = None
     if args.graph:
@@ -475,6 +479,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.td and args.spanners:
+        raise BadFlag("--td/--spanners", "pass only one of them")
     g = graph_from_json(_read(args.graph))
     if args.td:
         td = TreeDecomposition.from_json(_read(args.td))

@@ -25,9 +25,9 @@ certified trees that avoid collisions, keeping suffixes rare.
 Certifying a system costs one exact best-tree distance table, O(μN²) in
 ints/Fractions (each tree's row of v is its parent's row shifted by w(v);
 the table keeps the element-wise minimum over the trees), and one pass over
-the N(N-1)/2 pairs per property: measuring the smallest q and checking a
-claimed (q, r).  Both passes compare by cross-multiplying, so only the
-final q and a violating pair's excess are built as Fractions.
+the N(N-1)/2 pairs: the pass that measures the smallest q certifies it,
+and a claimed (q, r) takes the pass that checks it.  Both compare by
+cross-multiplying, so only q and a violating pair's excess are Fractions.
 """
 from __future__ import annotations
 
@@ -147,10 +147,11 @@ def shortest_path_tree(g: Graph, root: int) -> SpanningTree:
 class HeavyPathIndex:
     """Heavy-path decomposition of one rooted tree.
 
-    head[v] is the top vertex of v's heavy path; any root-to-v path crosses
-    at most ceil(log2 N) heavy paths.  `order`, `children`, `depth` and
-    `size` are the tree's rooted_walk: the subtree of v is the slice of
-    `size[v]` vertices of `order` that starts at v.
+    head[v] is the top vertex of v's heavy path and seg_ordinal[v] that
+    path's index along any root path through v; any root-to-v path crosses
+    at most ceil(log2 N) heavy paths.  `order`, `depth` and `size` are
+    the tree's rooted_walk: the subtree of v is the slice of `size[v]`
+    vertices of `order` that starts at v.
     """
 
     def __init__(self, tree: SpanningTree):
@@ -164,21 +165,21 @@ class HeavyPathIndex:
                 heavy[u] = min(
                     children[u], key=lambda c: (-size[c], c)
                 )
-        head = [0] * n
-        for u in order:
-            p = parent[u]
-            if p is None or heavy[p] != u:
-                head[u] = u
-            else:
-                head[u] = head[p]
+        head = list(range(n))
+        seg_ordinal = [0] * n
         depw: list[Weight] = [0] * n
         for u in order[1:]:
-            depw[u] = depw[parent[u]] + tree.edge_weight[u]
+            p = parent[u]
+            depw[u] = depw[p] + tree.edge_weight[u]
+            if heavy[p] == u:
+                head[u], seg_ordinal[u] = head[p], seg_ordinal[p]
+            else:
+                seg_ordinal[u] = seg_ordinal[p] + 1
         self.parent = parent
         self.order = order
-        self.children = children
         self.size = size
         self.head = head
+        self.seg_ordinal = seg_ordinal
         self.depth = depth
         self.weighted_depth = depw
 
@@ -214,15 +215,6 @@ class HeavyPathIndex:
             u = p
         segs.reverse()
         return segs
-
-    def seg_ordinal(self, v: int) -> int:
-        """Index of v's heavy path along any root path through v."""
-        count = 0
-        u = v
-        while self.parent[self.head[u]] is not None:
-            u = self.parent[self.head[u]]
-            count += 1
-        return count
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +259,34 @@ def _tree_distance_rows(hp: HeavyPathIndex):
     tree distance between v and u; O(N²) in all.
 
     In preorder every subtree is one contiguous slice, so the row of v is
-    its parent's row plus w(v), less 2·w(v) on v's own subtree.  A preorder
-    row lives only until its last child's row is derived from it, so at most
-    one row per tree level is held at a time.
+    its parent's row plus w(v), less 2·w(v) on v's own subtree.  A row is
+    kept on a stack while its vertex has children left to derive; in
+    preorder the top of that stack is v's parent, so at most one row per
+    tree level is held at a time.
     """
     order, parent, weight = hp.order, hp.parent, hp.tree.edge_weight
     pos = [0] * len(order)
     for i, u in enumerate(order):
         pos[u] = i
-    children_left = [len(c) for c in hp.children]
     # itemgetter of one index returns the item itself, not a 1-tuple
     to_vertex_order = itemgetter(*pos) if len(order) > 1 else tuple
-    rows = {order[0]: [hp.weighted_depth[u] for u in order]}
+    row = [hp.weighted_depth[u] for u in order]
+    pending = []
     for v in order:
         p = parent[v]
         if p is not None:
-            row, w, a = rows[p], weight[v], pos[v]
+            up, w, a = pending[-1], weight[v], pos[v]
             b = a + hp.size[v]
-            rows[v] = (
-                [x + w for x in row[:a]]
-                + [x - w for x in row[a:b]]
-                + [x + w for x in row[b:]]
+            if b == pos[p] + hp.size[p]:  # v is p's last child
+                pending.pop()
+            row = (
+                [x + w for x in up[:a]]
+                + [x - w for x in up[a:b]]
+                + [x + w for x in up[b:]]
             )
-            children_left[p] -= 1
-            if not children_left[p]:
-                del rows[p]
-        yield v, to_vertex_order(rows[v])
-        if not children_left[v]:
-            del rows[v]
+        if hp.size[v] > 1:
+            pending.append(row)
+        yield v, to_vertex_order(row)
 
 
 def _best_tree_table(trees: tuple[SpanningTree, ...]) -> list:
@@ -366,12 +358,11 @@ def certify_system(
 
 
 def certify_min_stretch(dm: DistanceMatrix, trees) -> SpannerSystem:
-    """Certify trees at their smallest (q, 0)-stretch, measured and then
-    checked on one best-tree distance table."""
+    """Certify trees at their smallest (q, 0)-stretch: q is the largest
+    best/d_G over all pairs, so every pair holds by construction."""
     trees = tuple(trees)
-    best = _best_tree_table(trees)
-    q, _ = _max_ratio(best, dm)
-    return _certified(trees, best, dm, q, 0)
+    q, _ = _max_ratio(_best_tree_table(trees), dm)
+    return SpannerSystem(trees=trees, q=q, r=0)
 
 
 def system_from_json(g: Graph, text: str, dm: DistanceMatrix) -> SpannerSystem:
@@ -426,22 +417,14 @@ def _suffix_width(c: int) -> int:
     return ceil_log2(c) if c > 1 else 0
 
 
-def _ordinal_width(hp: HeavyPathIndex, ref: int) -> int:
-    """Bits for a segment ordinal on ref's root path.
-
-    The path crosses seg_ordinal(ref)+1 heavy paths, a number both encoder
-    and decoder know, so the width never exceeds ceil(log2 ceil(log2 N))
-    and is usually smaller.
-    """
-    return ceil_log2(hp.seg_ordinal(ref) + 1)
-
-
 def _write_binding(
     tape: AdviceTape, hps: list, w_mu: int, p: int, v: int, ref: int
 ) -> None:
-    """Record tree p and the ordinal of v's heavy path on ref's root path."""
+    """Record tree p and the ordinal of v's heavy path on ref's root path,
+    in the bits that path's seg_ordinal[ref]+1 heavy paths need."""
+    hp = hps[p]
     tape.write_uint(p, w_mu)
-    tape.write_uint(hps[p].seg_ordinal(v), _ordinal_width(hps[p], ref))
+    tape.write_uint(hp.seg_ordinal[v], ceil_log2(hp.seg_ordinal[ref] + 1))
 
 
 def _read_binding(
@@ -452,8 +435,8 @@ def _read_binding(
     p = tape.read_uint(w_mu)
     if p >= len(hps):
         raise NoLabeledServerOnRootPath(f"{where}: label {p} but {len(hps)} trees")
-    s = tape.read_uint(_ordinal_width(hps[p], v))
     segs = hps[p].segments_on_root_path(v)
+    s = tape.read_uint(ceil_log2(len(segs)))
     if s >= len(segs):
         raise NoLabeledServerOnRootPath(
             f"{where}: segment {s} beyond root path of {v}"

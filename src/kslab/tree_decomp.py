@@ -183,23 +183,19 @@ class DecompositionCheck:
 
 def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionCheck:
     """Check the three axioms; reports the first violation with a witness."""
-    covered: set[int] = set()
-    for bag in td.bags:
+    holding: dict[int, list[int]] = {}  # vertex -> the bags holding it
+    for i, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.n):
                 return DecompositionCheck(
                     False, 1, v, f"bag vertex {v} outside the graph"
                 )
-        covered.update(bag)
+            holding.setdefault(v, []).append(i)
     for v in range(g.n):
-        if v not in covered:
+        if v not in holding:
             return DecompositionCheck(
                 False, 1, v, f"vertex {v} not covered by any bag"
             )
-    holding: dict[int, list[int]] = {}
-    for i, b in enumerate(td.bags):
-        for v in b:
-            holding.setdefault(v, []).append(i)
     bag_sets = [set(b) for b in td.bags]
     for u, v, _ in g.edges:  # every bag holding both is one that holds u
         if not any(v in bag_sets[i] for i in holding[u]):
@@ -231,13 +227,13 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionCheck:
 # (the bags facing already-processed parts), so new bags merge at most
 # three old ones: width <= 3*alpha + 2.  With at most one anchor the split
 # bag is a centroid; with two anchors it is chosen on the anchor-to-anchor
-# path so that both anchor-side components halve.  Either choice reads
-# one rooted pass over the piece (breadth-first order, parents, subtree
-# sizes), so finding a split costs time linear in its piece.  Every two
-# levels the component size halves, giving height <= 2*log2(bags) + O(1),
-# and bags are first pruned to at most N+1 by contracting subset bags.
-# Nothing here enforces the 4*ceil(log2 N) bound;
-# tests/test_tree_decomp.py checks it.
+# path so that both anchor-side components halve.  Either choice, and the
+# components the split leaves, read one rooted pass over the piece
+# (breadth-first order, parents, subtree sizes), so a split costs time
+# linear in its piece.  Every two levels the component size halves, giving
+# height <= 2*log2(bags) + O(1), and bags are first pruned to at most N+1
+# by contracting subset bags.  Nothing here enforces the 4*ceil(log2 N)
+# bound; tests/test_tree_decomp.py checks it.
 
 
 def _simplify(td: TreeDecomposition) -> tuple[list[set[int]], list[set[int]]]:
@@ -277,40 +273,36 @@ def _simplify(td: TreeDecomposition) -> tuple[list[set[int]], list[set[int]]]:
     return [bags[i] for i in kept], [{idx[nb] for nb in adj[i]} for i in kept]
 
 
-def _components(nodes: set[int], adj, removed: int) -> list[set[int]]:
-    """The components of nodes minus removed, in order of their least bag."""
-    comps = []
-    seen = {removed}
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v in nodes and v != removed and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
 def _rooted(nodes: set[int], adj, root: int):
-    """Breadth-first order, parents and subtree sizes of the connected
-    piece rooted at root; the root is its own parent."""
+    """Preorder, parents and subtree sizes of the connected piece rooted at
+    root; the root is its own parent, and the subtree of v is the slice of
+    size[v] entries of the preorder that starts at v."""
     parent = {root: root}
-    order = [root]
-    for u in order:  # breadth-first; order grows as the loop runs
+    order = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
         for v in adj[u]:
             if v in nodes and v not in parent:
                 parent[v] = u
-                order.append(v)
+                stack.append(v)
     size = dict.fromkeys(order, 1)
     for u in reversed(order[1:]):
         size[parent[u]] += size[u]
     return order, parent, size
+
+
+def _components(nodes: set[int], adj, removed: int) -> list[set[int]]:
+    """The components of the connected piece nodes minus removed, in order
+    of their least bag: rooted at removed, the subtree of each neighbour."""
+    order, _, size = _rooted(nodes, adj, removed)
+    comps = []
+    i = 1
+    while i < len(order):
+        comps.append(set(order[i:i + size[order[i]]]))
+        i += size[order[i]]
+    return sorted(comps, key=min)
 
 
 def _centroid(nodes: set[int], adj) -> int:

@@ -538,11 +538,17 @@ BAD_RUN_ARGS = [
     (["--family", "grid", "--algo", "perm"], "--algo: perm needs --family module or gb"),
     (["--family", "grid", "--algo", "gpc"],
      "--algo: gpc needs a tree decomposition (--td or family)"),
-    # flags the input source would ignore; no file is read before the check
+    # flags the input source or the algorithm would ignore; no file is read
+    # before the check
     (["--graph", "g.json", "--family", "grid"],
      "--family: cannot be combined with --graph"),
     (["--family", "grid", "--instance", "i.json"], "--instance: needs --graph"),
     (["--family", "grid", "--td", "td.json", "--algo", "gpc"], "--td: needs --graph"),
+    (["--family", "grid", "--bits", "101"], "--bits: needs --family path-rounds"),
+    (["--graph", "g.json", "--bits", "101"], "--bits: needs --family path-rounds"),
+    (["--family", "grid", "--spanners", "s.json"], "--spanners: needs --algo spanner"),
+    (["--graph", "g.json", "--spanners", "s.json", "--algo", "gpc"],
+     "--spanners: needs --algo spanner"),
 ]
 
 
@@ -584,6 +590,21 @@ def test_verify_without_a_structure_is_one_line(tmp_path, capsys):
     gp.write_text(graph_to_json(path_graph(3)))
     msg = cli_input_error(capsys, "verify", "--graph", str(gp))
     assert msg == "--td/--spanners: pass one of them\n"
+
+
+def test_verify_with_both_structures_is_one_line(tmp_path, capsys):
+    # checking either one alone would leave the other file unchecked
+    g = path_graph(3)
+    gp, tdp, sysp = tmp_path / "g.json", tmp_path / "td.json", tmp_path / "s.json"
+    gp.write_text(graph_to_json(g))
+    tdp.write_text(json.dumps(path_decomposition(3).to_json()))
+    sysp.write_text(
+        json.dumps(SpannerSystem(trees=(shortest_path_tree(g, 0),), q=1, r=0).to_json())
+    )
+    msg = cli_input_error(
+        capsys, "verify", "--graph", str(gp), "--td", str(tdp), "--spanners", str(sysp)
+    )
+    assert msg == "--td/--spanners: pass only one of them\n"
 
 
 def test_run_with_an_invalid_decomposition_is_one_line(tmp_path, capsys):
@@ -671,6 +692,27 @@ def test_spanner_run_builds_each_heavy_path_index_once(tmp_path, monkeypatch):
     ) == 0
     assert len(json.loads(out.read_text())["extra"]["spanner_roots"]) == 2
     assert len(built) == 2
+
+
+def test_spanner_run_certifies_its_measured_stretch_in_one_pass(
+    tmp_path, monkeypatch
+):
+    # the pass that measures q certifies (q, 0); no claim check runs after it
+    from kslab import spanner_cover
+
+    args = [
+        "run", "--family", "grid", "--size", "8", "--k", "2", "--n", "40",
+        "--algo", "spanner", "--seed", "1",
+    ]
+    plain, patched = tmp_path / "plain.json", tmp_path / "patched.json"
+    assert run_cli(*args, "--out", str(plain)) == 0
+
+    def no_claim_check(*_):
+        raise AssertionError("a measured stretch was checked again")
+
+    monkeypatch.setattr(spanner_cover, "_certified", no_claim_check)
+    assert run_cli(*args, "--out", str(patched)) == 0
+    assert patched.read_bytes() == plain.read_bytes()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslab.instances import (
     SplitMix64,
@@ -292,9 +294,30 @@ def test_seg_ordinal_is_path_independent():
         segs = hp.segments_on_root_path(y)
         # the ordinal of each crossed heavy path equals its index here
         for idx, (head, exit_v) in enumerate(segs):
-            assert hp.seg_ordinal(head) == idx
-            assert hp.seg_ordinal(exit_v) == idx
+            assert hp.seg_ordinal[head] == idx
+            assert hp.seg_ordinal[exit_v] == idx
             assert hp.head[exit_v] == head
+
+
+@st.composite
+def _random_trees(draw):
+    """A random unit-weight spanning tree on shuffled ids, rooted at ids[0]."""
+    n = draw(st.integers(1, 60))
+    ids = draw(st.permutations(range(n)))
+    parent = [None] * n
+    for i in range(1, n):
+        parent[ids[i]] = ids[draw(st.integers(0, i - 1))]
+    edges = [(v, p, 1) for v, p in enumerate(parent) if p is not None]
+    return spanning_tree_from_parent(Graph(n, edges), ids[0], parent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_trees())
+def test_seg_ordinal_counts_the_heavy_paths_above(tree):
+    # set in the index's own walk, it matches the per-vertex chain walk
+    hp = HeavyPathIndex(tree)
+    for v in range(tree.n):
+        assert hp.seg_ordinal[v] + 1 == len(hp.segments_on_root_path(v))
 
 
 # ---------------------------------------------------------------------------

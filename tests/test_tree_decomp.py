@@ -218,6 +218,35 @@ def _tree_pieces(draw):
     return adj, piece
 
 
+def _oracle_components(nodes, adj, removed):
+    """One depth-first search per unseen bag, in ascending bag order."""
+    comps = []
+    seen = {removed}
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v in nodes and v != removed and v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(comp)
+        seen |= comp
+    return comps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_pieces())
+def test_components_match_search_oracle(tree_piece):
+    # read off the rooted pass, in order of their least bag
+    adj, piece = tree_piece
+    for c in piece:
+        assert _components(piece, adj, c) == _oracle_components(piece, adj, c)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tree_pieces())
 def test_centroid_matches_quadratic_oracle(tree_piece):

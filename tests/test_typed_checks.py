@@ -363,3 +363,43 @@ def test_src_names_have_callers():
         f"{sorted(found - set(NAMES_WITHOUT_CALLERS))}; "
         f"allowlisted but named: {sorted(set(NAMES_WITHOUT_CALLERS) - found)}"
     )
+
+
+# Methods and properties of kslab classes that stay although no caller
+# outside the tests names them, each with why.
+METHODS_WITHOUT_CALLERS = {
+    ("advice_tape.py", "AdviceTape.from_hex"):
+        "the inverse of to_hex; a `kslab replay` that reads a report's tape "
+        "back is the caller it waits for",
+}
+
+
+def test_src_methods_have_callers():
+    # as test_src_names_have_callers, for the methods and properties of
+    # each class; dunder methods are called by the language itself
+    src = Path(kslab.__file__).resolve().parent
+    repo = Path(__file__).resolve().parent.parent
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for root in (src, repo / "demos", repo / "bench")
+        for path in sorted(root.rglob("*.py"))
+        if not path.name.startswith("test_")
+    }
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    found = {
+        (str(path.relative_to(src)), f"{cls.name}.{node.name}")
+        for path, tree in trees.items()
+        if path.is_relative_to(src)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        # only its own definition names it
+        and named[node.name] == _names(node)[node.name]
+    }
+    assert found == set(METHODS_WITHOUT_CALLERS), (
+        f"named by no caller but not allowlisted: "
+        f"{sorted(found - set(METHODS_WITHOUT_CALLERS))}; "
+        f"allowlisted but named: {sorted(set(METHODS_WITHOUT_CALLERS) - found)}"
+    )
