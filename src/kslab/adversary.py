@@ -8,9 +8,9 @@ request lists index directly into a path graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .metric_core import Graph
 from .offline_solver import Move, Schedule
@@ -122,8 +122,7 @@ def _proper_subsets(gamma: int) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class UnitLayout:
+class UnitLayout(NamedTuple):
     gamma: int
     u_ids: tuple[int, ...]              # element vertices, ascending
     w_ids: tuple[int, ...]              # subset vertices, (size, mask) order
@@ -166,8 +165,7 @@ def unit_graph(gamma: int) -> tuple[Graph, UnitLayout]:
     return Graph(unit_size(gamma), _unit_edges(layout)), layout
 
 
-@dataclass(frozen=True)
-class ModuleLayout:
+class ModuleLayout(NamedTuple):
     gamma: int
     side1: UnitLayout
     side2: UnitLayout
@@ -208,8 +206,7 @@ def module_graph(gamma: int) -> Graph:
     return Graph(ml.n, _module_edges(ml))
 
 
-@dataclass(frozen=True)
-class GbLayout:
+class GbLayout(NamedTuple):
     gamma: int
     m: int
     modules: tuple[ModuleLayout, ...]
@@ -253,8 +250,7 @@ def gb_graph(m: int, gamma: int) -> Graph:
 # Valid sequences and PERM.
 
 
-@dataclass(frozen=True)
-class ValidSequence:
+class ValidSequence(NamedTuple):
     """Round-structured request sequence over a module family.
 
     perms[r][i] = (pi1, pi2): the side-1 and side-2 element orders for

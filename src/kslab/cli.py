@@ -2,20 +2,26 @@
 
 Reports are canonical JSON (sorted keys, no whitespace drift) or a single
 CSV row, so identical run specs produce byte-identical files.  Set KSL_LOG
-to DEBUG/INFO/WARNING for progress logging.
+to a level name (DEBUG/INFO/WARNING/...) for progress logging on stderr;
+`logging` is loaded only then, and a name that is not a level means
+WARNING.
+
+Start-up is part of every fresh `kslab` process, so the two modules that
+only some commands need are imported inside the steps that use them:
+`spanner_cover` in the spanner step and `verify --spanners`, `adversary`
+in the path-rounds/module/gb families, perm and `bounds`.  The modules of
+the gpc pipeline are imported at the top.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import logging
 import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import adversary
 from .gpc import generate_advice, gpc_bit_budget_nominal, run_online
 from .instances import (
     SplitMix64,
@@ -47,14 +53,6 @@ from .offline_solver import (
     opt_cost_flow,
     validate_lazy_schedule,
 )
-from .spanner_cover import (
-    StretchClaimRejected,
-    certify_min_stretch,
-    generate_advice_spanner,
-    run_online_spanner,
-    shortest_path_tree,
-    system_from_json,
-)
 from .tree_decomp import (
     TreeDecomposition,
     gb_decomposition,
@@ -62,8 +60,6 @@ from .tree_decomp import (
     reduce_height,
     verify_decomposition,
 )
-
-log = logging.getLogger("kslab")
 
 FORMAT_VERSION = 1
 CSV_COLUMNS = [
@@ -110,6 +106,15 @@ class Instance(NamedTuple):
     sigma: list[int]
     td: TreeDecomposition | None
     params: dict
+
+
+def _info(msg: str, *args) -> None:
+    """Log msg % args at INFO on the "kslab" logger.  main() imports
+    `logging` only when KSL_LOG is set; while no code has imported it, no
+    handler exists that could print the record, so it is dropped."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("kslab").info(msg, *args)
 
 
 def _canonical(obj) -> str:
@@ -172,6 +177,8 @@ def _build_instance(args: argparse.Namespace) -> Instance:
             sigma = random_requests(rng, args.n, g.n)
             params = {"source": args.graph}
     elif args.family == "path-rounds":
+        from . import adversary
+
         bits = args.bits if args.bits is not None else rng.bit_string(max(1, args.n // 7))
         n_path = args.size or 5
         g = path_graph(n_path)
@@ -185,6 +192,8 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         td = path_decomposition(n_path)
         params = {"bits": bits, "path_size": n_path}
     elif args.family == "module":
+        from . import adversary
+
         seqs = _seeded_valid_sequence(rng, args.gamma, 1, args.rounds)
         g = adversary.module_graph(args.gamma)
         sigma = list(seqs.requests)
@@ -192,6 +201,8 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         td = module_graph_decomposition(args.gamma)
         params = {"gamma": args.gamma, "rounds": args.rounds, "perms": seqs.perms}
     elif args.family == "gb":
+        from . import adversary
+
         _at_least("--modules", args.modules, 1)
         seqs = _seeded_valid_sequence(rng, args.gamma, args.modules, args.rounds)
         g = adversary.gb_graph(args.modules, args.gamma)
@@ -229,6 +240,8 @@ def _build_instance(args: argparse.Namespace) -> Instance:
 
 
 def _seeded_valid_sequence(rng: SplitMix64, gamma: int, m: int, rounds: int):
+    from . import adversary
+
     _at_least("--gamma", gamma, 2)
     _at_least("--rounds", rounds, 0)
     perms = []
@@ -248,7 +261,7 @@ def _opt(g, init, sigma, dm):
     try:
         return opt_cost_dp(g, init, sigma, dm)
     except InstanceTooLarge:
-        log.info("DP guard exceeded; falling back to min-cost flow")
+        _info("DP guard exceeded; falling back to min-cost flow")
         return opt_cost_flow(g, init, sigma, dm)
 
 
@@ -257,6 +270,8 @@ def _step_opt(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
 
 
 def _step_perm(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
+    from . import adversary
+
     if args.family not in ("module", "gb"):
         raise BadFlag("--algo", "perm needs --family module or gb")
     modules = args.modules if args.family == "gb" else 1
@@ -302,6 +317,15 @@ def _step_gpc(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
 
 
 def _step_spanner(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
+    from .spanner_cover import (
+        StretchClaimRejected,
+        certify_min_stretch,
+        generate_advice_spanner,
+        run_online_spanner,
+        shortest_path_tree,
+        system_from_json,
+    )
+
     g, init, sigma = inst.g, inst.init, inst.sigma
     extra = {}
     if args.spanners:
@@ -342,7 +366,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     g, init, sigma, td = inst.g, inst.init, inst.sigma, inst.td
     dm = all_pairs_shortest_paths(g)
     opt_cost, opt = _opt(g, init, sigma, dm)
-    log.info("instance: N=%d k=%d n=%d opt=%s", g.n, len(init), len(sigma), opt_cost)
+    _info("instance: N=%d k=%d n=%d opt=%s", g.n, len(init), len(sigma), opt_cost)
     online_cost, ok, extra, run, tape = ALGOS[args.algo](args, inst, dm, opt)
     tape_dump = None
     if run is not None:
@@ -445,6 +469,8 @@ ALPHA_MAX = 2 * 10**7
 
 
 def cmd_bounds(args) -> int:
+    from . import adversary
+
     _at_least("--n", args.n, 0)
     if args.tau and args.alpha:
         raise BadFlag("--tau/--alpha", "pass only one of them")
@@ -491,6 +517,8 @@ def cmd_verify(args) -> int:
         print(f"fail: axiom {check.axiom}, witness {check.witness}: {check.message}")
         return 1
     if args.spanners:
+        from .spanner_cover import StretchClaimRejected, system_from_json
+
         try:
             system = system_from_json(
                 g, _read(args.spanners), all_pairs_shortest_paths(g)
@@ -562,8 +590,12 @@ def main(argv=None) -> int:
     """Run one command; an input file that is malformed, missing or
     unreadable, or a run argument outside its domain, is reported on one
     stderr line naming the field, the path or the flag, with exit status 2."""
-    level = os.environ.get("KSL_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("KSL_LOG")
+    if level:
+        import logging
+
+        value = logging.getLevelName(level.upper())
+        logging.basicConfig(level=value if isinstance(value, int) else logging.WARNING)
     args = make_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -20,7 +20,6 @@ vertex's root path once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -74,8 +73,7 @@ class GpcMove(NamedTuple):
     candidates_at_address: int
 
 
-@dataclass
-class GpcRun:
+class GpcRun(NamedTuple):
     online_cost: int | Fraction
     bits_read: int
     log: list[GpcMove]

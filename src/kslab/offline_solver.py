@@ -22,7 +22,6 @@ request, directly to the requested vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from bisect import bisect, insort
 from heapq import heappop, heappush
@@ -81,15 +80,29 @@ class Move(NamedTuple):
         }
 
 
-@dataclass
 class Schedule:
     """A lazy schedule and its cost.  `optimal_count` is the number of
     distinct optimal (t, src, dst) schedules, when the solver that found
-    this one counted them on the way (the DP does), else None."""
+    this one counted them on the way (the DP does), else None.  Two
+    schedules are equal when their moves and costs are: the count is a
+    fact about the instance, not about this schedule."""
 
-    moves: list[Move]
-    total_cost: int | Fraction
-    optimal_count: int | None = field(default=None, compare=False)
+    __slots__ = ("moves", "total_cost", "optimal_count")
+
+    def __init__(
+        self,
+        moves: list[Move],
+        total_cost: int | Fraction,
+        optimal_count: int | None = None,
+    ):
+        self.moves = moves
+        self.total_cost = total_cost
+        self.optimal_count = optimal_count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.moves, self.total_cost) == (other.moves, other.total_cost)
 
     def to_json(self) -> dict:
         return {

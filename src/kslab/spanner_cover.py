@@ -31,10 +31,10 @@ cross-multiplying, so only q and a violating pair's excess are Fractions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .advice_tape import AdviceTape
 from .gpc import ceil_log2
@@ -84,13 +84,32 @@ class RelayOffTreePath(RuntimeError):
         self.relay = relay
 
 
-@dataclass(frozen=True)
 class SpanningTree:
-    """Rooted spanning tree; edge_weight[v] is the weight of (v, parent[v])."""
+    """Rooted spanning tree; edge_weight[v] is the weight of (v, parent[v]).
 
-    root: int
-    parent: tuple[int | None, ...]
-    edge_weight: tuple[Weight | None, ...]
+    Equal and hashed by (root, parent, edge_weight); `paths` is built from
+    them on first read and kept, so they are not to be reassigned."""
+
+    def __init__(
+        self,
+        root: int,
+        parent: tuple[int | None, ...],
+        edge_weight: tuple[Weight | None, ...],
+    ):
+        self.root = root
+        self.parent = parent
+        self.edge_weight = edge_weight
+
+    def _key(self) -> tuple:
+        return (self.root, self.parent, self.edge_weight)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -221,11 +240,21 @@ class HeavyPathIndex:
 # Spanner systems and stretch verification.
 
 
-@dataclass
 class SpannerSystem:
-    trees: tuple[SpanningTree, ...]
-    q: Weight | None = None
-    r: Weight | None = None
+    """Spanning trees and the (q, r) stretch certified for them (None: no
+    claim yet)."""
+
+    __slots__ = ("trees", "q", "r")
+
+    def __init__(
+        self,
+        trees: tuple[SpanningTree, ...],
+        q: Weight | None = None,
+        r: Weight | None = None,
+    ):
+        self.trees = trees
+        self.q = q
+        self.r = r
 
     @property
     def mu(self) -> int:
@@ -522,8 +551,7 @@ def generate_advice_spanner(
     return tape
 
 
-@dataclass
-class SpannerMove:
+class SpannerMove(NamedTuple):
     t: int
     request: int
     server: int
@@ -533,8 +561,7 @@ class SpannerMove:
     cost: Weight
 
 
-@dataclass
-class SpannerRun:
+class SpannerRun(NamedTuple):
     cost: Weight
     bits_read: int
     log: list[SpannerMove]

@@ -5,7 +5,7 @@ the unit/module graph families.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .metric_core import (
     DistanceMatrix,
@@ -16,7 +16,6 @@ from .metric_core import (
     parse_json,
     shortest_path_vertices,
 )
-from . import adversary
 
 
 class NoIntersection(RuntimeError):
@@ -170,8 +169,10 @@ class TreeDecomposition:
         )
 
 
-@dataclass
-class DecompositionCheck:
+class DecompositionCheck(NamedTuple):
+    """The verdict on a decomposition: true exactly when `ok` is (as a
+    plain tuple of four fields it would always be true)."""
+
     ok: bool
     axiom: int | None = None
     witness: object = None
@@ -447,6 +448,8 @@ def _module_parent(gamma: int) -> list[int | None]:
 
 def module_graph_decomposition(gamma: int) -> TreeDecomposition:
     """Width-2*gamma decomposition of the module graph, 2*2^gamma bags."""
+    from . import adversary  # only the module and gb families load it
+
     ml = adversary.module_layout(gamma)
     return TreeDecomposition(_module_bags(ml), _module_parent(gamma), root=0)
 
@@ -458,6 +461,8 @@ def gb_decomposition(m: int, gamma: int) -> TreeDecomposition:
     {source, selected vertex} fronts every module, and these source bags
     form their own chain so the source stays connected.
     """
+    from . import adversary  # only the module and gb families load it
+
     gb = adversary.gb_layout(m, gamma)
     per_module = 2 * ((1 << gamma) - 1) + 2
     module_parent = _module_parent(gamma)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, log2
@@ -245,7 +244,7 @@ def test_projection_validity_without_rounds():
 def test_projection_rejects_a_request_past_the_rounds():
     seq = valid_sequence(2, 1, ((((0, 1), (1, 0)),),) * 2)
     assert module_projection_is_valid(seq)
-    extra = replace(seq, requests=seq.requests + seq.requests[:1])
+    extra = seq._replace(requests=seq.requests + seq.requests[:1])
     assert not module_projection_is_valid(extra)
 
 

@@ -373,11 +373,94 @@ def test_mixed_fraction_flow_run_report_is_pinned(tmp_path, monkeypatch):
     )
 
 
-def test_cli_import_leaves_networkx_out():
-    code = "import sys, kslab.cli; sys.exit('networkx' in sys.modules)"
+def fresh_python(*argv, cwd=None, **env):
+    """`python argv` in a fresh interpreter on this checkout's sources, with
+    KSL_LOG as `env` sets it (unset by default)."""
     src = str(Path(kslab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    base = {k: v for k, v in os.environ.items() if k != "KSL_LOG"}
+    return subprocess.run(
+        [sys.executable, *argv], env={**base, "PYTHONPATH": src, **env},
+        cwd=cwd, capture_output=True, text=True,
+    )
+
+
+def test_cli_import_loads_only_what_every_run_uses():
+    # the modules `import kslab.cli` adds to what a bare interpreter holds
+    # (a site hook may preload some of them, which this leaves out)
+    code = (
+        "import sys; bare = set(sys.modules); import kslab.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert {"kslab.cli", "kslab.gpc", "kslab.tree_decomp"} <= loaded
+    assert not loaded & {
+        "networkx", "dataclasses", "inspect", "logging",
+        "kslab.spanner_cover", "kslab.adversary",
+    }
+
+
+@pytest.mark.parametrize(
+    "level, logs",
+    [(None, False), ("INFO", True), ("debug", True), ("WARNING", False),
+     # not level names: WARNING, as before any of them was read
+     ("basic_format", False), ("_styles", False), ("no-such-level", False)],
+)
+def test_ksl_log_level_or_warning(level, logs):
+    argv = ["-m", "kslab", "run", "--family", "grid", "--size", "3", "--n", "4"]
+    quiet = fresh_python(*argv)
+    out = fresh_python(*argv, **({} if level is None else {"KSL_LOG": level}))
+    assert (out.returncode, out.stdout) == (0, quiet.stdout)
+    if logs:
+        assert re.fullmatch(r"INFO:kslab:instance: N=9 k=2 n=4 opt=\d+\n", out.stderr)
+    else:
+        assert out.stderr == ""
+
+
+def _fresh_run_files(where: Path) -> None:
+    """A path graph, its decomposition, an instance and a (1, 0) spanner."""
+    g = path_graph(6)
+    (where / "g.json").write_text(graph_to_json(g))
+    (where / "td.json").write_text(json.dumps(path_decomposition(6).to_json()))
+    (where / "i.json").write_text(
+        json.dumps({"init_config": [0, 5], "sequence": [2, 3, 1, 4]})
+    )
+    system = SpannerSystem(trees=(shortest_path_tree(g, 0),), q=1, r=0)
+    (where / "s.json").write_text(json.dumps(system.to_json()))
+
+
+# one command down each path that imports a module where it is used
+FRESH_COMMANDS = [
+    "run --family path-rounds --n 21 --algo gpc",
+    "run --family module --gamma 2 --rounds 2 --algo perm",
+    "run --family gb --gamma 2 --modules 2 --algo opt",
+    "run --family grid --size 4 --n 12 --algo spanner",
+    "run --family random-ktree --size 12 --n 10 --algo gpc",
+    "run --graph g.json --instance i.json --spanners s.json --algo spanner",
+    "verify --graph g.json --td td.json",
+    "verify --graph g.json --spanners s.json",
+    "bounds --tau 1.1,6/5",
+    "bounds --alpha 4,6",
+]
+
+
+@pytest.mark.parametrize("command", FRESH_COMMANDS)
+def test_fresh_process_matches_in_process(command, tmp_path, capsys, monkeypatch):
+    # the test modules import every kslab module, so only a fresh process
+    # shows that a command imports what it uses
+    _fresh_run_files(tmp_path)
+    fresh = fresh_python("-m", "kslab", *command.split(), cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(*command.split())
+    here = capsys.readouterr()
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert fresh.stderr == here.err == ""
+    assert (fresh.returncode, digest(fresh.stdout)) == (code, digest(here.out))
+    assert code == 0
 
 
 def _write_pair(tmp_path, edges, n, init, sigma):
