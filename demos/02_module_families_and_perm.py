@@ -11,8 +11,10 @@ valid sequences needs its own advice string.
 from kslab.adversary import (
     count_valid_sequences,
     enumerate_round_sequences,
+    gb_decomposition,
     gb_graph,
     module_graph,
+    module_graph_decomposition,
     module_layout,
     perm_algorithm,
     perm_init,
@@ -20,11 +22,7 @@ from kslab.adversary import (
     unit_graph,
 )
 from kslab.offline_solver import count_optimal_schedules
-from kslab.tree_decomp import (
-    gb_decomposition,
-    module_graph_decomposition,
-    verify_decomposition,
-)
+from kslab.tree_decomp import verify_decomposition
 
 print("== unit graph, gamma = 3 ==")
 g, layout = unit_graph(3)

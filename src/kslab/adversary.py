@@ -1,5 +1,6 @@
 """Lower-bound machinery: path rounds, guessing-bound evaluators, the
-unit/module/source-joined graph families, valid sequences, and PERM.
+unit/module/source-joined graph families and their explicit tree
+decompositions, valid sequences, and PERM.
 
 Vertex ids are 0-based throughout.  The classic path round is written on
 1-based path labels (3, 1|5, 3, 2, 4, 2, 4) and shifted down by one, so
@@ -14,6 +15,7 @@ from typing import NamedTuple
 
 from .metric_core import Graph
 from .offline_solver import Move, Schedule
+from .tree_decomp import TreeDecomposition
 
 
 class PathTooShort(ValueError):
@@ -108,7 +110,8 @@ def extract_round_guesses(init, schedule: Schedule, m: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Unit graphs, module graphs, and the source-joined family.
+# Unit graphs, module graphs, the source-joined family, and their tree
+# decompositions.
 #
 # Fixed labeling: within a unit, element vertices come first (ascending),
 # then one vertex per proper subset ordered by (size, bitmask).  A module
@@ -244,6 +247,66 @@ def gb_graph(m: int, gamma: int) -> Graph:
     for i in range(m):
         edges.append((gb.source, gb.selected(i), 1))
     return Graph(gb.n, edges)
+
+
+def _module_bags(ml: ModuleLayout) -> list[list[int]]:
+    """2 * 2^gamma full bags: every element vertex plus one subset vertex.
+
+    Each side contributes one bag per proper subset in (size, mask) order
+    plus a duplicate of its empty-set bag, rounding the count up to a full
+    power of two per side; duplicates sit next to their originals so
+    subtree connectivity is preserved.
+    """
+    core = list(ml.side1.u_ids) + list(ml.side2.u_ids)
+    bags = []
+    for side in ml.sides():
+        side_bags = [sorted(core + [w]) for w in side.w_ids]
+        side_bags.append(side_bags[0])
+        bags.extend(side_bags)
+    return bags
+
+
+def _module_parent(gamma: int) -> list[int | None]:
+    """Chain the full bags of one module; duplicates hang off the empty-set bags."""
+    s = (1 << gamma) - 1
+    parent: list[int | None] = [None] * (2 * s + 2)
+    for i in range(1, s):
+        parent[i] = i - 1
+    parent[s] = 0  # side-1 duplicate
+    parent[s + 1] = s - 1  # side-2 chain joins the end of side 1
+    for i in range(s + 2, 2 * s + 1):
+        parent[i] = i - 1
+    parent[2 * s + 1] = s + 1  # side-2 duplicate
+    return parent
+
+
+def module_graph_decomposition(gamma: int) -> TreeDecomposition:
+    """Width-2*gamma decomposition of the module graph, 2*2^gamma bags."""
+    ml = module_layout(gamma)
+    return TreeDecomposition(_module_bags(ml), _module_parent(gamma), root=0)
+
+
+def gb_decomposition(m: int, gamma: int) -> TreeDecomposition:
+    """Width-2*gamma decomposition of the source-joined graph.
+
+    Each module keeps its own chain of full bags; a two-vertex bag
+    {source, selected vertex} fronts every module, and these source bags
+    form their own chain so the source stays connected.
+    """
+    gb = gb_layout(m, gamma)
+    per_module = 2 * ((1 << gamma) - 1) + 2
+    module_parent = _module_parent(gamma)
+    bags: list[list[int]] = []
+    parent: list[int | None] = []
+    for i, ml in enumerate(gb.modules):
+        base = len(bags)  # index of this module's source bag
+        bags.append(sorted((gb.source, gb.selected(i))))
+        parent.append(None if i == 0 else base - (per_module + 1))
+        for j, bag in enumerate(_module_bags(ml)):
+            bags.append(bag)
+            p = module_parent[j]
+            parent.append(base if p is None else base + 1 + p)
+    return TreeDecomposition(bags, parent, root=0)
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,7 @@ from .offline_solver import (
     opt_cost_flow,
     validate_lazy_schedule,
 )
-from .tree_decomp import (
-    TreeDecomposition,
-    gb_decomposition,
-    module_graph_decomposition,
-    reduce_height,
-    verify_decomposition,
-)
+from .tree_decomp import TreeDecomposition, reduce_height, verify_decomposition
 
 FORMAT_VERSION = 1
 CSV_COLUMNS = [
@@ -198,7 +192,7 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         g = adversary.module_graph(args.gamma)
         sigma = list(seqs.requests)
         init = adversary.perm_init(args.gamma, 1)
-        td = module_graph_decomposition(args.gamma)
+        td = adversary.module_graph_decomposition(args.gamma)
         params = {"gamma": args.gamma, "rounds": args.rounds, "perms": seqs.perms}
     elif args.family == "gb":
         from . import adversary
@@ -208,7 +202,7 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         g = adversary.gb_graph(args.modules, args.gamma)
         sigma = list(seqs.requests)
         init = adversary.perm_init(args.gamma, args.modules)
-        td = gb_decomposition(args.modules, args.gamma)
+        td = adversary.gb_decomposition(args.modules, args.gamma)
         params = {
             "gamma": args.gamma,
             "modules": args.modules,
@@ -236,6 +230,10 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         params = {"side": side}
     else:
         raise BadFlag("--family", "pass --family or --graph")
+    if args.algo == "gpc" and td is None:
+        raise BadFlag("--algo", "gpc needs a tree decomposition (--td or family)")
+    if args.algo == "perm" and args.family not in ("module", "gb"):
+        raise BadFlag("--algo", "perm needs --family module or gb")
     return Instance(g, tuple(init), list(sigma), td, params)
 
 
@@ -272,8 +270,6 @@ def _step_opt(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
 def _step_perm(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     from . import adversary
 
-    if args.family not in ("module", "gb"):
-        raise BadFlag("--algo", "perm needs --family module or gb")
     modules = args.modules if args.family == "gb" else 1
     seq = adversary.valid_sequence(args.gamma, modules, inst.params["perms"])
     schedule = adversary.perm_algorithm(inst.g, seq, inst.init)
@@ -298,8 +294,6 @@ def _step_perm(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
 
 def _step_gpc(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     g, init, sigma, td = inst.g, inst.init, inst.sigma, inst.td
-    if td is None:
-        raise BadFlag("--algo", "gpc needs a tree decomposition (--td or family)")
     check = verify_decomposition(g, td)
     if not check:
         flag = "--td" if args.td else "--family"

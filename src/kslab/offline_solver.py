@@ -83,9 +83,7 @@ class Move(NamedTuple):
 class Schedule:
     """A lazy schedule and its cost.  `optimal_count` is the number of
     distinct optimal (t, src, dst) schedules, when the solver that found
-    this one counted them on the way (the DP does), else None.  Two
-    schedules are equal when their moves and costs are: the count is a
-    fact about the instance, not about this schedule."""
+    this one counted them on the way (the DP does), else None."""
 
     __slots__ = ("moves", "total_cost", "optimal_count")
 
@@ -98,11 +96,6 @@ class Schedule:
         self.moves = moves
         self.total_cost = total_cost
         self.optimal_count = optimal_count
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.moves, self.total_cost) == (other.moves, other.total_cost)
 
     def to_json(self) -> dict:
         return {

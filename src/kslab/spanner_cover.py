@@ -87,8 +87,8 @@ class RelayOffTreePath(RuntimeError):
 class SpanningTree:
     """Rooted spanning tree; edge_weight[v] is the weight of (v, parent[v]).
 
-    Equal and hashed by (root, parent, edge_weight); `paths` is built from
-    them on first read and kept, so they are not to be reassigned."""
+    `paths` is built from the fields on first read and kept, so they are
+    not to be reassigned."""
 
     def __init__(
         self,
@@ -99,17 +99,6 @@ class SpanningTree:
         self.root = root
         self.parent = parent
         self.edge_weight = edge_weight
-
-    def _key(self) -> tuple:
-        return (self.root, self.parent, self.edge_weight)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def n(self) -> int:

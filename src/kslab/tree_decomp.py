@@ -1,7 +1,5 @@
 """Tree decompositions: axiom verification, logarithmic height
-restriction, ancestor/LCA addressing, and the explicit decompositions of
-the unit/module graph families.
-"""
+restriction, and ancestor/LCA addressing."""
 from __future__ import annotations
 
 import heapq
@@ -230,8 +228,9 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionCheck:
 # bag is a centroid; with two anchors it is chosen on the anchor-to-anchor
 # path so that both anchor-side components halve.  Either choice, and the
 # components the split leaves, read one rooted pass over the piece
-# (breadth-first order, parents, subtree sizes), so a split costs time
-# linear in its piece.  Every two levels the component size halves, giving
+# (preorder, parents, subtree sizes), rooted at the first anchor when there
+# are two and at the least bag otherwise, so a split costs time linear in
+# its piece.  Every two levels the component size halves, giving
 # height <= 2*log2(bags) + O(1), and bags are first pruned to at most N+1
 # by contracting subset bags.  Nothing here enforces the 4*ceil(log2 N)
 # bound; tests/test_tree_decomp.py checks it.
@@ -294,48 +293,52 @@ def _rooted(nodes: set[int], adj, root: int):
     return order, parent, size
 
 
-def _components(nodes: set[int], adj, removed: int) -> list[set[int]]:
-    """The components of the connected piece nodes minus removed, in order
-    of their least bag: rooted at removed, the subtree of each neighbour."""
-    order, _, size = _rooted(nodes, adj, removed)
-    comps = []
-    i = 1
-    while i < len(order):
+def _components(walk, removed: int) -> list[set[int]]:
+    """The components the walked piece leaves without removed, in order of
+    their least bag: the subtree slice of each child of removed, plus the
+    rest of the preorder unless removed is the root."""
+    order, _, size = walk
+    start = order.index(removed)
+    end = start + size[removed]
+    comps = [set(order[:start] + order[end:])] if start else []
+    i = start + 1
+    while i < end:
         comps.append(set(order[i:i + size[order[i]]]))
         i += size[order[i]]
     return sorted(comps, key=min)
 
 
-def _centroid(nodes: set[int], adj) -> int:
-    """The bag of the connected piece whose removal leaves the smallest
+def _centroid(walk) -> int:
+    """The bag of the walked piece whose removal leaves the smallest
     largest component, least id on ties.
 
-    Rooted at min(nodes): removing c leaves its child subtrees and the
-    rest of the piece, |nodes| - size[c] bags.
+    Removing c leaves its child subtrees and the rest of the piece,
+    len(order) - size[c] bags.
     """
-    order, parent, size = _rooted(nodes, adj, min(nodes))
+    order, parent, size = walk
     heaviest_child = dict.fromkeys(order, 0)
     for u in order[1:]:
         p = parent[u]
         heaviest_child[p] = max(heaviest_child[p], size[u])
     return min(
-        (max(heaviest_child[c], len(nodes) - size[c]), c) for c in order
+        (max(heaviest_child[c], len(order) - size[c]), c) for c in order
     )[1]
 
 
-def _path_splitter(nodes: set[int], adj, a1: int, a2: int) -> int:
-    """The bag on the a1-a2 path whose removal leaves the smaller largest
-    anchor side, least id on ties.
+def _path_splitter(walk, a2: int) -> int:
+    """The bag on the path from the walk's root a1 to a2 whose removal
+    leaves the smaller largest anchor side, least id on ties.
 
-    Rooted at a1: removing x leaves |nodes| - size[x] bags on a1's side
-    and the subtree of x's child toward a2 on a2's side.
+    Removing x leaves len(order) - size[x] bags on a1's side and the
+    subtree of x's child toward a2 on a2's side.
     """
-    _, parent, size = _rooted(nodes, adj, a1)
-    best = (len(nodes) - size[a2], a2)
+    order, parent, size = walk
+    a1, n = order[0], len(order)
+    best = (n - size[a2], a2)
     x = a2
     while x != a1:
         child, x = x, parent[x]
-        best = min(best, (max(len(nodes) - size[x], size[child]), x))
+        best = min(best, (max(n - size[x], size[child]), x))
     return best[1]
 
 
@@ -354,16 +357,18 @@ def reduce_height(td: TreeDecomposition, n_vertices: int) -> TreeDecomposition:
             out_parent.append(None)
             return len(out_bags) - 1
         if len(anchors) <= 1:
-            c = _centroid(nodes, adj)
+            walk = _rooted(nodes, adj, min(nodes))
+            c = _centroid(walk)
         else:
-            c = _path_splitter(nodes, adj, anchors[0], anchors[1])
+            walk = _rooted(nodes, adj, anchors[0])
+            c = _path_splitter(walk, anchors[1])
         merged = set(bags[c])
         for a in anchors:
             merged |= bags[a]
         out_bags.append(merged)
         out_parent.append(None)
         r_idx = len(out_bags) - 1
-        for comp in _components(nodes, adj, c):
+        for comp in _components(walk, c):
             held = set(anchors) & comp
             sub_anchors = tuple(sorted({next(iter(adj[c] & comp))} | held))
             if len(sub_anchors) > 2:
@@ -409,71 +414,3 @@ def intersect_shortest_path(
     raise NoIntersection(
         f"bag {bag_idx} misses every vertex of the shortest {x}-{y} path"
     )
-
-
-# ---------------------------------------------------------------------------
-# Explicit decompositions for the module families.
-
-
-def _module_bags(ml) -> list[list[int]]:
-    """2 * 2^gamma full bags: every element vertex plus one subset vertex.
-
-    Each side contributes one bag per proper subset in (size, mask) order
-    plus a duplicate of its empty-set bag, rounding the count up to a full
-    power of two per side; duplicates sit next to their originals so
-    subtree connectivity is preserved.
-    """
-    core = list(ml.side1.u_ids) + list(ml.side2.u_ids)
-    bags = []
-    for side in ml.sides():
-        side_bags = [sorted(core + [w]) for w in side.w_ids]
-        side_bags.append(side_bags[0])
-        bags.extend(side_bags)
-    return bags
-
-
-def _module_parent(gamma: int) -> list[int | None]:
-    """Chain the full bags of one module; duplicates hang off the empty-set bags."""
-    s = (1 << gamma) - 1
-    parent: list[int | None] = [None] * (2 * s + 2)
-    for i in range(1, s):
-        parent[i] = i - 1
-    parent[s] = 0  # side-1 duplicate
-    parent[s + 1] = s - 1  # side-2 chain joins the end of side 1
-    for i in range(s + 2, 2 * s + 1):
-        parent[i] = i - 1
-    parent[2 * s + 1] = s + 1  # side-2 duplicate
-    return parent
-
-
-def module_graph_decomposition(gamma: int) -> TreeDecomposition:
-    """Width-2*gamma decomposition of the module graph, 2*2^gamma bags."""
-    from . import adversary  # only the module and gb families load it
-
-    ml = adversary.module_layout(gamma)
-    return TreeDecomposition(_module_bags(ml), _module_parent(gamma), root=0)
-
-
-def gb_decomposition(m: int, gamma: int) -> TreeDecomposition:
-    """Width-2*gamma decomposition of the source-joined graph.
-
-    Each module keeps its own chain of full bags; a two-vertex bag
-    {source, selected vertex} fronts every module, and these source bags
-    form their own chain so the source stays connected.
-    """
-    from . import adversary  # only the module and gb families load it
-
-    gb = adversary.gb_layout(m, gamma)
-    per_module = 2 * ((1 << gamma) - 1) + 2
-    module_parent = _module_parent(gamma)
-    bags: list[list[int]] = []
-    parent: list[int | None] = []
-    for i, ml in enumerate(gb.modules):
-        base = len(bags)  # index of this module's source bag
-        bags.append(sorted((gb.source, gb.selected(i))))
-        parent.append(None if i == 0 else base - (per_module + 1))
-        for j, bag in enumerate(_module_bags(ml)):
-            bags.append(bag)
-            p = module_parent[j]
-            parent.append(base if p is None else base + 1 + p)
-    return TreeDecomposition(bags, parent, root=0)

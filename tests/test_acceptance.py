@@ -15,8 +15,10 @@ from kslab.adversary import (
     PATH_ROUND_INIT,
     count_valid_sequences,
     enumerate_round_sequences,
+    gb_decomposition,
     gb_graph,
     module_graph,
+    module_graph_decomposition,
     path_round_sequence,
     perm_algorithm,
     perm_init,
@@ -49,9 +51,7 @@ from kslab.spanner_cover import (
     spanner_bit_budget,
 )
 from kslab.tree_decomp import (
-    gb_decomposition,
     intersect_shortest_path,
-    module_graph_decomposition,
     reduce_height,
     verify_decomposition,
 )

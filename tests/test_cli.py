@@ -12,6 +12,7 @@ from time import perf_counter
 import pytest
 
 import kslab
+from kslab import cli
 from kslab.cli import main
 from kslab.instances import (
     SplitMix64,
@@ -30,7 +31,6 @@ from kslab.spanner_cover import (
     certify_system,
     shortest_path_tree,
 )
-from kslab.tree_decomp import module_graph_decomposition
 
 
 def run_cli(*argv):
@@ -638,7 +638,14 @@ BAD_RUN_ARGS = [
 @pytest.mark.parametrize(
     "argv,message", BAD_RUN_ARGS, ids=[" ".join(a) for a, _ in BAD_RUN_ARGS]
 )
-def test_bad_run_argument_is_one_line(capsys, argv, message):
+def test_bad_run_argument_is_one_line(monkeypatch, capsys, argv, message):
+    # every case is decided by the arguments and the instance, so no
+    # distance row or OPT is computed before the rejection
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the argument check")
+
+    for name in ("all_pairs_shortest_paths", "opt_cost_dp", "opt_cost_flow"):
+        monkeypatch.setattr(cli, name, computed)
     assert cli_input_error(capsys, "run", *argv) == message + "\n"
 
 
@@ -843,7 +850,7 @@ def test_bounds_alpha_at_its_limit_is_fast(capsys):
 
 
 def test_verify_decomposition_pass_and_fail(tmp_path, capsys):
-    from kslab.adversary import module_graph
+    from kslab.adversary import module_graph, module_graph_decomposition
 
     g = module_graph(2)
     td = module_graph_decomposition(2)

@@ -4,6 +4,7 @@ from kslab import gpc
 from kslab.adversary import (
     PATH_ROUND_INIT,
     module_graph,
+    module_graph_decomposition,
     path_round_sequence,
     perm_init,
     valid_sequence,
@@ -34,7 +35,7 @@ from kslab.offline_solver import (
     serve_order,
     validate_lazy_schedule,
 )
-from kslab.tree_decomp import module_graph_decomposition, reduce_height
+from kslab.tree_decomp import reduce_height
 
 
 def test_ceil_log2():

@@ -1,13 +1,20 @@
+import ast
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab import tree_decomp
-from kslab.adversary import gb_graph, module_graph
+from kslab.adversary import (
+    gb_decomposition,
+    gb_graph,
+    module_graph,
+    module_graph_decomposition,
+)
 from kslab.instances import (
     SplitMix64,
     path_decomposition,
@@ -20,10 +27,9 @@ from kslab.tree_decomp import (
     _centroid,
     _components,
     _path_splitter,
+    _rooted,
     _simplify,
-    gb_decomposition,
     intersect_shortest_path,
-    module_graph_decomposition,
     reduce_height,
     rooted_walk,
     verify_decomposition,
@@ -185,11 +191,23 @@ def test_reduce_height_random_partial_2_trees():
         assert red.height <= 4 * math.ceil(math.log2(n))
 
 
-def _oracle_centroid(nodes, adj):
+def _piece_of(walk):
+    """The walked piece's bags and tree adjacency, read off the walk's
+    parent map (the root is its own parent)."""
+    order, parent, _ = walk
+    adj = {u: set() for u in order}
+    for u in order[1:]:
+        adj[u].add(parent[u])
+        adj[parent[u]].add(u)
+    return set(order), adj
+
+
+def _oracle_centroid(walk):
     """The quadratic search: remove each bag and measure what is left."""
+    nodes, adj = _piece_of(walk)
     best = None
     for c in sorted(nodes):
-        worst = max((len(x) for x in _components(nodes, adj, c)), default=0)
+        worst = max((len(x) for x in _oracle_components(nodes, adj, c)), default=0)
         if best is None or (worst, c) < best:
             best = (worst, c)
     return best[1]
@@ -238,35 +256,49 @@ def _oracle_components(nodes, adj, removed):
     return comps
 
 
+def _walk_from(nodes, adj, root):
+    """_rooted(nodes, adj, root), checked to span the piece with its own
+    tree edges, so an oracle may read the piece off it."""
+    walk = _rooted(nodes, adj, root)
+    assert walk[0][0] == root
+    assert _piece_of(walk) == (nodes, {u: adj[u] & nodes for u in nodes})
+    return walk
+
+
 @settings(max_examples=300, deadline=None)
-@given(_tree_pieces())
-def test_components_match_search_oracle(tree_piece):
-    # read off the rooted pass, in order of their least bag
+@given(_tree_pieces(), st.data())
+def test_components_match_search_oracle(tree_piece, data):
+    # read off one rooted pass from any root, in order of their least bag
     adj, piece = tree_piece
+    walk = _walk_from(piece, adj, data.draw(st.sampled_from(sorted(piece))))
     for c in piece:
-        assert _components(piece, adj, c) == _oracle_components(piece, adj, c)
+        assert _components(walk, c) == _oracle_components(piece, adj, c)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tree_pieces())
-def test_centroid_matches_quadratic_oracle(tree_piece):
+@given(_tree_pieces(), st.data())
+def test_centroid_matches_quadratic_oracle(tree_piece, data):
+    # the answer does not depend on where the piece is rooted
     adj, piece = tree_piece
-    whole = set(range(len(adj)))
-    assert _centroid(whole, adj) == _oracle_centroid(whole, adj)
-    assert _centroid(piece, adj) == _oracle_centroid(piece, adj)
+    for nodes in (set(range(len(adj))), piece):
+        walk = _walk_from(nodes, adj, data.draw(st.sampled_from(sorted(nodes))))
+        assert _centroid(walk) == _oracle_centroid(walk)
 
 
 def test_centroid_ties_take_the_least_bag():
     # a path of four bags has two centroids; a star's hub wins although
     # it has the largest id
     path = [{1}, {0, 2}, {1, 3}, {2}]
-    assert _centroid({0, 1, 2, 3}, path) == 1
+    assert _centroid(_rooted({0, 1, 2, 3}, path, 0)) == 1
     star = [{3}, {3}, {3}, {0, 1, 2}]
-    assert _centroid({0, 1, 2, 3}, star) == 3
+    assert _centroid(_rooted({0, 1, 2, 3}, star, 0)) == 3
 
 
-def _oracle_path_splitter(nodes, adj, a1, a2):
-    """The quadratic search: one component search per bag on the a1-a2 path."""
+def _oracle_path_splitter(walk, a2):
+    """The quadratic search: one component search per bag on the path from
+    the walk's root a1 to a2."""
+    nodes, adj = _piece_of(walk)
+    a1 = walk[0][0]
     prev = {a1: a1}
     stack = [a1]
     while stack:
@@ -280,7 +312,7 @@ def _oracle_path_splitter(nodes, adj, a1, a2):
         path.append(prev[path[-1]])
     best = None
     for x in path:
-        comps = _components(nodes, adj, x)
+        comps = _oracle_components(nodes, adj, x)
         side1 = next((len(c) for c in comps if a1 in c), 0)
         side2 = next((len(c) for c in comps if a2 in c), 0)
         if best is None or (max(side1, side2), x) < best:
@@ -332,8 +364,8 @@ def test_path_splitter_matches_quadratic_oracle(tree_piece, data):
         if len(nodes) > 1:
             a1, a2 = data.draw(st.lists(st.sampled_from(sorted(nodes)),
                                         min_size=2, max_size=2, unique=True))
-            assert (_path_splitter(nodes, adj, a1, a2)
-                    == _oracle_path_splitter(nodes, adj, a1, a2))
+            walk = _walk_from(nodes, adj, a1)
+            assert _path_splitter(walk, a2) == _oracle_path_splitter(walk, a2)
 
 
 def _hung_path(m):
@@ -379,8 +411,50 @@ def test_reduce_height_matches_oracle_driven_run(monkeypatch):
     fast = [reduce_height(td, 0).to_json() for td in tds]
     monkeypatch.setattr(tree_decomp, "_centroid", _oracle_centroid)
     monkeypatch.setattr(tree_decomp, "_path_splitter", _oracle_path_splitter)
+    monkeypatch.setattr(
+        tree_decomp, "_components",
+        lambda walk, c: _oracle_components(*_piece_of(walk), c),
+    )
     monkeypatch.setattr(tree_decomp, "_simplify", _oracle_simplify)
     assert fast == [reduce_height(td, 0).to_json() for td in tds]
+
+
+def test_reduce_height_roots_each_piece_once_per_split(monkeypatch):
+    # a split turns a piece of three or more bags into an output bag with
+    # children; the split choice and the components share one rooted pass
+    roots = []
+    real_rooted = tree_decomp._rooted
+
+    def counted(nodes, adj, root):
+        roots.append(root)
+        return real_rooted(nodes, adj, root)
+
+    monkeypatch.setattr(tree_decomp, "_rooted", counted)
+    for td in (path_decomposition(300), gb_decomposition(2, 3),
+               random_partial_ktree(SplitMix64(1), 250, 3)[1]):
+        roots.clear()
+        red = reduce_height(td, 0)
+        splits = len({p for p in red.parent if p is not None})
+        assert splits > 0 and len(roots) == splits
+
+
+def test_tree_decomp_imports_only_metric_core():
+    # no graph family is known here; function-level imports count too
+    tree = ast.parse(Path(tree_decomp.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            package = "kslab" if node.level else None
+            module = ".".join(filter(None, (package, node.module)))
+            if module == "kslab":  # from . import x, from kslab import x
+                imported |= {f"kslab.{alias.name}" for alias in node.names}
+            else:
+                imported.add(module)
+    assert {m for m in imported if m.split(".")[0] == "kslab"} == {
+        "kslab.metric_core"
+    }
 
 
 # sha256 of the canonical JSON of reduce_height(td).to_json(), recorded with

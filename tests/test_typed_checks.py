@@ -140,7 +140,7 @@ def force_splitter_not_halving():
     # a splitter that only sees the first anchor cannot halve a chain
     td = path_decomposition(20)
     first_anchor_only = mock.patch.object(
-        tree_decomp, "_path_splitter", lambda nodes, adj, a1, a2: a1
+        tree_decomp, "_path_splitter", lambda walk, a2: walk[0][0]
     )
     with first_anchor_only, pytest.raises(
         HeightReductionFault, match="on one side of anchors"
@@ -154,14 +154,16 @@ def force_third_anchor():
     # anchors and the new door in one component
     real_splitter = tree_decomp._path_splitter
 
-    def off_path(nodes, adj, a1, a2):
-        _, parent, _ = tree_decomp._rooted(nodes, adj, a1)
+    def off_path(walk, a2):
+        order, parent, _ = walk
         path, x = {a2}, a2
-        while x != a1:
+        while x != order[0]:
             x = parent[x]
             path.add(x)
-        far = [c for c in sorted(nodes) if c not in path and not adj[c] & path]
-        return far[0] if far else real_splitter(nodes, adj, a1, a2)
+        # the path is a2's ancestor chain, so a bag off it can touch it only
+        # through its parent
+        far = [c for c in sorted(order) if c not in path and parent[c] not in path]
+        return far[0] if far else real_splitter(walk, a2)
 
     g, td = random_partial_ktree(SplitMix64(2), 40, 2)
     with mock.patch.object(tree_decomp, "_path_splitter", off_path), pytest.raises(
