@@ -43,8 +43,7 @@ class AdviceTape:
         self._chunks: list[str] = []  # digits written since the last join
         self._digits = ""  # the joined digits
         self.bits_written = 0
-        self.read_cursor = 0
-        self.bits_read = 0
+        self.bits_read = 0  # the read cursor
 
     def _joined(self) -> str:
         """Every written digit as one string."""
@@ -67,7 +66,7 @@ class AdviceTape:
         """Consume `width` bits at the cursor; never silently pads."""
         if width < 0:
             raise ValueError("width must be nonnegative")
-        start = self.read_cursor
+        start = self.bits_read
         end = start + width
         if end > self.bits_written:
             raise TapeExhausted(
@@ -77,12 +76,10 @@ class AdviceTape:
         if not width:
             return 0
         digits = self._digits if end <= len(self._digits) else self._joined()
-        self.read_cursor = end
-        self.bits_read += width
+        self.bits_read = end
         return int(digits[start:end], 2)
 
     def rewind(self) -> None:
-        self.read_cursor = 0
         self.bits_read = 0
 
     # Dump format for run reports: hex string plus exact bit length, so a

@@ -230,8 +230,13 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         params = {"side": side}
     else:
         raise BadFlag("--family", "pass --family or --graph")
-    if args.algo == "gpc" and td is None:
-        raise BadFlag("--algo", "gpc needs a tree decomposition (--td or family)")
+    if args.algo == "gpc":
+        if td is None:
+            raise BadFlag("--algo", "gpc needs a tree decomposition (--td or family)")
+        check = verify_decomposition(g, td)
+        if not check:
+            flag = "--td" if args.td else "--family"
+            raise BadFlag(flag, f"decomposition invalid: {check.message}")
     if args.algo == "perm" and args.family not in ("module", "gb"):
         raise BadFlag("--algo", "perm needs --family module or gb")
     return Instance(g, tuple(init), list(sigma), td, params)
@@ -264,7 +269,12 @@ def _opt(g, init, sigma, dm):
 
 
 def _step_opt(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
-    return opt.total_cost, True, {"schedule": opt.to_json()}, None, None
+    moves = [
+        {"t": t, "server": server, "from": src, "to": dst, "cost": cost}
+        for t, server, src, dst, cost in opt.moves
+    ]
+    schedule = {"total_cost": opt.total_cost, "moves": moves}
+    return opt.total_cost, True, {"schedule": schedule}, None, None
 
 
 def _step_perm(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
@@ -293,19 +303,25 @@ def _step_perm(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
 
 
 def _step_gpc(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
-    g, init, sigma, td = inst.g, inst.init, inst.sigma, inst.td
-    check = verify_decomposition(g, td)
-    if not check:
-        flag = "--td" if args.td else "--family"
-        raise BadFlag(flag, f"decomposition invalid: {check.message}")
-    red = reduce_height(td, g.n)
+    g, init, sigma = inst.g, inst.init, inst.sigma
+    red = reduce_height(inst.td, g.n)
     tape = generate_advice(g, dm, red, init, sigma, opt)
-    tape.rewind()
     run = run_online(g, dm, red, init, sigma, tape)
     extra = {
         "reduced_width": red.width,
         "reduced_height": red.height,
         "bit_budget_nominal": gpc_bit_budget_nominal(red, len(init), len(sigma)),
+        "moves": [
+            {
+                "t": t,
+                "request": request,
+                "server": server,
+                "from": src,
+                "parked_at": parked_at,
+                "cost": str(cost),
+            }
+            for t, request, server, src, parked_at, cost, _ in run.log
+        ],
     }
     return run.online_cost, run.online_cost == opt.total_cost, extra, run, tape
 
@@ -336,17 +352,31 @@ def _step_spanner(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
         extra["spanner_roots"] = roots
     extra.update(q=system.q, r=system.r)
     tape = generate_advice_spanner(g, dm, system, init, sigma, opt)
-    tape.rewind()
     paths = [t.paths for t in system.trees]
     run = run_online_spanner(g, system, paths, init, sigma, tape)
     extra.update(suffix_bits=run.suffix_bits, labels=run.labels)
+    extra["moves"] = [
+        {
+            "t": t,
+            "request": request,
+            "server": server,
+            "tree": tree,
+            "from": src,
+            "relay": relay,
+            "cost": str(cost),
+        }
+        for t, request, server, tree, src, relay, cost in run.log
+    ]
     ok = run.cost <= (system.q + system.r) * opt.total_cost
     return run.cost, ok, extra, run, tape
 
 
 # Each algorithm step serves the instance and returns (online cost, its own
 # pass condition, report extras, the tape run or None, the tape or None); a
-# tape run also has to stay within its bit budget.
+# tape run also has to stay within its bit budget.  The steps spell their
+# own move lists into the extras.  Format version 1 writes every exact
+# number as num_to_json spells it (through _canonical), with one exception:
+# a gpc or spanner move's cost is str(cost), so an integral one is "5".
 ALGOS = {
     "opt": _step_opt,
     "gpc": _step_gpc,
@@ -365,7 +395,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     tape_dump = None
     if run is not None:
         ok = ok and run.bits_read <= run.bit_budget
-        extra["moves"] = run.moves_json()
         tape_dump = tape.to_hex()
     results = {
         "opt_cost": opt_cost,

@@ -79,20 +79,6 @@ class GpcRun(NamedTuple):
     log: list[GpcMove]
     bit_budget: int
 
-    def moves_json(self) -> list[dict]:
-        """The moves as the report spells them: ints and str costs."""
-        return [
-            {
-                "t": t,
-                "request": request,
-                "server": server,
-                "from": retrieved_from,
-                "parked_at": parked_at,
-                "cost": str(cost),
-            }
-            for t, request, server, retrieved_from, parked_at, cost, _ in self.log
-        ]
-
 
 def generate_advice(
     g: Graph,

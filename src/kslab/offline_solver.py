@@ -29,12 +29,7 @@ from itertools import chain
 from math import comb, lcm
 from typing import NamedTuple
 
-from .metric_core import (
-    DistanceMatrix,
-    Graph,
-    all_pairs_shortest_paths,
-    num_to_json,
-)
+from .metric_core import DistanceMatrix, Graph, all_pairs_shortest_paths
 
 
 class InstanceTooLarge(ValueError):
@@ -70,15 +65,6 @@ class Move(NamedTuple):
     dst: int
     cost: int | Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "server": self.server,
-            "from": self.src,
-            "to": self.dst,
-            "cost": num_to_json(self.cost),
-        }
-
 
 class Schedule:
     """A lazy schedule and its cost.  `optimal_count` is the number of
@@ -96,12 +82,6 @@ class Schedule:
         self.moves = moves
         self.total_cost = total_cost
         self.optimal_count = optimal_count
-
-    def to_json(self) -> dict:
-        return {
-            "total_cost": num_to_json(self.total_cost),
-            "moves": [m.to_json() for m in self.moves],
-        }
 
     def move_triples(self) -> tuple[tuple[int, int, int], ...]:
         """(t, src, dst) view: schedule identity modulo server relabeling."""

@@ -559,21 +559,6 @@ class SpannerRun(NamedTuple):
     ambiguous_retrievals: int = 0
     suffix_bits: int = 0
 
-    def moves_json(self) -> list[dict]:
-        """The moves as the report spells them: ints and str costs."""
-        return [
-            {
-                "t": m.t,
-                "request": m.request,
-                "server": m.server,
-                "tree": m.tree,
-                "from": m.src,
-                "relay": m.relay,
-                "cost": str(m.cost),
-            }
-            for m in self.log
-        ]
-
 
 def run_online_spanner(
     g: Graph,

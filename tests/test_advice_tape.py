@@ -139,7 +139,7 @@ def _from_hex_oracle(hexstr: str, nbits: int) -> list[int]:
 
 def _read_bits(tape: AdviceTape) -> list[int]:
     """Every bit of the tape, read one at a time from its cursor."""
-    return [tape.read_uint(1) for _ in range(tape.bits_written - tape.read_cursor)]
+    return [tape.read_uint(1) for _ in range(tape.bits_written - tape.bits_read)]
 
 
 # leading zeros, then any bits: 0..300 in all, any length mod 4 and mod 8
@@ -172,4 +172,4 @@ def test_hex_round_trip_200k_bits():
     back = AdviceTape.from_hex(hexstr, nbits)
     assert _read_bits(back) == bits
     back.rewind()
-    assert back.read_uint(13) == 0 and back.read_cursor == 13
+    assert back.read_uint(13) == 0 and back.bits_read == 13

@@ -697,7 +697,16 @@ def test_verify_with_both_structures_is_one_line(tmp_path, capsys):
     assert msg == "--td/--spanners: pass only one of them\n"
 
 
-def test_run_with_an_invalid_decomposition_is_one_line(tmp_path, capsys):
+def test_run_with_an_invalid_decomposition_is_one_line(
+    tmp_path, monkeypatch, capsys
+):
+    # the decomposition is checked with the other arguments, before any
+    # distance row or OPT is computed
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the decomposition check")
+
+    for name in ("all_pairs_shortest_paths", "opt_cost_dp", "opt_cost_flow"):
+        monkeypatch.setattr(cli, name, computed)
     gp = tmp_path / "g.json"
     gp.write_text(graph_to_json(path_graph(3)))
     tdp = tmp_path / "td.json"
@@ -732,6 +741,17 @@ def test_csv_format(tmp_path):
     assert row.split(",")[-1] == "true"
 
 
+def _write_thirds_graph():
+    """g.json: a 40-vertex partial 3-tree whose thirds weights make costs
+    and ratios Fractions."""
+    rng = SplitMix64(86)
+    g, _ = random_partial_ktree(rng, 40, 3)
+    edges = [
+        [u, v, num_to_json(Fraction(rng.randint(3, 9), 3))] for u, v, _ in g.edges
+    ]
+    Path("g.json").write_text(json.dumps({"n": g.n, "edges": edges}))
+
+
 def test_csv_reports_are_pinned(tmp_path, monkeypatch):
     # a perm run, and a spanner run on a 40-vertex partial 3-tree whose
     # thirds weights make its costs and ratio Fractions; digests recorded
@@ -741,12 +761,7 @@ def test_csv_reports_are_pinned(tmp_path, monkeypatch):
         "run", "--family", "module", "--gamma", "2", "--rounds", "3",
         "--algo", "perm", "--format", "csv", "--out", "perm.csv",
     ) == 0
-    rng = SplitMix64(86)
-    g, _ = random_partial_ktree(rng, 40, 3)
-    edges = [
-        [u, v, num_to_json(Fraction(rng.randint(3, 9), 3))] for u, v, _ in g.edges
-    ]
-    Path("g.json").write_text(json.dumps({"n": g.n, "edges": edges}))
+    _write_thirds_graph()
     assert run_cli(
         "run", "--graph", "g.json", "--k", "3", "--n", "30", "--seed", "2",
         "--algo", "spanner", "--format", "csv", "--out", "spanner.csv",
@@ -760,6 +775,29 @@ def test_csv_reports_are_pinned(tmp_path, monkeypatch):
     assert digests == {
         "perm.csv": "05a85d227207fd4fee87ace134eb1e075c7ddb50c56758de88ddf21354a99609",
         "spanner.csv": "c32555ac1b2c6c62b3741cd6367e4e2790572df03181b76835fea20311257ef5",
+    }
+
+
+def test_fraction_json_reports_are_pinned(tmp_path, monkeypatch):
+    # opt and spanner JSON reports on the thirds-weight graph: the schedule
+    # spells its Fraction costs as "p/q" and its integral ones as ints, the
+    # spanner moves every cost as str(cost); digests recorded before the
+    # move lists' spelling moved into `cli`
+    monkeypatch.chdir(tmp_path)
+    _write_thirds_graph()
+    digests = {}
+    for algo in ("opt", "spanner"):
+        assert run_cli(
+            "run", "--graph", "g.json", "--k", "3", "--n", "30", "--seed", "2",
+            "--algo", algo, "--out", f"{algo}.json",
+        ) == 0
+        digests[algo] = hashlib.sha256(Path(f"{algo}.json").read_bytes()).hexdigest()
+    schedule = json.loads(Path("opt.json").read_text())["extra"]["schedule"]
+    assert schedule["total_cost"] == "293/3"
+    assert schedule["moves"][0]["cost"] == "20/3"
+    assert digests == {
+        "opt": "7f19ed77fbe4cedc84041cb97b0cd1b45a7ef358c95a8b2ebfe3b6b6bf3f251d",
+        "spanner": "646d000b491ed7961c85811b17b64bca84cf691e73433ed9c2821272564e9820",
     }
 
 

@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 from kslab import metric_core
-from kslab.cli import _canonical
+from kslab.cli import ALGOS, Instance, _canonical, make_parser
 from kslab.gpc import generate_advice, run_online
 from kslab.instances import SplitMix64, random_distinct_vertices, random_requests
 from kslab.metric_core import Graph, all_pairs_shortest_paths
@@ -104,7 +104,9 @@ def test_flow_matches_dp_on_fraction_weights_with_int_distances():
         assert type(c_fl) is int
 
 
-def _rational_gpc_runs():
+def _rational_ktrees():
+    """Ten partial 2-trees reweighted with halves, each with its
+    decomposition, distances, servers, requests and OPT."""
     from kslab.instances import random_partial_ktree
 
     rng = SplitMix64(4244)
@@ -117,11 +119,16 @@ def _rational_gpc_runs():
         ]
         g = Graph(n, edges)
         dm = all_pairs_shortest_paths(g)
-        red = reduce_height(td, n)
-        assert verify_decomposition(g, red)
         init = random_distinct_vertices(rng, 2, n)
         sigma = random_requests(rng, 12, n)
         opt_c, opt_s = opt_cost_dp(g, init, sigma, dm)
+        yield g, td, dm, init, sigma, opt_c, opt_s
+
+
+def _rational_gpc_runs():
+    for g, td, dm, init, sigma, opt_c, opt_s in _rational_ktrees():
+        red = reduce_height(td, g.n)
+        assert verify_decomposition(g, red)
         tape = generate_advice(g, dm, red, init, sigma, opt_s)
         tape.rewind()
         run = run_online(g, dm, red, init, sigma, tape)
@@ -160,12 +167,15 @@ def test_spanner_mu3_on_rational_weights():
 
 
 def test_run_moves_are_already_jsonable():
-    # `kslab run` writes these move lists as they are: plain JSON values that
-    # read back unchanged, with no Fraction for the encoder to spell
-    gpc = [r for r, _ in _rational_gpc_runs()]
-    spanner = [r for r, *_ in _rational_spanner_runs()]
-    for runs in (gpc, spanner):
-        moves = [m for run in runs for m in run.moves_json()]
+    # the gpc and spanner steps of `kslab run` spell their move lists as
+    # plain JSON values that read back unchanged, with no Fraction for the
+    # encoder to spell
+    args = make_parser().parse_args(["run", "--seed", "3"])
+    for algo in ("gpc", "spanner"):
+        moves = []
+        for g, td, dm, init, sigma, _, opt_s in _rational_ktrees():
+            inst = Instance(g, tuple(init), sigma, td, {})
+            moves += ALGOS[algo](args, inst, dm, opt_s)[2]["moves"]
         for move in moves:
             assert json.loads(_canonical(move)) == move
         assert any("/" in m["cost"] for m in moves)  # Fraction costs occur

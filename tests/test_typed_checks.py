@@ -290,6 +290,7 @@ UNUSED_PARAMETERS = {
     ("cli.py", "_step_opt", "args"): "shared ALGOS step signature",
     ("cli.py", "_step_opt", "inst"): "shared ALGOS step signature",
     ("cli.py", "_step_opt", "dm"): "shared ALGOS step signature",
+    ("cli.py", "_step_gpc", "args"): "shared ALGOS step signature",
 }
 
 
