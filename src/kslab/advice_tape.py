@@ -5,11 +5,10 @@ oracle and the online algorithm derive every field width from public
 parameters, so no self-delimiting codes are needed.  Width 0 is legal and
 writes nothing (used when a parameter makes the choice unique).
 
-The tape is stored as ASCII binary digits: each write appends one chunk
-of `width` digits, the chunks are joined into one string the first time a
-read needs them, and a read is one `int(digits, 2)` of a slice.  The hex
-dump and its load each convert the whole digit string in one pass, in time
-linear in its bit length.
+The tape is one buffer of ASCII binary digits: a write appends `width`
+digits, and a read is one `int(digits, 2)` of a slice of it.  The hex dump
+and its load each convert the whole buffer in one pass, in time linear in
+its bit length.
 """
 from __future__ import annotations
 
@@ -40,17 +39,9 @@ class AdviceTape:
     """Append-only bit string with a read cursor and exact bit counters."""
 
     def __init__(self):
-        self._chunks: list[str] = []  # digits written since the last join
-        self._digits = ""  # the joined digits
+        self._digits = bytearray()  # one ASCII "0"/"1" per written bit
         self.bits_written = 0
         self.bits_read = 0  # the read cursor
-
-    def _joined(self) -> str:
-        """Every written digit as one string."""
-        if self._chunks:
-            self._digits += "".join(self._chunks)
-            self._chunks.clear()
-        return self._digits
 
     def write_uint(self, value: int, width: int) -> None:
         """Append `value` as `width` bits, most significant first."""
@@ -59,7 +50,7 @@ class AdviceTape:
         if value < 0 or value >> width:
             raise ValueTooWide(f"value {value} does not fit in {width} bits")
         if width:
-            self._chunks.append(bin(value)[2:].zfill(width))
+            self._digits += bin(value)[2:].zfill(width).encode()
             self.bits_written += width
 
     def read_uint(self, width: int) -> int:
@@ -75,9 +66,8 @@ class AdviceTape:
             )
         if not width:
             return 0
-        digits = self._digits if end <= len(self._digits) else self._joined()
         self.bits_read = end
-        return int(digits[start:end], 2)
+        return int(self._digits[start:end], 2)
 
     def rewind(self) -> None:
         self.bits_read = 0
@@ -89,7 +79,7 @@ class AdviceTape:
         if nbits == 0:
             return "", 0
         nbytes = (nbits + 7) // 8
-        acc = int(self._joined(), 2) << (nbytes * 8 - nbits)  # pad at the tail
+        acc = int(self._digits, 2) << (nbytes * 8 - nbits)  # pad at the tail
         return acc.to_bytes(nbytes, "big").hex(), nbits
 
     @classmethod
@@ -110,7 +100,7 @@ class AdviceTape:
             acc = int.from_bytes(bytes.fromhex(hexstr), "big")
         except ValueError as exc:
             raise BadHexTape(f"bad hex string: {exc}") from exc
-        tape._digits = format(acc, f"0{total}b")[:nbits]
+        tape._digits = bytearray(format(acc, f"0{total}b")[:nbits], "ascii")
         tape.bits_written = nbits
         return tape
 

@@ -7,10 +7,11 @@ to a level name (DEBUG/INFO/WARNING/...) for progress logging on stderr;
 WARNING.
 
 Start-up is part of every fresh `kslab` process, so the two modules that
-only some commands need are imported inside the steps that use them:
-`spanner_cover` in the spanner step and `verify --spanners`, `adversary`
-in the path-rounds/module/gb families, perm and `bounds`.  The modules of
-the gpc pipeline are imported at the top.
+only some commands need are imported where they are used: `spanner_cover`
+where `_build_instance` builds a spanner run's system, in the spanner step
+and in `verify --spanners`; `adversary` in the path-rounds/module/gb
+families, perm and `bounds`.  The modules of the gpc pipeline are imported
+at the top.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .gpc import generate_advice, gpc_bit_budget_nominal, run_online
 from .instances import (
@@ -55,6 +56,9 @@ from .offline_solver import (
 )
 from .tree_decomp import TreeDecomposition, reduce_height, verify_decomposition
 
+if TYPE_CHECKING:
+    from .spanner_cover import SpannerSystem
+
 FORMAT_VERSION = 1
 CSV_COLUMNS = [
     "instance_id",
@@ -83,23 +87,18 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise BadFlag(flag, f"must be at least {low}, got {value}")
 
 
-def _random_servers(rng: SplitMix64, k: int, n_vertices: int) -> tuple[int, ...]:
-    """`--k` distinct random vertices of a graph on n_vertices vertices."""
-    if not 1 <= k <= n_vertices:
-        raise BadFlag(
-            "--k", f"need 1..{n_vertices} servers on {n_vertices} vertices, got {k}"
-        )
-    return random_distinct_vertices(rng, k, n_vertices)
-
-
 class Instance(NamedTuple):
-    """A run's graph, servers, requests, decomposition and family params."""
+    """Every input of a run: the graph, servers and requests, the structure
+    the oracle reads and the family's params.  `td` is the decomposition, if
+    any; `spanners` is a spanner run's system: a file's (q, r) claim, not
+    yet certified, or the trees drawn from the seed, with no claim."""
 
     g: Graph
     init: tuple[int, ...]
     sigma: list[int]
     td: TreeDecomposition | None
     params: dict
+    spanners: SpannerSystem | None = None
 
 
 def _info(msg: str, *args) -> None:
@@ -139,8 +138,8 @@ def _vertices(doc, field: str, n: int) -> list:
 
 
 def _build_instance(args: argparse.Namespace) -> Instance:
-    """Resolve the graph, servers, requests and decomposition of a run from
-    its parsed `kslab run` arguments."""
+    """Decide every input of a run from its parsed `kslab run` arguments:
+    the graph, servers, requests, decomposition and spanner system."""
     _at_least("--n", args.n, 0)
     _at_least("--size", args.size, 0)
     if args.graph and args.family:
@@ -151,25 +150,27 @@ def _build_instance(args: argparse.Namespace) -> Instance:
                 raise BadFlag(flag, "needs --graph")
     if args.bits is not None and args.family != "path-rounds":
         raise BadFlag("--bits", "needs --family path-rounds")
+    if args.modules != 1 and args.family != "gb":
+        raise BadFlag("--modules", "needs --family gb")
+    if args.family not in ("module", "gb") and (args.gamma, args.rounds) != (2, 1):
+        flag = "--gamma" if args.gamma != 2 else "--rounds"
+        raise BadFlag(flag, "needs --family module or gb")
     if args.spanners is not None and args.algo != "spanner":
         raise BadFlag("--spanners", "needs --algo spanner")
     rng = SplitMix64(args.seed)
-    td = None
+    td = init = sigma = None
     if args.graph:
         g = graph_from_json(_read(args.graph))
         if args.td:
             td = TreeDecomposition.from_json(_read(args.td))
+        params = {"source": args.graph}
         if args.instance:
             doc = parse_json(_read(args.instance))
             init = _vertices(doc, "init_config", g.n)
             if not init:
                 raise GraphFormatError("init_config", "expected at least one server")
             sigma = _vertices(doc, "sequence", g.n)
-            params = {"source": args.graph, "instance": args.instance}
-        else:
-            init = _random_servers(rng, args.k, g.n)
-            sigma = random_requests(rng, args.n, g.n)
-            params = {"source": args.graph}
+            params["instance"] = args.instance
     elif args.family == "path-rounds":
         from . import adversary
 
@@ -185,30 +186,32 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         init = adversary.PATH_ROUND_INIT
         td = path_decomposition(n_path)
         params = {"bits": bits, "path_size": n_path}
-    elif args.family == "module":
+    elif args.family in ("module", "gb"):
         from . import adversary
 
-        seqs = _seeded_valid_sequence(rng, args.gamma, 1, args.rounds)
-        g = adversary.module_graph(args.gamma)
-        sigma = list(seqs.requests)
-        init = adversary.perm_init(args.gamma, 1)
-        td = adversary.module_graph_decomposition(args.gamma)
-        params = {"gamma": args.gamma, "rounds": args.rounds, "perms": seqs.perms}
-    elif args.family == "gb":
-        from . import adversary
+        gamma, m, rounds = args.gamma, args.modules, args.rounds
+        _at_least("--modules", m, 1)
+        _at_least("--gamma", gamma, 2)
+        _at_least("--rounds", rounds, 0)
 
-        _at_least("--modules", args.modules, 1)
-        seqs = _seeded_valid_sequence(rng, args.gamma, args.modules, args.rounds)
-        g = adversary.gb_graph(args.modules, args.gamma)
-        sigma = list(seqs.requests)
-        init = adversary.perm_init(args.gamma, args.modules)
-        td = adversary.gb_decomposition(args.modules, args.gamma)
-        params = {
-            "gamma": args.gamma,
-            "modules": args.modules,
-            "rounds": args.rounds,
-            "perms": seqs.perms,
-        }
+        def shuffled():
+            p = list(range(gamma))
+            rng.shuffle(p)
+            return tuple(p)
+
+        perms = tuple(
+            tuple((shuffled(), shuffled()) for _ in range(m)) for _ in range(rounds)
+        )
+        seq = adversary.valid_sequence(gamma, m, perms)
+        sigma, init = seq.requests, adversary.perm_init(gamma, m)
+        params = {"gamma": gamma, "rounds": rounds, "perms": seq.perms}
+        if args.family == "module":
+            g = adversary.module_graph(gamma)
+            td = adversary.module_graph_decomposition(gamma)
+        else:
+            g = adversary.gb_graph(m, gamma)
+            td = adversary.gb_decomposition(m, gamma)
+            params["modules"] = m
     elif args.family == "random-ktree":
         n_vertices = args.size or 20
         width = min(4, max(1, args.k))
@@ -219,17 +222,20 @@ def _build_instance(args: argparse.Namespace) -> Instance:
                 f"vertices, got {n_vertices}",
             )
         g, td = random_partial_ktree(rng, n_vertices, width)
-        init = _random_servers(rng, args.k, g.n)
-        sigma = random_requests(rng, args.n, g.n)
         params = {"n_vertices": n_vertices, "width": width}
     elif args.family == "grid":
         side = args.size or 4
         g = grid_graph(side, side)
-        init = _random_servers(rng, args.k, g.n)
-        sigma = random_requests(rng, args.n, g.n)
         params = {"side": side}
     else:
         raise BadFlag("--family", "pass --family or --graph")
+    if init is None:
+        if not 1 <= args.k <= g.n:
+            raise BadFlag(
+                "--k", f"need 1..{g.n} servers on {g.n} vertices, got {args.k}"
+            )
+        init = random_distinct_vertices(rng, args.k, g.n)
+        sigma = random_requests(rng, args.n, g.n)
     if args.algo == "gpc":
         if td is None:
             raise BadFlag("--algo", "gpc needs a tree decomposition (--td or family)")
@@ -239,25 +245,19 @@ def _build_instance(args: argparse.Namespace) -> Instance:
             raise BadFlag(flag, f"decomposition invalid: {check.message}")
     if args.algo == "perm" and args.family not in ("module", "gb"):
         raise BadFlag("--algo", "perm needs --family module or gb")
-    return Instance(g, tuple(init), list(sigma), td, params)
+    spanners = None
+    if args.algo == "spanner":
+        from . import spanner_cover
 
-
-def _seeded_valid_sequence(rng: SplitMix64, gamma: int, m: int, rounds: int):
-    from . import adversary
-
-    _at_least("--gamma", gamma, 2)
-    _at_least("--rounds", rounds, 0)
-    perms = []
-    for _ in range(rounds):
-        row = []
-        for _ in range(m):
-            p1 = list(range(gamma))
-            p2 = list(range(gamma))
-            rng.shuffle(p1)
-            rng.shuffle(p2)
-            row.append((tuple(p1), tuple(p2)))
-        perms.append(tuple(row))
-    return adversary.valid_sequence(gamma, m, tuple(perms))
+        if args.spanners:
+            spanners = spanner_cover.system_from_json(g, _read(args.spanners))
+            if spanners.q is None:
+                raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
+        else:
+            roots = random_distinct_vertices(SplitMix64(args.seed ^ 0xB0F5), 2, g.n)
+            trees = tuple(spanner_cover.shortest_path_tree(g, r) for r in roots)
+            spanners = spanner_cover.SpannerSystem(trees)
+    return Instance(g, tuple(init), list(sigma), td, params, spanners)
 
 
 def _opt(g, init, sigma, dm):
@@ -268,7 +268,7 @@ def _opt(g, init, sigma, dm):
         return opt_cost_flow(g, init, sigma, dm)
 
 
-def _step_opt(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
+def _step_opt(inst: Instance, dm, opt: Schedule):
     moves = [
         {"t": t, "server": server, "from": src, "to": dst, "cost": cost}
         for t, server, src, dst, cost in opt.moves
@@ -277,11 +277,13 @@ def _step_opt(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     return opt.total_cost, True, {"schedule": schedule}, None, None
 
 
-def _step_perm(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
+def _step_perm(inst: Instance, dm, opt: Schedule):
     from . import adversary
 
-    modules = args.modules if args.family == "gb" else 1
-    seq = adversary.valid_sequence(args.gamma, modules, inst.params["perms"])
+    params = inst.params
+    seq = adversary.valid_sequence(
+        params["gamma"], params.get("modules", 1), params["perms"]
+    )
     schedule = adversary.perm_algorithm(inst.g, seq, inst.init)
     ok = schedule.total_cost == opt.total_cost == len(inst.sigma)
     # PERM's schedule is the unique optimum iff the optimum is unique and
@@ -302,7 +304,7 @@ def _step_perm(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     return schedule.total_cost, ok and unique, {"unique_opt": unique}, None, None
 
 
-def _step_gpc(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
+def _step_gpc(inst: Instance, dm, opt: Schedule):
     g, init, sigma = inst.g, inst.init, inst.sigma
     red = reduce_height(inst.td, g.n)
     tape = generate_advice(g, dm, red, init, sigma, opt)
@@ -326,30 +328,25 @@ def _step_gpc(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     return run.online_cost, run.online_cost == opt.total_cost, extra, run, tape
 
 
-def _step_spanner(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
+def _step_spanner(inst: Instance, dm, opt: Schedule):
     from .spanner_cover import (
         StretchClaimRejected,
         certify_min_stretch,
+        certify_system,
         generate_advice_spanner,
         run_online_spanner,
-        shortest_path_tree,
-        system_from_json,
     )
 
-    g, init, sigma = inst.g, inst.init, inst.sigma
+    g, init, sigma, system = inst.g, inst.init, inst.sigma, inst.spanners
     extra = {}
-    if args.spanners:
+    if system.q is None:
+        system = certify_min_stretch(dm, system.trees)
+        extra["spanner_roots"] = [t.root for t in system.trees]
+    else:
         try:
-            system = system_from_json(g, _read(args.spanners), dm)
+            system = certify_system(g, dm, system.trees, system.q, system.r)
         except StretchClaimRejected as exc:
             raise BadFlag("--spanners", str(exc)) from None
-        if system.q is None:
-            raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
-    else:
-        roots = random_distinct_vertices(SplitMix64(args.seed ^ 0xB0F5), 2, g.n)
-        trees = [shortest_path_tree(g, r) for r in roots]
-        system = certify_min_stretch(dm, trees)
-        extra["spanner_roots"] = roots
     extra.update(q=system.q, r=system.r)
     tape = generate_advice_spanner(g, dm, system, init, sigma, opt)
     paths = [t.paths for t in system.trees]
@@ -371,7 +368,8 @@ def _step_spanner(args: argparse.Namespace, inst: Instance, dm, opt: Schedule):
     return run.cost, ok, extra, run, tape
 
 
-# Each algorithm step serves the instance and returns (online cost, its own
+# Each algorithm step reads only the instance, its metric and OPT's
+# schedule, serves the instance and returns (online cost, its own
 # pass condition, report extras, the tape run or None, the tape or None); a
 # tape run also has to stay within its bit budget.  The steps spell their
 # own move lists into the extras.  Format version 1 writes every exact
@@ -391,7 +389,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     dm = all_pairs_shortest_paths(g)
     opt_cost, opt = _opt(g, init, sigma, dm)
     _info("instance: N=%d k=%d n=%d opt=%s", g.n, len(init), len(sigma), opt_cost)
-    online_cost, ok, extra, run, tape = ALGOS[args.algo](args, inst, dm, opt)
+    online_cost, ok, extra, run, tape = ALGOS[args.algo](inst, dm, opt)
     tape_dump = None
     if run is not None:
         ok = ok and run.bits_read <= run.bit_budget
@@ -540,17 +538,17 @@ def cmd_verify(args) -> int:
         print(f"fail: axiom {check.axiom}, witness {check.witness}: {check.message}")
         return 1
     if args.spanners:
-        from .spanner_cover import StretchClaimRejected, system_from_json
+        from . import spanner_cover
 
-        try:
-            system = system_from_json(
-                g, _read(args.spanners), all_pairs_shortest_paths(g)
-            )
-        except StretchClaimRejected as exc:
-            print(f"fail: {exc}")
-            return 1
+        system = spanner_cover.system_from_json(g, _read(args.spanners))
         if system.q is None:
             print("fail: spanner file carries no (q, r) claim to verify")
+            return 1
+        dm = all_pairs_shortest_paths(g)
+        try:
+            spanner_cover.certify_system(g, dm, system.trees, system.q, system.r)
+        except spanner_cover.StretchClaimRejected as exc:
+            print(f"fail: {exc}")
             return 1
         print(f"pass: ({system.q}, {system.r})-stretch verified, mu={system.mu}")
         return 0

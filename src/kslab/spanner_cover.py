@@ -230,8 +230,10 @@ class HeavyPathIndex:
 
 
 class SpannerSystem:
-    """Spanning trees and the (q, r) stretch certified for them (None: no
-    claim yet)."""
+    """Spanning trees and a (q, r) stretch for them (None: no claim yet).
+
+    certify_system and certify_min_stretch return a certified (q, r);
+    system_from_json returns a file's claim unchecked."""
 
     __slots__ = ("trees", "q", "r")
 
@@ -383,12 +385,12 @@ def certify_min_stretch(dm: DistanceMatrix, trees) -> SpannerSystem:
     return SpannerSystem(trees=trees, q=q, r=0)
 
 
-def system_from_json(g: Graph, text: str, dm: DistanceMatrix) -> SpannerSystem:
-    """Load a spanner system and, if it claims a (q, r), certify the claim.
+def system_from_json(g: Graph, text: str) -> SpannerSystem:
+    """Parse a spanner system of g and the (q, r) claim it carries, if any.
 
-    `dm` is g's metric.  Malformed JSON or a bad tree raises GraphFormatError
-    naming the field, as in "trees[0].parent"; a failed stretch claim raises
-    StretchClaimRejected.
+    The claim is returned unchecked: certify_system checks it against g's
+    metric.  Malformed JSON or a bad tree raises GraphFormatError naming the
+    field, as in "trees[0].parent".
     """
     obj = parse_json(text)
     raw = json_field(obj, "trees")
@@ -413,7 +415,7 @@ def system_from_json(g: Graph, text: str, dm: DistanceMatrix) -> SpannerSystem:
     if obj.get("q") is None or obj.get("r") is None:
         return SpannerSystem(trees=tuple(trees))
     q, r = num_from_json(obj["q"], "q"), num_from_json(obj["r"], "r")
-    return certify_system(g, dm, trees, q, r)
+    return SpannerSystem(trees=tuple(trees), q=q, r=r)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,16 @@ def cli_input_error(capsys, *argv) -> str:
     return err[len("kslab: error: "):]
 
 
+def forbid_metric_and_opt(monkeypatch, what: str) -> None:
+    """Make `cli` raise if it computes a distance row or OPT."""
+
+    def computed(*args, **kwargs):
+        raise AssertionError(f"computed before {what}")
+
+    for name in ("all_pairs_shortest_paths", "opt_cost_dp", "opt_cost_flow"):
+        monkeypatch.setattr(cli, name, computed)
+
+
 def test_run_path_rounds_opt(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = run_cli(
@@ -216,11 +226,17 @@ GPC_RUNS = [
          "--algo", "gpc", "--format", "csv"],
         "6d01b7b18cfe5c14eca340c83c51990b335b9020aa2b641d33a11148ab327e60",
     ),
+    (
+        ["--family", "module", "--gamma", "2", "--rounds", "3", "--algo", "gpc"],
+        "eb088a2b8aa3483789e1ee6b118a84f2e28015bf9a25798f84f820b1ebf67956",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,digest", GPC_RUNS, ids=["rounds14000-gpc", "gb-m2-g2-r3-gpc", "gb-gpc-csv"]
+    "argv,digest",
+    GPC_RUNS,
+    ids=["rounds14000-gpc", "gb-m2-g2-r3-gpc", "gb-gpc-csv", "module-g2-r3-gpc"],
 )
 def test_gpc_run_reports_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "r.out"
@@ -229,7 +245,9 @@ def test_gpc_run_reports_are_pinned(argv, digest, tmp_path):
 
 
 # `perm` reports pinned the same way, beyond the README's one-round gamma 2
-# run: three rounds of gamma 2 and ten rounds of gamma 3, both unique_opt true.
+# run: three rounds of gamma 2, ten rounds of gamma 3, and four rounds of two
+# gb modules, whose OPT takes the flow route and so needs the counting pass;
+# every one unique_opt true.
 PERM_RUNS = [
     (
         ["--family", "module", "--gamma", "2", "--rounds", "3", "--algo", "perm"],
@@ -239,10 +257,17 @@ PERM_RUNS = [
         ["--family", "module", "--gamma", "3", "--rounds", "10", "--algo", "perm"],
         "2fc99985c87ae31a1d6c81a3dfd100c14778528d8606c372ba0f1d4d437bfe9c",
     ),
+    (
+        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "4",
+         "--algo", "perm"],
+        "19a732acbc4db5aec1d6f4d4294fb18547ccd42e46149aa4671db677b0a2597b",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PERM_RUNS, ids=["module-g2-r3", "module-g3-r10"])
+@pytest.mark.parametrize(
+    "argv,digest", PERM_RUNS, ids=["module-g2-r3", "module-g3-r10", "gb-m2-g2-r4"]
+)
 def test_perm_run_reports_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "r.json"
     assert run_cli("run", *argv, "--out", str(out)) == 0
@@ -525,7 +550,9 @@ def test_bad_decomposition_file_is_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
-def test_bad_spanner_file_is_one_line(tmp_path, capsys, command):
+def test_bad_spanner_file_is_one_line(tmp_path, monkeypatch, capsys, command):
+    # the file is parsed before any distance row or OPT is computed
+    forbid_metric_and_opt(monkeypatch, "the spanner file was parsed")
     gp = tmp_path / "g.json"
     gp.write_text(graph_to_json(grid_graph(3, 3)))
     sysp = tmp_path / "bad.json"
@@ -543,7 +570,13 @@ def test_bad_spanner_file_is_one_line(tmp_path, capsys, command):
      ({"q": 1, "r": 0}, "--spanners: stretch certificate rejected: ")],
     ids=["no-claim", "rejected-claim"],
 )
-def test_run_needs_a_spanner_claim_that_holds(tmp_path, capsys, claim, message):
+def test_run_needs_a_spanner_claim_that_holds(
+    tmp_path, monkeypatch, capsys, claim, message
+):
+    # a missing claim is found with the other inputs; a claim that fails is
+    # found by certifying it, which reads every distance row
+    if not claim:
+        forbid_metric_and_opt(monkeypatch, "the spanner claim was looked for")
     g = grid_graph(3, 3)
     gp = tmp_path / "g.json"
     gp.write_text(graph_to_json(g))
@@ -572,7 +605,12 @@ UNREADABLE = [
 @pytest.mark.parametrize(
     "argv,bad", UNREADABLE, ids=[f"{a[0]}{b}" for a, b in UNREADABLE]
 )
-def test_unreadable_input_file_is_one_line(tmp_path, capsys, argv, bad, kind):
+def test_unreadable_input_file_is_one_line(
+    tmp_path, monkeypatch, capsys, argv, bad, kind
+):
+    # a run reads every input file before any distance row or OPT
+    if argv[0] == "run":
+        forbid_metric_and_opt(monkeypatch, "every input file was read")
     g = path_graph(3)
     texts = {
         "--graph": graph_to_json(g),
@@ -629,6 +667,15 @@ BAD_RUN_ARGS = [
     (["--family", "grid", "--td", "td.json", "--algo", "gpc"], "--td: needs --graph"),
     (["--family", "grid", "--bits", "101"], "--bits: needs --family path-rounds"),
     (["--graph", "g.json", "--bits", "101"], "--bits: needs --family path-rounds"),
+    (["--family", "module", "--modules", "3", "--algo", "perm"],
+     "--modules: needs --family gb"),
+    (["--graph", "g.json", "--modules", "2"], "--modules: needs --family gb"),
+    (["--family", "grid", "--gamma", "7", "--rounds", "9"],
+     "--gamma: needs --family module or gb"),
+    (["--family", "random-ktree", "--rounds", "9"],
+     "--rounds: needs --family module or gb"),
+    (["--family", "path-rounds", "--gamma", "3"],
+     "--gamma: needs --family module or gb"),
     (["--family", "grid", "--spanners", "s.json"], "--spanners: needs --algo spanner"),
     (["--graph", "g.json", "--spanners", "s.json", "--algo", "gpc"],
      "--spanners: needs --algo spanner"),
@@ -641,11 +688,7 @@ BAD_RUN_ARGS = [
 def test_bad_run_argument_is_one_line(monkeypatch, capsys, argv, message):
     # every case is decided by the arguments and the instance, so no
     # distance row or OPT is computed before the rejection
-    def computed(*args, **kwargs):
-        raise AssertionError("computed before the argument check")
-
-    for name in ("all_pairs_shortest_paths", "opt_cost_dp", "opt_cost_flow"):
-        monkeypatch.setattr(cli, name, computed)
+    forbid_metric_and_opt(monkeypatch, "the argument check")
     assert cli_input_error(capsys, "run", *argv) == message + "\n"
 
 
@@ -702,11 +745,7 @@ def test_run_with_an_invalid_decomposition_is_one_line(
 ):
     # the decomposition is checked with the other arguments, before any
     # distance row or OPT is computed
-    def computed(*args, **kwargs):
-        raise AssertionError("computed before the decomposition check")
-
-    for name in ("all_pairs_shortest_paths", "opt_cost_dp", "opt_cost_flow"):
-        monkeypatch.setattr(cli, name, computed)
+    forbid_metric_and_opt(monkeypatch, "the decomposition check")
     gp = tmp_path / "g.json"
     gp.write_text(graph_to_json(path_graph(3)))
     tdp = tmp_path / "td.json"
@@ -799,6 +838,29 @@ def test_fraction_json_reports_are_pinned(tmp_path, monkeypatch):
         "opt": "7f19ed77fbe4cedc84041cb97b0cd1b45a7ef358c95a8b2ebfe3b6b6bf3f251d",
         "spanner": "646d000b491ed7961c85811b17b64bca84cf691e73433ed9c2821272564e9820",
     }
+
+
+def test_spanner_file_run_report_is_pinned(tmp_path, monkeypatch):
+    # a run on a claimed (7/2, 1) system of two shortest-path trees of the
+    # 5x5 grid, with the servers and requests drawn from --seed
+    monkeypatch.chdir(tmp_path)
+    g = grid_graph(5, 5)
+    Path("g.json").write_text(graph_to_json(g))
+    system = SpannerSystem(
+        (shortest_path_tree(g, 0), shortest_path_tree(g, 24)), Fraction(7, 2), 1
+    )
+    Path("s.json").write_text(json.dumps(system.to_json()))
+    assert run_cli(
+        "run", "--graph", "g.json", "--spanners", "s.json", "--algo", "spanner",
+        "--k", "2", "--n", "25", "--seed", "2", "--out", "r.json",
+    ) == 0
+    report = json.loads(Path("r.json").read_text())
+    results = report["results"]
+    assert (results["opt_cost"], results["online_cost"]) == (44, 66)
+    assert (results["bits_read"], results["bit_budget"]) == (84, 208)
+    assert hashlib.sha256(Path("r.json").read_bytes()).hexdigest() == (
+        "722647bd5dc6c43854b9786ec7f2dc2b59fa49b1ebb9ef8cbfe66d2ee6b32e2e"
+    )
 
 
 def test_spanner_run_builds_each_heavy_path_index_once(tmp_path, monkeypatch):

@@ -667,7 +667,7 @@ def test_flow_matches_dp_on_every_family(flags, seed):
     from kslab import cli
 
     args = cli.make_parser().parse_args(["run", *flags, "--seed", str(seed)])
-    g, init, sigma, _, _ = cli._build_instance(args)
+    g, init, sigma = cli._build_instance(args)[:3]
     dm = all_pairs_shortest_paths(g)
     c_dp, _ = opt_cost_dp(g, init, sigma, dm)
     c_fl, s_fl = opt_cost_flow(g, init, sigma, dm)

@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 from kslab import metric_core
-from kslab.cli import ALGOS, Instance, _canonical, make_parser
+from kslab.cli import ALGOS, Instance, _canonical
 from kslab.gpc import generate_advice, run_online
 from kslab.instances import SplitMix64, random_distinct_vertices, random_requests
 from kslab.metric_core import Graph, all_pairs_shortest_paths
@@ -169,13 +169,14 @@ def test_spanner_mu3_on_rational_weights():
 def test_run_moves_are_already_jsonable():
     # the gpc and spanner steps of `kslab run` spell their move lists as
     # plain JSON values that read back unchanged, with no Fraction for the
-    # encoder to spell
-    args = make_parser().parse_args(["run", "--seed", "3"])
+    # encoder to spell; the spanner trees are those `kslab run --seed 3` roots
     for algo in ("gpc", "spanner"):
         moves = []
         for g, td, dm, init, sigma, _, opt_s in _rational_ktrees():
-            inst = Instance(g, tuple(init), sigma, td, {})
-            moves += ALGOS[algo](args, inst, dm, opt_s)[2]["moves"]
+            roots = random_distinct_vertices(SplitMix64(3 ^ 0xB0F5), 2, g.n)
+            system = SpannerSystem(tuple(shortest_path_tree(g, r) for r in roots))
+            inst = Instance(g, tuple(init), sigma, td, {}, system)
+            moves += ALGOS[algo](inst, dm, opt_s)[2]["moves"]
         for move in moves:
             assert json.loads(_canonical(move)) == move
         assert any("/" in m["cost"] for m in moves)  # Fraction costs occur

@@ -458,18 +458,21 @@ def test_truncated_tape_raises():
 
 
 def test_system_json_round_trip():
-    g, dm, system = _grid_system()
+    g, _, system = _grid_system()
     text = json.dumps(system.to_json())
-    again = system_from_json(g, text, dm)
+    again = system_from_json(g, text)
     assert again.mu == 2
     assert again.q == system.q and again.r == system.r
 
 
 def test_system_json_rejects_bad_stretch():
+    # loading keeps the claim; certifying it against the metric rejects it
     g = grid_graph(4, 4)
     sys1 = SpannerSystem(trees=(shortest_path_tree(g, 0),), q=1, r=0)
-    with pytest.raises(ValueError):
-        system_from_json(g, json.dumps(sys1.to_json()), all_pairs_shortest_paths(g))
+    loaded = system_from_json(g, json.dumps(sys1.to_json()))
+    assert (loaded.q, loaded.r) == (1, 0)
+    with pytest.raises(StretchClaimRejected):
+        certify_system(g, all_pairs_shortest_paths(g), loaded.trees, loaded.q, loaded.r)
 
 
 def test_system_json_rejects_non_tree_edges():
@@ -481,7 +484,7 @@ def test_system_json_rejects_non_tree_edges():
         "trees": [{"root": 0, "parent": [None, 0, 1, 0, 8, 4, 3, 6, 7]}],
     }
     with pytest.raises(ValueError):
-        system_from_json(g, json.dumps(obj), all_pairs_shortest_paths(g))
+        system_from_json(g, json.dumps(obj))
 
 
 @pytest.mark.parametrize(
@@ -507,10 +510,10 @@ def test_system_json_rejects_non_tree_edges():
 def test_system_json_errors_name_the_field(obj, where):
     g = grid_graph(3, 3)
     with pytest.raises(GraphFormatError, match=where):
-        system_from_json(g, json.dumps(obj), all_pairs_shortest_paths(g))
+        system_from_json(g, json.dumps(obj))
 
 
 def test_system_json_syntax_error_names_line():
     g = grid_graph(3, 3)
     with pytest.raises(GraphFormatError, match="^line 2: "):
-        system_from_json(g, '{"trees":\n [,]}', all_pairs_shortest_paths(g))
+        system_from_json(g, '{"trees":\n [,]}')

@@ -287,10 +287,8 @@ UNUSED_PARAMETERS = {
     ("spanner_cover.py", "certify_system", "g"): "bench/stages.py passes it",
     ("tree_decomp.py", "reduce_height", "n_vertices"): "bench/stages.py passes it",
     # every cli.ALGOS step shares one signature
-    ("cli.py", "_step_opt", "args"): "shared ALGOS step signature",
     ("cli.py", "_step_opt", "inst"): "shared ALGOS step signature",
     ("cli.py", "_step_opt", "dm"): "shared ALGOS step signature",
-    ("cli.py", "_step_gpc", "args"): "shared ALGOS step signature",
 }
 
 
