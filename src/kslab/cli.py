@@ -157,6 +157,16 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         raise BadFlag(flag, "needs --family module or gb")
     if args.spanners is not None and args.algo != "spanner":
         raise BadFlag("--spanners", "needs --algo spanner")
+    # --k and --n size the random servers and requests; where the input
+    # fixes them, a changed value would only be recorded in the report
+    fixed = args.instance or args.family in ("path-rounds", "module", "gb")
+    source = "--instance" if args.instance else f"--family {args.family}"
+    if args.k != 2 and fixed:
+        raise BadFlag("--k", f"{source} sets the servers")
+    if args.n != 10 and args.bits is not None:
+        raise BadFlag("--n", "--bits sets the requests")
+    if args.n != 10 and fixed and args.family != "path-rounds":
+        raise BadFlag("--n", f"{source} sets the requests")
     rng = SplitMix64(args.seed)
     td = init = sigma = None
     if args.graph:

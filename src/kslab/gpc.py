@@ -15,8 +15,11 @@ ceil(log2(width+1)), and a record is one uint of w_h + w_b bits holding
 depth << w_b | index: bit for bit the depth field followed by the index
 field.  A tape holds k initial records plus two records per request, read
 eagerly in server-id order and request order.  The oracle computes each
-distinct leg's relay once, and the online side walks each reference
-vertex's root path once.
+distinct leg's relay once.  The online side resolves a record by one index
+into its reference vertex's address table, built the first time that
+vertex is a reference: slot depth << w_b | index holds the vertex at that
+address on the vertex's root path, None where there is none, so the
+typed errors are built only when a record fails.
 """
 from __future__ import annotations
 
@@ -127,6 +130,36 @@ def generate_advice(
     return tape
 
 
+def _root_path(td: TreeDecomposition, v: int) -> list[int]:
+    """The bags from the root down to v's representative bag."""
+    path = []
+    bag = td.representative_bag[v]
+    while bag is not None:
+        path.append(bag)
+        bag = td.parent[bag]
+    path.reverse()
+    return path
+
+
+def _address_table(td: TreeDecomposition, v: int, w_b: int, width: int) -> list:
+    """v's decode table: slot depth << w_b | index holds vertex `index` of
+    the bag at `depth` on v's root path, None where no vertex is there."""
+    table: list = [None] * (1 << width)
+    for depth, bag in enumerate(_root_path(td, v)):
+        vs = td.bags[bag]
+        table[depth << w_b:(depth << w_b) + len(vs)] = vs
+    return table
+
+
+def _bad_address(td: TreeDecomposition, v: int, record: int, w_b: int):
+    """The error for a record that names no vertex of v's root path."""
+    path = _root_path(td, v)
+    depth, idx = record >> w_b, record & ((1 << w_b) - 1)
+    if depth >= len(path):
+        return NoServerAtAddress(f"depth {depth} above no ancestor of bag {path[-1]}")
+    return NoServerAtAddress(f"index {idx} outside bag {path[depth]}")
+
+
 def run_online(
     g: Graph,
     dm: DistanceMatrix,
@@ -135,53 +168,49 @@ def run_online(
     sigma,
     tape: AdviceTape,
 ) -> GpcRun:
-    """Serve sigma by reading the tape; cost equals the offline optimum."""
-    w_h, w_b = address_widths(td)
-    rep, parent, bags = td.representative_bag, td.parent, td.bags
-    root_paths: dict[int, list[int]] = {}  # vertex -> root .. its rep bag
+    """Serve sigma by reading the tape; cost equals the offline optimum.
 
-    def decode(ref_vertex: int) -> int:
-        """Read one record; resolve (depth, index) against the reference
-        vertex's root path."""
-        record = tape.read_uint(w_h + w_b)
-        depth, idx = record >> w_b, record & ((1 << w_b) - 1)
-        path = root_paths.get(ref_vertex)
-        if path is None:
-            path = []
-            bag = rep[ref_vertex]
-            while bag is not None:
-                path.append(bag)
-                bag = parent[bag]
-            path.reverse()
-            root_paths[ref_vertex] = path
-        if depth >= len(path):
-            raise NoServerAtAddress(
-                f"depth {depth} above no ancestor of bag {path[-1]}"
-            )
-        bag = path[depth]
-        if idx >= len(bags[bag]):
-            raise NoServerAtAddress(f"index {idx} outside bag {bag}")
-        return bags[bag][idx]
+    A record's reference vertex is the server's own for an initial record
+    and the request for the other two."""
+    w_h, w_b = address_widths(td)
+    width = w_h + w_b
+    read = tape.read_uint
+    refs: dict[int, tuple] = {}  # vertex -> (its address table, its row)
+
+    def ref(v: int) -> tuple:
+        refs[v] = found = (_address_table(td, v, w_b, width), dm.dist[v])
+        return found
 
     k = len(init)
     positions = list(init)
     cost = 0
     # Initial parking moves, read eagerly in server-id order.
-    for i in range(k):
-        z0 = decode(positions[i])
-        cost += dm.dist[positions[i]][z0]
+    for i, x in enumerate(init):
+        table, dx = refs.get(x) or ref(x)
+        record = read(width)
+        z0 = table[record]
+        if z0 is None:
+            raise _bad_address(td, x, record, w_b)
+        cost += dx[z0]
         positions[i] = z0
     log: list[GpcMove] = []
     for t, y in enumerate(sigma):
-        z1 = decode(y)
+        table, dy = refs.get(y) or ref(y)  # a relay forces no row of its own
+        record = read(width)
+        z1 = table[record]
         holders = positions.count(z1)
         if not holders:
+            if z1 is None:
+                raise _bad_address(td, y, record, w_b)
             raise NoServerAtAddress(
                 f"request {t}: no server parked at decoded vertex {z1}"
             )
         sid = positions.index(z1)
-        dy = dm.dist[y]  # a relay forces no row of its own
-        positions[sid] = z2 = decode(y)
+        record = read(width)
+        z2 = table[record]
+        if z2 is None:
+            raise _bad_address(td, y, record, w_b)
+        positions[sid] = z2
         move_cost = dy[z1] + dy[z2]
         cost += move_cost
         log.append(GpcMove(t, y, sid, z1, z2, move_cost, holders))

@@ -9,23 +9,26 @@ holds at most C(N+k-2, k-1) states, only a state whose winning move did
 not start on the previous request keeps a back-pointer, and ties go to
 the least source vertex.  Each state also keeps its number of
 cost-minimal ways in, so the one forward pass gives both OPT and the
-number of optimal schedules.  The flow network is never stored: its at
-most k + min(t, N) arcs into request t (from the servers, and from the
-latest earlier request at each vertex) are read off the request sequence
-and the metric rows of the requested vertices.  It is solved by k
-successive shortest paths (the first from one pass over the DAG, the
-rest by heap Dijkstra on reduced costs over the forward arcs and the
-reverses of the few that carry flow) in exact ints, with no graph
-library.  Its ties go by node id, and its cost is read off the
-potentials.  Both emit lazy schedules: exactly one server moves per
-request, directly to the requested vertex.
+number of optimal schedules.  Costs in a layer are relative to a running
+base that takes the cost of serving from the previous request, which
+every state pays; each sorted insertion of the previous request into a
+state is computed once and kept.  The flow network is never stored: its
+at most k + min(t, N) arcs into request t (from the servers, and from
+the latest earlier request at each vertex) are read off the request
+sequence and the metric rows of the requested vertices into one cost
+list per node, once per solve.  It is solved by k successive shortest
+paths (the first from one pass over the DAG, the rest by heap Dijkstra
+on reduced costs over the forward arcs and the reverses of the few that
+carry flow) in exact ints, with no graph library.  Its heap keys are
+single ints that order as (distance, node), so ties go by node id, and
+its cost is read off the potentials.  Both emit lazy schedules: exactly
+one server moves per request, directly to the requested vertex.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from bisect import bisect, insort
 from heapq import heappop, heappush
-from itertools import chain
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -163,21 +166,6 @@ def _guard(what: str, formula: str, size: int):
         )
 
 
-def _assign_server_ids(init, steps):
-    """Turn (t, src, dst) steps into Moves with concrete server ids.
-
-    Configurations are multisets, so ties are broken toward the lowest
-    server id currently at the source vertex.
-    """
-    positions = list(init)
-    moves = []
-    for t, src, dst, cost in steps:
-        sid = positions.index(src)
-        positions[sid] = dst
-        moves.append(Move(t, sid, src, dst, cost))
-    return moves
-
-
 def _replace_one(conf: tuple, out: int, into: int) -> tuple:
     """The sorted tuple `conf` with one copy of `out` replaced by `into`."""
     rest = list(conf)
@@ -187,34 +175,45 @@ def _replace_one(conf: tuple, out: int, into: int) -> tuple:
 
 
 def _dp_layers(dist, init, sigma):
-    """Forward pass of the DP; yields (layer, moved) for t = 0..n.
+    """Forward pass of the DP; yields (base, layer, moved) for t = 0..n.
 
     After request t-1 a server stands on p_t = sigma[t-1] (p_0 =
     min(init)), so a state is the sorted tuple R of the other k-1 servers,
-    and layer[R] = (cost, ways): the least cost of serving sigma[:t] and
-    ending at R + (p_t,), and the number of (t, src, dst) schedules of
-    sigma[:t] that do so at that cost.  Serving sigma[t] from p_t keeps R;
-    serving it from some s != p_t in R gives R - s + p_t.  A source that
-    repeats in R is one move, so it counts once, and paths through the
-    states are in bijection with schedules.  The configurations a state R'
-    of layer t+1 comes from are R' + (s,) over its sources s, which grow
-    with s, so a cost tie goes to the least source, which is also the least
-    predecessor configuration; moved[R'] holds the winning source where it
-    is not p_t (moved is empty for t = 0).  Each configuration's distinct
-    (s, R - s) pairs are computed the first time it is expanded and kept,
-    at most C(N+k-2, k-1) lists.
+    and base + layer[R][0] is the least cost of serving sigma[:t] and
+    ending at R + (p_t,); layer[R][1] is the number of (t, src, dst)
+    schedules of sigma[:t] that do so at that cost.  Serving sigma[t] from
+    p_t keeps R and adds d(p_t, sigma[t]) to every state, so that step goes
+    into `base` and each layer starts as a copy of the last; serving it
+    from some s != p_t in R gives R - s + p_t at d(s, sigma[t]) minus the
+    step.  Every state shares the offset, so comparisons, ties and ways
+    are those of the absolute costs.  A source that repeats in R is one
+    move, so it counts once, and paths through the states are in bijection
+    with schedules.  The configurations a state R' of layer t+1 comes from
+    are R' + (s,) over its sources s, which grow with s, so a cost tie
+    goes to the least source, which is also the least predecessor
+    configuration; moved[R'] holds the winning source where it is not p_t
+    (moved is empty for t = 0).  Each configuration's distinct (s, R - s)
+    pairs are computed the first time it is expanded, and each R - s with
+    p inserted the first time p is inserted into it, and both are kept.
     """
     if not init and sigma:
         raise ValueError(f"init: no servers to serve {len(sigma)} requests")
     p = min(init, default=None)
+    base = 0
     layer = {tuple(sorted(init))[1:]: (0, 1)}
     sources: dict[tuple, list] = {}  # conf -> its distinct (s, conf - s)
-    yield layer, {}
+    inserts: dict[int, dict] = {}  # p -> {rest: rest + (p,), sorted}
+    rows = {r: dist[r] for r in set(sigma)}  # d(s, r) == d(r, s)
+    yield base, layer, {}
     for r in sigma:
-        dr = dist[r]  # d(s, r) == d(r, s): one row per request
+        dr = rows[r]
         step = dr[p]
-        nxt = {conf: (cost + step, ways) for conf, (cost, ways) in layer.items()}
+        base += step
+        nxt = layer.copy()
         moved: dict[tuple, int] = {}
+        into = inserts.get(p)
+        if into is None:
+            into = inserts[p] = {}
         for conf, (cost, ways) in layer.items():
             pairs = sources.get(conf)
             if pairs is None:
@@ -223,12 +222,15 @@ def _dp_layers(dist, init, sigma):
                     for i, s in enumerate(conf)
                     if not (i and conf[i - 1] == s)
                 ]
+            cost -= step
             for s, rest in pairs:
                 if s == p:  # the same move as serving from p_t
                     continue
                 new_cost = cost + dr[s]
-                j = bisect(rest, p)
-                new_conf = rest[:j] + (p,) + rest[j:]
+                new_conf = into.get(rest)
+                if new_conf is None:
+                    j = bisect(rest, p)
+                    new_conf = into[rest] = rest[:j] + (p,) + rest[j:]
                 best = nxt.get(new_conf)
                 if best is None or new_cost < best[0]:
                     nxt[new_conf] = (new_cost, ways)
@@ -239,14 +241,19 @@ def _dp_layers(dist, init, sigma):
                         moved[new_conf] = s
         layer = nxt
         p = r
-        yield layer, moved
+        yield base, layer, moved
 
 
-def _optimum(layer) -> tuple[int | Fraction, int]:
-    """A last DP layer's least cost, and the sum of `ways` over the states
-    that reach it: the number of optimal schedules."""
-    best_cost = min(cost for cost, _ in layer.values())
-    return best_cost, sum(ways for cost, ways in layer.values() if cost == best_cost)
+def _optimum(base, layer) -> tuple[int | Fraction, int, tuple]:
+    """OPT read off a last DP layer: base plus the least relative cost (an
+    int when it is integral), the sum of `ways` over the states that reach
+    it, which is the number of optimal schedules, and the least of them."""
+    least = min(cost for cost, _ in layer.values())
+    best = [(conf, ways) for conf, (cost, ways) in layer.items() if cost == least]
+    opt = base + least
+    if isinstance(opt, Fraction) and opt.denominator == 1:
+        opt = int(opt)
+    return opt, sum(ways for _, ways in best), min(best)[0]
 
 
 def opt_cost_dp(
@@ -266,20 +273,29 @@ def opt_cost_dp(
         dm = all_pairs_shortest_paths(g)
     dist = dm.dist
     back = []  # back[t]: the sparse back-pointers into layer t
-    for layer, moved in _dp_layers(dist, init, sigma):
+    for base, layer, moved in _dp_layers(dist, init, sigma):
         back.append(moved)
-    best_cost, count = _optimum(layer)
-    conf = min(c for c, (cost, _) in layer.items() if cost == best_cost)
-    # Back-trace one optimal chain of (src -> request) steps.
-    steps = []
-    for t in range(len(sigma) - 1, -1, -1):
+    best_cost, count, conf = _optimum(base, layer)
+    # Back-trace one optimal chain of sources, then give each move the
+    # lowest id of the servers at its source, walking forward.
+    n = len(sigma)
+    srcs = [0] * n
+    replaced: dict[tuple, tuple] = {}  # (conf, p, src) -> _replace_one(...)
+    for t in range(n - 1, -1, -1):
         p = sigma[t - 1] if t else min(init)
-        src = back[t + 1].get(conf, p)
+        src = srcs[t] = back[t + 1].get(conf, p)
         if src != p:
-            conf = _replace_one(conf, p, src)
-        steps.append((t, src, sigma[t], dist[src][sigma[t]]))
-    steps.reverse()
-    moves = _assign_server_ids(init, steps)
+            key = (conf, p, src)
+            conf = replaced.get(key)
+            if conf is None:
+                conf = replaced[key] = _replace_one(*key)
+    rows = {src: dist[src] for src in set(srcs)}
+    positions = list(init)
+    moves = []
+    for t, (src, dst) in enumerate(zip(srcs, sigma)):
+        sid = positions.index(src)
+        positions[sid] = dst
+        moves.append(Move(t, sid, src, dst, rows[src][dst]))
     return best_cost, Schedule(moves, best_cost, optimal_count=count)
 
 
@@ -298,9 +314,10 @@ def count_optimal_schedules(
     _guard("count_optimal_schedules", "C(N+k-2,k-1)*n", states * max(len(sigma), 1))
     if dm is None:
         dm = all_pairs_shortest_paths(g)
-    for layer, _ in _dp_layers(dm.dist, init, sigma):
+    for base, layer, _ in _dp_layers(dm.dist, init, sigma):
         pass
-    return _optimum(layer)
+    best_cost, count, _ = _optimum(base, layer)
+    return best_cost, count
 
 
 def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
@@ -314,7 +331,11 @@ def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
     node order: exact distances from S, so feasible potentials, and the
     first arc to reach a node's distance is the one a Dijkstra from S on
     them would pick, as it settles every node at 0 in id order.  Units 2..k
-    go along heap-Dijkstra shortest paths in the reduced costs.
+    go along heap-Dijkstra shortest paths in the reduced costs.  The costs
+    of the arcs from s_i and ro_t to the ri nodes are read off the rows
+    into one list per node before the first pass, and both passes relax
+    them in plain loops.  A heap entry is the one int nd << b | v, b the
+    bit length of T's id, which orders as (nd, v) does, negative nd too.
     """
     k = len(init)
     ri0 = k + 1  # ri_t = ri0 + 2t, ro_t = ri_t + 1
@@ -322,54 +343,82 @@ def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
     vert = [None, *init, *(y for y in sigma for _ in ("ri", "ro"))]  # node -> vertex
     succ: list = [None] * (sink + 1)
     pred: list = [None] * (sink + 1)
-
-    def arcs(u):
-        # u's residual arcs as (head, cost), each to a distinct head; for
-        # s_i and ro_t also their arc to succ[u], which carries a unit
-        if u == 0:
-            return [(v, 0) for v in range(1, ri0) if succ[v] is None]
-        if u < ri0:
-            costs = [row[vert[u]] for row in rows]
-            return chain(((sink, 0),), zip(range(ri0, sink, 2), costs))
-        t, is_ro = divmod(u - ri0, 2)
-        p = pred[u]
-        if not is_ro:
-            return ((u + 1, -big),) if p is None else ((p, -rows[t][vert[p]]),)
-        heads = range(u + 1, ri0 + 2 * ends[t] + 1, 2)
-        costs = map(rows[t].__getitem__, sigma[t + 1:ends[t] + 1])
-        back = ((p, big),) if p is not None else ()
-        return chain(((sink, 0),), zip(heads, costs), back)
+    # out_costs[u]: the costs of u's arcs to its ri nodes, in head order,
+    # ri_0 .. ri_{n-1} from s_i and ri_{t+1} .. ri_{ends[t]} from ro_t
+    out_costs: list = [None] * sink
+    for u in range(1, ri0):
+        out_costs[u] = [row[vert[u]] for row in rows]
+    for t, row in enumerate(rows):
+        out_costs[ri0 + 2 * t + 1] = [row[y] for y in sigma[t + 1:ends[t] + 1]]
 
     inf = float("inf")  # "not reached" sentinel; never enters a sum
-    pot: list = [inf] * (sink + 1)
-    pot[0] = 0
+    pot: list = [0] * ri0 + [inf] * (sink + 1 - ri0)  # S's arcs cost 0
     prev = [0] * (sink + 1)
-    for u in range(sink):
+    for u in range(1, sink):
         base = pot[u]
-        for v, c in arcs(u):
+        costs = out_costs[u]
+        if costs is None:  # ri_t: its one arc, to ro_t
+            if base - big < pot[u + 1]:
+                pot[u + 1] = base - big
+                prev[u + 1] = u
+            continue
+        if base < pot[sink]:
+            pot[sink] = base
+            prev[sink] = u
+        v = ri0 if u < ri0 else u + 1  # the first head; heads step by 2
+        for c in costs:
             if base + c < pot[v]:
                 pot[v] = base + c
                 prev[v] = u
+            v += 2
+    shift = sink.bit_length()
+    mask = (1 << shift) - 1
     cost = 0
     for unit in range(k):
         if unit:
             dist: list = [inf] * (sink + 1)
             dist[0] = 0
-            heap = [(0, 0)]
+            heap = [0]
             while heap:
-                d, u = heappop(heap)
+                key = heappop(heap)
+                u = key & mask
+                d = key >> shift
                 if d > dist[u]:
                     continue
                 if u == sink:
                     break
                 base = d + pot[u]
-                full = succ[u]  # u's arc that carries a unit, if any
-                for v, c in arcs(u):
+                costs = out_costs[u]
+                if costs is not None:
+                    # s_i or ro_t: the ri nodes but succ[u], whose arc
+                    # carries a unit, then T and ro_t's reverse arc
+                    full = succ[u]
+                    v = ri0 if u < ri0 else u + 1
+                    for c in costs:
+                        nd = base + c - pot[v]
+                        if nd < dist[v] and v != full:
+                            dist[v] = nd
+                            prev[v] = u
+                            heappush(heap, nd << shift | v)
+                        v += 2
+                    arcs = () if full == sink else ((sink, 0),)
+                    p = pred[u] if u > ri0 else None
+                    if p is not None:
+                        arcs += ((p, big),)
+                elif u:  # ri_t: the reverse arc to its tail, else to ro_t
+                    p = pred[u]
+                    if p is None:
+                        arcs = ((u + 1, -big),)
+                    else:
+                        arcs = ((p, -rows[(u - ri0) >> 1][vert[p]]),)
+                else:  # S: the servers that carry no unit yet
+                    arcs = [(v, 0) for v in range(1, ri0) if succ[v] is None]
+                for v, c in arcs:
                     nd = base + c - pot[v]
-                    if nd < dist[v] and v != full:
+                    if nd < dist[v]:
                         dist[v] = nd
                         prev[v] = u
-                        heappush(heap, (nd, v))
+                        heappush(heap, nd << shift | v)
             # Nodes left unsettled (or unreached) get the sink's distance,
             # which keeps every residual reduced cost nonnegative.
             reach = dist[sink]
@@ -417,14 +466,15 @@ def opt_cost_flow(
     leaves no arc that skips a request at or before u', so at most n
     exchanges turn an optimum into one whose every arc is kept.
 
-    No arc is stored: ro_u feeds ri_t for u < t <= ends[u], the next
+    No arc list is stored: ro_u feeds ri_t for u < t <= ends[u], the next
     request at sigma_u (n - 1 if none), and costs are read off the requests'
-    scaled rows.  A node's residual arcs are, in the order relaxed, s_i: T,
-    ri_0 .. ri_{n-1}; ri_t: the reverse to its tail, else ro_t; ro_t: T,
-    ri_{t+1} .. ri_{ends[t]}, the reverse to ri_t.  Their heads are
-    distinct, so node ids alone break ties, as in an arc-list solver on the
-    same node ids: nodes are scanned, or popped at equal distance, in id
-    order, and a node keeps the first tail that reaches its distance.  The
+    scaled rows, once per solve.  A node's residual arcs are s_i: T, ri_0 ..
+    ri_{n-1}; ri_t: the reverse to its tail, else ro_t; ro_t: T, ri_{t+1}
+    .. ri_{ends[t]}, the reverse to ri_t.  Their heads are distinct, so the
+    order a node relaxes them in does not matter and node ids alone break
+    ties, as in an arc-list solver on the same node ids: nodes are scanned,
+    or popped at equal distance, in id order, and a node keeps the first
+    tail that reaches its distance.  The
     flow cost, the sum of the units' path costs (pot[T] after each), is
     checked against the cost of the decoded schedule.
     """

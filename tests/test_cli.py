@@ -679,6 +679,20 @@ BAD_RUN_ARGS = [
     (["--family", "grid", "--spanners", "s.json"], "--spanners: needs --algo spanner"),
     (["--graph", "g.json", "--spanners", "s.json", "--algo", "gpc"],
      "--spanners: needs --algo spanner"),
+    # --k and --n where the family, --bits or --instance fixes the servers
+    # or the requests
+    (["--family", "module", "--k", "5"], "--k: --family module sets the servers"),
+    (["--family", "module", "--n", "100"], "--n: --family module sets the requests"),
+    (["--family", "gb", "--k", "3"], "--k: --family gb sets the servers"),
+    (["--family", "gb", "--n", "0"], "--n: --family gb sets the requests"),
+    (["--family", "path-rounds", "--k", "7"],
+     "--k: --family path-rounds sets the servers"),
+    (["--family", "path-rounds", "--bits", "101", "--n", "99"],
+     "--n: --bits sets the requests"),
+    (["--graph", "g.json", "--instance", "i.json", "--k", "3"],
+     "--k: --instance sets the servers"),
+    (["--graph", "g.json", "--instance", "i.json", "--n", "30"],
+     "--n: --instance sets the requests"),
 ]
 
 

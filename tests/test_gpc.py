@@ -35,7 +35,7 @@ from kslab.offline_solver import (
     serve_order,
     validate_lazy_schedule,
 )
-from kslab.tree_decomp import reduce_height
+from kslab.tree_decomp import TreeDecomposition, reduce_height
 
 
 def test_ceil_log2():
@@ -116,6 +116,38 @@ def test_corrupt_tape_raises_address_error():
         bad.write_uint(0, w_h + w_b)
     with pytest.raises(NoServerAtAddress):
         run_online(g, dm, td, (0,), [4], bad)
+
+
+# A path of 5 in bags {i, i+1} (depths 0..3, 2 index bits, 1 of them used),
+# and a path of 4 in bags {0, 1, 2} <- {2, 3} (depths 0..1, indices 0..3).
+PATH5 = (path_graph(5), path_decomposition(5))
+TWO_BAGS = (path_graph(4), TreeDecomposition([[0, 1, 2], [2, 3]], [None, 0], 0))
+# (graph and decomposition, init, sigma, the tape's (depth, index) records,
+# the message); each tape goes wrong at its last record
+BAD_ADDRESSES = [
+    (PATH5, (0,), [4], [(3, 0)], "depth 3 above no ancestor of bag 0"),
+    (TWO_BAGS, (3,), [], [(1, 3)], "index 3 outside bag 1"),
+    (TWO_BAGS, (0,), [3], [(0, 0), (0, 0), (1, 2)], "index 2 outside bag 1"),
+    (TWO_BAGS, (0,), [0], [(0, 0), (1, 0)], "depth 1 above no ancestor of bag 0"),
+    (PATH5, (0,), [4], [(0, 0), (3, 1)],
+     "request 0: no server parked at decoded vertex 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "graph_td,init,sigma,records,message", BAD_ADDRESSES,
+    ids=["depth", "index", "parking-index", "request-depth", "no-server"],
+)
+def test_bad_address_error_names_the_address(graph_td, init, sigma, records, message):
+    g, td = graph_td
+    w_h, w_b = address_widths(td)
+    tape = AdviceTape()
+    for depth, idx in records:
+        tape.write_uint(depth, w_h)
+        tape.write_uint(idx, w_b)
+    with pytest.raises(NoServerAtAddress) as err:
+        run_online(g, all_pairs_shortest_paths(g), td, init, sigma, tape)
+    assert str(err.value) == message
 
 
 def test_random_suite_cost_equals_opt_and_bits_within_budget():

@@ -480,6 +480,28 @@ def test_flow_on_a_long_path_round_sequence():
     validate_lazy_schedule(dm, PATH_ROUND_INIT, sigma, sched)
 
 
+def test_dp_inserts_and_replaces_once_per_distinct_key(monkeypatch):
+    # the instance of `kslab run --family path-rounds --size 5 --n 2000`:
+    # k = 2, so every state's rest is (), and the forward pass has one
+    # insertion to compute per request vertex; the back-trace replaces a
+    # server once per distinct (configuration, request vertex, source)
+    g = path_graph(5)
+    sigma = path_round_sequence(SplitMix64(0).bit_string(2000 // 7), 5)
+    inserts, replaces = [], []
+    real_bisect, real_replace = offline_solver.bisect, offline_solver._replace_one
+    monkeypatch.setattr(
+        offline_solver, "bisect", lambda *a: inserts.append(a) or real_bisect(*a)
+    )
+    monkeypatch.setattr(
+        offline_solver, "_replace_one",
+        lambda *a: replaces.append(a) or real_replace(*a),
+    )
+    cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma)
+    assert cost == 1140
+    assert 0 < len(inserts) == len(set(inserts)) <= g.n
+    assert 0 < len(replaces) == len(set(replaces))
+
+
 # One case per lazy-schedule check: each raises InvalidSchedule naming
 # the request index t (None for the schedule as a whole) and the field.
 def _swap(sched, i, **fields):
@@ -513,6 +535,21 @@ def test_validate_lazy_schedule_raises_located(tamper, t, field):
     assert (err.value.t, err.value.field) == (t, field)
     where = field if t is None else f"t={t} {field}"
     assert str(err.value).startswith(f"{where}: ")
+
+
+def _assign_server_ids(init, steps):
+    """Turn (t, src, dst, cost) steps into Moves with concrete server ids.
+
+    Configurations are multisets, so ties are broken toward the lowest
+    server id currently at the source vertex.
+    """
+    positions = list(init)
+    moves = []
+    for t, src, dst, cost in steps:
+        sid = positions.index(src)
+        positions[sid] = dst
+        moves.append(Move(t, sid, src, dst, cost))
+    return moves
 
 
 # The DP over whole sorted configurations that the (k-1)-server DP
@@ -551,7 +588,7 @@ def _oracle_schedule(dist, init, sigma):
         _, (conf, src) = layers[t + 1][conf]
         steps.append((t, src, sigma[t], dist[src][sigma[t]]))
     steps.reverse()
-    moves = offline_solver._assign_server_ids(init, steps)
+    moves = _assign_server_ids(init, steps)
     return Schedule(moves=moves, total_cost=min(c for c, _ in last.values()))
 
 
@@ -566,7 +603,7 @@ def _oracle_all_schedules(n_vertices, dist, init, sigma):
                 (i, src, sigma[i], dist[src][sigma[i]])
                 for i, src in enumerate(reversed(steps_rev))
             ]
-            moves = offline_solver._assign_server_ids(init, steps)
+            moves = _assign_server_ids(init, steps)
             found.append(Schedule(moves=moves, total_cost=best))
             return
         r = sigma[t - 1]
