@@ -60,6 +60,9 @@ if TYPE_CHECKING:
     from .spanner_cover import SpannerSystem
 
 FORMAT_VERSION = 1
+# the `kslab run` defaults of the flags that a family or an input file can
+# leave unread, which `_build_instance` checks
+RUN_DEFAULTS = {"gamma": 2, "modules": 1, "rounds": 1, "k": 2, "n": 10}
 CSV_COLUMNS = [
     "instance_id",
     "N",
@@ -150,10 +153,11 @@ def _build_instance(args: argparse.Namespace) -> Instance:
                 raise BadFlag(flag, "needs --graph")
     if args.bits is not None and args.family != "path-rounds":
         raise BadFlag("--bits", "needs --family path-rounds")
-    if args.modules != 1 and args.family != "gb":
+    changed = {f for f, d in RUN_DEFAULTS.items() if getattr(args, f) != d}
+    if "modules" in changed and args.family != "gb":
         raise BadFlag("--modules", "needs --family gb")
-    if args.family not in ("module", "gb") and (args.gamma, args.rounds) != (2, 1):
-        flag = "--gamma" if args.gamma != 2 else "--rounds"
+    if args.family not in ("module", "gb") and changed & {"gamma", "rounds"}:
+        flag = "--gamma" if "gamma" in changed else "--rounds"
         raise BadFlag(flag, "needs --family module or gb")
     if args.spanners is not None and args.algo != "spanner":
         raise BadFlag("--spanners", "needs --algo spanner")
@@ -161,11 +165,11 @@ def _build_instance(args: argparse.Namespace) -> Instance:
     # fixes them, a changed value would only be recorded in the report
     fixed = args.instance or args.family in ("path-rounds", "module", "gb")
     source = "--instance" if args.instance else f"--family {args.family}"
-    if args.k != 2 and fixed:
+    if "k" in changed and fixed:
         raise BadFlag("--k", f"{source} sets the servers")
-    if args.n != 10 and args.bits is not None:
+    if "n" in changed and args.bits is not None:
         raise BadFlag("--n", "--bits sets the requests")
-    if args.n != 10 and fixed and args.family != "path-rounds":
+    if "n" in changed and fixed and args.family != "path-rounds":
         raise BadFlag("--n", f"{source} sets the requests")
     rng = SplitMix64(args.seed)
     td = init = sigma = None
@@ -588,12 +592,16 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["path-rounds", "module", "gb", "random-ktree", "grid"],
         help="generated instance family",
     )
-    run.add_argument("--gamma", type=int, default=2)
-    run.add_argument("--modules", type=int, default=1)
-    run.add_argument("--rounds", type=int, default=1)
+    run.add_argument("--gamma", type=int, default=RUN_DEFAULTS["gamma"])
+    run.add_argument("--modules", type=int, default=RUN_DEFAULTS["modules"])
+    run.add_argument("--rounds", type=int, default=RUN_DEFAULTS["rounds"])
     run.add_argument("--bits", help="round-type bit string for path-rounds")
-    run.add_argument("--k", type=int, default=2, help="number of servers")
-    run.add_argument("--n", type=int, default=10, help="request count")
+    run.add_argument(
+        "--k", type=int, default=RUN_DEFAULTS["k"], help="number of servers"
+    )
+    run.add_argument(
+        "--n", type=int, default=RUN_DEFAULTS["n"], help="request count"
+    )
     run.add_argument("--size", type=int, default=0, help="graph size parameter")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--algo", choices=list(ALGOS), default="opt")

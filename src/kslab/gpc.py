@@ -15,10 +15,9 @@ ceil(log2(width+1)), and a record is one uint of w_h + w_b bits holding
 depth << w_b | index: bit for bit the depth field followed by the index
 field.  A tape holds k initial records plus two records per request, read
 eagerly in server-id order and request order.  The oracle computes each
-distinct leg's relay once.  The online side resolves a record by one index
-into its reference vertex's address table, built the first time that
-vertex is a reference: slot depth << w_b | index holds the vertex at that
-address on the vertex's root path, None where there is none, so the
+distinct leg's relay once.  The online side walks each reference
+vertex's root path once, the first time that vertex is a reference, and
+keeps the path's bags, so a record resolves by two list indexes; the
 typed errors are built only when a record fails.
 """
 from __future__ import annotations
@@ -141,16 +140,6 @@ def _root_path(td: TreeDecomposition, v: int) -> list[int]:
     return path
 
 
-def _address_table(td: TreeDecomposition, v: int, w_b: int, width: int) -> list:
-    """v's decode table: slot depth << w_b | index holds vertex `index` of
-    the bag at `depth` on v's root path, None where no vertex is there."""
-    table: list = [None] * (1 << width)
-    for depth, bag in enumerate(_root_path(td, v)):
-        vs = td.bags[bag]
-        table[depth << w_b:(depth << w_b) + len(vs)] = vs
-    return table
-
-
 def _bad_address(td: TreeDecomposition, v: int, record: int, w_b: int):
     """The error for a record that names no vertex of v's root path."""
     path = _root_path(td, v)
@@ -173,44 +162,47 @@ def run_online(
     A record's reference vertex is the server's own for an initial record
     and the request for the other two."""
     w_h, w_b = address_widths(td)
-    width = w_h + w_b
-    read = tape.read_uint
-    refs: dict[int, tuple] = {}  # vertex -> (its address table, its row)
+    width, mask = w_h + w_b, (1 << w_b) - 1
+    read, bags = tape.read_uint, td.bags
+    refs: dict[int, tuple] = {}  # vertex -> (its root path's bags, its row)
 
     def ref(v: int) -> tuple:
-        refs[v] = found = (_address_table(td, v, w_b, width), dm.dist[v])
+        refs[v] = found = ([bags[b] for b in _root_path(td, v)], dm.dist[v])
         return found
 
     k = len(init)
     positions = list(init)
     cost = 0
-    # Initial parking moves, read eagerly in server-id order.
+    # Initial parking moves, read eagerly in server-id order.  A record
+    # outside the path or its bag is an IndexError, turned into the
+    # typed error only then.
     for i, x in enumerate(init):
-        table, dx = refs.get(x) or ref(x)
+        path, dx = refs.get(x) or ref(x)
         record = read(width)
-        z0 = table[record]
-        if z0 is None:
-            raise _bad_address(td, x, record, w_b)
+        try:
+            positions[i] = z0 = path[record >> w_b][record & mask]
+        except IndexError:
+            raise _bad_address(td, x, record, w_b) from None
         cost += dx[z0]
-        positions[i] = z0
     log: list[GpcMove] = []
     for t, y in enumerate(sigma):
-        table, dy = refs.get(y) or ref(y)  # a relay forces no row of its own
+        path, dy = refs.get(y) or ref(y)  # a relay forces no row of its own
         record = read(width)
-        z1 = table[record]
+        try:
+            z1 = path[record >> w_b][record & mask]
+        except IndexError:
+            raise _bad_address(td, y, record, w_b) from None
         holders = positions.count(z1)
         if not holders:
-            if z1 is None:
-                raise _bad_address(td, y, record, w_b)
             raise NoServerAtAddress(
                 f"request {t}: no server parked at decoded vertex {z1}"
             )
         sid = positions.index(z1)
         record = read(width)
-        z2 = table[record]
-        if z2 is None:
-            raise _bad_address(td, y, record, w_b)
-        positions[sid] = z2
+        try:
+            positions[sid] = z2 = path[record >> w_b][record & mask]
+        except IndexError:
+            raise _bad_address(td, y, record, w_b) from None
         move_cost = dy[z1] + dy[z2]
         cost += move_cost
         log.append(GpcMove(t, y, sid, z1, z2, move_cost, holders))

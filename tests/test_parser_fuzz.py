@@ -144,14 +144,22 @@ def files(tmp_path_factory):
 
 def run_argv(files, flag, text) -> list[str]:
     """The `kslab run` that reads text as its `flag` file and the valid
-    files for the rest."""
+    files for the rest; a run without --instance draws 2 servers and 4
+    requests."""
     paths, report = files
     fuzzed = paths[flag].with_name("fuzzed.json")
     fuzzed.write_text(text)
-    argv = ["run", "--k", "2", "--n", "4", "--out", str(report)] + RUNS[flag][:2]
+    draw = [] if "--instance" in RUNS[flag] else ["--k", "2", "--n", "4"]
+    argv = ["run", *draw, "--out", str(report)] + RUNS[flag][:2]
     for f in ["--graph"] + RUNS[flag][2:]:
         argv += [f, str(fuzzed if f == flag else paths[f])]
     return argv
+
+
+@pytest.mark.parametrize("flag", sorted(VALID))
+def test_valid_files_run(files, flag):
+    # every fuzzed case starts from a run that reads its file and exits 0
+    assert main(run_argv(files, flag, json.dumps(VALID[flag]))) == 0
 
 
 def outcome(files, flag, doc) -> int:
