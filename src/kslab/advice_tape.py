@@ -6,9 +6,11 @@ parameters, so no self-delimiting codes are needed.  Width 0 is legal and
 writes nothing (used when a parameter makes the choice unique).
 
 The tape is one buffer of ASCII binary digits: a write appends `width`
-digits, and a read is one `int(digits, 2)` of a slice of it.  The hex dump
-and its load each convert the whole buffer in one pass, in time linear in
-its bit length.
+digits, and a read is one `int(digits, 2)` of a slice of it.  A write of
+at most 8 bits appends a cached encoded record; each width's records are
+built on its first use.  `read_uints` reads a block of equal-width records
+with one bounds check and one slice.  The hex dump and its load each
+convert the whole buffer in one pass, in time linear in its bit length.
 """
 from __future__ import annotations
 
@@ -31,8 +33,13 @@ class TapeExhausted(TapeError):
 
 
 class BadHexTape(TapeError):
-    """A hex dump with a non-hex character, or too short for the bit length
-    it claims."""
+    """A hex dump that is not a str or has a non-hex character, a bit length
+    that is not an int, or a dump too short for the bit length it claims."""
+
+
+# width -> the encoded record of every value, for widths 1..8, each built
+# on its first write and never changed
+_ENCODED: dict[int, tuple[bytes, ...]] = {}
 
 
 class AdviceTape:
@@ -49,9 +56,16 @@ class AdviceTape:
             raise ValueError("width must be nonnegative")
         if value < 0 or value >> width:
             raise ValueTooWide(f"value {value} does not fit in {width} bits")
-        if width:
+        if width > 8:
             self._digits += bin(value)[2:].zfill(width).encode()
-            self.bits_written += width
+        elif width:
+            records = _ENCODED.get(width)
+            if records is None:
+                records = _ENCODED[width] = tuple(
+                    format(v, f"0{width}b").encode() for v in range(1 << width)
+                )
+            self._digits += records[value]
+        self.bits_written += width
 
     def read_uint(self, width: int) -> int:
         """Consume `width` bits at the cursor; never silently pads."""
@@ -69,6 +83,28 @@ class AdviceTape:
         self.bits_read = end
         return int(self._digits[start:end], 2)
 
+    def read_uints(self, count: int, width: int) -> list[int]:
+        """Consume `count` records of `width` bits at the cursor in one
+        block; a tape too short for all of them raises and consumes none."""
+        if width < 0 or count < 0:
+            raise ValueError("count and width must be nonnegative")
+        start = self.bits_read
+        end = start + count * width
+        if end > self.bits_written:
+            raise TapeExhausted(
+                f"read of {count} x {width} bits at cursor {start} "
+                f"exceeds {self.bits_written} written bits"
+            )
+        self.bits_read = end
+        if not width:
+            return [0] * count
+        block = self._digits[start:end].decode()
+        starts = range(0, end - start, width)
+        if 1 << width <= count:  # fewer dict entries than int() calls
+            decode = {format(v, f"0{width}b"): v for v in range(1 << width)}
+            return [decode[block[i:i + width]] for i in starts]
+        return [int(block[i:i + width], 2) for i in starts]
+
     def rewind(self) -> None:
         self.bits_read = 0
 
@@ -84,6 +120,10 @@ class AdviceTape:
 
     @classmethod
     def from_hex(cls, hexstr: str, nbits: int) -> "AdviceTape":
+        if not isinstance(hexstr, str):
+            raise BadHexTape(f"hexstr: expected a str, got {type(hexstr).__name__}")
+        if not isinstance(nbits, int) or isinstance(nbits, bool):
+            raise BadHexTape(f"nbits: expected an int, got {type(nbits).__name__}")
         tape = cls()
         total = len(hexstr) * 4
         if not 0 <= nbits <= total:

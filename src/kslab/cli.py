@@ -115,8 +115,15 @@ def _info(msg: str, *args) -> None:
 
 def _canonical(obj) -> str:
     """obj as sorted, whitespace-free JSON, each Fraction spelled by
-    num_to_json."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=num_to_json)
+    num_to_json.  obj is a tree built fresh for the output, so the encoder
+    skips its check for cycles."""
+    text = json.dumps(
+        obj,
+        sort_keys=True,
+        separators=(",", ":"),
+        default=num_to_json,
+        check_circular=False,
+    )
     return text + "\n"
 
 
@@ -416,6 +423,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "bit_budget": run.bit_budget if run else None,
         "pass": ok,
     }
+    # Spelling the report is a run's memory peak, so OPT's schedule, the
+    # replay's log, the tape and the metric are let go first.
+    del dm, opt, run, tape
 
     instance_doc = {
         "family": args.family,

@@ -13,16 +13,19 @@ the ancestor bag of the current request's representative bag, the index a
 vertex inside it.  Field widths are w_h = ceil(log2(h+1)) and w_b =
 ceil(log2(width+1)), and a record is one uint of w_h + w_b bits holding
 depth << w_b | index: bit for bit the depth field followed by the index
-field.  A tape holds k initial records plus two records per request, read
-eagerly in server-id order and request order.  The oracle computes each
-distinct leg's relay once.  The online side walks each reference
-vertex's root path once, the first time that vertex is a reference, and
-keeps the path's bags, so a record resolves by two list indexes; the
-typed errors are built only when a record fails.
+field.  A tape holds k initial records plus two records per request, in
+server-id order and request order.  The oracle computes each distinct
+leg's relay once.  The online side reads every record in one block and
+still raises each record's error in record order.  It walks each
+reference vertex's root path once, the first time that vertex is a
+reference, and keeps the path's bags, so a record resolves by two list
+indexes; the typed errors are built only when a record fails.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 from .advice_tape import AdviceTape
@@ -163,31 +166,42 @@ def run_online(
     and the request for the other two."""
     w_h, w_b = address_widths(td)
     width, mask = w_h + w_b, (1 << w_b) - 1
-    read, bags = tape.read_uint, td.bags
+    bags = td.bags
     refs: dict[int, tuple] = {}  # vertex -> (its root path's bags, its row)
 
     def ref(v: int) -> tuple:
         refs[v] = found = ([bags[b] for b in _root_path(td, v)], dm.dist[v])
         return found
 
-    k = len(init)
+    k, n = len(init), len(sigma)
+    # Every whole record the tape holds, up to the k + 2n a run reads, in
+    # one block.  Past them each record is read alone, so a short tape
+    # raises TapeExhausted at its first missing record, after any earlier
+    # record's own error.
+    whole = k + 2 * n
+    if width:
+        whole = min(whole, (tape.bits_written - tape.bits_read) // width)
+    read = chain(
+        tape.read_uints(whole, width), iter(partial(tape.read_uint, width), None)
+    ).__next__
     positions = list(init)
     cost = 0
-    # Initial parking moves, read eagerly in server-id order.  A record
-    # outside the path or its bag is an IndexError, turned into the
-    # typed error only then.
+    # Initial parking moves, in server-id order.  A record outside the
+    # path or its bag is an IndexError, turned into the typed error only
+    # then.
     for i, x in enumerate(init):
         path, dx = refs.get(x) or ref(x)
-        record = read(width)
+        record = read()
         try:
             positions[i] = z0 = path[record >> w_b][record & mask]
         except IndexError:
             raise _bad_address(td, x, record, w_b) from None
         cost += dx[z0]
     log: list[GpcMove] = []
+    new = tuple.__new__  # a GpcMove without NamedTuple's Python-level __new__
     for t, y in enumerate(sigma):
         path, dy = refs.get(y) or ref(y)  # a relay forces no row of its own
-        record = read(width)
+        record = read()
         try:
             z1 = path[record >> w_b][record & mask]
         except IndexError:
@@ -198,17 +212,17 @@ def run_online(
                 f"request {t}: no server parked at decoded vertex {z1}"
             )
         sid = positions.index(z1)
-        record = read(width)
+        record = read()
         try:
             positions[sid] = z2 = path[record >> w_b][record & mask]
         except IndexError:
             raise _bad_address(td, y, record, w_b) from None
         move_cost = dy[z1] + dy[z2]
         cost += move_cost
-        log.append(GpcMove(t, y, sid, z1, z2, move_cost, holders))
+        log.append(new(GpcMove, (t, y, sid, z1, z2, move_cost, holders)))
     return GpcRun(
         online_cost=cost,
         bits_read=tape.bits_read,
         log=log,
-        bit_budget=gpc_bit_budget(td, k, len(sigma)),
+        bit_budget=gpc_bit_budget(td, k, n),
     )

@@ -292,10 +292,11 @@ def opt_cost_dp(
     rows = {src: dist[src] for src in set(srcs)}
     positions = list(init)
     moves = []
+    new = tuple.__new__  # a Move without NamedTuple's Python-level __new__
     for t, (src, dst) in enumerate(zip(srcs, sigma)):
         sid = positions.index(src)
         positions[sid] = dst
-        moves.append(Move(t, sid, src, dst, rows[src][dst]))
+        moves.append(new(Move, (t, sid, src, dst, rows[src][dst])))
     return best_cost, Schedule(moves, best_cost, optimal_count=count)
 
 

@@ -387,6 +387,9 @@ def reduce_height(td: TreeDecomposition, n_vertices: int) -> TreeDecomposition:
         return r_idx
 
     root = build(set(range(len(bags))), ())
+    # build's closure holds build itself: a reference cycle that would keep
+    # every working set alive until the next full garbage collection
+    del build
     return TreeDecomposition(out_bags, out_parent, root)
 
 

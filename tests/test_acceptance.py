@@ -368,3 +368,25 @@ def test_c10_determinism(tmp_path):
         t0,
         "repeating four seeded commands produced byte-identical reports",
     )
+
+
+# The advice sandwich on the gb family, 4 rounds, seed 1: (gamma, modules,
+# the tape bits the run reads).  That is 10.31 bits per request at
+# gamma = 2 and 14.44 beyond, against a lower bound below one bit.
+ADVICE_SANDWICH = [(2, 1, 330), (3, 2, 1386), (4, 1, 924), (5, 2, 2310), (6, 2, 2772)]
+
+
+@pytest.mark.parametrize("gamma,modules,bits", ADVICE_SANDWICH)
+def test_gb_advice_between_lower_bound_and_budget(tmp_path, gamma, modules, bits):
+    out = tmp_path / "report.json"
+    argv = ["run", "--family", "gb", "--gamma", str(gamma), "--modules",
+            str(modules), "--rounds", "4", "--seed", "1", "--algo", "gpc"]
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    results = report["results"]
+    n = len(report["instance"]["sequence"])
+    assert results["pass"] is True
+    assert results["online_cost"] == results["opt_cost"]
+    lower, _ = treewidth_advice_bound(2 * gamma, n)
+    assert lower <= results["bits_read"] == results["bit_budget"] == bits
+    assert report["tape_bits"] == bits

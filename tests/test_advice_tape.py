@@ -173,3 +173,64 @@ def test_hex_round_trip_200k_bits():
     assert _read_bits(back) == bits
     back.rewind()
     assert back.read_uint(13) == 0 and back.bits_read == 13
+
+
+# A malformed argument to from_hex fails typed, naming the argument.
+BAD_HEX_ARGS = [
+    (("ab", 8.0), "nbits: expected an int, got float"),
+    (("ab", "8"), "nbits: expected an int, got str"),
+    (("ab", True), "nbits: expected an int, got bool"),
+    ((None, 0), "hexstr: expected a str, got NoneType"),
+    ((b"ab", 8), "hexstr: expected a str, got bytes"),
+]
+
+
+@pytest.mark.parametrize("args,message", BAD_HEX_ARGS)
+def test_hex_bad_argument_types(args, message):
+    with pytest.raises(BadHexTape) as err:
+        AdviceTape.from_hex(*args)
+    assert str(err.value) == message
+
+
+def _written(values: list[int], width: int) -> AdviceTape:
+    t = AdviceTape()
+    for value in values:
+        t.write_uint(value, width)
+    return t
+
+
+# every width up to 12, with counts on both sides of 2^width, where the
+# block read switches between its table and int() per record
+@pytest.mark.parametrize("width", range(13))
+def test_read_uints_round_trip(width):
+    rng = random.Random(width)
+    for count in sorted({1, 7, (1 << width) - 1, 1 << width, (1 << width) + 5}):
+        values = [rng.getrandbits(width) for _ in range(count)]
+        written = _written([(1 << width) - 1] + values, width)
+        hexstr, nbits = written.to_hex()
+        for t in (written, AdviceTape.from_hex(hexstr, nbits)):
+            t.read_uint(width)  # the block starts at the cursor
+            assert t.read_uints(count, width) == values
+            assert t.bits_read == t.bits_written == (count + 1) * width
+
+
+def test_read_uints_of_no_records():
+    t = _written([5], 3)
+    assert t.read_uints(0, 3) == [] and t.bits_read == 0
+    assert t.read_uints(0, 0) == [] and t.bits_read == 0
+
+
+def test_read_uints_width_zero():
+    t = _written([5], 3)
+    assert t.read_uints(4, 0) == [0, 0, 0, 0] and t.bits_read == 0
+    assert AdviceTape().read_uints(2, 0) == [0, 0]
+
+
+def test_read_uints_past_end_consumes_nothing():
+    t = _written([1, 2, 3], 2)
+    t.read_uint(2)
+    with pytest.raises(TapeExhausted) as err:
+        t.read_uints(3, 2)
+    assert str(err.value) == "read of 3 x 2 bits at cursor 2 exceeds 6 written bits"
+    assert t.bits_read == 2
+    assert t.read_uints(2, 2) == [2, 3] and t.bits_read == 6

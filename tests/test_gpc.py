@@ -9,7 +9,7 @@ from kslab.adversary import (
     perm_init,
     valid_sequence,
 )
-from kslab.advice_tape import AdviceTape
+from kslab.advice_tape import AdviceTape, TapeExhausted
 from kslab.gpc import (
     NoServerAtAddress,
     address_widths,
@@ -226,27 +226,82 @@ WORK_CASES = pytest.mark.parametrize(
 
 @WORK_CASES
 def test_one_tape_record_per_address(case, monkeypatch):
-    # each (depth, index) address is one write and one read of w_h + w_b bits
+    # each (depth, index) address is one write of w_h + w_b bits, and a
+    # whole tape is read back in one block of all its records
     g, td, init, sigma = case()
     dm = all_pairs_shortest_paths(g)
     red = reduce_height(td, g.n)
     cost, sched = opt_cost_dp(g, init, sigma, dm)
-    calls = {"write_uint": 0, "read_uint": 0}
+    calls = {"write_uint": [], "read_uint": [], "read_uints": []}
     for name in calls:
 
-        def counting(self, *args, _name=name, _real=getattr(AdviceTape, name)):
-            calls[_name] += 1
+        def recording(self, *args, _name=name, _real=getattr(AdviceTape, name)):
+            calls[_name].append(args)
             return _real(self, *args)
 
-        monkeypatch.setattr(AdviceTape, name, counting)
+        monkeypatch.setattr(AdviceTape, name, recording)
     tape = generate_advice(g, dm, red, init, sigma, sched)
     tape.rewind()
     run = run_online(g, dm, red, init, sigma, tape)
     records = 2 * len(sigma) + len(init)
-    assert calls == {"write_uint": records, "read_uint": records}
-    assert run.online_cost == cost
     w_h, w_b = address_widths(red)
+    assert len(calls["write_uint"]) == records
+    assert calls["read_uints"] == [(records, w_h + w_b)]
+    assert calls["read_uint"] == []
+    assert run.online_cost == cost
     assert run.bits_read == tape.bits_written == records * (w_h + w_b)
+
+
+def _rounds_tape_bits():
+    """The path-rounds case, its reduced decomposition and its tape's bits
+    as a string of binary digits."""
+    g, td, init, sigma = _path_rounds_case()
+    dm = all_pairs_shortest_paths(g)
+    red = reduce_height(td, g.n)
+    _, sched = opt_cost_dp(g, init, sigma, dm)
+    hexstr, nbits = generate_advice(g, dm, red, init, sigma, sched).to_hex()
+    bits = format(int(hexstr, 16), f"0{len(hexstr) * 4}b")[:nbits]
+    return g, dm, red, init, sigma, bits
+
+
+def _tape_of(bits: str) -> AdviceTape:
+    tape = AdviceTape()
+    for bit in bits:
+        tape.write_uint(int(bit), 1)
+    return tape
+
+
+# (record j the tape is cut inside, bits of it left, a record i < j
+# corrupted or None); the case has k = 2 initial records and 70 requests,
+# so 142 records: 0-1 initial, then a retrieval and a parking per request
+CUT_TAPES = [
+    (0, 1, None), (1, 2, None), (2, 1, None), (3, 2, None), (141, 1, None),
+    (1, 1, 0), (2, 2, 1), (3, 1, 2), (141, 2, 3), (141, 1, 140),
+]
+
+
+@pytest.mark.parametrize("j,left,i", CUT_TAPES)
+def test_cut_tape_fails_at_its_first_bad_record(j, left, i):
+    # a short tape raises TapeExhausted at its first missing record, unless
+    # an earlier record names no vertex: then that record's error wins
+    g, dm, red, init, sigma, bits = _rounds_tape_bits()
+    w_h, w_b = address_widths(red)
+    w = w_h + w_b
+    assert len(bits) == (2 * len(sigma) + len(init)) * w
+    if i is not None:
+        # depth 0, index 3: the root bag (1, 2) holds no index 3
+        bits = bits[:i * w] + format(3, f"0{w}b") + bits[(i + 1) * w:]
+    tape = _tape_of(bits[:j * w + left])
+    if i is None:
+        with pytest.raises(TapeExhausted) as err:
+            run_online(g, dm, red, init, sigma, tape)
+        assert str(err.value) == (
+            f"read of {w} bits at cursor {j * w} exceeds {j * w + left} written bits"
+        )
+    else:
+        with pytest.raises(NoServerAtAddress) as err:
+            run_online(g, dm, red, init, sigma, tape)
+        assert str(err.value) == "index 3 outside bag 0"
 
 
 @WORK_CASES

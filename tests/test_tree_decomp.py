@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import json
 import math
@@ -189,6 +190,18 @@ def test_reduce_height_random_partial_2_trees():
         assert verify_decomposition(g, red)
         assert red.width <= 3 * td.width + 2 <= 8
         assert red.height <= 4 * math.ceil(math.log2(n))
+
+
+def test_reduce_height_frees_its_work_on_return():
+    # no reference cycle holds the working sets until a full collection
+    td = path_decomposition(64)
+    gc.collect()
+    gc.disable()
+    try:
+        reduce_height(td, 64)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _piece_of(walk):
