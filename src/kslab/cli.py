@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .gpc import generate_advice, gpc_bit_budget_nominal, run_online
@@ -168,6 +169,8 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         raise BadFlag(flag, "needs --family module or gb")
     if args.spanners is not None and args.algo != "spanner":
         raise BadFlag("--spanners", "needs --algo spanner")
+    if args.td is not None and args.algo != "gpc":
+        raise BadFlag("--td", "needs --algo gpc")
     # --k and --n size the random servers and requests; where the input
     # fixes them, a changed value would only be recorded in the report
     fixed = args.instance or args.family in ("path-rounds", "module", "gb")
@@ -443,9 +446,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             fh.write(_canonical(instance_doc))
     report = {
         "format_version": FORMAT_VERSION,
-        # the output path is not part of the experiment identity
+        # the output paths are not part of the experiment identity
         "spec": {
-            k: v for k, v in vars(args).items() if v is not None and k != "out"
+            k: v
+            for k, v in vars(args).items()
+            if v is not None and k not in ("out", "dump_instance")
         },
         "instance": instance_doc,
         "digests": {
@@ -579,6 +584,9 @@ def cmd_verify(args) -> int:
     raise BadFlag("--td/--spanners", "pass one of them")
 
 
+# Built on first use and kept: argparse's parser holds reference cycles, so
+# a parser per run would leave its garbage to a full collection.
+@cache
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kslab",

@@ -4,11 +4,11 @@ Distances are kept exact: integer weights give integer distances, Fraction
 weights give Fraction distances.  Floats are rejected so that cost-equality
 checks elsewhere never need tolerances.
 
-The metric computes a row, the distances from one source, the first time
-it is read, and keeps it; a run that reads only the rows of its servers and
-requests computes no others.  On a graph whose every weight is 1 (every
-generated family) a row is one breadth-first search, O(N + M) with no heap;
-any other weight takes a Dijkstra run over distance levels, O(M log N).
+The metric is a dict of rows, the distances from one source, that computes
+a row on its first read and keeps it; a run that reads only the rows of its
+servers and requests computes no others.  On a graph whose every weight is
+1 (every generated family) a row is one breadth-first search, O(N + M) with
+no heap; any other weight takes a Dijkstra run over levels, O(M log N).
 Among equal-length shortest paths the lexicographically smallest vertex
 sequence is reconstructed: the next hop from u toward y is the smallest
 neighbour of u on some shortest path, read off the row of y.
@@ -139,27 +139,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class _LazyRows:
-    """rows[v]: the distances from v, computed on first read and kept."""
+class _Rows(dict):
+    """rows[v]: the distances from v, computed on a miss and kept."""
 
     def __init__(self, g: Graph):
-        self._g = g
-        self._rows: list[list[Weight] | None] = [None] * g.n
+        super().__init__()
+        self.g = g
 
-    def __getitem__(self, v: int) -> list[Weight]:
-        row = self._rows[v]
-        if row is None:
-            row = self._rows[v] = single_source_distances(self._g, v)
+    def __missing__(self, v: int) -> list[Weight]:
+        row = self[v] = single_source_distances(self.g, v)
         return row
-
-    def __iter__(self):  # every row, in vertex order
-        return (self[v] for v in range(self._g.n))
 
 
 class DistanceMatrix:
     """Exact all-pairs distances with next-hop path reconstruction.
 
-    dist[u][v] is d(u, v); a row is computed the first time it is read.
+    dist[u][v] is d(u, v); dist is a dict holding the rows read so far, a
+    row computed on its first read, so it is indexed, not iterated.
     Tie-breaking: among equal-length shortest paths the lexicographically
     smallest vertex sequence is reconstructed, which makes every downstream
     run reproducible.
@@ -167,7 +163,7 @@ class DistanceMatrix:
 
     def __init__(self, g: Graph):
         self.g = g
-        self.dist = _LazyRows(g)
+        self.dist = _Rows(g)
 
     def next_hop(self, u: int, y: int) -> int:
         """The smallest neighbour x of u with w(u, x) + d(x, y) == d(u, y),

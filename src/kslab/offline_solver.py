@@ -203,10 +203,9 @@ def _dp_layers(dist, init, sigma):
     layer = {tuple(sorted(init))[1:]: (0, 1)}
     sources: dict[tuple, list] = {}  # conf -> its distinct (s, conf - s)
     inserts: dict[int, dict] = {}  # p -> {rest: rest + (p,), sorted}
-    rows = {r: dist[r] for r in set(sigma)}  # d(s, r) == d(r, s)
     yield base, layer, {}
     for r in sigma:
-        dr = rows[r]
+        dr = dist[r]  # d(s, r) == d(r, s)
         step = dr[p]
         base += step
         nxt = layer.copy()
@@ -289,14 +288,13 @@ def opt_cost_dp(
             conf = replaced.get(key)
             if conf is None:
                 conf = replaced[key] = _replace_one(*key)
-    rows = {src: dist[src] for src in set(srcs)}
     positions = list(init)
     moves = []
     new = tuple.__new__  # a Move without NamedTuple's Python-level __new__
     for t, (src, dst) in enumerate(zip(srcs, sigma)):
         sid = positions.index(src)
         positions[sid] = dst
-        moves.append(new(Move, (t, sid, src, dst, rows[src][dst])))
+        moves.append(new(Move, (t, sid, src, dst, dist[src][dst])))
     return best_cost, Schedule(moves, best_cost, optimal_count=count)
 
 
@@ -491,9 +489,9 @@ def opt_cost_flow(
     scale = lcm(
         *(w.denominator for _, _, w in g.edges if isinstance(w, Fraction)), 1
     )
-    scaled = {r: dist[r] for r in set(sigma)}  # a row per requested vertex
-    if scale > 1:
-        scaled = {r: [int(x * scale) for x in row] for r, row in scaled.items()}
+    scaled = dist
+    if scale > 1:  # a scaled row per requested vertex
+        scaled = {r: [int(x * scale) for x in dist[r]] for r in set(sigma)}
     rows = [scaled[r] for r in sigma]
     # Nodes: S = 0, s_i = 1 + i, ri_t = k + 1 + 2t, ro_t = ri_t + 1, T last.
     sink = k + 1 + 2 * n

@@ -163,7 +163,8 @@ class HeavyPathIndex:
     """
 
     def __init__(self, tree: SpanningTree):
-        self.tree = tree
+        # the weights, not the tree: tree.paths keeps this index
+        self.edge_weight = tree.edge_weight
         n = tree.n
         parent = tree.parent
         order, children, depth, size = rooted_walk(parent, tree.root)
@@ -284,7 +285,7 @@ def _tree_distance_rows(hp: HeavyPathIndex):
     preorder the top of that stack is v's parent, so at most one row per
     tree level is held at a time.
     """
-    order, parent, weight = hp.order, hp.parent, hp.tree.edge_weight
+    order, parent, weight = hp.order, hp.parent, hp.edge_weight
     pos = [0] * len(order)
     for i, u in enumerate(order):
         pos[u] = i
@@ -329,7 +330,8 @@ def _max_ratio(best, dm: DistanceMatrix) -> tuple[Fraction, tuple[int, int] | No
     """The largest best/d_G over pairs x < y, at least 1, with the first pair
     that attains it; ratios are compared by cross-multiplying."""
     num, den, witness = 1, 1, None
-    for x, (bx, dx) in enumerate(zip(best, dm.dist)):
+    for x, bx in enumerate(best):
+        dx = dm.dist[x]
         for y in range(x + 1, len(bx)):
             b, d = bx[y], dx[y]
             if b * den > num * d:
@@ -349,7 +351,8 @@ def _certified(trees: tuple, best, dm: DistanceMatrix, q, r) -> SpannerSystem:
     r_num, r_den = r.numerator, r.denominator
     scale, slope, offset = q_den * r_den, q_num * r_den, r_num * q_den
     worst = None
-    for x, (bx, dx) in enumerate(zip(best, dm.dist)):
+    for x, bx in enumerate(best):
+        dx = dm.dist[x]
         for y in range(x + 1, len(bx)):
             b, d = bx[y], dx[y]
             if b * scale > slope * d + offset:

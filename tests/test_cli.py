@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -679,6 +680,9 @@ BAD_RUN_ARGS = [
     (["--family", "grid", "--spanners", "s.json"], "--spanners: needs --algo spanner"),
     (["--graph", "g.json", "--spanners", "s.json", "--algo", "gpc"],
      "--spanners: needs --algo spanner"),
+    (["--graph", "g.json", "--td", "td.json"], "--td: needs --algo gpc"),
+    (["--graph", "g.json", "--td", "td.json", "--algo", "spanner"],
+     "--td: needs --algo gpc"),
     # --k and --n where the family, --bits or --instance fixes the servers
     # or the requests
     (["--family", "module", "--k", "5"], "--k: --family module sets the servers"),
@@ -929,6 +933,63 @@ def test_determinism_byte_identical(tmp_path):
     run_cli(*args, "--out", str(a))
     run_cli(*args, "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dump_prefix_is_not_part_of_the_report(tmp_path):
+    # one experiment dumped to two prefixes gives byte-identical reports
+    args = [
+        "run", "--family", "grid", "--size", "4", "--k", "2", "--n", "5",
+        "--seed", "1",
+    ]
+    reports = []
+    for prefix in ("dump_a", "dump_b"):
+        out = tmp_path / f"{prefix}.json"
+        dump = str(tmp_path / prefix)
+        assert run_cli(*args, "--dump-instance", dump, "--out", str(out)) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert "dump_instance" not in json.loads(reports[0])["spec"]
+
+
+# one run per pipeline: the DP route, gpc on a decomposition and on the
+# path's, the spanner on its measured system, the flow route with the
+# counting pass, and verify on a claimed spanner system
+CYCLE_FREE_RUNS = [
+    ["run", "--family", "grid", "--size", "5", "--k", "2", "--n", "20",
+     "--algo", "opt"],
+    ["run", "--family", "random-ktree", "--size", "30", "--k", "3", "--n", "30",
+     "--algo", "gpc"],
+    ["run", "--family", "path-rounds", "--size", "5", "--n", "40", "--algo", "gpc"],
+    ["run", "--family", "grid", "--size", "6", "--k", "2", "--n", "30",
+     "--algo", "spanner"],
+    ["run", "--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "4",
+     "--algo", "perm"],
+    ["verify", "--graph", "g.json", "--spanners", "s.json"],
+]
+
+
+@pytest.mark.parametrize("argv", CYCLE_FREE_RUNS, ids=" ".join)
+def test_a_run_leaves_no_cyclic_garbage(argv, tmp_path, monkeypatch, capsys):
+    # reference counting frees everything a command makes, so nothing waits
+    # for a full collection; the warm-up call makes the parser and imports
+    # the modules some commands load on first use
+    monkeypatch.chdir(tmp_path)
+    g = grid_graph(5, 5)
+    Path("g.json").write_text(graph_to_json(g))
+    system = SpannerSystem(
+        (shortest_path_tree(g, 0), shortest_path_tree(g, 24)), Fraction(7, 2), 1
+    )
+    Path("s.json").write_text(json.dumps(system.to_json()))
+    if argv[0] == "run":
+        argv = [*argv, "--out", "r.json"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bounds_table(capsys):

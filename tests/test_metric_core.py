@@ -249,8 +249,8 @@ def test_dijkstra_matches_floyd_warshall_oracle():
     for g in _oracle_graphs():
         dist, next_hop = _floyd_warshall(g)
         dm = all_pairs_shortest_paths(g)
-        assert list(dm.dist) == dist, g
         n = g.n
+        assert [dm.dist[v] for v in range(n)] == dist, g
         assert [[dm.next_hop(u, v) for v in range(n)] for u in range(n)] == next_hop, g
 
 

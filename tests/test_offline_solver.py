@@ -183,7 +183,7 @@ def _network_simplex_cost(dm, init, sigma):
     if n == 0:
         return 0
     dist = dm.dist
-    scale = lcm(*(d.denominator for row in dist for d in row), 1)
+    scale = lcm(*(d.denominator for v in range(dm.g.n) for d in dist[v]), 1)
     G = nx.DiGraph()
     G.add_node("S", demand=-k)
     G.add_node("T", demand=k)
@@ -360,7 +360,7 @@ def _arc_list_flow(dm, init, sigma, build, scale):
 
 def _dense_flow_cost(dm, init, sigma):
     """OPT and its schedule from the min-cost flow on the full request DAG."""
-    scale = lcm(*(d.denominator for row in dm.dist for d in row), 1)
+    scale = lcm(*(d.denominator for v in range(dm.g.n) for d in dm.dist[v]), 1)
     return _arc_list_flow(dm, init, sigma, _dense_arcs, scale)
 
 

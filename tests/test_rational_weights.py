@@ -92,7 +92,7 @@ def test_flow_matches_dp_on_fraction_weights_with_int_distances():
     g = Graph(n, edges)
     assert any(isinstance(w, Fraction) for _, _, w in g.edges)
     dm = all_pairs_shortest_paths(g)
-    assert all(type(d) is int for row in dm.dist for d in row)
+    assert all(type(d) is int for v in range(g.n) for d in dm.dist[v])
     rng = SplitMix64(4245)
     for i in range(10):
         k = 1 + rng.randrange(3)
