@@ -63,7 +63,7 @@ if TYPE_CHECKING:
 FORMAT_VERSION = 1
 # the `kslab run` defaults of the flags that a family or an input file can
 # leave unread, which `_build_instance` checks
-RUN_DEFAULTS = {"gamma": 2, "modules": 1, "rounds": 1, "k": 2, "n": 10}
+RUN_DEFAULTS = {"gamma": 2, "modules": 1, "rounds": 1, "k": 2, "n": 10, "size": 0}
 CSV_COLUMNS = [
     "instance_id",
     "N",
@@ -167,6 +167,9 @@ def _build_instance(args: argparse.Namespace) -> Instance:
     if args.family not in ("module", "gb") and changed & {"gamma", "rounds"}:
         flag = "--gamma" if "gamma" in changed else "--rounds"
         raise BadFlag(flag, "needs --family module or gb")
+    sized = ("path-rounds", "random-ktree", "grid")
+    if "size" in changed and args.family not in sized:
+        raise BadFlag("--size", "needs --family path-rounds, random-ktree or grid")
     if args.spanners is not None and args.algo != "spanner":
         raise BadFlag("--spanners", "needs --algo spanner")
     if args.td is not None and args.algo != "gpc":
@@ -620,7 +623,9 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--n", type=int, default=RUN_DEFAULTS["n"], help="request count"
     )
-    run.add_argument("--size", type=int, default=0, help="graph size parameter")
+    run.add_argument(
+        "--size", type=int, default=RUN_DEFAULTS["size"], help="graph size parameter"
+    )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--algo", choices=list(ALGOS), default="opt")
     run.add_argument("--out", help="report file (default: stdout)")

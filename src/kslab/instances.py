@@ -84,6 +84,11 @@ def random_partial_ktree(
     graph stays connected.  The construction bags remain a valid
     decomposition of any subgraph, so (Graph, TreeDecomposition) always
     verifies with width <= k.
+
+    That drop rule is reverse-delete, and it is computed as Kruskal's
+    union-find in the opposite order: join every edge whose coin says keep,
+    then walk the drawn edges backwards and keep those that join two
+    components.  Both give the one greedy forest for that order.
     """
     if n < k + 1:
         raise ValueError(f"need n >= k+1, got n={n}, k={k}")
@@ -102,40 +107,28 @@ def random_partial_ktree(
         bags.append(tuple(sorted(bag + [v])))
         parent.append(b)
 
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    comp = list(range(n))
 
-    def connected_without(u: int, v: int) -> bool:
-        """Whether v is reachable from u without the edge u-v.
-
-        The graph is connected at every step, so that is whether dropping
-        u-v keeps it connected.  A search from u and one from v take turns
-        popping one vertex each; they stop when they meet or when one runs
-        out, so an edge costs about twice the smaller side it would cut off.
-        """
-        side = {u: 0, v: 1}
-        stacks = ([u], [v])
-        while stacks[0] and stacks[1]:
-            for s in (0, 1):
-                x = stacks[s].pop()
-                for y in adj[x]:
-                    t = side.get(y)
-                    if t is None:
-                        side[y] = s
-                        stacks[s].append(y)
-                    elif t != s and (x, y) not in ((u, v), (v, u)):
-                        return True
-        return False
+    def find(x: int) -> int:
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
 
     order = sorted(edges)
     rng.shuffle(order)
+    drawn = []
     for u, v in order:
-        if rng.randrange(100) < drop_prob_percent and connected_without(u, v):
+        if rng.randrange(100) < drop_prob_percent:
+            drawn.append((u, v))
+        else:
+            comp[find(u)] = find(v)
+    for u, v in reversed(drawn):
+        ru, rv = find(u), find(v)
+        if ru == rv:
             edges.discard((u, v))
-            adj[u].discard(v)
-            adj[v].discard(u)
+        else:
+            comp[ru] = rv
 
     weighted = [
         (u, v, 1 if max_weight <= 1 else rng.randint(1, max_weight))

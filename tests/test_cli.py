@@ -677,6 +677,12 @@ BAD_RUN_ARGS = [
      "--rounds: needs --family module or gb"),
     (["--family", "path-rounds", "--gamma", "3"],
      "--gamma: needs --family module or gb"),
+    (["--family", "module", "--size", "9"],
+     "--size: needs --family path-rounds, random-ktree or grid"),
+    (["--family", "gb", "--size", "3"],
+     "--size: needs --family path-rounds, random-ktree or grid"),
+    (["--graph", "g.json", "--size", "5"],
+     "--size: needs --family path-rounds, random-ktree or grid"),
     (["--family", "grid", "--spanners", "s.json"], "--spanners: needs --algo spanner"),
     (["--graph", "g.json", "--spanners", "s.json", "--algo", "gpc"],
      "--spanners: needs --algo spanner"),

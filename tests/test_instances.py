@@ -9,7 +9,9 @@ from kslab.tree_decomp import verify_decomposition
 
 # (N, width, max_weight, drop_prob_percent, seed), sha256 of graph_to_json(g),
 # sha256 of the canonical JSON of td.to_json(); recorded with the generator
-# that searched the whole graph from vertex 0 for every candidate drop
+# that searched the graph for every candidate drop (from vertex 0; for the
+# two largest, from both ends of the edge), and the union-find pass gives
+# the same bytes
 GENERATOR_PINS = [
     ((5, 1, 1, 30, 0),
      "997da09012b6b492573b8d8813a8a26c12ede42349f04bc79b42e9e30585ed26",
@@ -56,6 +58,12 @@ GENERATOR_PINS = [
     ((1000, 1, 1, 0, 12),
      "117d34d1ebc0758cfc0ed6441fe2dd63807f93f0bd1227105d665b996f49e761",
      "6634da53122b64d2a63c8b1e5f3cfc41c99c09c2d2156cbd19150be2409315a8"),
+    ((2000, 3, 1, 30, 1),
+     "ffc728c1748906af308e354de60bc4989431525bed32cf23846ca93495a64036",
+     "543ac941b7c275d8566bdc7a47c177afca24d1ad523ca9a25d298d26ed63a33e"),
+    ((16384, 3, 1, 30, 1),
+     "66ec0fae8954c70ffd401e5110798f419004ed3201a3f1cac840d37c34613cee",
+     "7c0447b1afbb861b7de40f9d2c125ddb86a64aa8c5e8dc6f62e4784dce73e718"),
 ]
 
 
@@ -87,3 +95,58 @@ def test_drop_extremes(k):
     g, td = random_partial_ktree(SplitMix64(k), n, k, drop_prob_percent=0)
     assert len(g.edges) == k * (k + 1) // 2 + (n - k - 1) * k
     assert verify_decomposition(g, td)
+
+
+def _reverse_delete_ktree(rng, n, k, max_weight, drop):
+    """The generator's recipe with its drop rule as stated: in shuffled
+    order, a drawn edge goes when a search of the rest of the graph from
+    u still reaches v.  Returns (weighted edges, bags, parent)."""
+    bags, parent = [tuple(range(k + 1))], [None]
+    edges = {(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)}
+    for v in range(k + 1, n):
+        b = rng.randrange(len(bags))
+        bag = list(bags[b])
+        del bag[rng.randrange(len(bag))]
+        edges |= {(u, v) for u in bag}
+        bags.append(tuple(sorted(bag + [v])))
+        parent.append(b)
+    order = sorted(edges)
+    rng.shuffle(order)
+    for u, v in order:
+        if rng.randrange(100) < drop and _reaches(edges - {(u, v)}, u, v):
+            edges.discard((u, v))
+    weighted = [
+        (u, v, 1 if max_weight <= 1 else rng.randint(1, max_weight))
+        for u, v in sorted(edges)
+    ]
+    return weighted, bags, parent
+
+
+def _reaches(edges, u, v):
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen, stack = {u}, [u]
+    while stack:
+        for y in adj.get(stack.pop(), ()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return v in seen
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_drops_match_plain_reverse_delete(k):
+    # 120 cases per width: N from k+1 to 60, every drop extreme and middle
+    for n in sorted({k + 1, k + 2, 9, 23, 60}):
+        for drop in (0, 30, 70, 100):
+            for max_weight in (1, 9):
+                for seed in range(3):
+                    case = (n, k, max_weight, drop)
+                    g, td = random_partial_ktree(SplitMix64(seed), *case)
+                    edges, bags, parent = _reverse_delete_ktree(
+                        SplitMix64(seed), *case
+                    )
+                    assert list(g.edges) == edges, (case, seed)
+                    assert list(td.bags) == bags and list(td.parent) == parent
