@@ -131,15 +131,12 @@ class AdviceTape:
                 f"bit length {nbits} not in 0..{total} for {len(hexstr)} hex digits"
             )
         bad = _NOT_HEX.search(hexstr)
-        if bad:  # bytes.fromhex would skip whitespace and shift the bits
+        if bad:  # int() would take "_", "0x" or surrounding whitespace
             raise BadHexTape(
                 f"bad hex string: {bad.group()!r} at index {bad.start()} "
                 "is not a hex digit"
             )
-        try:
-            acc = int.from_bytes(bytes.fromhex(hexstr), "big")
-        except ValueError as exc:
-            raise BadHexTape(f"bad hex string: {exc}") from exc
+        acc = int(hexstr, 16) if hexstr else 0
         tape._digits = bytearray(format(acc, f"0{total}b")[:nbits], "ascii")
         tape.bits_written = nbits
         return tape

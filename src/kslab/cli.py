@@ -357,17 +357,19 @@ def _step_gpc(inst: Instance, dm, opt: Schedule):
 
 def _step_spanner(inst: Instance, dm, opt: Schedule):
     from .spanner_cover import (
+        SpannerSystem,
         StretchClaimRejected,
-        certify_min_stretch,
         certify_system,
         generate_advice_spanner,
+        measure_min_stretch,
         run_online_spanner,
     )
 
     g, init, sigma, system = inst.g, inst.init, inst.sigma, inst.spanners
     extra = {}
     if system.q is None:
-        system = certify_min_stretch(dm, system.trees)
+        q, _ = measure_min_stretch(g, dm, system)
+        system = SpannerSystem(system.trees, q, 0)
         extra["spanner_roots"] = [t.root for t in system.trees]
     else:
         try:
@@ -574,8 +576,7 @@ def cmd_verify(args) -> int:
 
         system = spanner_cover.system_from_json(g, _read(args.spanners))
         if system.q is None:
-            print("fail: spanner file carries no (q, r) claim to verify")
-            return 1
+            raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
         dm = all_pairs_shortest_paths(g)
         try:
             spanner_cover.certify_system(g, dm, system.trees, system.q, system.r)

@@ -25,9 +25,10 @@ certified trees that avoid collisions, keeping suffixes rare.
 Certifying a system costs one exact best-tree distance table, O(μN²) in
 ints/Fractions (each tree's row of v is its parent's row shifted by w(v);
 the table keeps the element-wise minimum over the trees), and one pass over
-the N(N-1)/2 pairs: the pass that measures the smallest q certifies it,
-and a claimed (q, r) takes the pass that checks it.  Both compare by
-cross-multiplying, so only q and a violating pair's excess are Fractions.
+the N(N-1)/2 pairs: measure_min_stretch's pass finds the smallest q and
+so certifies (q, 0), and certify_system's pass checks a claimed (q, r).
+Both compare by cross-multiplying, so only q and a violating pair's excess
+are Fractions.
 """
 from __future__ import annotations
 
@@ -233,8 +234,9 @@ class HeavyPathIndex:
 class SpannerSystem:
     """Spanning trees and a (q, r) stretch for them (None: no claim yet).
 
-    certify_system and certify_min_stretch return a certified (q, r);
-    system_from_json returns a file's claim unchecked."""
+    certify_system returns a checked (q, r), and (q, 0) holds for the q that
+    measure_min_stretch returns; system_from_json returns a file's claim
+    unchecked."""
 
     __slots__ = ("trees", "q", "r")
 
@@ -326,11 +328,15 @@ def _best_tree_table(trees: tuple[SpanningTree, ...]) -> list:
     return best
 
 
-def _max_ratio(best, dm: DistanceMatrix) -> tuple[Fraction, tuple[int, int] | None]:
-    """The largest best/d_G over pairs x < y, at least 1, with the first pair
-    that attains it; ratios are compared by cross-multiplying."""
+def measure_min_stretch(
+    g: Graph, dm: DistanceMatrix, system: SpannerSystem
+) -> tuple[Fraction, tuple[int, int] | None]:
+    """Smallest q with (q, 0)-stretch, as an exact ratio, with the first pair
+    x < y that attains it (None: q is 1).  q is the largest best/d_G over
+    all pairs, at least 1, so the trees certify (q, 0) by construction.
+    Ratios are compared by cross-multiplying."""
     num, den, witness = 1, 1, None
-    for x, bx in enumerate(best):
+    for x, bx in enumerate(_best_tree_table(system.trees)):
         dx = dm.dist[x]
         for y in range(x + 1, len(bx)):
             b, d = bx[y], dx[y]
@@ -339,7 +345,9 @@ def _max_ratio(best, dm: DistanceMatrix) -> tuple[Fraction, tuple[int, int] | No
     return Fraction(num, den), witness
 
 
-def _certified(trees: tuple, best, dm: DistanceMatrix, q, r) -> SpannerSystem:
+def certify_system(
+    g: Graph, dm: DistanceMatrix, trees, q, r
+) -> SpannerSystem:
     """trees with their (q, r) claim if best <= q*d_G + r on every pair;
     otherwise StretchClaimRejected names the pair x < y of largest excess
     (the first one on ties).
@@ -347,11 +355,12 @@ def _certified(trees: tuple, best, dm: DistanceMatrix, q, r) -> SpannerSystem:
     With q = qn/qd and r = rn/rd the test is b·qd·rd <= qn·rd·d + rn·qd, so
     only a violating pair pays for its exact excess.
     """
+    trees = tuple(trees)
     q_num, q_den = q.numerator, q.denominator
     r_num, r_den = r.numerator, r.denominator
     scale, slope, offset = q_den * r_den, q_num * r_den, r_num * q_den
     worst = None
-    for x, bx in enumerate(best):
+    for x, bx in enumerate(_best_tree_table(trees)):
         dx = dm.dist[x]
         for y in range(x + 1, len(bx)):
             b, d = bx[y], dx[y]
@@ -363,29 +372,6 @@ def _certified(trees: tuple, best, dm: DistanceMatrix, q, r) -> SpannerSystem:
         excess, witness = worst
         raise StretchClaimRejected(witness, excess)
     return SpannerSystem(trees=trees, q=q, r=r)
-
-
-def measure_min_stretch(
-    g: Graph, dm: DistanceMatrix, system: SpannerSystem
-) -> tuple[Fraction, tuple[int, int] | None]:
-    """Smallest q with (q, 0)-stretch, as an exact ratio, with its witness."""
-    return _max_ratio(_best_tree_table(system.trees), dm)
-
-
-def certify_system(
-    g: Graph, dm: DistanceMatrix, trees, q, r
-) -> SpannerSystem:
-    """Bundle trees with a verified (q, r) certificate or raise."""
-    trees = tuple(trees)
-    return _certified(trees, _best_tree_table(trees), dm, q, r)
-
-
-def certify_min_stretch(dm: DistanceMatrix, trees) -> SpannerSystem:
-    """Certify trees at their smallest (q, 0)-stretch: q is the largest
-    best/d_G over all pairs, so every pair holds by construction."""
-    trees = tuple(trees)
-    q, _ = _max_ratio(_best_tree_table(trees), dm)
-    return SpannerSystem(trees=trees, q=q, r=0)
 
 
 def system_from_json(g: Graph, text: str) -> SpannerSystem:
@@ -434,10 +420,6 @@ def spanner_widths(mu: int, n_vertices: int) -> tuple[int, int]:
 def spanner_bit_budget(mu: int, n_vertices: int, k: int, n: int) -> int:
     w_mu, w_seg = spanner_widths(mu, n_vertices)
     return n * (2 * w_mu + 2 * w_seg) + k * (w_mu + w_seg)
-
-
-def _suffix_width(c: int) -> int:
-    return ceil_log2(c) if c > 1 else 0
 
 
 def _write_binding(
@@ -539,7 +521,7 @@ def generate_advice_spanner(
         _write_binding(tape, hps, w_mu, p, hps[p].lca(positions[sid], y), y)
         holders = [i for i, b in enumerate(bindings) if b == (p, head)]
         if len(holders) > 1:
-            tape.write_uint(holders.index(sid), _suffix_width(len(holders)))
+            tape.write_uint(holders.index(sid), ceil_log2(len(holders)))
         positions[sid] = y
         bind(sid, y, after[t], p, t)
     return tape
@@ -601,7 +583,7 @@ def run_online_spanner(
             )
         if len(candidates) > 1:
             ambiguous += 1
-            width = _suffix_width(len(candidates))
+            width = ceil_log2(len(candidates))
             suffix_bits += width
             pick = tape.read_uint(width)
             if pick >= len(candidates):

@@ -196,8 +196,9 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionCheck:
                 False, 1, v, f"vertex {v} not covered by any bag"
             )
     bag_sets = [set(b) for b in td.bags]
-    for u, v, _ in g.edges:  # every bag holding both is one that holds u
-        if not any(v in bag_sets[i] for i in holding[u]):
+    for u, v, _ in g.edges:  # a bag holding both is in either's bag list
+        a, b = (u, v) if len(holding[u]) <= len(holding[v]) else (v, u)
+        if not any(b in bag_sets[i] for i in holding[a]):
             return DecompositionCheck(
                 False, 2, (u, v), f"edge ({u}, {v}) inside no bag"
             )

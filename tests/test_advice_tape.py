@@ -108,6 +108,13 @@ def test_hex_bad_digits():
         AdviceTape.from_hex("zz", 4)
 
 
+def test_hex_odd_digit_count_loads():
+    # every digit is 4 bits, so an odd count is a whole dump
+    assert AdviceTape.from_hex("abc", 12).read_uint(12) == 0xABC
+    assert AdviceTape.from_hex("abc", 10).read_uint(10) == 0xABC >> 2
+    assert AdviceTape.from_hex("", 0).bits_written == 0
+
+
 @pytest.mark.parametrize("gap", [" ", "\n", "\t"], ids=["space", "newline", "tab"])
 def test_hex_whitespace_is_rejected(gap):
     # bytes.fromhex skips whitespace, which would load "ab cd" as 0xabc...

@@ -550,6 +550,27 @@ def test_bad_decomposition_file_is_one_line(tmp_path, capsys):
     assert msg == "parent: missing field\n"
 
 
+def test_disconnected_graph_file_is_one_line(tmp_path, capsys):
+    gp, tdp = tmp_path / "g.json", tmp_path / "td.json"
+    gp.write_text(json.dumps({"n": 5, "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1], [3, 4, 1]]}))
+    tdp.write_text(json.dumps(path_decomposition(5).to_json()))
+    msg = cli_input_error(capsys, "verify", "--graph", str(gp), "--td", str(tdp))
+    assert msg == "edges: vertex 3 not reachable from vertex 0\n"
+
+
+def test_verify_needs_a_spanner_claim(tmp_path, monkeypatch, capsys):
+    # as in run: a file with no (q, r) is a bad argument, found before any
+    # distance row is computed, not a check that failed
+    forbid_metric_and_opt(monkeypatch, "the spanner claim was looked for")
+    g = grid_graph(3, 3)
+    gp, sysp = tmp_path / "g.json", tmp_path / "s.json"
+    gp.write_text(graph_to_json(g))
+    tree = shortest_path_tree(g, 0)
+    sysp.write_text(json.dumps({"trees": [{"root": 0, "parent": tree.parent}]}))
+    msg = cli_input_error(capsys, "verify", "--graph", str(gp), "--spanners", str(sysp))
+    assert msg == "--spanners: spanner file carries no (q, r) claim\n"
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_bad_spanner_file_is_one_line(tmp_path, monkeypatch, capsys, command):
     # the file is parsed before any distance row or OPT is computed
@@ -924,7 +945,7 @@ def test_spanner_run_certifies_its_measured_stretch_in_one_pass(
     def no_claim_check(*_):
         raise AssertionError("a measured stretch was checked again")
 
-    monkeypatch.setattr(spanner_cover, "_certified", no_claim_check)
+    monkeypatch.setattr(spanner_cover, "certify_system", no_claim_check)
     assert run_cli(*args, "--out", str(patched)) == 0
     assert patched.read_bytes() == plain.read_bytes()
 

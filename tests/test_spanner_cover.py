@@ -22,7 +22,6 @@ from kslab.spanner_cover import (
     SpannerSystem,
     StretchClaimRejected,
     _best_tree_table,
-    certify_min_stretch,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,
@@ -193,7 +192,6 @@ def test_measure_and_verify_match_fraction_oracle():
             expected = _oracle_stretch_check(g, dm, trees, cq, cr)
             assert got == expected, (g, cq, cr)
             failing_with_r += not got[0] and cr != 0
-        assert certify_min_stretch(dm, trees).q == q
     assert failing_with_r > 0
 
 
@@ -494,6 +492,7 @@ def test_system_json_rejects_non_tree_edges():
         ({"trees": [{"parent": [None] * 9}]}, r"^trees\[0\]\.root: missing field"),
         ({"q": 1, "r": 0}, r"^trees: missing field"),
         ({"trees": {"root": 0}}, r"^trees: expected a list"),
+        ({"trees": []}, r"^trees: a spanner system needs at least one tree$"),
         ({"trees": [7]}, r"^trees\[0\]: expected a JSON object"),
         ({"trees": [{"root": 0, "parent": 3}]}, r"^trees\[0\]\.parent: expected a list"),
         ({"trees": [{"root": "0", "parent": [None] * 9}]}, r"^trees\[0\]: root '0' out of range"),
@@ -504,7 +503,7 @@ def test_system_json_rejects_non_tree_edges():
         ({"trees": [{"root": 0, "parent": [None, 2, 1, 0, 3, 4, 3, 6, 7]}]},
          r"^trees\[0\]: parent links contain a cycle$"),
     ],
-    ids=["parent", "root", "trees", "trees-type", "tree-type", "parent-type",
+    ids=["parent", "root", "trees", "trees-type", "trees-empty", "tree-type", "parent-type",
          "root-type", "top-level", "mu", "cycle"],
 )
 def test_system_json_errors_name_the_field(obj, where):

@@ -19,14 +19,15 @@ from kslab.instances import (
     random_partial_ktree,
     random_requests,
 )
-from kslab.metric_core import all_pairs_shortest_paths
+from kslab.metric_core import Graph, all_pairs_shortest_paths
 from kslab.offline_solver import opt_cost_dp
 from kslab.spanner_cover import (
     HeavyPathIndex,
     NoLabeledServerOnRootPath,
     RelayOffTreePath,
-    certify_min_stretch,
+    SpannerSystem,
     generate_advice_spanner,
+    measure_min_stretch,
     run_online_spanner,
     shortest_path_tree,
 )
@@ -65,7 +66,9 @@ def _gpc_case():
 def _spanner_case(g, roots, k, seed):
     rng = SplitMix64(seed)
     dm = all_pairs_shortest_paths(g)
-    system = certify_min_stretch(dm, [shortest_path_tree(g, r) for r in roots])
+    trees = tuple(shortest_path_tree(g, r) for r in roots)
+    q, _ = measure_min_stretch(g, dm, SpannerSystem(trees))
+    system = SpannerSystem(trees, q, 0)
     hp = [HeavyPathIndex(t) for t in system.trees]
     init = random_distinct_vertices(rng, k, g.n)
     sigma = random_requests(rng, 12, g.n)
@@ -79,6 +82,10 @@ GPC = _gpc_case()
 SPANNER_GRID = _spanner_case(grid_graph(4, 4), (0, 6, 15), 3, 1702)
 # one tree, so several servers share a binding and a suffix picks one
 SPANNER_PATH = _spanner_case(path_graph(9), (0,), 3, 1703)
+# a binary tree of 7 vertices: the root path of 6 crosses the heavy paths
+# of 0, 2 and 6, so a 2-bit segment field can name a fourth
+BINARY_TREE = Graph(7, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 1), (2, 6, 1)])
+SPANNER_TREE = _spanner_case(BINARY_TREE, (0,), 2, 1704)
 
 
 def _draw_corrupt(data, bits) -> AdviceTape:
@@ -121,12 +128,13 @@ def test_corrupt_spanner_tape_fails_typed_or_serves(spanner, data):
     [
         (SPANNER_GRID, 71, "request 11: label 3 but 3 trees"),
         (SPANNER_PATH, 0, "request 0: suffix 3 beyond the 3 label-0 servers"),
+        (SPANNER_TREE, 3, "request 2: segment 3 beyond root path of 6"),
     ],
-    ids=["label", "suffix"],
+    ids=["label", "suffix", "segment"],
 )
 def test_spanner_field_past_its_range_is_typed(spanner, flip, message):
-    # a 2-bit field can name a fourth tree of three, or a fourth server of
-    # three sharing a binding
+    # a 2-bit field can name a fourth tree of three, a fourth server of
+    # three sharing a binding, or a fourth heavy path of three
     args, _, bits = spanner
     with pytest.raises(NoLabeledServerOnRootPath, match=message):
         run_online_spanner(*args, _corrupt(bits, [flip], len(bits)))

@@ -165,6 +165,25 @@ def test_edge_coverage_matches_full_scan_on_corrupted_decompositions():
     assert axioms.count(3) >= 60
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 2**32),
+    st.integers(5, 60),
+    st.integers(1, 4),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_one_dropped_bag_vertex_matches_full_scan(seed, n, k, pick_bag, pick_vertex):
+    # the edge axiom scans the shorter of the two endpoints' bag lists; the
+    # verdict, witness and message are those of checking every bag
+    g, td = random_partial_ktree(SplitMix64(seed), n, k)
+    bags = [list(b) for b in td.bags]
+    bag = bags[pick_bag % len(bags)]
+    bag.remove(bag[pick_vertex % len(bag)])
+    td = TreeDecomposition(bags, td.parent, td.root)
+    assert verify_decomposition(g, td) == _full_scan_verify(g, td)
+
+
 def test_reduce_height_p64():
     td = path_decomposition(64)
     assert td.width == 1 and td.height == 62
@@ -626,6 +645,7 @@ def test_json_round_trip():
         ('{"bags": [[0], [1]], "parent": [null, "0"], "root": 0}', r"^parent\[1\]: '0' is not a bag id"),
         ('{"bags": [[0]], "parent": [null], "root": 3}', r"^root: 3 is not a bag id"),
         ('{"bags": [[0], [1]], "parent": [null, null], "root": 0}', r"^parent: bag 1 has invalid parent"),
+        ('{"bags": [[0], [1]], "parent": [1, null], "root": 0}', r"^parent: root must have parent None$"),
         ('{"bags": [[0], [1], [2]], "parent": [null, 2, 1], "root": 0}',
          r"^parent: parent links do not form a single rooted tree$"),
     ],

@@ -35,8 +35,8 @@ from kslab.spanner_cover import (
     RelayOffTreePath,
     SpannerSystem,
     UncertifiedLeg,
-    certify_min_stretch,
     generate_advice_spanner,
+    measure_min_stretch,
     run_online_spanner,
     shortest_path_tree,
 )
@@ -47,7 +47,8 @@ def _grid_system():
     g = grid_graph(4, 4)
     dm = all_pairs_shortest_paths(g)
     trees = (shortest_path_tree(g, 0), shortest_path_tree(g, 15))
-    return g, dm, certify_min_stretch(dm, trees)
+    q, _ = measure_min_stretch(g, dm, SpannerSystem(trees))
+    return g, dm, SpannerSystem(trees, q, 0)
 
 
 def _end_last_move_elsewhere(opt: Schedule, n_vertices: int) -> Schedule:
