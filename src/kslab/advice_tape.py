@@ -8,13 +8,15 @@ writes nothing (used when a parameter makes the choice unique).
 The tape is one buffer of ASCII binary digits: a write appends `width`
 digits, and a read is one `int(digits, 2)` of a slice of it.  A write of
 at most 8 bits appends a cached encoded record; each width's records are
-built on its first use.  `read_uints` reads a block of equal-width records
-with one bounds check and one slice.  The hex dump and its load each
+built on its first use.  `uints` iterates over equal-width records: it
+decodes every whole record the tape holds from one slice, and moves the
+cursor one record per item it yields.  The hex dump and its load each
 convert the whole buffer in one pass, in time linear in its bit length.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 
 _NOT_HEX = re.compile(r"[^0-9a-fA-F]")
@@ -83,27 +85,24 @@ class AdviceTape:
         self.bits_read = end
         return int(self._digits[start:end], 2)
 
-    def read_uints(self, count: int, width: int) -> list[int]:
-        """Consume `count` records of `width` bits at the cursor in one
-        block; a tape too short for all of them raises and consumes none."""
-        if width < 0 or count < 0:
-            raise ValueError("count and width must be nonnegative")
-        start = self.bits_read
-        end = start + count * width
-        if end > self.bits_written:
-            raise TapeExhausted(
-                f"read of {count} x {width} bits at cursor {start} "
-                f"exceeds {self.bits_written} written bits"
-            )
-        self.bits_read = end
-        if not width:
-            return [0] * count
-        block = self._digits[start:end].decode()
-        starts = range(0, end - start, width)
-        if 1 << width <= count:  # fewer dict entries than int() calls
-            decode = {format(v, f"0{width}b"): v for v in range(1 << width)}
-            return [decode[block[i:i + width]] for i in starts]
-        return [int(block[i:i + width], 2) for i in starts]
+    def uints(self, width: int) -> Iterator[int]:
+        """Yield `width`-bit records from the cursor on, moving it one record
+        per item while no other read moves it.  Every whole record the tape
+        holds is decoded in one block; past them each record is read alone,
+        so a short tape raises TapeExhausted at its first missing record."""
+        if width > 0:
+            block = self._digits[self.bits_read:].decode()
+            starts = range(0, len(block) - width + 1, width)
+            if 1 << width <= len(starts):  # fewer dict entries than int() calls
+                decode = {format(v, f"0{width}b"): v for v in range(1 << width)}
+                values = [decode[block[i:i + width]] for i in starts]
+            else:
+                values = [int(block[i:i + width], 2) for i in starts]
+            for value in values:
+                self.bits_read += width
+                yield value
+        while True:
+            yield self.read_uint(width)
 
     def rewind(self) -> None:
         self.bits_read = 0

@@ -219,6 +219,8 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         gamma, m, rounds = args.gamma, args.modules, args.rounds
         _at_least("--modules", m, 1)
         _at_least("--gamma", gamma, 2)
+        if gamma > GAMMA_MAX:
+            raise BadFlag("--gamma", f"must be at most {GAMMA_MAX}, got {gamma}")
         _at_least("--rounds", rounds, 0)
 
         def shuffled():
@@ -521,6 +523,8 @@ def _bound_arg(flag: str, tok: str):
 
 # log2(gamma!) is a sum of gamma = alpha/2 logs; this keeps a row near 1 s
 ALPHA_MAX = 2 * 10**7
+# a module has 2(gamma + 2^gamma - 1) vertices: 131,102 at gamma = 16
+GAMMA_MAX = 16
 
 
 def cmd_bounds(args) -> int:

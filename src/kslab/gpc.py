@@ -15,17 +15,16 @@ ceil(log2(width+1)), and a record is one uint of w_h + w_b bits holding
 depth << w_b | index: bit for bit the depth field followed by the index
 field.  A tape holds k initial records plus two records per request, in
 server-id order and request order.  The oracle computes each distinct
-leg's relay once.  The online side reads every record in one block and
-still raises each record's error in record order.  It walks each
-reference vertex's root path once, the first time that vertex is a
-reference, and keeps the path's bags, so a record resolves by two list
-indexes; the typed errors are built only when a record fails.
+leg's relay once.  The online side takes sigma one request at a time and
+reads the tape through `AdviceTape.uints`, so `bits_read` counts the
+records consumed and each record's error is raised in record order.  It
+walks each reference vertex's root path once, the first time that vertex
+is a reference, and keeps the path's bags, so a record resolves by two
+list indexes; the typed errors are built only when a record fails.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 from .advice_tape import AdviceTape
@@ -162,8 +161,10 @@ def run_online(
 ) -> GpcRun:
     """Serve sigma by reading the tape; cost equals the offline optimum.
 
-    A record's reference vertex is the server's own for an initial record
-    and the request for the other two."""
+    sigma is taken one request at a time, so any iterable serves, and the
+    tape is read only as far as the requests served so far.  A record's
+    reference vertex is the server's own for an initial record and the
+    request for the other two."""
     w_h, w_b = address_widths(td)
     width, mask = w_h + w_b, (1 << w_b) - 1
     bags = td.bags
@@ -173,17 +174,7 @@ def run_online(
         refs[v] = found = ([bags[b] for b in _root_path(td, v)], dm.dist[v])
         return found
 
-    k, n = len(init), len(sigma)
-    # Every whole record the tape holds, up to the k + 2n a run reads, in
-    # one block.  Past them each record is read alone, so a short tape
-    # raises TapeExhausted at its first missing record, after any earlier
-    # record's own error.
-    whole = k + 2 * n
-    if width:
-        whole = min(whole, (tape.bits_written - tape.bits_read) // width)
-    read = chain(
-        tape.read_uints(whole, width), iter(partial(tape.read_uint, width), None)
-    ).__next__
+    read = tape.uints(width).__next__
     positions = list(init)
     cost = 0
     # Initial parking moves, in server-id order.  A record outside the
@@ -224,5 +215,5 @@ def run_online(
         online_cost=cost,
         bits_read=tape.bits_read,
         log=log,
-        bit_budget=gpc_bit_budget(td, k, n),
+        bit_budget=gpc_bit_budget(td, len(init), len(log)),
     )

@@ -557,6 +557,9 @@ def run_online_spanner(
 ) -> SpannerRun:
     """Serve sigma with labeled servers moving along the advised trees.
 
+    sigma is taken one request at a time, so any iterable serves, and the
+    tape is read only as far as the requests served so far.
+
     A server is retrieved only through the tree its label names.  The
     decoded heavy path selects the servers bound to it; when several are
     bound, a suffix names the intended one.  The binding's relay vertex is
@@ -619,7 +622,7 @@ def run_online_spanner(
         bits_read=tape.bits_read,
         log=log,
         labels=[b[0] for b in bindings],
-        bit_budget=spanner_bit_budget(system.mu, g.n, k, len(sigma)),
+        bit_budget=spanner_bit_budget(system.mu, g.n, k, len(log)),
         ambiguous_retrievals=ambiguous,
         suffix_bits=suffix_bits,
     )

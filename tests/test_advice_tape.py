@@ -207,7 +207,7 @@ def _written(values: list[int], width: int) -> AdviceTape:
 
 
 # every width up to 12, with counts on both sides of 2^width, where the
-# block read switches between its table and int() per record
+# block decode switches between its table and int() per record
 @pytest.mark.parametrize("width", range(13))
 def test_read_uints_round_trip(width):
     rng = random.Random(width)
@@ -217,27 +217,43 @@ def test_read_uints_round_trip(width):
         hexstr, nbits = written.to_hex()
         for t in (written, AdviceTape.from_hex(hexstr, nbits)):
             t.read_uint(width)  # the block starts at the cursor
-            assert t.read_uints(count, width) == values
-            assert t.bits_read == t.bits_written == (count + 1) * width
+            records = t.uints(width)
+            for end, value in enumerate(values, 2):
+                assert next(records) == value
+                assert t.bits_read == end * width  # one record per item
+            assert t.bits_read == t.bits_written
+            if width:
+                with pytest.raises(TapeExhausted):
+                    next(records)
+                assert t.bits_read == t.bits_written
 
 
 def test_read_uints_of_no_records():
-    t = _written([5], 3)
-    assert t.read_uints(0, 3) == [] and t.bits_read == 0
-    assert t.read_uints(0, 0) == [] and t.bits_read == 0
+    # the iterator reads nothing before its first record is asked for
+    t = _written([5, 2], 3)
+    records = t.uints(3)
+    assert t.bits_read == 0
+    assert next(records) == 5 and t.bits_read == 3
+    assert next(records) == 2 and t.bits_read == 6
+    with pytest.raises(TapeExhausted):
+        next(t.uints(3))
+    assert t.bits_read == 6
 
 
 def test_read_uints_width_zero():
     t = _written([5], 3)
-    assert t.read_uints(4, 0) == [0, 0, 0, 0] and t.bits_read == 0
-    assert AdviceTape().read_uints(2, 0) == [0, 0]
+    records = t.uints(0)
+    assert [next(records) for _ in range(4)] == [0, 0, 0, 0] and t.bits_read == 0
+    assert next(AdviceTape().uints(0)) == 0
 
 
 def test_read_uints_past_end_consumes_nothing():
     t = _written([1, 2, 3], 2)
+    t.write_uint(1, 1)  # a record cut one bit short
     t.read_uint(2)
+    records = t.uints(2)
+    assert [next(records), next(records)] == [2, 3] and t.bits_read == 6
     with pytest.raises(TapeExhausted) as err:
-        t.read_uints(3, 2)
-    assert str(err.value) == "read of 3 x 2 bits at cursor 2 exceeds 6 written bits"
-    assert t.bits_read == 2
-    assert t.read_uints(2, 2) == [2, 3] and t.bits_read == 6
+        next(records)
+    assert str(err.value) == "read of 2 bits at cursor 6 exceeds 7 written bits"
+    assert t.bits_read == 6

@@ -675,6 +675,7 @@ BAD_RUN_ARGS = [
     (["--family", "path-rounds", "--bits", "1x0"],
      "--bits: round types must be a nonempty 0/1 string, got '1x0'"),
     (["--family", "module", "--gamma", "0"], "--gamma: must be at least 2, got 0"),
+    (["--family", "gb", "--gamma", "17"], "--gamma: must be at most 16, got 17"),
     (["--family", "module", "--rounds", "-1"], "--rounds: must be at least 0, got -1"),
     (["--family", "gb", "--modules", "0"], "--modules: must be at least 1, got 0"),
     (["--algo", "opt"], "--family: pass --family or --graph"),

@@ -1,6 +1,6 @@
 import pytest
 
-from kslab import gpc
+from kslab import cli, gpc
 from kslab.adversary import (
     PATH_ROUND_INIT,
     module_graph,
@@ -34,6 +34,12 @@ from kslab.offline_solver import (
     opt_cost_dp,
     serve_order,
     validate_lazy_schedule,
+)
+from kslab.spanner_cover import (
+    SpannerSystem,
+    generate_advice_spanner,
+    measure_min_stretch,
+    run_online_spanner,
 )
 from kslab.tree_decomp import TreeDecomposition, reduce_height
 
@@ -227,12 +233,12 @@ WORK_CASES = pytest.mark.parametrize(
 @WORK_CASES
 def test_one_tape_record_per_address(case, monkeypatch):
     # each (depth, index) address is one write of w_h + w_b bits, and a
-    # whole tape is read back in one block of all its records
+    # whole tape is read back through one record iterator
     g, td, init, sigma = case()
     dm = all_pairs_shortest_paths(g)
     red = reduce_height(td, g.n)
     cost, sched = opt_cost_dp(g, init, sigma, dm)
-    calls = {"write_uint": [], "read_uint": [], "read_uints": []}
+    calls = {"write_uint": [], "read_uint": [], "uints": []}
     for name in calls:
 
         def recording(self, *args, _name=name, _real=getattr(AdviceTape, name)):
@@ -246,7 +252,7 @@ def test_one_tape_record_per_address(case, monkeypatch):
     records = 2 * len(sigma) + len(init)
     w_h, w_b = address_widths(red)
     assert len(calls["write_uint"]) == records
-    assert calls["read_uints"] == [(records, w_h + w_b)]
+    assert calls["uints"] == [(w_h + w_b,)]
     assert calls["read_uint"] == []
     assert run.online_cost == cost
     assert run.bits_read == tape.bits_written == records * (w_h + w_b)
@@ -325,3 +331,62 @@ def test_relay_search_runs_once_per_distinct_leg(case, monkeypatch):
     distinct = {(x, y) for x, y in legs if x != y}
     assert len(distinct) < len(legs)  # some leg repeats
     assert sorted(searched) == sorted(distinct)
+
+
+# (algorithm, `kslab run` flags) of small instances: gpc on three families,
+# the spanner run on two
+ONLINE_SPECS = [
+    ("gpc", ["--family", "path-rounds", "--size", "5", "--n", "21"]),
+    ("gpc", ["--family", "random-ktree", "--size", "20", "--k", "3", "--n", "12"]),
+    ("gpc", ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "2"]),
+    ("spanner", ["--family", "grid", "--size", "4", "--k", "2", "--n", "12"]),
+    ("spanner", ["--family", "random-ktree", "--size", "20", "--k", "3", "--n", "12"]),
+]
+
+
+@pytest.mark.parametrize(
+    "algo,flags", ONLINE_SPECS, ids=lambda x: x if isinstance(x, str) else x[1]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_advice_is_consumed_in_request_order(algo, flags, seed):
+    # sigma is handed out one request at a time, and before request t a run
+    # has read exactly the advice that a run on sigma[:t] reads
+    argv = ["run", *flags, "--algo", algo, "--seed", str(seed)]
+    inst = cli._build_instance(cli.make_parser().parse_args(argv))
+    g, init, sigma = inst[:3]
+    dm = all_pairs_shortest_paths(g)
+    _, sched = opt_cost_dp(g, init, sigma, dm)
+    if algo == "gpc":
+        red = reduce_height(inst.td, g.n)
+        tape = generate_advice(g, dm, red, init, sigma, sched)
+
+        def run(requests):
+            return run_online(g, dm, red, init, requests, tape)
+
+    else:
+        q, _ = measure_min_stretch(g, dm, inst.spanners)
+        system = SpannerSystem(inst.spanners.trees, q, 0)
+        tape = generate_advice_spanner(g, dm, system, init, sigma, sched)
+        paths = [t.paths for t in system.trees]
+
+        def run(requests):
+            return run_online_spanner(g, system, paths, init, requests, tape)
+
+    read_before = []
+
+    def handed_out():
+        for y in sigma:
+            read_before.append(tape.bits_read)
+            yield y
+
+    tape.rewind()
+    served = run(handed_out())
+    assert len(read_before) == len(sigma) > 0
+    for t, bits in enumerate(read_before):
+        tape.rewind()
+        assert run(sigma[:t]).bits_read == bits
+    tape.rewind()
+    assert run(sigma) == served
+    if algo == "gpc":
+        w = sum(address_widths(red))
+        assert read_before == [(len(init) + 2 * t) * w for t in range(len(sigma))]
