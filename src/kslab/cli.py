@@ -114,18 +114,41 @@ def _info(msg: str, *args) -> None:
         logging.getLogger("kslab").info(msg, *args)
 
 
-def _canonical(obj) -> str:
+class _Json(str):
+    """Text already spelled as canonical JSON, which _canonical splices in
+    as it stands."""
+
+
+_encode = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    default=num_to_json,
+    check_circular=False,
+).encode
+
+
+def _spell(obj) -> _Json:
     """obj as sorted, whitespace-free JSON, each Fraction spelled by
-    num_to_json.  obj is a tree built fresh for the output, so the encoder
-    skips its check for cycles."""
-    text = json.dumps(
-        obj,
-        sort_keys=True,
-        separators=(",", ":"),
-        default=num_to_json,
-        check_circular=False,
-    )
-    return text + "\n"
+    num_to_json.  A str-keyed dict is spelled key by key, so a _Json value
+    at any depth of dicts is spliced in unchanged; every other value goes
+    through the one encoder.  obj is a tree built fresh for the output, so
+    the encoder skips its check for cycles."""
+    if type(obj) is _Json:
+        return obj
+    if type(obj) is dict:
+        items = ",".join(f"{_encode(k)}:{_spell(v)}" for k, v in sorted(obj.items()))
+        return _Json("{" + items + "}")
+    return _Json(_encode(obj))
+
+
+def _canonical(obj) -> str:
+    """obj spelled by _spell, as a line."""
+    return _spell(obj) + "\n"
+
+
+def _array(items) -> _Json:
+    """Canonical JSON texts joined into one JSON array."""
+    return _Json("[" + ",".join(items) + "]")
 
 
 def _digest(text: str) -> str:
@@ -298,10 +321,11 @@ def _opt(g, init, sigma, dm):
 
 
 def _step_opt(inst: Instance, dm, opt: Schedule):
-    moves = [
-        {"t": t, "server": server, "from": src, "to": dst, "cost": cost}
+    moves = _array(
+        f'{{"cost":{cost if type(cost) is int else _encode(cost)},"from":{src},'
+        f'"server":{server},"t":{t},"to":{dst}}}'
         for t, server, src, dst, cost in opt.moves
-    ]
+    )
     schedule = {"total_cost": opt.total_cost, "moves": moves}
     return opt.total_cost, True, {"schedule": schedule}, None, None
 
@@ -342,17 +366,11 @@ def _step_gpc(inst: Instance, dm, opt: Schedule):
         "reduced_width": red.width,
         "reduced_height": red.height,
         "bit_budget_nominal": gpc_bit_budget_nominal(red, len(init), len(sigma)),
-        "moves": [
-            {
-                "t": t,
-                "request": request,
-                "server": server,
-                "from": src,
-                "parked_at": parked_at,
-                "cost": str(cost),
-            }
+        "moves": _array(
+            f'{{"cost":"{cost!s}","from":{src},"parked_at":{parked_at},'
+            f'"request":{request},"server":{server},"t":{t}}}'
             for t, request, server, src, parked_at, cost, _ in run.log
-        ],
+        ),
     }
     return run.online_cost, run.online_cost == opt.total_cost, extra, run, tape
 
@@ -383,18 +401,11 @@ def _step_spanner(inst: Instance, dm, opt: Schedule):
     paths = [t.paths for t in system.trees]
     run = run_online_spanner(g, system, paths, init, sigma, tape)
     extra.update(suffix_bits=run.suffix_bits, labels=run.labels)
-    extra["moves"] = [
-        {
-            "t": t,
-            "request": request,
-            "server": server,
-            "tree": tree,
-            "from": src,
-            "relay": relay,
-            "cost": str(cost),
-        }
+    extra["moves"] = _array(
+        f'{{"cost":"{cost!s}","from":{src},"relay":{relay},"request":{request},'
+        f'"server":{server},"t":{t},"tree":{tree}}}'
         for t, request, server, tree, src, relay, cost in run.log
-    ]
+    )
     ok = run.cost <= (system.q + system.r) * opt.total_cost
     return run.cost, ok, extra, run, tape
 
@@ -402,10 +413,12 @@ def _step_spanner(inst: Instance, dm, opt: Schedule):
 # Each algorithm step reads only the instance, its metric and OPT's
 # schedule, serves the instance and returns (online cost, its own
 # pass condition, report extras, the tape run or None, the tape or None); a
-# tape run also has to stay within its bit budget.  The steps spell their
-# own move lists into the extras.  Format version 1 writes every exact
-# number as num_to_json spells it (through _canonical), with one exception:
-# a gpc or spanner move's cost is str(cost), so an integral one is "5".
+# tape run also has to stay within its bit budget.  Each step writes its
+# move list into the extras as one _Json text, spelled straight from its
+# log by one template with the keys in sorted order, ints bare.  Format
+# version 1 writes every exact number as num_to_json spells it, with one
+# exception: a gpc or spanner move's cost is str(cost), so an integral one
+# is "5".
 ALGOS = {
     "opt": _step_opt,
     "gpc": _step_gpc,
@@ -433,8 +446,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "bit_budget": run.bit_budget if run else None,
         "pass": ok,
     }
-    # Spelling the report is a run's memory peak, so OPT's schedule, the
-    # replay's log, the tape and the metric are let go first.
+    # A run's memory peak is in its step, which holds the log and the move
+    # text at once; OPT's schedule, the replay's log, the tape and the
+    # metric are let go before the report around that text is spelled.
     del dm, opt, run, tape
 
     instance_doc = {
@@ -446,11 +460,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         "init_config": list(init),
         "sequence": sigma,
     }
+    instance_json = _spell(instance_doc)
     if args.dump_instance:
         with open(args.dump_instance + ".graph.json", "w") as fh:
             fh.write(graph_to_json(g) + "\n")
         with open(args.dump_instance + ".instance.json", "w") as fh:
-            fh.write(_canonical(instance_doc))
+            fh.write(instance_json + "\n")
     report = {
         "format_version": FORMAT_VERSION,
         # the output paths are not part of the experiment identity
@@ -459,10 +474,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             for k, v in vars(args).items()
             if v is not None and k not in ("out", "dump_instance")
         },
-        "instance": instance_doc,
+        "instance": instance_json,
         "digests": {
             "graph": _digest(graph_to_json(g)),
-            "instance": _digest(_canonical(instance_doc)),
+            "instance": _digest(instance_json + "\n"),
             "td": _digest(_canonical(td.to_json())) if td is not None else None,
             "tape": tape_dump[0] if tape_dump else None,
         },
@@ -470,7 +485,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "results": results,
         "extra": extra,
     }
-    _emit(args, report)
+    _emit(args, report, instance_doc)
     return 0 if ok else 1
 
 
@@ -480,10 +495,9 @@ def _ratio(online, opt):
     return Fraction(online, opt)
 
 
-def _emit(args: argparse.Namespace, report: dict) -> None:
+def _emit(args: argparse.Namespace, report: dict, inst: dict) -> None:
     if args.format == "csv":
         res = report["results"]
-        inst = report["instance"]
         row = {
             "instance_id": report["digests"]["instance"],
             "N": inst["N"],
@@ -564,8 +578,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the flags are checked before any file is read, as `run` does
     if args.td and args.spanners:
         raise BadFlag("--td/--spanners", "pass only one of them")
+    if not (args.td or args.spanners):
+        raise BadFlag("--td/--spanners", "pass one of them")
     g = graph_from_json(_read(args.graph))
     if args.td:
         td = TreeDecomposition.from_json(_read(args.td))
@@ -575,21 +592,19 @@ def cmd_verify(args) -> int:
             return 0
         print(f"fail: axiom {check.axiom}, witness {check.witness}: {check.message}")
         return 1
-    if args.spanners:
-        from . import spanner_cover
+    from . import spanner_cover
 
-        system = spanner_cover.system_from_json(g, _read(args.spanners))
-        if system.q is None:
-            raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
-        dm = all_pairs_shortest_paths(g)
-        try:
-            spanner_cover.certify_system(g, dm, system.trees, system.q, system.r)
-        except spanner_cover.StretchClaimRejected as exc:
-            print(f"fail: {exc}")
-            return 1
-        print(f"pass: ({system.q}, {system.r})-stretch verified, mu={system.mu}")
-        return 0
-    raise BadFlag("--td/--spanners", "pass one of them")
+    system = spanner_cover.system_from_json(g, _read(args.spanners))
+    if system.q is None:
+        raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
+    dm = all_pairs_shortest_paths(g)
+    try:
+        spanner_cover.certify_system(g, dm, system.trees, system.q, system.r)
+    except spanner_cover.StretchClaimRejected as exc:
+        print(f"fail: {exc}")
+        return 1
+    print(f"pass: ({system.q}, {system.r})-stretch verified, mu={system.mu}")
+    return 0
 
 
 # Built on first use and kept: argparse's parser holds reference cycles, so

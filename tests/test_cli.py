@@ -771,6 +771,16 @@ def test_verify_without_a_structure_is_one_line(tmp_path, capsys):
     assert msg == "--td/--spanners: pass one of them\n"
 
 
+@pytest.mark.parametrize("graph", ["missing", "malformed"])
+def test_verify_checks_its_flags_before_reading_the_graph(tmp_path, capsys, graph):
+    # a missing --td/--spanners is reported, not the graph file's own fault
+    gp = tmp_path / "g.json"
+    if graph == "malformed":
+        gp.write_text("{")
+    msg = cli_input_error(capsys, "verify", "--graph", str(gp))
+    assert msg == "--td/--spanners: pass one of them\n"
+
+
 def test_verify_with_both_structures_is_one_line(tmp_path, capsys):
     # checking either one alone would leave the other file unchecked
     g = path_graph(3)
@@ -907,6 +917,70 @@ def test_spanner_file_run_report_is_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256(Path("r.json").read_bytes()).hexdigest() == (
         "722647bd5dc6c43854b9786ec7f2dc2b59fa49b1ebb9ef8cbfe66d2ee6b32e2e"
     )
+
+
+def _dict_per_move(algo, opt, run) -> list:
+    """A step's move list as dicts, one per move, the spelling the step's
+    template stands for."""
+    if algo == "opt":
+        return [
+            {"t": t, "server": server, "from": src, "to": dst, "cost": cost}
+            for t, server, src, dst, cost in opt.moves
+        ]
+    if algo == "gpc":
+        return [
+            {"t": t, "request": request, "server": server, "from": src,
+             "parked_at": parked_at, "cost": str(cost)}
+            for t, request, server, src, parked_at, cost, _ in run.log
+        ]
+    return [
+        {"t": t, "request": request, "server": server, "tree": tree,
+         "from": src, "relay": relay, "cost": str(cost)}
+        for t, request, server, tree, src, relay, cost in run.log
+    ]
+
+
+UNIT_FAMILY = ["--family", "module", "--gamma", "3", "--rounds", "2"]
+THIRDS_GRAPH = ["--graph", "g.json", "--k", "3", "--n", "30", "--seed", "2"]
+SPELLING_RUNS = [
+    *(UNIT_FAMILY + ["--algo", algo] for algo in cli.ALGOS),
+    THIRDS_GRAPH + ["--algo", "opt"],
+    THIRDS_GRAPH + ["--algo", "gpc", "--td", "td.json"],
+    THIRDS_GRAPH + ["--algo", "spanner"],
+]
+
+
+@pytest.mark.parametrize("argv", SPELLING_RUNS, ids=" ".join)
+def test_report_is_the_sorted_key_encoding_of_a_dict_per_move(
+    argv, tmp_path, monkeypatch
+):
+    # the report spliced around the steps' move texts has the bytes of one
+    # sorted-key json.dumps of the whole report with a dict per move
+    monkeypatch.chdir(tmp_path)
+    _write_thirds_graph()
+    _, td = random_partial_ktree(SplitMix64(86), 40, 3)
+    Path("td.json").write_text(json.dumps(td.to_json()))
+    algo = argv[argv.index("--algo") + 1]
+    step, seen = cli.ALGOS[algo], {}
+
+    def recording(inst, dm, opt):
+        out = step(inst, dm, opt)
+        seen.update(opt=opt, run=out[3])
+        return out
+
+    monkeypatch.setitem(cli.ALGOS, algo, recording)
+    assert run_cli("run", *argv, "--out", "r.json") == 0
+    text = Path("r.json").read_text()
+    report = json.loads(text)
+    extra = report["extra"]
+    if algo in ("opt", "gpc", "spanner"):
+        moves = _dict_per_move(algo, seen["opt"], seen["run"])
+        assert moves
+        (extra["schedule"] if algo == "opt" else extra)["moves"] = moves
+    old = json.dumps(
+        report, sort_keys=True, separators=(",", ":"), default=num_to_json
+    )
+    assert text == old + "\n"
 
 
 def test_spanner_run_builds_each_heavy_path_index_once(tmp_path, monkeypatch):

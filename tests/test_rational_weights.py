@@ -167,16 +167,25 @@ def test_spanner_mu3_on_rational_weights():
 
 
 def test_run_moves_are_already_jsonable():
-    # the gpc and spanner steps of `kslab run` spell their move lists as
-    # plain JSON values that read back unchanged, with no Fraction for the
-    # encoder to spell; the spanner trees are those `kslab run --seed 3` roots
-    for algo in ("gpc", "spanner"):
-        moves = []
+    # the opt, gpc and spanner steps of `kslab run` spell their move lists
+    # as JSON text that reads back as plain values and spells back
+    # unchanged; opt's costs are num_to_json's (integral ones are ints),
+    # gpc's and spanner's are str(cost).  The spanner trees are those
+    # `kslab run --seed 3` roots.
+    for algo in ("opt", "gpc", "spanner"):
+        costs = []
         for g, td, dm, init, sigma, _, opt_s in _rational_ktrees():
             roots = random_distinct_vertices(SplitMix64(3 ^ 0xB0F5), 2, g.n)
             system = SpannerSystem(tuple(shortest_path_tree(g, r) for r in roots))
             inst = Instance(g, tuple(init), sigma, td, {}, system)
-            moves += ALGOS[algo](inst, dm, opt_s)[2]["moves"]
-        for move in moves:
-            assert json.loads(_canonical(move)) == move
-        assert any("/" in m["cost"] for m in moves)  # Fraction costs occur
+            extra = ALGOS[algo](inst, dm, opt_s)[2]
+            text = (extra["schedule"] if algo == "opt" else extra)["moves"]
+            moves = json.loads(text)
+            assert _canonical(moves) == text + "\n"
+            costs += [m["cost"] for m in moves]
+        assert any("/" in c for c in costs if isinstance(c, str))  # Fractions occur
+        if algo == "opt":
+            assert any(type(c) is int for c in costs)
+            assert all(type(c) is int or "/" in c for c in costs)
+        else:
+            assert all(isinstance(c, str) for c in costs)
