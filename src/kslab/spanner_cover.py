@@ -2,16 +2,21 @@
 
 Every leg x -> y of an optimal server trajectory is rerouted through a
 spanning tree certified to preserve d_G(x, y), so each leg costs at most
-q * d_G + r <= (q + r) * d_G once edge weights are at least 1, and the
-whole run costs at most (q + r) times the offline optimum.
+q * d_G + r <= (q + r) * d_G once edge weights are at least 1 and
+r >= 0 (a leg that stays put costs 0), and the whole run costs at most
+(q + r) times the offline optimum.
 
 Addressing uses heavy-path decomposition: any root-to-vertex path crosses
-at most ceil(log2 N) heavy paths, so naming the heavy path of a leg's
-tree LCA takes ceil(log2 ceil(log2 N)) bits, and that ordinal is the same
-along the root paths of both leg endpoints.  Between serves a server is
-bound to (tree label, heavy-path head); the vertex the binding stands for
-is the exit of the upcoming request's root path from that heavy path,
-which lies on the leg's tree path, so no relay detour ever costs extra.
+at most ceil(log2 N) heavy paths, and all vertices of one heavy path share
+its ordinal seg_ordinal along those paths.  Between serves a server is
+bound to (tree label, head of the heavy path of its leg's tree LCA).  A
+record read at vertex v holds the label and seg_ordinal[head], in the
+ceil_log2(seg_ordinal[v] + 1) <= ceil(log2 ceil(log2 N)) bits that v's
+root path needs; the LCA lies on the root paths of both leg endpoints, so
+both of the leg's records can name it.  The reader climbs from v by
+parent[head] to the named ordinal, reaching the head and the exit of v's
+root path from that heavy path; the exit lies on the leg's tree path, so
+no relay detour ever costs extra.
 
 Two servers can end up bound to the same (tree, heavy path); a label
 alone cannot split them, and guessing wrecks the cost guarantee (on a
@@ -210,22 +215,6 @@ class HeavyPathIndex:
             - 2 * self.weighted_depth[a]
         )
 
-    def segments_on_root_path(self, v: int) -> list[tuple[int, int]]:
-        """(head, exit) per heavy path crossed by root -> v, root first.
-
-        The exit is the deepest path vertex inside that heavy path.
-        """
-        segs = []
-        u = v
-        while True:
-            segs.append((self.head[u], u))
-            p = self.parent[self.head[u]]
-            if p is None:
-                break
-            u = p
-        segs.reverse()
-        return segs
-
 
 # ---------------------------------------------------------------------------
 # Spanner systems and stretch verification.
@@ -377,9 +366,9 @@ def certify_system(
 def system_from_json(g: Graph, text: str) -> SpannerSystem:
     """Parse a spanner system of g and the (q, r) claim it carries, if any.
 
-    The claim is returned unchecked: certify_system checks it against g's
-    metric.  Malformed JSON or a bad tree raises GraphFormatError naming the
-    field, as in "trees[0].parent".
+    The claim is returned unchecked but for r >= 0: certify_system checks it
+    against g's metric.  Malformed JSON, a bad tree or r < 0 raises
+    GraphFormatError naming the field, as in "trees[0].parent".
     """
     obj = parse_json(text)
     raw = json_field(obj, "trees")
@@ -404,6 +393,8 @@ def system_from_json(g: Graph, text: str) -> SpannerSystem:
     if obj.get("q") is None or obj.get("r") is None:
         return SpannerSystem(trees=tuple(trees))
     q, r = num_from_json(obj["q"], "q"), num_from_json(obj["r"], "r")
+    if r < 0:
+        raise GraphFormatError("r", f"must be at least 0, got {r}")
     return SpannerSystem(trees=tuple(trees), q=q, r=r)
 
 
@@ -423,13 +414,14 @@ def spanner_bit_budget(mu: int, n_vertices: int, k: int, n: int) -> int:
 
 
 def _write_binding(
-    tape: AdviceTape, hps: list, w_mu: int, p: int, v: int, ref: int
+    tape: AdviceTape, hps: list, w_mu: int, p: int, head: int, ref: int
 ) -> None:
-    """Record tree p and the ordinal of v's heavy path on ref's root path,
-    in the bits that path's seg_ordinal[ref]+1 heavy paths need."""
+    """Record tree p and the ordinal of head's heavy path, which lies on
+    ref's root path, in the bits that path's seg_ordinal[ref]+1 heavy paths
+    need."""
     hp = hps[p]
     tape.write_uint(p, w_mu)
-    tape.write_uint(hp.seg_ordinal[v], ceil_log2(hp.seg_ordinal[ref] + 1))
+    tape.write_uint(hp.seg_ordinal[head], ceil_log2(hp.seg_ordinal[ref] + 1))
 
 
 def _read_binding(
@@ -440,13 +432,17 @@ def _read_binding(
     p = tape.read_uint(w_mu)
     if p >= len(hps):
         raise NoLabeledServerOnRootPath(f"{where}: label {p} but {len(hps)} trees")
-    segs = hps[p].segments_on_root_path(v)
-    s = tape.read_uint(ceil_log2(len(segs)))
-    if s >= len(segs):
+    hp = hps[p]
+    s = tape.read_uint(ceil_log2(hp.seg_ordinal[v] + 1))
+    if s > hp.seg_ordinal[v]:
         raise NoLabeledServerOnRootPath(
             f"{where}: segment {s} beyond root path of {v}"
         )
-    return (p, *segs[s])
+    # climb to the named heavy path; the exit is where the climb enters it
+    u = v
+    while hp.seg_ordinal[u] > s:
+        u = hp.parent[hp.head[u]]
+    return p, hp.head[u], u
 
 
 def _pick_leg_tree(
@@ -505,24 +501,22 @@ def generate_advice_spanner(
         write the record; with no leg (u None) it stays on tree p's heavy
         path through x.  t is the request whose record this is."""
         if u is None:
-            head, v = hps[p].head[x], x
+            head = hps[p].head[x]
         else:
             y = sigma[u]
             p, head = _pick_leg_tree(hps, system, dm, bindings, sid, x, y, t)
-            v = hps[p].lca(x, y)
         bindings[sid] = (p, head)
-        _write_binding(tape, hps, w_mu, p, v, x)
+        _write_binding(tape, hps, w_mu, p, head, x)
 
     for i, (x0, u) in enumerate(zip(init, first)):
         bind(i, x0, u, 0, None)
-    positions = list(init)
     for t, (y, sid) in enumerate(zip(sigma, servers)):
+        # the binding's head is that of the leg's LCA, on y's root path too
         p, head = bindings[sid]
-        _write_binding(tape, hps, w_mu, p, hps[p].lca(positions[sid], y), y)
+        _write_binding(tape, hps, w_mu, p, head, y)
         holders = [i for i, b in enumerate(bindings) if b == (p, head)]
         if len(holders) > 1:
             tape.write_uint(holders.index(sid), ceil_log2(len(holders)))
-        positions[sid] = y
         bind(sid, y, after[t], p, t)
     return tape
 

@@ -208,6 +208,49 @@ def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# spanner reports whose retrievals read disambiguation suffixes, on k > 2
+# servers and on families other than the grid, with the suffix bits each
+# report counts
+SUFFIX_RUNS = [
+    (
+        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "2",
+         "--seed", "2"],
+        "222819098a02fe177ddb00fcb41a8a824c2d192e14793f2add4f4738633ff400",
+        36,
+    ),
+    (
+        ["--family", "random-ktree", "--size", "30", "--k", "3", "--n", "40",
+         "--seed", "2"],
+        "54f60adcab7f618071abd5faa7457dec5ee49dcbc9550d6f4557ea6bedf11824",
+        8,
+    ),
+    (
+        ["--family", "module", "--gamma", "3", "--rounds", "2", "--seed", "3"],
+        "6f57963e705d1c27da619e1b33dc73dec4a8de006804ba004f89adb4156b23b0",
+        9,
+    ),
+    (
+        ["--family", "grid", "--size", "5", "--k", "4", "--n", "60", "--seed", "0"],
+        "521d68aa39295d50f1e80ef20d6aadf85e47540c2bab282e62f9ab950053149d",
+        20,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest,suffix_bits",
+    SUFFIX_RUNS,
+    ids=["gb-m2-g2-r2", "ktree30-k3", "module-g3-r2", "grid5-k4"],
+)
+def test_spanner_suffix_run_reports_are_pinned(argv, digest, suffix_bits, tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("run", *argv, "--algo", "spanner", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["results"]["pass"] is True
+    assert report["extra"]["suffix_bits"] == suffix_bits
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # gpc reports pinned byte for byte, tape hex, `tape_bits` and `extra.moves`
 # included: the 14,000-request path-rounds benchmark spec (a ~1 MB report),
 # a two-module gb spec, and the latter's CSV row.
@@ -584,6 +627,25 @@ def test_bad_spanner_file_is_one_line(tmp_path, monkeypatch, capsys, command):
         argv += ["--algo", "spanner"]
     msg = cli_input_error(capsys, command, *argv)
     assert msg == "trees[0].parent: missing field\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_negative_spanner_r_is_one_line(tmp_path, monkeypatch, capsys, command):
+    # a server that serves its own vertex again has a leg with d = 0, whose
+    # budget q*0 + r no tree meets when r < 0; the claim is refused as read
+    forbid_metric_and_opt(monkeypatch, "the spanner file was parsed")
+    g = grid_graph(4, 4)
+    gp, sysp = tmp_path / "g.json", tmp_path / "s.json"
+    gp.write_text(graph_to_json(g))
+    tree = shortest_path_tree(g, 0)
+    sysp.write_text(json.dumps(
+        {"trees": [{"root": 0, "parent": tree.parent}], "q": 8, "r": -1}
+    ))
+    argv = ["--graph", str(gp), "--spanners", str(sysp)]
+    if command == "run":
+        argv += ["--algo", "spanner", "--k", "2", "--n", "30", "--seed", "0"]
+    msg = cli_input_error(capsys, command, *argv)
+    assert msg == "r: must be at least 0, got -1\n"
 
 
 @pytest.mark.parametrize(

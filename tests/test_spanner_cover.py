@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kslab.advice_tape import AdviceTape
 from kslab.instances import (
     SplitMix64,
     grid_graph,
@@ -22,6 +23,7 @@ from kslab.spanner_cover import (
     SpannerSystem,
     StretchClaimRejected,
     _best_tree_table,
+    _read_binding,
     certify_system,
     generate_advice_spanner,
     measure_min_stretch,
@@ -217,11 +219,23 @@ def test_stretch_ties_keep_the_first_pair():
 # Heavy paths.
 
 
+def _root_path_segments(hp, v):
+    """(head, exit) per heavy path crossed by root -> v, root first, the
+    exit being the deepest path vertex inside that heavy path: the oracle
+    for seg_ordinal and for the records' addressing."""
+    segs = []
+    u = v
+    while u is not None:
+        segs.append((hp.head[u], u))
+        u = hp.parent[hp.head[u]]
+    return segs[::-1]
+
+
 def test_path_graph_single_heavy_path():
     t = shortest_path_tree(path_graph(10), 0)
     hp = HeavyPathIndex(t)
     assert all(hp.head[v] == 0 for v in range(10))
-    assert all(len(hp.segments_on_root_path(v)) == 1 for v in range(10))
+    assert all(len(_root_path_segments(hp, v)) == 1 for v in range(10))
 
 
 def test_perfect_binary_tree_segments():
@@ -232,7 +246,7 @@ def test_perfect_binary_tree_segments():
     g = Graph(31, edges)
     t = shortest_path_tree(g, 0)
     hp = HeavyPathIndex(t)
-    assert max(len(hp.segments_on_root_path(v)) for v in range(31)) <= 5
+    assert max(len(_root_path_segments(hp, v)) for v in range(31)) <= 5
 
 
 def test_random_tree_segment_bound():
@@ -246,7 +260,7 @@ def test_random_tree_segment_bound():
     g = Graph(200, edges)
     t = spanning_tree_from_parent(g, 0, parent)
     hp = HeavyPathIndex(t)
-    worst = max(len(hp.segments_on_root_path(v)) for v in range(200))
+    worst = max(len(_root_path_segments(hp, v)) for v in range(200))
     assert worst <= math.ceil(math.log2(200)) == 8
 
 
@@ -289,7 +303,7 @@ def test_seg_ordinal_is_path_independent():
     t = spanning_tree_from_parent(Graph(80, edges), 0, parent)
     hp = HeavyPathIndex(t)
     for y in range(80):
-        segs = hp.segments_on_root_path(y)
+        segs = _root_path_segments(hp, y)
         # the ordinal of each crossed heavy path equals its index here
         for idx, (head, exit_v) in enumerate(segs):
             assert hp.seg_ordinal[head] == idx
@@ -315,7 +329,30 @@ def test_seg_ordinal_counts_the_heavy_paths_above(tree):
     # set in the index's own walk, it matches the per-vertex chain walk
     hp = HeavyPathIndex(tree)
     for v in range(tree.n):
-        assert hp.seg_ordinal[v] + 1 == len(hp.segments_on_root_path(v))
+        assert hp.seg_ordinal[v] + 1 == len(_root_path_segments(hp, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_trees(), st.integers(0, 1))
+def test_read_binding_climbs_to_the_named_ordinal(tree, w_mu):
+    # a record (0, s) read at v names the s-th heavy path of v's root path;
+    # an s the field can hold past v's last heavy path names none
+    hp = HeavyPathIndex(tree)
+    for v in range(tree.n):
+        segs = _root_path_segments(hp, v)
+        width = math.ceil(math.log2(len(segs)))
+        for s in range(1 << width):
+            tape = AdviceTape()
+            tape.write_uint(0, w_mu)
+            tape.write_uint(s, width)
+            tape.rewind()
+            if s < len(segs):
+                got = _read_binding(tape, [hp], w_mu, v, "record")
+                assert got == (0, *segs[s])
+            else:
+                with pytest.raises(NoLabeledServerOnRootPath) as info:
+                    _read_binding(tape, [hp], w_mu, v, "record")
+                assert str(info.value) == f"record: segment {s} beyond root path of {v}"
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +481,6 @@ def test_truncated_tape_raises():
     _, opt_s = opt_cost_dp(g, init, sigma, dm)
     tape = generate_advice_spanner(g, dm, system, init, sigma, opt_s)
     hexstr, nbits = tape.to_hex()
-    from kslab.advice_tape import AdviceTape
-
     clipped = AdviceTape.from_hex(hexstr, nbits - 1)
     with pytest.raises(TapeExhausted):
         run_online_spanner(g, system, hp, init, sigma, clipped)
@@ -502,9 +537,12 @@ def test_system_json_rejects_non_tree_edges():
         # 1 and 2 are each other's parent, so neither hangs off the root
         ({"trees": [{"root": 0, "parent": [None, 2, 1, 0, 3, 4, 3, 6, 7]}]},
          r"^trees\[0\]: parent links contain a cycle$"),
+        # a leg that stays put has d = 0 and a budget of r
+        ({"trees": [{"root": 0, "parent": [None, 0, 1, 0, 1, 2, 3, 4, 5]}],
+          "q": 8, "r": -1}, r"^r: must be at least 0, got -1$"),
     ],
     ids=["parent", "root", "trees", "trees-type", "trees-empty", "tree-type", "parent-type",
-         "root-type", "top-level", "mu", "cycle"],
+         "root-type", "top-level", "mu", "cycle", "negative-r"],
 )
 def test_system_json_errors_name_the_field(obj, where):
     g = grid_graph(3, 3)
