@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 import json
+from math import lcm
 
 Weight = int | Fraction
 
@@ -178,6 +179,13 @@ class DistanceMatrix:
         raise InconsistentMetric(
             f"no neighbour of {u} lies on a shortest path to {y}"
         )
+
+
+def weight_scale(g: Graph) -> int:
+    """The lcm of g's edge weights' denominators (1 when every weight is an
+    int): every distance of g is a sum of edge weights, so times this scale
+    it is an exact int."""
+    return lcm(*(w.denominator for _, _, w in g.edges if isinstance(w, Fraction)), 1)
 
 
 def single_source_distances(g: Graph, s: int) -> list[Weight]:

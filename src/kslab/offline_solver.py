@@ -29,10 +29,15 @@ from __future__ import annotations
 from fractions import Fraction
 from bisect import bisect, insort
 from heapq import heappop, heappush
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple
 
-from .metric_core import DistanceMatrix, Graph, all_pairs_shortest_paths
+from .metric_core import (
+    DistanceMatrix,
+    Graph,
+    all_pairs_shortest_paths,
+    weight_scale,
+)
 
 
 class InstanceTooLarge(ValueError):
@@ -486,9 +491,7 @@ def opt_cost_flow(
     if k == 0:
         raise ValueError(f"init: no servers to serve {n} requests")
     dist = dm.dist
-    scale = lcm(
-        *(w.denominator for _, _, w in g.edges if isinstance(w, Fraction)), 1
-    )
+    scale = weight_scale(g)
     scaled = dist
     if scale > 1:  # a scaled row per requested vertex
         scaled = {r: [int(x * scale) for x in dist[r]] for r in set(sigma)}

@@ -27,19 +27,26 @@ candidates collide.  Oracle and decoder both know c (the decode is
 deterministic), so record widths never drift, and the oracle prefers
 certified trees that avoid collisions, keeping suffixes rare.
 
-Certifying a system costs one exact best-tree distance table, O(μN²) in
-ints/Fractions (each tree's row of v is its parent's row shifted by w(v);
-the table keeps the element-wise minimum over the trees), and one pass over
-the N(N-1)/2 pairs: measure_min_stretch's pass finds the smallest q and
-so certifies (q, 0), and certify_system's pass checks a claimed (q, r).
-Both compare by cross-multiplying, so only q and a violating pair's excess
-are Fractions.
+Certifying a system works on packed rows: one int per vertex row, with a
+fixed-width lane per vertex and a guard bit atop each lane.  Each tree's
+row of v is its parent's row plus w(v), less 2·w(v) on v's subtree mask;
+the best-tree row is a guard-bit lane minimum over the trees, and the
+stretch test of a row against its packed metric row is one guard-bit lane
+compare.  So a row costs a handful of big-int operations, O(μN) of them in
+all, where a per-pair loop took O(μN²) Python steps.  Lanes are wide enough
+for the largest tree distance times the test's multipliers, and Fraction
+weights are scaled by the lcm of their denominators, so every lane is an
+exact int.  Only a row with a flagged lane is unpacked and scanned pair by
+pair: measure_min_stretch's scan finds the smallest q and so certifies
+(q, 0), and certify_system's names the pair of largest excess of a failed
+(q, r) claim.  Both compare by cross-multiplying, so only q and a violating
+pair's excess are Fractions, and reports do not change.
 """
 from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
+from struct import Struct
 from typing import NamedTuple
 
 from .advice_tape import AdviceTape
@@ -55,6 +62,7 @@ from .metric_core import (
     num_to_json,
     parse_json,
     single_source_distances,
+    weight_scale,
 )
 from .offline_solver import Schedule, serve_order
 from .tree_decomp import rooted_walk
@@ -207,8 +215,10 @@ class HeavyPathIndex:
                 v = parent[head[v]]
         return u if depth[u] <= depth[v] else v
 
-    def dist(self, u: int, v: int) -> Weight:
-        a = self.lca(u, v)
+    def dist(self, u: int, v: int, a: int | None = None) -> Weight:
+        """The tree distance of u and v; a is their LCA, if already found."""
+        if a is None:
+            a = self.lca(u, v)
         return (
             self.weighted_depth[u]
             + self.weighted_depth[v]
@@ -266,55 +276,95 @@ class StretchClaimRejected(ValueError):
         self.excess = excess
 
 
-def _tree_distance_rows(hp: HeavyPathIndex):
-    """Yield (v, row) for every vertex v of hp's tree, row[u] being the exact
-    tree distance between v and u; O(N²) in all.
-
-    In preorder every subtree is one contiguous slice, so the row of v is
-    its parent's row plus w(v), less 2·w(v) on v's own subtree.  A row is
-    kept on a stack while its vertex has children left to derive; in
-    preorder the top of that stack is v's parent, so at most one row per
-    tree level is held at a time.
-    """
-    order, parent, weight = hp.order, hp.parent, hp.edge_weight
-    pos = [0] * len(order)
-    for i, u in enumerate(order):
-        pos[u] = i
-    # itemgetter of one index returns the item itself, not a 1-tuple
-    to_vertex_order = itemgetter(*pos) if len(order) > 1 else tuple
-    row = [hp.weighted_depth[u] for u in order]
-    pending = []
-    for v in order:
-        p = parent[v]
-        if p is not None:
-            up, w, a = pending[-1], weight[v], pos[v]
-            b = a + hp.size[v]
-            if b == pos[p] + hp.size[p]:  # v is p's last child
-                pending.pop()
-            row = (
-                [x + w for x in up[:a]]
-                + [x - w for x in up[a:b]]
-                + [x + w for x in up[b:]]
-            )
-        if hp.size[v] > 1:
-            pending.append(row)
-        yield v, to_vertex_order(row)
+# struct codes of the lane sizes that pack in one C call, by bytes.
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _best_tree_table(trees: tuple[SpanningTree, ...]) -> list:
-    """best[x][y] = min over the trees of their x-y distance, exact.
+class _Lanes:
+    """Rows of N ints >= 0 packed into one int each (SIMD within a
+    register): lane u, the `width` bits from bit u*width up, holds the
+    row's value at vertex u, and the lane's top bit is a guard that a
+    packed row keeps 0.  Lanes are whole bytes, wide enough for `bound`
+    below the guard; lanes of 1, 2, 4 or 8 bytes pack and unpack in one
+    `struct` call."""
 
-    O(μN²) time; besides the table only a few rows per tree are held.
-    """
+    def __init__(self, n: int, bound: int):
+        need = bound.bit_length() // 8 + 1
+        self.nbytes = min((b for b in _LANE_CODES if b >= need), default=need)
+        self.width = 8 * self.nbytes
+        code = _LANE_CODES.get(self.nbytes)
+        self.layout = None if code is None else Struct(f"<{n}{code}")
+        self.n = n
+        self.ones = self.pack([1] * n)
+        self.guards = self.ones << (self.width - 1)
+
+    def pack(self, values) -> int:
+        if self.layout is None:
+            data = b"".join(v.to_bytes(self.nbytes, "little") for v in values)
+        else:
+            data = self.layout.pack(*values)
+        return int.from_bytes(data, "little")
+
+    def unpack(self, row: int) -> list[int]:
+        data = row.to_bytes(self.n * self.nbytes, "little")
+        if self.layout is not None:
+            return list(self.layout.unpack(data))
+        m = self.nbytes
+        return [
+            int.from_bytes(data[i : i + m], "little") for i in range(0, len(data), m)
+        ]
+
+    def minimum(self, a: int, b: int) -> int:
+        """The lane-wise minimum of packed rows a and b."""
+        # a lane of (a | guards) - b keeps its guard exactly where a >= b
+        a_ge_b = ((a | self.guards) - b) & self.guards
+        take_b = a_ge_b - (a_ge_b >> (self.width - 1))  # those lanes' value bits
+        return a ^ ((a ^ b) & take_b)
+
+    def any_greater(self, lhs: int, rhs: int, shift: int) -> bool:
+        """Whether a lane of lhs exceeds that of rhs, both packed rows
+        shifted down by `shift` bits."""
+        guards = self.guards >> shift
+        return ((rhs | guards) - lhs) & guards != guards
+
+
+def _longest_tree_distance(trees: tuple[SpanningTree, ...], unit: int) -> int:
+    """A bound on every tree distance times unit, and so on every metric
+    distance too: twice the largest weighted depth."""
     if not trees:
         raise ValueError("a spanner system needs at least one tree")
-    best: list = [None] * trees[0].n
+    return 2 * max(int(max(t.paths.weighted_depth) * unit) for t in trees)
+
+
+def _best_tree_rows(
+    trees: tuple[SpanningTree, ...], lanes: _Lanes, unit: int
+) -> list[int]:
+    """best[v] packs the minimum over the trees of their v-u distances
+    times unit, for u = 0..N-1, exact.
+
+    A tree's root row packs its weighted depths.  The row of any other v is
+    its parent's row plus w(v) on every lane, less 2·w(v) on the lanes of
+    v's subtree, whose mask is summed bottom-up.  No lane ever goes below 0,
+    so no borrow crosses lanes, and a row costs a few big-int operations.
+    """
+    best: list[int] | None = None
     for tree in trees:
-        for v, row in _tree_distance_rows(tree.paths):
-            if best[v] is not None:
-                row = [a if a <= b else b for a, b in zip(best[v], row)]
-            best[v] = row
+        hp = tree.paths
+        parent, width = hp.parent, lanes.width
+        subtree = [1 << (v * width) for v in range(lanes.n)]
+        for v in reversed(hp.order[1:]):
+            subtree[parent[v]] += subtree[v]
+        rows = [0] * lanes.n
+        rows[tree.root] = lanes.pack(int(d * unit) for d in hp.weighted_depth)
+        for v in hp.order[1:]:
+            w = int(hp.edge_weight[v] * unit)
+            rows[v] = rows[parent[v]] + w * lanes.ones - 2 * w * subtree[v]
+        best = rows if best is None else list(map(lanes.minimum, best, rows))
     return best
+
+
+def _scaled(row: list[Weight], unit: int) -> list[int]:
+    return row if unit == 1 else [int(d * unit) for d in row]
 
 
 def measure_min_stretch(
@@ -323,14 +373,26 @@ def measure_min_stretch(
     """Smallest q with (q, 0)-stretch, as an exact ratio, with the first pair
     x < y that attains it (None: q is 1).  q is the largest best/d_G over
     all pairs, at least 1, so the trees certify (q, 0) by construction.
-    Ratios are compared by cross-multiplying."""
+
+    Ratios are compared by cross-multiplying the distances times g's weight
+    scale.  Row x's lanes y > x are tested at once against the largest
+    ratio so far; only a row with a larger one is unpacked and scanned.
+    """
+    unit = weight_scale(g)
+    longest = _longest_tree_distance(system.trees, unit)
+    # num/den is a best/d of two scaled distances, so a lane holds b * den
+    lanes = _Lanes(g.n, longest * longest)
     num, den, witness = 1, 1, None
-    for x, bx in enumerate(_best_tree_table(system.trees)):
-        dx = dm.dist[x]
-        for y in range(x + 1, len(bx)):
-            b, d = bx[y], dx[y]
-            if b * den > num * d:
-                num, den, witness = b, d, (x, y)
+    for x, bx in enumerate(_best_tree_rows(system.trees, lanes, unit)):
+        dx = _scaled(dm.dist[x], unit)
+        above = (x + 1) * lanes.width
+        if lanes.any_greater(
+            (bx >> above) * den, (lanes.pack(dx) >> above) * num, above
+        ):
+            for y, b in enumerate(lanes.unpack(bx)[x + 1 :], x + 1):
+                d = dx[y]
+                if b * den > num * d:
+                    num, den, witness = b, d, (x, y)
     return Fraction(num, den), witness
 
 
@@ -341,18 +403,45 @@ def certify_system(
     otherwise StretchClaimRejected names the pair x < y of largest excess
     (the first one on ties).
 
-    With q = qn/qd and r = rn/rd the test is b·qd·rd <= qn·rd·d + rn·qd, so
-    only a violating pair pays for its exact excess.
+    With q = qn/qd and r = rn/rd the test is b·qd·rd <= qn·rd·d + rn·qd.
+    Row x's lanes y > x take it at once, on distances times g's weight
+    scale, with a negative term moved to the other side so that no lane
+    holds a negative value.  Coefficients wider than 32 bits are cut to
+    32, the left one rounded up and the right ones down, so lanes stay
+    narrow and the lane test flags every violating pair, perhaps more.
+    Only a flagged row is unpacked and tested exactly, and only a
+    violating pair pays for its exact excess.
     """
     trees = tuple(trees)
+    unit = weight_scale(g)
     q_num, q_den = q.numerator, q.denominator
     r_num, r_den = r.numerator, r.denominator
     scale, slope, offset = q_den * r_den, q_num * r_den, r_num * q_den
+    # the lane test's coefficients, for scaled distances, cut to 32 bits
+    coefs = (scale, slope, offset * unit)
+    cut = max(0, max(abs(c).bit_length() for c in coefs) - 32)
+    lane_scale = -(-scale >> cut)  # rounded up
+    lane_slope, lane_offset = slope >> cut, coefs[2] >> cut  # rounded down
+    longest = _longest_tree_distance(trees, unit)
+    lanes = _Lanes(
+        g.n, longest * (lane_scale + abs(lane_slope)) + abs(lane_offset)
+    )
     worst = None
-    for x, bx in enumerate(_best_tree_table(trees)):
+    for x, bx in enumerate(_best_tree_rows(trees, lanes, unit)):
         dx = dm.dist[x]
-        for y in range(x + 1, len(bx)):
-            b, d = bx[y], dx[y]
+        above = (x + 1) * lanes.width
+        lhs, rhs = (bx >> above) * lane_scale, 0
+        d_lanes = lanes.pack(_scaled(dx, unit)) >> above
+        ones = lanes.ones >> above
+        for term, coef in ((d_lanes, lane_slope), (ones, lane_offset)):
+            if coef >= 0:
+                rhs += term * coef
+            else:
+                lhs += term * -coef
+        if not lanes.any_greater(lhs, rhs, above):
+            continue
+        for y, b in enumerate(lanes.unpack(bx)[x + 1 :], x + 1):
+            b, d = (b if unit == 1 else Fraction(b, unit)), dx[y]
             if b * scale > slope * d + offset:
                 excess = b - (q * d + r)
                 if worst is None or excess > worst[0]:
@@ -458,8 +547,9 @@ def _pick_leg_tree(
     budget = system.q * dm.dist[x][y] + system.r
     admissible = []
     for p, hp in enumerate(hps):
-        if hp.dist(x, y) <= budget:
-            admissible.append((p, hp.head[hp.lca(x, y)]))
+        a = hp.lca(x, y)
+        if hp.dist(x, y, a) <= budget:
+            admissible.append((p, hp.head[a]))
     if not admissible:
         raise UncertifiedLeg(t, sid, x, y)
     taken = {b for i, b in enumerate(bindings) if i != sid}

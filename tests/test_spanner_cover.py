@@ -15,14 +15,21 @@ from kslab.instances import (
     random_partial_ktree,
     random_requests,
 )
-from kslab.metric_core import Graph, GraphFormatError, all_pairs_shortest_paths
+from kslab.metric_core import (
+    Graph,
+    GraphFormatError,
+    all_pairs_shortest_paths,
+    weight_scale,
+)
 from kslab.offline_solver import InvalidSchedule, Move, Schedule, opt_cost_dp
 from kslab.spanner_cover import (
     HeavyPathIndex,
     NoLabeledServerOnRootPath,
     SpannerSystem,
     StretchClaimRejected,
-    _best_tree_table,
+    _Lanes,
+    _best_tree_rows,
+    _longest_tree_distance,
     _read_binding,
     certify_system,
     generate_advice_spanner,
@@ -84,8 +91,8 @@ def test_certify_rejects_false_claim():
 
 
 # ---------------------------------------------------------------------------
-# The best-tree distance table against per-pair heavy-path distances, and
-# the stretch measure and check against a brute-force Fraction oracle.
+# The packed best-tree rows against per-pair heavy-path distances, and the
+# stretch measure and check against a brute-force Fraction oracle.
 
 
 def _random_spanning_tree(g, rng):
@@ -105,9 +112,14 @@ def _random_spanning_tree(g, rng):
 
 def _stretch_cases():
     """(graph, trees) with mu = 1, 2, 3 on grids, weighted trees, partial
-    k-trees and half-integer graphs; trees alternate shortest-path and random."""
+    k-trees, half-integer graphs, weights of 2^40 and more (lanes wider than
+    8 bytes) and 1- and 2-vertex graphs; trees alternate shortest-path and
+    random."""
     rng = SplitMix64(5150)
     tree_parent = [None] + [rng.randrange(v) for v in range(1, 25)]
+    huge_rng = SplitMix64(2**40)
+    huge = random_partial_ktree(huge_rng, 14, 2)[0]
+    huge_edges = [(u, v, 2**40 + huge_rng.randrange(2**41)) for u, v, _ in huge.edges]
     graphs = [
         grid_graph(4, 4),
         grid_graph(3, 7),
@@ -116,6 +128,9 @@ def _stretch_cases():
         random_partial_ktree(rng, 18, 2)[0],
         _fraction_graph(SplitMix64(4242), 12),
         _fraction_graph(SplitMix64(4243), 20),
+        Graph(huge.n, huge_edges),
+        Graph(1, []),
+        Graph(2, [(0, 1, 3)]),
     ]
     for g in graphs:
         for mu in (1, 2, 3):
@@ -141,8 +156,9 @@ def _oracle_tightest_r(g, dm, trees, q):
     """The smallest r with (q, r)-stretch: max over pairs of best - q*d."""
     hps = [HeavyPathIndex(t) for t in trees]
     return max(
-        min(hp.dist(x, y) for hp in hps) - q * dm.dist[x][y]
-        for x in range(g.n) for y in range(x + 1, g.n)
+        (min(hp.dist(x, y) for hp in hps) - q * dm.dist[x][y]
+         for x in range(g.n) for y in range(x + 1, g.n)),
+        default=0,  # a 1-vertex graph has no pair
     )
 
 
@@ -160,15 +176,35 @@ def _oracle_stretch_check(g, dm, trees, q, r):
     return (True, None, None) if worst is None else (False, *worst)
 
 
-def test_best_tree_table_matches_heavy_path_distances():
+def test_packed_best_tree_rows_match_heavy_path_distances():
     for g, trees in _stretch_cases():
-        table = _best_tree_table(trees)
+        unit = weight_scale(g)
+        longest = _longest_tree_distance(trees, unit)
+        lanes = _Lanes(g.n, longest * longest)
         hps = [HeavyPathIndex(t) for t in trees]
-        for x in range(g.n):
-            for y in range(g.n):
-                d = table[x][y]
-                assert type(d) in (int, Fraction), (g, len(trees), x, y)
-                assert d == min(hp.dist(x, y) for hp in hps), (g, len(trees), x, y)
+        for x, row in enumerate(_best_tree_rows(trees, lanes, unit)):
+            table = lanes.unpack(row)
+            assert len(table) == g.n
+            for y, d in enumerate(table):
+                assert type(d) is int, (g, len(trees), x, y)
+                best = min(hp.dist(x, y) for hp in hps)
+                assert d == best * unit, (g, len(trees), x, y)
+
+
+def test_lanes_keep_values_at_their_bound_apart():
+    # values that fill every bit below the guard, in 1-, 2- and 8-byte lanes
+    # and wider ones, still take minima and compare lane by lane
+    for bound in (2**8 - 1, 2**16 - 1, 2**64 - 1, 2**100):
+        lanes = _Lanes(4, bound)
+        a, b = [bound, 0, bound, 1], [0, bound, bound, bound - 1]
+        pa, pb = lanes.pack(a), lanes.pack(b)
+        assert lanes.unpack(pa) == a
+        assert lanes.unpack(lanes.minimum(pa, pb)) == [0, 0, bound, 1]
+        assert lanes.any_greater(pa, pb, 0) and not lanes.any_greater(pa, pa, 0)
+        # shifted past lane 0, where alone a exceeds b
+        w = lanes.width
+        assert not lanes.any_greater(pa >> w, pb >> w, w)
+        assert lanes.any_greater(pb >> w, pa >> w, w)
 
 
 def test_measure_and_verify_match_fraction_oracle():
@@ -180,7 +216,11 @@ def test_measure_and_verify_match_fraction_oracle():
         assert type(q) is Fraction
         assert (q, witness) == _oracle_min_stretch(g, dm, trees)
         claims = [(q, 0), (q - Fraction(1, 100), 0), (1, Fraction(1, 2)),
-                  (Fraction(3, 2), 1), (q, -1), (q + 1, -1)]
+                  (Fraction(3, 2), 1), (q, -1), (q + 1, -1), (q, Fraction(-1, 2)),
+                  (q + 1, Fraction(-3, 2)), (Fraction(1, 2), 0),
+                  (Fraction(1, 2), 3), (q + Fraction(1, 10**30 + 7), 0),
+                  (q - Fraction(1, 10**30 + 7), 0),
+                  (q - Fraction(1, 10**30 + 7), Fraction(1, 3))]
         for cq in (Fraction(3, 2), Fraction(5, 4), 1):
             # right at the edge: r passes, r - 1/7 fails by exactly 1/7
             r = _oracle_tightest_r(g, dm, trees, cq)
@@ -213,6 +253,14 @@ def test_stretch_ties_keep_the_first_pair():
     assert str(info.value) == (
         "stretch certificate rejected: pair (3, 4) exceeds q*d+r by 1"
     )
+    # the star at 3 drops (0, 1) and (0, 2), a tie within one row
+    g = Graph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 3, 1), (2, 3, 1)])
+    dm = all_pairs_shortest_paths(g)
+    star = spanning_tree_from_parent(g, 3, [3, 3, 3, None])
+    assert measure_min_stretch(g, dm, SpannerSystem(trees=(star,))) == (2, (0, 1))
+    with pytest.raises(StretchClaimRejected) as info:
+        certify_system(g, dm, (star,), 1, 0)
+    assert (info.value.excess, info.value.witness) == (1, (0, 1))
 
 
 # ---------------------------------------------------------------------------

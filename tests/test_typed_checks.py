@@ -284,8 +284,6 @@ UNUSED_PARAMETERS = {
     # bench/stages.py calls these with the graph or vertex count
     ("gpc.py", "generate_advice", "g"): "bench/stages.py passes it",
     ("gpc.py", "run_online", "g"): "bench/stages.py passes it",
-    ("spanner_cover.py", "measure_min_stretch", "g"): "bench/stages.py passes it",
-    ("spanner_cover.py", "certify_system", "g"): "bench/stages.py passes it",
     ("tree_decomp.py", "reduce_height", "n_vertices"): "bench/stages.py passes it",
     # every cli.ALGOS step shares one signature
     ("cli.py", "_step_opt", "inst"): "shared ALGOS step signature",
