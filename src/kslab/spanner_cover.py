@@ -27,23 +27,23 @@ candidates collide.  Oracle and decoder both know c (the decode is
 deterministic), so record widths never drift, and the oracle prefers
 certified trees that avoid collisions, keeping suffixes rare.
 
-Certifying a system works on packed rows: one int per vertex row, with a
-fixed-width lane per vertex and a guard bit atop each lane.  Each tree's
-row of v is its parent's row plus w(v), less 2·w(v) on v's subtree mask;
-the best-tree row is a guard-bit lane minimum over the trees, and the
-stretch test of a row against its packed metric row is one guard-bit lane
-compare.  So a row costs a handful of big-int operations, O(μN) of them in
-all, where a per-pair loop took O(μN²) Python steps.  Lanes are wide enough
-for the largest tree distance times the test's multipliers, and Fraction
-weights are scaled by the lcm of their denominators, so every lane is an
-exact int.  Only a row with a flagged lane is unpacked and scanned pair by
-pair: measure_min_stretch's scan finds the smallest q and so certifies
-(q, 0), and certify_system's names the pair of largest excess of a failed
-(q, r) claim.  Both compare by cross-multiplying, so only q and a violating
-pair's excess are Fractions, and reports do not change.
+Both stretch functions share one scan over packed rows: one int per
+vertex row, with a fixed-width lane per vertex and a guard bit atop each
+lane.  Each tree's row of v is its parent's row plus w(v), less 2·w(v) on
+v's subtree mask; the best-tree row is a guard-bit lane minimum over the
+trees, and a row's test b·s > m·d + c against its packed metric row is one
+guard-bit lane compare, so a row costs a handful of big-int operations.
+Distances are scaled by the lcm of the weights' denominators, so every
+lane is an exact int, and only a row with a flagged lane is unpacked.
+measure_min_stretch tests each row against the largest ratio so far, so
+its smallest q certifies (q, 0); certify_system tests a claimed (q, r) on
+coefficients cut to 32 bits and decides each pair of a flagged row exactly
+on ints, naming the pair of largest excess.  Only q and that excess are
+Fractions, and reports do not change.
 """
 from __future__ import annotations
 
+from decimal import Context
 from functools import cached_property
 from fractions import Fraction
 from struct import Struct
@@ -171,14 +171,12 @@ class HeavyPathIndex:
 
     head[v] is the top vertex of v's heavy path and seg_ordinal[v] that
     path's index along any root path through v; any root-to-v path crosses
-    at most ceil(log2 N) heavy paths.  `order`, `depth` and `size` are
-    the tree's rooted_walk: the subtree of v is the slice of `size[v]`
-    vertices of `order` that starts at v.
+    at most ceil(log2 N) heavy paths.  `order` and `depth` are the tree's
+    rooted_walk: `order` is a preorder, so every vertex comes after its
+    parent.
     """
 
     def __init__(self, tree: SpanningTree):
-        # the weights, not the tree: tree.paths keeps this index
-        self.edge_weight = tree.edge_weight
         n = tree.n
         parent = tree.parent
         order, children, depth, size = rooted_walk(parent, tree.root)
@@ -200,7 +198,6 @@ class HeavyPathIndex:
                 seg_ordinal[u] = seg_ordinal[p] + 1
         self.parent = parent
         self.order = order
-        self.size = size
         self.head = head
         self.seg_ordinal = seg_ordinal
         self.depth = depth
@@ -266,11 +263,17 @@ class SpannerSystem:
 
 class StretchClaimRejected(ValueError):
     """A claimed (q, r) fails: `witness` is the pair x < y whose best tree
-    distance exceeds q*d + r the most, and `excess` is by how much."""
+    distance exceeds q*d + r the most, and `excess` is by how much, exact
+    (the message rounds it to 4 digits only if str() cannot spell it)."""
 
-    def __init__(self, witness: tuple[int, int], excess: Weight):
+    def __init__(self, witness: tuple[int, int], excess: Fraction):
+        try:
+            spelled = str(excess)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            n, d = excess.numerator, excess.denominator
+            spelled = f"about {Context(prec=4).divide(n, d)}"
         super().__init__(
-            f"stretch certificate rejected: pair {witness} exceeds q*d+r by {excess}"
+            f"stretch certificate rejected: pair {witness} exceeds q*d+r by {spelled}"
         )
         self.witness = witness
         self.excess = excess
@@ -357,14 +360,34 @@ def _best_tree_rows(
         rows = [0] * lanes.n
         rows[tree.root] = lanes.pack(int(d * unit) for d in hp.weighted_depth)
         for v in hp.order[1:]:
-            w = int(hp.edge_weight[v] * unit)
+            w = int(tree.edge_weight[v] * unit)
             rows[v] = rows[parent[v]] + w * lanes.ones - 2 * w * subtree[v]
         best = rows if best is None else list(map(lanes.minimum, best, rows))
     return best
 
 
-def _scaled(row: list[Weight], unit: int) -> list[int]:
-    return row if unit == 1 else [int(d * unit) for d in row]
+def _flagged_rows(g: Graph, dm: DistanceMatrix, trees, bound, coefs):
+    """(x, dx, bx) for each row x with a pair y > x where b·s > m·d + c,
+    b = bx[y] and d = dx[y] being row x's best-tree and metric distances
+    times g's weight scale, ints.  coefs() gives the ints (s > 0, m, c),
+    read afresh for each row; bound(longest) caps either side of the lane
+    test, given a cap on every scaled distance.  A negative term of the
+    test moves to the other side, so that no lane goes below 0.
+    """
+    unit = weight_scale(g)
+    lanes = _Lanes(g.n, bound(_longest_tree_distance(trees, unit)))
+    for x, bx in enumerate(_best_tree_rows(trees, lanes, unit)):
+        dx = dm.dist[x] if unit == 1 else [int(d * unit) for d in dm.dist[x]]
+        s, m, c = coefs()
+        above = (x + 1) * lanes.width
+        lhs, rhs = (bx >> above) * s, 0
+        for term, coef in ((lanes.pack(dx), m), (lanes.ones, c)):
+            if coef > 0:
+                rhs += (term >> above) * coef
+            elif coef < 0:
+                lhs += (term >> above) * -coef
+        if lanes.any_greater(lhs, rhs, above):
+            yield x, dx, lanes.unpack(bx)
 
 
 def measure_min_stretch(
@@ -374,25 +397,19 @@ def measure_min_stretch(
     x < y that attains it (None: q is 1).  q is the largest best/d_G over
     all pairs, at least 1, so the trees certify (q, 0) by construction.
 
-    Ratios are compared by cross-multiplying the distances times g's weight
-    scale.  Row x's lanes y > x are tested at once against the largest
-    ratio so far; only a row with a larger one is unpacked and scanned.
+    Ratios are compared by cross-multiplying scaled distances: a row is
+    scanned only if it has a ratio above num/den, the largest so far.
     """
-    unit = weight_scale(g)
-    longest = _longest_tree_distance(system.trees, unit)
-    # num/den is a best/d of two scaled distances, so a lane holds b * den
-    lanes = _Lanes(g.n, longest * longest)
     num, den, witness = 1, 1, None
-    for x, bx in enumerate(_best_tree_rows(system.trees, lanes, unit)):
-        dx = _scaled(dm.dist[x], unit)
-        above = (x + 1) * lanes.width
-        if lanes.any_greater(
-            (bx >> above) * den, (lanes.pack(dx) >> above) * num, above
-        ):
-            for y, b in enumerate(lanes.unpack(bx)[x + 1 :], x + 1):
-                d = dx[y]
-                if b * den > num * d:
-                    num, den, witness = b, d, (x, y)
+    # num and den are scaled distances, so a lane holds at most longest²
+    rows = _flagged_rows(
+        g, dm, system.trees, lambda longest: longest * longest,
+        lambda: (den, num, 0),
+    )
+    for x, dx, bx in rows:
+        for y in range(x + 1, g.n):
+            if bx[y] * den > num * dx[y]:
+                num, den, witness = bx[y], dx[y], (x, y)
     return Fraction(num, den), witness
 
 
@@ -403,52 +420,32 @@ def certify_system(
     otherwise StretchClaimRejected names the pair x < y of largest excess
     (the first one on ties).
 
-    With q = qn/qd and r = rn/rd the test is b·qd·rd <= qn·rd·d + rn·qd.
-    Row x's lanes y > x take it at once, on distances times g's weight
-    scale, with a negative term moved to the other side so that no lane
-    holds a negative value.  Coefficients wider than 32 bits are cut to
-    32, the left one rounded up and the right ones down, so lanes stay
-    narrow and the lane test flags every violating pair, perhaps more.
-    Only a flagged row is unpacked and tested exactly, and only a
-    violating pair pays for its exact excess.
+    With q = qn/qd, r = rn/rd and distances times g's weight scale u, the
+    test is b·qd·rd <= qn·rd·d + rn·qd·u, exact on ints.  For the lane test
+    coefficients wider than 32 bits are cut to 32, the left one rounded up
+    and the right ones down, so lanes stay narrow and a flagged row holds
+    every violating pair, perhaps more.  A pair's excess is its test's
+    difference over qd·rd·u, a Fraction built only for the worst pair.
     """
     trees = tuple(trees)
     unit = weight_scale(g)
-    q_num, q_den = q.numerator, q.denominator
-    r_num, r_den = r.numerator, r.denominator
-    scale, slope, offset = q_den * r_den, q_num * r_den, r_num * q_den
-    # the lane test's coefficients, for scaled distances, cut to 32 bits
-    coefs = (scale, slope, offset * unit)
-    cut = max(0, max(abs(c).bit_length() for c in coefs) - 32)
-    lane_scale = -(-scale >> cut)  # rounded up
-    lane_slope, lane_offset = slope >> cut, coefs[2] >> cut  # rounded down
-    longest = _longest_tree_distance(trees, unit)
-    lanes = _Lanes(
-        g.n, longest * (lane_scale + abs(lane_slope)) + abs(lane_offset)
+    scale, slope = q.denominator * r.denominator, q.numerator * r.denominator
+    offset = r.numerator * q.denominator * unit
+    cut = max(0, max(abs(c).bit_length() for c in (scale, slope, offset)) - 32)
+    lane = (-(-scale >> cut), slope >> cut, offset >> cut)
+    rows = _flagged_rows(
+        g, dm, trees,
+        lambda longest: longest * (lane[0] + abs(lane[1])) + abs(lane[2]),
+        lambda: lane,
     )
-    worst = None
-    for x, bx in enumerate(_best_tree_rows(trees, lanes, unit)):
-        dx = dm.dist[x]
-        above = (x + 1) * lanes.width
-        lhs, rhs = (bx >> above) * lane_scale, 0
-        d_lanes = lanes.pack(_scaled(dx, unit)) >> above
-        ones = lanes.ones >> above
-        for term, coef in ((d_lanes, lane_slope), (ones, lane_offset)):
-            if coef >= 0:
-                rhs += term * coef
-            else:
-                lhs += term * -coef
-        if not lanes.any_greater(lhs, rhs, above):
-            continue
-        for y, b in enumerate(lanes.unpack(bx)[x + 1 :], x + 1):
-            b, d = (b if unit == 1 else Fraction(b, unit)), dx[y]
-            if b * scale > slope * d + offset:
-                excess = b - (q * d + r)
-                if worst is None or excess > worst[0]:
-                    worst = (excess, (x, y))
-    if worst is not None:
-        excess, witness = worst
-        raise StretchClaimRejected(witness, excess)
+    worst, witness = 0, None
+    for x, dx, bx in rows:
+        for y in range(x + 1, g.n):
+            excess = bx[y] * scale - slope * dx[y] - offset
+            if excess > worst:
+                worst, witness = excess, (x, y)
+    if witness is not None:
+        raise StretchClaimRejected(witness, Fraction(worst, scale * unit))
     return SpannerSystem(trees=trees, q=q, r=r)
 
 

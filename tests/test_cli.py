@@ -673,6 +673,37 @@ def test_run_needs_a_spanner_claim_that_holds(
     assert msg.startswith(message)
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_rejected_claim_with_a_long_excess_is_one_line(tmp_path, capsys, command):
+    # q = 7 - 10^-2200 and r = 1/(10^2200 + 1) fit str(), but the comb tree
+    # exceeds q*1 + r at pair (12, 13) by 1/(10^2200·(10^2200 + 1)), whose
+    # denominator is too long to spell: the message rounds it
+    prefix = tmp_path / "g"
+    assert run_cli(
+        "run", "--family", "grid", "--size", "4", "--k", "2", "--n", "20",
+        "--seed", "3", "--algo", "spanner", "--out", str(tmp_path / "r.json"),
+        "--dump-instance", str(prefix),
+    ) == 0
+    capsys.readouterr()
+    t = 10**2200
+    sysp = tmp_path / "s.json"
+    comb = [None, 0, 1, 2, *range(12)]
+    sysp.write_text(json.dumps(
+        {"q": f"{7 * t - 1}/{t}", "r": f"1/{t + 1}", "trees": [{"root": 0, "parent": comb}]}
+    ))
+    argv = ["--graph", f"{prefix}.graph.json", "--spanners", str(sysp)]
+    line = (
+        "stretch certificate rejected: pair (12, 13) exceeds q*d+r by "
+        "about 1.000E-4400\n"
+    )
+    if command == "verify":
+        assert run_cli("verify", *argv) == 1
+        assert capsys.readouterr().out == f"fail: {line}"
+    else:
+        argv += ["--instance", f"{prefix}.instance.json", "--algo", "spanner"]
+        assert cli_input_error(capsys, "run", *argv) == f"--spanners: {line}"
+
+
 # (command and the files it reads, the file that cannot be read)
 UNREADABLE = [
     (["run", "--algo", "gpc", "--graph", "--td"], "--graph"),

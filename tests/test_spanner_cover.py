@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kslab import spanner_cover
 from kslab.advice_tape import AdviceTape
 from kslab.instances import (
     SplitMix64,
@@ -220,8 +221,10 @@ def test_measure_and_verify_match_fraction_oracle():
                   (q + 1, Fraction(-3, 2)), (Fraction(1, 2), 0),
                   (Fraction(1, 2), 3), (q + Fraction(1, 10**30 + 7), 0),
                   (q - Fraction(1, 10**30 + 7), 0),
-                  (q - Fraction(1, 10**30 + 7), Fraction(1, 3))]
-        for cq in (Fraction(3, 2), Fraction(5, 4), 1):
+                  (q - Fraction(1, 10**30 + 7), Fraction(1, 3)),
+                  (0, 0), (0, 10**6), (-1, 0), (Fraction(-3, 2), 10**13),
+                  (-2**40, 2**90)]
+        for cq in (Fraction(3, 2), Fraction(5, 4), 1, 0):
             # right at the edge: r passes, r - 1/7 fails by exactly 1/7
             r = _oracle_tightest_r(g, dm, trees, cq)
             claims += [(cq, r), (cq, r - Fraction(1, 7))]
@@ -235,6 +238,36 @@ def test_measure_and_verify_match_fraction_oracle():
             assert got == expected, (g, cq, cr)
             failing_with_r += not got[0] and cr != 0
     assert failing_with_r > 0
+
+
+def test_wide_claim_coefficients_are_cut_to_narrow_lanes(monkeypatch):
+    # q = 7 - 10^-2200 and r = 1/(10^2200 + 1): the lane test's coefficients
+    # have thousands of digits, but the lanes stay at most 8 bytes wide and
+    # the flagged rows are decided exactly.  The comb tree stretches pair
+    # (12, 13) of the 4x4 grid from 1 to 7.
+    g = grid_graph(4, 4)
+    dm = all_pairs_shortest_paths(g)
+    trees = (shortest_path_tree(g, 0),)
+    assert trees[0].parent == (None, 0, 1, 2, *range(12))
+    widths = []
+
+    class RecordedLanes(_Lanes):
+        def __init__(self, n, bound):
+            super().__init__(n, bound)
+            widths.append(self.nbytes)
+
+    monkeypatch.setattr(spanner_cover, "_Lanes", RecordedLanes)
+    t = 10**2200
+    q = 7 - Fraction(1, t)
+    with pytest.raises(StretchClaimRejected) as info:
+        certify_system(g, dm, trees, q, Fraction(1, t + 1))
+    got = (False, info.value.excess, info.value.witness)
+    assert got == _oracle_stretch_check(g, dm, trees, q, Fraction(1, t + 1))
+    assert got == (False, Fraction(1, t * (t + 1)), (12, 13))
+    # q + r = 7 exactly: the claim holds with no slack at (12, 13)
+    assert _oracle_stretch_check(g, dm, trees, q, Fraction(1, t))[0]
+    assert certify_system(g, dm, trees, q, Fraction(1, t)).q == q
+    assert len(widths) == 2 and max(widths) <= 8
 
 
 def test_stretch_ties_keep_the_first_pair():
