@@ -101,6 +101,10 @@ class Graph:
         self.adj: tuple[tuple[tuple[int, Weight], ...], ...] = tuple(
             tuple(sorted(a)) for a in adj
         )
+        # the neighbour ids alone, in the same order, for breadth-first walks
+        self.nbrs: tuple[tuple[int, ...], ...] = tuple(
+            tuple(v for v, _ in a) for a in self.adj
+        )
         # every weight is 1: distances are hop counts, a row is one BFS
         self.unit_weights = all(w == 1 for _, _, w in self.edges)
         self._require_connected()
@@ -112,7 +116,7 @@ class Graph:
         count = 1
         while stack:
             u = stack.pop()
-            for v, _ in self.adj[u]:
+            for v in self.nbrs[u]:
                 if not seen[v]:
                     seen[v] = True
                     count += 1
@@ -191,31 +195,32 @@ def weight_scale(g: Graph) -> int:
 def single_source_distances(g: Graph, s: int) -> list[Weight]:
     """Exact distances from s to every vertex.
 
-    When every weight is 1 they are hop counts: breadth-first levels, where
-    `frontier` holds the vertices at distance d - 1 and a vertex takes the
-    first level that reaches it.  Otherwise Dijkstra by distance levels: the
-    heap holds each distinct tentative distance once, and level[d] the
-    vertices reached at d.  Weights are >= 1, so scanning level d never adds
+    When every weight is 1 they are hop counts: breadth-first levels over
+    the neighbour ids `g.nbrs`, where `frontier` holds the vertices at
+    distance d - 1 and a vertex takes the first level that reaches it.
+    Otherwise Dijkstra by distance levels: the heap holds each distinct
+    tentative distance once, and level[d] the vertices reached at d.  Weights are >= 1, so scanning level d never adds
     to it; a vertex whose distance dropped below the level it was filed
     under is stale there and skipped.  None marks a vertex not reached yet;
     connectivity is a Graph invariant, so none survives.
     """
     dist: list[Weight | None] = [None] * g.n
     dist[s] = 0
-    adj = g.adj
     if g.unit_weights:
+        nbrs = g.nbrs
         frontier = [s]
         d = 0
         while frontier:
             d += 1
             nxt = []
             for u in frontier:
-                for v, _ in adj[u]:
+                for v in nbrs[u]:
                     if dist[v] is None:
                         dist[v] = d
                         nxt.append(v)
             frontier = nxt
         return dist
+    adj = g.adj
     heap: list[Weight] = [0]
     level: dict[Weight, list[int]] = {0: [s]}
     while heap:

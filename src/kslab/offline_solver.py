@@ -12,8 +12,12 @@ cost-minimal ways in, so the one forward pass gives both OPT and the
 number of optimal schedules.  Costs in a layer are relative to a running
 base that takes the cost of serving from the previous request, which
 every state pays; each sorted insertion of the previous request into a
-state is computed once and kept.  The flow network is never stored: its
-at most k + min(t, N) arcs into request t (from the servers, and from
+state is computed once and kept.  Once a layer has doubled since the last
+sweep, a sweep drops the states that cost more than the cheapest state
+plus the cost of moving its servers onto theirs: no optimal schedule
+passes through one, so the optimum, the count and the schedule picked are
+those of the unswept DP.  The flow network is never stored: its at most
+k + min(t, N) arcs into request t (from the servers, and from
 the latest earlier request at each vertex) are read off the request
 sequence and the metric rows of the requested vertices into one cost
 list per node, once per solve.  It is solved by k successive shortest
@@ -30,6 +34,7 @@ from fractions import Fraction
 from bisect import bisect, insort
 from heapq import heappop, heappush
 from math import comb
+from operator import getitem
 from typing import NamedTuple
 
 from .metric_core import (
@@ -200,6 +205,21 @@ def _dp_layers(dist, init, sigma):
     (moved is empty for t = 0).  Each configuration's distinct (s, R - s)
     pairs are computed the first time it is expanded, and each R - s with
     p inserted the first time p is inserted into it, and both are kept.
+
+    A sweep drops the dominated states of a layer: R is dominated when its
+    cost exceeds that of the layer's cheapest state R* by more than M(R*,
+    R), the cost of moving R*'s servers onto R's by pairing the two sorted
+    tuples in order.  That pairing is one reconfiguration, so reaching R*,
+    making those moves and going on as any schedule does from R costs
+    strictly less than that schedule, and its lazy form no more.  A state
+    on an optimal schedule is held at its exact cost (by induction over the
+    layers, as its cost-minimal predecessors lie on one too), so it is
+    never dominated: a sweep keeps it, its ways and its least source, which
+    are all that OPT, the count, the back-trace and the least final state
+    read.  Between sweeps a layer only grows, so a sweep runs once a layer
+    holds twice as many states as the last sweep kept (2 before the
+    first): O(1) amortised per state created, and nothing added to the
+    transition loop.
     """
     if not init and sigma:
         raise ValueError(f"init: no servers to serve {len(sigma)} requests")
@@ -208,6 +228,7 @@ def _dp_layers(dist, init, sigma):
     layer = {tuple(sorted(init))[1:]: (0, 1)}
     sources: dict[tuple, list] = {}  # conf -> its distinct (s, conf - s)
     inserts: dict[int, dict] = {}  # p -> {rest: rest + (p,), sorted}
+    sweep_at = 2  # sweep a layer of this many states, twice the last kept
     yield base, layer, {}
     for r in sigma:
         dr = dist[r]  # d(s, r) == d(r, s)
@@ -243,6 +264,15 @@ def _dp_layers(dist, init, sigma):
                     nxt[new_conf] = (new_cost, best[1] + ways)
                     if s < moved.get(new_conf, p):
                         moved[new_conf] = s
+        if len(nxt) >= sweep_at:
+            star = min(nxt, key=nxt.get)  # a cheapest state: costs lead
+            least = nxt[star][0]
+            rows = [dist[a] for a in star]
+            for conf, (cost, _) in list(nxt.items()):
+                if cost - least > sum(map(getitem, rows, conf)):
+                    del nxt[conf]
+                    moved.pop(conf, None)
+            sweep_at = 2 * len(nxt)
         layer = nxt
         p = r
         yield base, layer, moved
@@ -270,8 +300,8 @@ def opt_cost_dp(
     the number of optimal schedules, read off the same pass, as its
     `optimal_count`.
     """
-    # the route guard: N^k*n, not the DP's real work, picks which solver's
-    # optimal schedule a run reports
+    # the route guard: N^k*n, a worst-case bound on the DP's work that
+    # sweeps only lower, picks which solver's optimal schedule a run reports
     _guard("opt_cost_dp", "N^k*n", g.n ** len(init) * max(len(sigma), 1))
     if dm is None:
         dm = all_pairs_shortest_paths(g)
@@ -310,8 +340,8 @@ def count_optimal_schedules(
 
     Both are read off the last layer of `_dp_layers`, as `opt_cost_dp`
     does for its `optimal_count`; this pass is for a schedule that came
-    from the flow.  Guarded on the DP's real work: C(N+k-2, k-1) states a
-    layer, times n layers.
+    from the flow.  Guarded on the DP's worst-case work: C(N+k-2, k-1)
+    states a layer, times n layers, before any sweep.
     """
     k = len(init)
     states = comb(g.n + k - 2, k - 1) if k else 1

@@ -190,6 +190,19 @@ LARGER_RUNS = [
         "f51404b603ca02825d6a0d11014047aa07a1eaf881ad43286c32b863ba5beb5c",
         874,
     ),
+    # k = 3 DP-route runs, where the DP's sweeps drop the most states
+    (
+        ["--family", "grid", "--size", "6", "--k", "3", "--n", "150",
+         "--seed", "1", "--algo", "opt"],
+        "d10e8850fce794e0b6f08cded52172cd6ff5dbc3d8ed6dbc207552afeb0b12ae",
+        260,
+    ),
+    (
+        ["--family", "random-ktree", "--size", "30", "--k", "3", "--n", "150",
+         "--seed", "2", "--algo", "opt"],
+        "714ad88eed25d261dfa6d4494a8817e36c26b91a547c00a7493fa90cf97d48fd",
+        197,
+    ),
 ]
 
 
@@ -197,7 +210,8 @@ LARGER_RUNS = [
     "argv,digest,opt_cost",
     LARGER_RUNS,
     ids=["ktree-flow-gpc", "grid8-spanner", "rounds2000-gpc", "ktree600-flow-gpc",
-         "grid16-spanner", "ktree250-gpc", "ktree2000-gpc"],
+         "grid16-spanner", "ktree250-gpc", "ktree2000-gpc", "grid6-k3-opt",
+         "ktree30-k3-opt"],
 )
 def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     out = tmp_path / "r.json"

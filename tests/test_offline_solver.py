@@ -630,11 +630,60 @@ def _moves(schedule):
     ]
 
 
+# Instances on which a sweep of `_dp_layers` drops dominated states, each
+# with three or more optimal schedules: k = 3 and k = 4 with co-located
+# servers, on a path and on Fraction weights.
+SWEPT = [
+    (path_graph(5), (4, 2, 4), [0, 4, 2]),
+    (path_graph(6), (5, 3, 0, 5), [4, 1, 0]),
+    (
+        Graph(5, [(0, 1, 3), (0, 3, 1), (1, 2, Fraction(3, 2)),
+                  (1, 3, Fraction(3, 2)), (1, 4, Fraction(5, 2))]),
+        (3, 0, 0),
+        [4, 0, 1],
+    ),
+    (
+        Graph(5, [(0, 1, 2), (0, 3, 2), (1, 2, Fraction(7, 2)),
+                  (1, 4, Fraction(5, 2)), (3, 4, Fraction(5, 2))]),
+        (3, 1, 3, 2),
+        [4, 0, 2],
+    ),
+]
+
+
+@pytest.mark.parametrize("instance", SWEPT, ids=["k3-path", "k4-path", "k3-frac", "k4-frac"])
+def test_sweep_drops_states_on_the_examples(instance):
+    # every configuration reachable after request t holds sigma[t-1], so
+    # an unswept layer t holds as many states as the oracle's layer t
+    g, init, sigma = instance
+    dm = all_pairs_shortest_paths(g)
+    swept = sum(len(layer) for _, layer, _ in offline_solver._dp_layers(dm.dist, init, sigma))
+    assert swept < sum(map(len, _oracle_layers(dm.dist, init, sigma)))
+
+
+def test_sweep_bounds_the_states_of_a_k3_grid_run():
+    # `kslab run --family grid --size 6 --k 3 --n 150 --seed 1`: 70,091
+    # states summed over the layers with no sweep
+    from kslab import cli
+
+    argv = "run --family grid --size 6 --k 3 --n 150 --seed 1".split()
+    g, init, sigma = cli._build_instance(cli.make_parser().parse_args(argv))[:3]
+    dm = all_pairs_shortest_paths(g)
+    states = sum(len(layer) for _, layer, _ in offline_solver._dp_layers(dm.dist, init, sigma))
+    assert states <= 10_000
+    _, sched = opt_cost_dp(g, init, sigma, dm)
+    assert _moves(sched) == _moves(_oracle_schedule(dm.dist, init, sigma))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_small_instances(max_servers=4))
 @example((path_graph(5), (2, 2, 0, 2), [2, 0, 4, 2, 4, 0]))  # repeats, occupied
 @example((path_graph(5), (4, 0, 0, 3), [0, 0, 4, 1, 4]))
 @example((Graph(3, [(0, 1, Fraction(3, 2)), (1, 2, 2)]), (1, 1), []))
+@example(SWEPT[0])
+@example(SWEPT[1])
+@example(SWEPT[2])
+@example(SWEPT[3])
 def test_dp_matches_configuration_oracle(instance):
     g, init, sigma = instance
     dm = all_pairs_shortest_paths(g)
@@ -650,6 +699,10 @@ def test_dp_matches_configuration_oracle(instance):
 @example((path_graph(5), (4, 0, 0, 3), [0, 0, 4, 1, 4]))
 @example((path_graph(3), (0, 0, 2), [1, 0, 2]))  # two servers on p_0 = 0
 @example((Graph(3, [(0, 1, Fraction(3, 2)), (1, 2, 2)]), (1, 1), []))
+@example(SWEPT[0])
+@example(SWEPT[1])
+@example(SWEPT[2])
+@example(SWEPT[3])
 def test_count_matches_configuration_oracle(instance):
     # the count is the number of distinct optimal (t, src, dst) schedules
     g, init, sigma = instance
