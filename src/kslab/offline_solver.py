@@ -21,18 +21,24 @@ k + min(t, N) arcs into request t (from the servers, and from
 the latest earlier request at each vertex) are read off the request
 sequence and the metric rows of the requested vertices into one cost
 list per node, once per solve.  It is solved by k successive shortest
-paths (the first from one pass over the DAG, the rest by heap Dijkstra
-on reduced costs over the forward arcs and the reverses of the few that
-carry flow) in exact ints, with no graph library.  Its heap keys are
-single ints that order as (distance, node), so ties go by node id, and
-its cost is read off the potentials.  Both emit lazy schedules: exactly
-one server moves per request, directly to the requested vertex.
+paths in exact ints, with no graph library.  The first unit is read off
+the request sequence: the request arcs' cost -B makes the chain through
+every request the only shortest path.  The second comes from one scan in
+an order along which every residual arc points forward and reduced
+distances never decrease.  The rest go by heap Dijkstra on reduced costs
+over the forward arcs and the reverses of the few that carry flow, keyed
+by single ints that order as (distance, node), so ties go by node id.  A
+reversed request arc costs +B and is never shorter than a free server's
+direct arc, so no pass relaxes it and every request stays covered.  The
+cost is read off the potentials.  Both emit lazy schedules: exactly one
+server moves per request, directly to the requested vertex.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from bisect import bisect, insort
 from heapq import heappop, heappush
+from itertools import islice
 from math import comb
 from operator import getitem
 from typing import NamedTuple
@@ -361,19 +367,26 @@ def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
     is the head (tail) of the arc out of (into) v that carries a unit, None
     if none does; S and T aside, a node carries at most one.
 
-    Unit 1 follows the predecessors of one forward pass over the DAG in
-    node order: exact distances from S, so feasible potentials, and the
-    first arc to reach a node's distance is the one a Dijkstra from S on
-    them would pick, as it settles every node at 0 in id order.  Units 2..k
-    go along heap-Dijkstra shortest paths in the reduced costs.  The costs
-    of the arcs from s_i and ro_t to the ri nodes are read off the rows
-    into one list per node before the first pass, and both passes relax
-    them in plain loops.  A heap entry is the one int nd << b | v, b the
-    bit length of T's id, which orders as (nd, v) does, negative nd too.
+    Unit 1 is the chain s_i -> ri_0 -> ro_0 -> ri_1 -> ... -> ro_{n-1} ->
+    T, i the least-id server nearest sigma_0, with the exact distances from
+    S as potentials: 0 at S and the s_j, pot(ri_t) = P_t - t*B, pot(ro_t) =
+    P_t - (t+1)*B and pot(T) = pot(ro_{n-1}), where P_t = d(init_i,
+    sigma_0) + sum over u < t of d(sigma_u, sigma_{u+1}).  Unit 2 comes from
+    one scan, in real costs from S, in the order S, the free s_j, ri_0, s_i,
+    ri_1, ro_0, ri_2, ro_1, ..., ri_{n-1}, ro_{n-2}, T: each node keeps the
+    first tail to reach its distance, as a heap Dijkstra on the same
+    network would.  Units 3..k go along heap-Dijkstra shortest paths in the
+    reduced costs.  Why each step gives the schedule the heap would is in
+    `opt_cost_flow`.  The costs of the arcs from s_i and ro_t to the ri
+    nodes are read off the rows into one list per node once, and both
+    passes relax them in plain loops.  A heap entry is the one int nd << b
+    | v, b the bit length of T's id, which orders as (nd, v) does, negative
+    nd too.
     """
     k = len(init)
+    n = len(sigma)
     ri0 = k + 1  # ri_t = ri0 + 2t, ro_t = ri_t + 1
-    sink = ri0 + 2 * len(sigma)
+    sink = ri0 + 2 * n
     vert = [None, *init, *(y for y in sigma for _ in ("ri", "ro"))]  # node -> vertex
     succ: list = [None] * (sink + 1)
     pred: list = [None] * (sink + 1)
@@ -385,32 +398,65 @@ def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
     for t, row in enumerate(rows):
         out_costs[ri0 + 2 * t + 1] = [row[y] for y in sigma[t + 1:ends[t] + 1]]
 
+    # Unit 1: the chain from s1, its nodes' ids consecutive from ri_0 on.
+    s1 = 1 + min(range(k), key=lambda j: rows[0][init[j]])
+    pot = [0] * (sink + 1)
+    p = 0  # P_t, adding each request's chain arc in turn
+    for t, (row, y) in enumerate(zip(rows, (init[s1 - 1], *sigma))):
+        p += row[y]
+        pot[ri0 + 2 * t] = p - t * big
+        pot[ri0 + 2 * t + 1] = p - (t + 1) * big
+    pot[sink] = pot[sink - 1]
+    succ[0] = s1
+    pred[s1] = 0
+    succ[s1] = ri0
+    pred[ri0] = s1
+    succ[ri0:sink] = range(ri0 + 1, sink + 1)
+    pred[ri0 + 1:] = range(ri0, sink)
+    cost = pot[sink]
+
     inf = float("inf")  # "not reached" sentinel; never enters a sum
-    pot: list = [0] * ri0 + [inf] * (sink + 1 - ri0)  # S's arcs cost 0
     prev = [0] * (sink + 1)
-    for u in range(1, sink):
-        base = pot[u]
-        costs = out_costs[u]
-        if costs is None:  # ri_t: its one arc, to ro_t
-            if base - big < pot[u + 1]:
-                pot[u + 1] = base - big
-                prev[u + 1] = u
-            continue
-        if base < pot[sink]:
-            pot[sink] = base
-            prev[sink] = u
-        v = ri0 if u < ri0 else u + 1  # the first head; heads step by 2
-        for c in costs:
-            if base + c < pot[v]:
-                pot[v] = base + c
-                prev[v] = u
-            v += 2
     shift = sink.bit_length()
     mask = (1 << shift) - 1
-    cost = 0
-    for unit in range(k):
-        if unit:
-            dist: list = [inf] * (sink + 1)
+    for unit in range(1, k):
+        if unit == 1:
+            # In real costs from S: the free servers (0 each) relax in id
+            # order, then each ri_t hands its distance, less its chain arc,
+            # back to that arc's tail (s1, then ro_{t-1}), which relaxes T
+            # and its ri nodes but ri_t.  Only ro_{n-1} stays unreached.
+            real = [inf] * (sink + 1)
+            real[0] = 0
+            for u in range(1, ri0):
+                if u == s1:
+                    continue
+                real[u] = 0  # prev[u] = 0, S
+                v = ri0
+                for c in out_costs[u]:
+                    if c < real[v]:
+                        real[v] = c
+                        prev[v] = u
+                    v += 2
+                if 0 < real[sink]:
+                    real[sink] = 0
+                    prev[sink] = u
+            for t, row in enumerate(rows):
+                ri = ri0 + 2 * t
+                u = pred[ri]
+                base = real[u] = real[ri] - row[vert[u]]
+                prev[u] = ri
+                if base < real[sink]:
+                    real[sink] = base
+                    prev[sink] = u
+                v = ri + 2
+                for c in islice(out_costs[u], 1, None):  # ri_t's arc is full
+                    if base + c < real[v]:
+                        real[v] = base + c
+                        prev[v] = u
+                    v += 2
+            dist = [r - q for r, q in zip(real, pot)]
+        else:
+            dist = [inf] * (sink + 1)
             dist[0] = 0
             heap = [0]
             while heap:
@@ -425,7 +471,7 @@ def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
                 costs = out_costs[u]
                 if costs is not None:
                     # s_i or ro_t: the ri nodes but succ[u], whose arc
-                    # carries a unit, then T and ro_t's reverse arc
+                    # carries a unit, then T
                     full = succ[u]
                     v = ri0 if u < ri0 else u + 1
                     for c in costs:
@@ -436,15 +482,12 @@ def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
                             heappush(heap, nd << shift | v)
                         v += 2
                     arcs = () if full == sink else ((sink, 0),)
-                    p = pred[u] if u > ri0 else None
-                    if p is not None:
-                        arcs += ((p, big),)
-                elif u:  # ri_t: the reverse arc to its tail, else to ro_t
+                elif u:
+                    # ri_t: the reverse arc to its tail, which it has, as
+                    # no unit crosses a +B arc (`opt_cost_flow`); for the
+                    # same reason ro_t's reverse arc to ri_t is left out
                     p = pred[u]
-                    if p is None:
-                        arcs = ((u + 1, -big),)
-                    else:
-                        arcs = ((p, -rows[(u - ri0) >> 1][vert[p]]),)
+                    arcs = ((p, -rows[(u - ri0) >> 1][vert[p]]),)
                 else:  # S: the servers that carry no unit yet
                     arcs = [(v, 0) for v in range(1, ri0) if succ[v] is None]
                 for v, c in arcs:
@@ -453,11 +496,11 @@ def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
                         dist[v] = nd
                         prev[v] = u
                         heappush(heap, nd << shift | v)
-            # Nodes left unsettled (or unreached) get the sink's distance,
-            # which keeps every residual reduced cost nonnegative.
-            reach = dist[sink]
-            for v, dv in enumerate(dist):
-                pot[v] += dv if dv < reach else reach
+        # Nodes left unsettled (or unreached) get the sink's distance,
+        # which keeps every residual reduced cost nonnegative.
+        reach = dist[sink]
+        for v, dv in enumerate(dist):
+            pot[v] += dv if dv < reach else reach
         cost += pot[sink]
         v = sink
         while v:
@@ -502,14 +545,44 @@ def opt_cost_flow(
 
     No arc list is stored: ro_u feeds ri_t for u < t <= ends[u], the next
     request at sigma_u (n - 1 if none), and costs are read off the requests'
-    scaled rows, once per solve.  A node's residual arcs are s_i: T, ri_0 ..
-    ri_{n-1}; ri_t: the reverse to its tail, else ro_t; ro_t: T, ri_{t+1}
-    .. ri_{ends[t]}, the reverse to ri_t.  Their heads are distinct, so the
-    order a node relaxes them in does not matter and node ids alone break
-    ties, as in an arc-list solver on the same node ids: nodes are scanned,
-    or popped at equal distance, in id order, and a node keeps the first
-    tail that reaches its distance.  The
-    flow cost, the sum of the units' path costs (pot[T] after each), is
+    scaled rows, once per solve.  The units go along shortest paths in the
+    residual network, and each node keeps the first tail that reaches its
+    distance, with nodes settled at equal distance in id order, as in an
+    arc-list solver with heap Dijkstra on the same node ids.  Three facts
+    let `_flow_units` skip most of that work and keep its schedule.
+
+    Unit 1 is the chain.  A path from S collects -B at each request it
+    covers, and B exceeds every positive cost, so the shortest path covers
+    every request: s_i -> ri_0 -> ro_0 -> ri_1 -> ... -> ro_{n-1} -> T, the
+    only path that does, entered from the least-id server i nearest
+    sigma_0.  Each prefix of it is a shortest path too, which gives the
+    potentials in closed form.
+
+    The +B arcs are never shorter.  A unit that cancelled ri_t -> ro_t would
+    cross the reverse arc ro_t -> ri_t of cost +B.  A path that reaches ro_t
+    without passing ri_t has cancelled carried arcs into other requests
+    only, at most one into each, and B exceeds the sum of the costliest arc
+    into every request; so it reaches ri_t at more than the cost of the
+    direct arc from a free server j, whose node is settled at distance 0
+    before any request node.  A path that passes ri_t before ro_t has
+    reached ri_t at no more than ro_t's distance.  So no unit crosses a +B
+    arc: after unit 1 every request stays covered, and its ri node's only
+    residual arc is the reverse to its tail.
+
+    The scan order for unit 2 is monotone.  After unit 1 the residual arcs
+    are S -> s_j and s_j -> T, ri_t for the free s_j; ri_0 -> s_i and s_i
+    -> T, ri_1 .. ri_{n-1}; ri_t -> ro_{t-1} and ro_{t-1} -> T, ri_{t+1} ..
+    ri_{ends[t-1]}, besides the +B arcs.  Each points forward in the order
+    S, the free s_j, ri_0, s_i, ri_1, ro_0, ri_2, ro_1, ..., ri_{n-1},
+    ro_{n-2}, T.  Reduced distances never decrease along it: S and the free
+    s_j are at 0, s_i and ro_{t-1} share the distance of ri_0 and ri_t, the
+    tails of their one arc in, of reduced cost 0, and ri_{t+1} (T after
+    ri_{n-1}) lies strictly beyond ri_t, by the bound on B, whether its path
+    passes ri_t or not.  A heap pops equal keys in id order among the nodes
+    it holds, s_i only after ri_0 and ro_{t-1} only after ri_t, so it
+    settles the nodes in that order, and the scan keeps the tails it would.
+
+    The flow cost, the sum of the units' path costs (pot[T] after each), is
     checked against the cost of the decoded schedule.
     """
     if dm is None:

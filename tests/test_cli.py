@@ -203,6 +203,21 @@ LARGER_RUNS = [
         "714ad88eed25d261dfa6d4494a8817e36c26b91a547c00a7493fa90cf97d48fd",
         197,
     ),
+    # the ktree-gpc benchmark spec (flow route) at three more pool seeds;
+    # bench/reference.json's digests for it predate the flow's re-pin
+    *(
+        (
+            ["--family", "random-ktree", "--size", "250", "--k", "3", "--n", "300",
+             "--seed", str(seed), "--algo", "gpc"],
+            digest,
+            opt_cost,
+        )
+        for seed, digest, opt_cost in [
+            (0, "bd7eeea2701ddadd3429b66aeb4e9cc942faf263c8fdd183bb9eebee1e256228", 719),
+            (2, "bc92babf8b0e30e3d791674f0c17ffd55fafc081b4c60673110c86547cde3cb1", 727),
+            (39, "b8c9f4a4cf75af349468a56b2442aed0e9c6890f14066145565b6f66dc44b39f", 677),
+        ]
+    ),
 ]
 
 
@@ -211,7 +226,7 @@ LARGER_RUNS = [
     LARGER_RUNS,
     ids=["ktree-flow-gpc", "grid8-spanner", "rounds2000-gpc", "ktree600-flow-gpc",
          "grid16-spanner", "ktree250-gpc", "ktree2000-gpc", "grid6-k3-opt",
-         "ktree30-k3-opt"],
+         "ktree30-k3-opt", "ktree250-gpc-s0", "ktree250-gpc-s2", "ktree250-gpc-s39"],
 )
 def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     out = tmp_path / "r.json"

@@ -436,6 +436,185 @@ def test_flow_schedule_matches_arc_list_oracle_on_larger_instances(n_v, k, n):
     _, sched = opt_cost_flow(g, init, sigma, dm)
     _, oracle = _arc_list_flow(dm, init, sigma, _sparse_arcs, 1)
     assert _moves(sched) == _moves(oracle)
+    _assert_units_match_heap(g, init, sigma, dm)
+
+
+# The all-heap `_flow_units`: unit 1 from a forward pass over the DAG and
+# every later unit by heap Dijkstra, the +B reverse arcs and the branch
+# for an uncovered request included.  The oracle for the closed-form
+# first unit, the one-scan second unit and the Dijkstra without B arcs.
+def _heap_flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
+    """Min-cost flow of value k = len(init) on `opt_cost_flow`'s implicit
+    network, given rows[t], the scaled metric row of sigma[t], the ranges
+    `ends` and B = big.  Returns the flow cost and succ: succ[v] (pred[v])
+    is the head (tail) of the arc out of (into) v that carries a unit, None
+    if none does; S and T aside, a node carries at most one.
+
+    Unit 1 follows the predecessors of one forward pass over the DAG in
+    node order: exact distances from S, so feasible potentials, and the
+    first arc to reach a node's distance is the one a Dijkstra from S on
+    them would pick, as it settles every node at 0 in id order.  Units 2..k
+    go along heap-Dijkstra shortest paths in the reduced costs.  The costs
+    of the arcs from s_i and ro_t to the ri nodes are read off the rows
+    into one list per node before the first pass, and both passes relax
+    them in plain loops.  A heap entry is the one int nd << b | v, b the
+    bit length of T's id, which orders as (nd, v) does, negative nd too.
+    """
+    k = len(init)
+    ri0 = k + 1  # ri_t = ri0 + 2t, ro_t = ri_t + 1
+    sink = ri0 + 2 * len(sigma)
+    vert = [None, *init, *(y for y in sigma for _ in ("ri", "ro"))]  # node -> vertex
+    succ: list = [None] * (sink + 1)
+    pred: list = [None] * (sink + 1)
+    # out_costs[u]: the costs of u's arcs to its ri nodes, in head order,
+    # ri_0 .. ri_{n-1} from s_i and ri_{t+1} .. ri_{ends[t]} from ro_t
+    out_costs: list = [None] * sink
+    for u in range(1, ri0):
+        out_costs[u] = [row[vert[u]] for row in rows]
+    for t, row in enumerate(rows):
+        out_costs[ri0 + 2 * t + 1] = [row[y] for y in sigma[t + 1:ends[t] + 1]]
+
+    inf = float("inf")  # "not reached" sentinel; never enters a sum
+    pot: list = [0] * ri0 + [inf] * (sink + 1 - ri0)  # S's arcs cost 0
+    prev = [0] * (sink + 1)
+    for u in range(1, sink):
+        base = pot[u]
+        costs = out_costs[u]
+        if costs is None:  # ri_t: its one arc, to ro_t
+            if base - big < pot[u + 1]:
+                pot[u + 1] = base - big
+                prev[u + 1] = u
+            continue
+        if base < pot[sink]:
+            pot[sink] = base
+            prev[sink] = u
+        v = ri0 if u < ri0 else u + 1  # the first head; heads step by 2
+        for c in costs:
+            if base + c < pot[v]:
+                pot[v] = base + c
+                prev[v] = u
+            v += 2
+    shift = sink.bit_length()
+    mask = (1 << shift) - 1
+    cost = 0
+    for unit in range(k):
+        if unit:
+            dist: list = [inf] * (sink + 1)
+            dist[0] = 0
+            heap = [0]
+            while heap:
+                key = heappop(heap)
+                u = key & mask
+                d = key >> shift
+                if d > dist[u]:
+                    continue
+                if u == sink:
+                    break
+                base = d + pot[u]
+                costs = out_costs[u]
+                if costs is not None:
+                    # s_i or ro_t: the ri nodes but succ[u], whose arc
+                    # carries a unit, then T and ro_t's reverse arc
+                    full = succ[u]
+                    v = ri0 if u < ri0 else u + 1
+                    for c in costs:
+                        nd = base + c - pot[v]
+                        if nd < dist[v] and v != full:
+                            dist[v] = nd
+                            prev[v] = u
+                            heappush(heap, nd << shift | v)
+                        v += 2
+                    arcs = () if full == sink else ((sink, 0),)
+                    p = pred[u] if u > ri0 else None
+                    if p is not None:
+                        arcs += ((p, big),)
+                elif u:  # ri_t: the reverse arc to its tail, else to ro_t
+                    p = pred[u]
+                    if p is None:
+                        arcs = ((u + 1, -big),)
+                    else:
+                        arcs = ((p, -rows[(u - ri0) >> 1][vert[p]]),)
+                else:  # S: the servers that carry no unit yet
+                    arcs = [(v, 0) for v in range(1, ri0) if succ[v] is None]
+                for v, c in arcs:
+                    nd = base + c - pot[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev[v] = u
+                        heappush(heap, nd << shift | v)
+            # Nodes left unsettled (or unreached) get the sink's distance,
+            # which keeps every residual reduced cost nonnegative.
+            reach = dist[sink]
+            for v, dv in enumerate(dist):
+                pot[v] += dv if dv < reach else reach
+        cost += pot[sink]
+        v = sink
+        while v:
+            u = prev[v]
+            if u < v:  # a forward arc: it carries this unit
+                succ[u] = v
+                pred[v] = u
+            else:  # the reverse of v -> u: that arc's unit is cancelled
+                if succ[v] == u:
+                    succ[v] = None
+                if pred[u] == v:
+                    pred[u] = None
+            v = u
+    return cost, succ
+
+
+def _assert_units_match_heap(g, init, sigma, dm):
+    """`_flow_units` returns the heap oracle's (cost, succ) on the
+    arguments `opt_cost_flow` passes it."""
+    seen = []
+    real = offline_solver._flow_units
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(offline_solver, "_flow_units", spy)
+        opt_cost_flow(g, init, sigma, dm)
+    for args in seen:  # none for an empty sigma
+        assert real(*args) == _heap_flow_units(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_instances(max_servers=4, max_requests=14))
+@example((path_graph(5), (2, 2, 0), [2, 0, 4, 2, 4, 0, 0, 2, 4, 4]))  # repeated init
+@example((path_graph(4), (0, 3, 1, 2), [3, 0]))  # k > n
+@example((Graph(3, [(0, 1, Fraction(3, 2)), (1, 2, 2)]), (1, 1, 0), [0, 2, 1, 0, 2]))
+@example((path_graph(3), (0, 2, 2, 0), [1, 0, 2, 1, 1, 0, 2, 1]))  # all ties
+def test_flow_units_match_the_heap_oracle(instance):
+    g, init, sigma = instance
+    _assert_units_match_heap(g, init, sigma, all_pairs_shortest_paths(g))
+
+
+def test_first_two_units_push_nothing_onto_a_heap(monkeypatch):
+    from kslab import cli
+
+    pushes = []
+
+    def counting(heap, key):
+        pushes.append(key)
+        heappush(heap, key)
+
+    monkeypatch.setattr(offline_solver, "heappush", counting)
+    rng = SplitMix64(409)
+    g, _ = random_partial_ktree(rng, 40, 3, max_weight=9)
+    sigma = random_requests(rng, 120, g.n)
+    for k in (1, 2):
+        opt_cost_flow(g, random_distinct_vertices(rng, k, g.n), sigma)
+        assert pushes == [], f"k = {k}"
+    # the ktree-gpc benchmark spec at seed 1: only unit 3 uses the heap
+    args = cli.make_parser().parse_args(
+        ["run", "--family", "random-ktree", "--size", "250", "--k", "3",
+         "--n", "300", "--seed", "1", "--algo", "gpc"]
+    )
+    g, init, sigma = cli._build_instance(args)[:3]
+    opt_cost_flow(g, init, sigma)
+    assert 0 < len(pushes) < 8000
 
 
 def test_flow_feeds_each_request_from_one_arc_per_vertex(monkeypatch):
