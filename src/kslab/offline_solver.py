@@ -31,7 +31,9 @@ by single ints that order as (distance, node), so ties go by node id.  A
 reversed request arc costs +B and is never shorter than a free server's
 direct arc, so no pass relaxes it and every request stays covered.  The
 cost is read off the potentials.  Both emit lazy schedules: exactly one
-server moves per request, directly to the requested vertex.
+server moves per request, directly to the requested vertex.  Each entry
+point names the rows it reads, those of the servers and the requests, to
+`DistanceMatrix.compute_rows` up front, which may compute them in blocks.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from bisect import bisect, insort
 from heapq import heappop, heappush
 from itertools import islice
 from math import comb
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .metric_core import (
@@ -311,6 +313,7 @@ def opt_cost_dp(
     _guard("opt_cost_dp", "N^k*n", g.n ** len(init) * max(len(sigma), 1))
     if dm is None:
         dm = all_pairs_shortest_paths(g)
+    dm.compute_rows((*init, *sigma))
     dist = dm.dist
     back = []  # back[t]: the sparse back-pointers into layer t
     for base, layer, moved in _dp_layers(dist, init, sigma):
@@ -354,6 +357,7 @@ def count_optimal_schedules(
     _guard("count_optimal_schedules", "C(N+k-2,k-1)*n", states * max(len(sigma), 1))
     if dm is None:
         dm = all_pairs_shortest_paths(g)
+    dm.compute_rows((*init, *sigma))
     for base, layer, _ in _dp_layers(dm.dist, init, sigma):
         pass
     best_cost, count, _ = _optimum(base, layer)
@@ -593,6 +597,7 @@ def opt_cost_flow(
         return 0, Schedule(moves=[], total_cost=0)
     if k == 0:
         raise ValueError(f"init: no servers to serve {n} requests")
+    dm.compute_rows((*init, *sigma))
     dist = dm.dist
     scale = weight_scale(g)
     scaled = dist
@@ -604,11 +609,17 @@ def opt_cost_flow(
     big = 1  # B: 1 + the sum over requests of the costliest arc into ri_t
     ends = [n - 1] * n  # ro_u feeds ri_t for u < t <= ends[u]
     last: dict[int, int] = {}  # vertex -> its latest request so far
+    seen = dict.fromkeys(init)  # init, then each newly requested vertex
+    # init[0] once more: an itemgetter of one item returns no tuple
+    gather = itemgetter(*seen, init[0])
     for t, (r, row) in enumerate(zip(sigma, rows)):
-        big += max(map(row.__getitem__, (*init, *last)))
+        big += max(gather(row))
         if r in last:
             ends[last[r]] = t
         last[r] = t
+        if r not in seen:
+            seen[r] = None
+            gather = itemgetter(*seen, init[0])
     flow_cost, succ = _flow_units(init, sigma, rows, ends, big)
     total = Fraction(flow_cost + n * big, scale)
     total = int(total) if total.denominator == 1 else total

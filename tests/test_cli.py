@@ -218,6 +218,13 @@ LARGER_RUNS = [
             (39, "b8c9f4a4cf75af349468a56b2442aed0e9c6890f14066145565b6f66dc44b39f", 677),
         ]
     ),
+    # 783 rows to read on N = 2,000: three full batch blocks and a BFS tail
+    (
+        ["--family", "random-ktree", "--size", "2000", "--k", "3", "--n", "1000",
+         "--seed", "1", "--algo", "gpc"],
+        "3ca503652bd9ff621707e8a458bb5601331105f5768e6a88ec2a34883d4eccb9",
+        2937,
+    ),
 ]
 
 
@@ -226,7 +233,8 @@ LARGER_RUNS = [
     LARGER_RUNS,
     ids=["ktree-flow-gpc", "grid8-spanner", "rounds2000-gpc", "ktree600-flow-gpc",
          "grid16-spanner", "ktree250-gpc", "ktree2000-gpc", "grid6-k3-opt",
-         "ktree30-k3-opt", "ktree250-gpc-s0", "ktree250-gpc-s2", "ktree250-gpc-s39"],
+         "ktree30-k3-opt", "ktree250-gpc-s0", "ktree250-gpc-s2", "ktree250-gpc-s39",
+         "ktree2000-n1000-gpc"],
 )
 def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     out = tmp_path / "r.json"
@@ -235,6 +243,37 @@ def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     assert results["pass"] is True
     assert results["opt_cost"] == opt_cost
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,bfs_rows,blocks",
+    [
+        # ktree-gpc: 177 rows to read, ecc 5 from the first, so 176 >= 80
+        (["--family", "random-ktree", "--size", "250", "--k", "3", "--n", "300",
+          "--algo", "gpc"], 1, [176]),
+        # grid-spanner and rounds-gpc: every row by BFS, as before batching;
+        # the grid's 258 are its 256 metric rows and the two spanning trees'
+        (["--family", "grid", "--size", "16", "--k", "2", "--n", "150",
+          "--algo", "spanner"], 258, []),
+        (["--family", "path-rounds", "--size", "5", "--n", "14000", "--algo", "gpc"],
+         5, []),
+    ],
+    ids=["ktree-gpc", "grid-spanner", "rounds-gpc"],
+)
+def test_benchmark_specs_take_their_row_path(argv, bfs_rows, blocks, monkeypatch, tmp_path):
+    from kslab import metric_core, spanner_cover
+
+    calls, sizes = [], []
+    bfs, batch = metric_core.single_source_distances, metric_core.multi_source_distances
+    for module in (metric_core, spanner_cover):  # the metric's rows and the trees'
+        monkeypatch.setattr(
+            module, "single_source_distances", lambda g, s: calls.append(s) or bfs(g, s)
+        )
+    monkeypatch.setattr(
+        metric_core, "multi_source_distances", lambda g, b: sizes.append(len(b)) or batch(g, b)
+    )
+    assert run_cli("run", *argv, "--seed", "1", "--out", str(tmp_path / "r.json")) == 0
+    assert (len(calls), sizes) == (bfs_rows, blocks)
 
 
 # spanner reports whose retrievals read disambiguation suffixes, on k > 2

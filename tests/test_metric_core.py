@@ -3,7 +3,7 @@ from heapq import heappop, heappush
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kslab.metric_core import (
@@ -21,7 +21,7 @@ from kslab.metric_core import (
     num_to_json,
     shortest_path_vertices,
 )
-from kslab.adversary import module_graph, module_layout, unit_graph
+from kslab.adversary import gb_graph, module_graph, module_layout, unit_graph
 from kslab.instances import SplitMix64, grid_graph, path_graph, random_partial_ktree
 from kslab import metric_core
 from kslab.cli import main
@@ -408,3 +408,110 @@ def test_gpc_run_reads_only_server_and_request_rows(monkeypatch, tmp_path):
     )
     assert sources and len(sources) == len(set(sources))  # each row once
     assert set(sources) <= needed
+
+
+def _star(n):
+    return Graph(n, [(0, v, 1) for v in range(1, n)])
+
+
+@st.composite
+def _unit_graphs(draw, max_n=600):
+    """A unit-weight graph: a random connected one (a random recursive tree,
+    each vertex under a random earlier one, plus chords) or one of every
+    generated family.  Sizes come from the seeded stream, uniform up to
+    max_n, so about half the graphs have more vertices than a block."""
+    kind = draw(st.sampled_from(["random", "path", "grid", "ktree", "unit", "module", "gb"]))
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    n = 1 + rng.randrange(max_n)
+    if kind == "random":
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randrange(n)):
+            u, v = sorted((rng.randrange(n), rng.randrange(n)))
+            if u != v:
+                edges.add((u, v))
+        return Graph(n, [(u, v, 1) for u, v in edges])
+    if kind == "path":
+        return path_graph(n)
+    if kind == "grid":
+        side = 1 + rng.randrange(int(max_n**0.5))
+        return grid_graph(side, max(1, n // side))
+    if kind == "ktree":
+        width = 1 + rng.randrange(4)
+        return random_partial_ktree(rng, max(n, width + 1), width)[0]
+    if kind == "unit":
+        return unit_graph(2 + rng.randrange(8))[0]  # up to 520 vertices
+    if kind == "module":
+        return module_graph(2 + rng.randrange(7))  # up to 526
+    return gb_graph(1 + rng.randrange(3), 2 + rng.randrange(5))  # up to 415
+
+
+@st.composite
+def _row_requests(draw):
+    """A unit-weight graph, the vertices whose rows are read first, and a
+    source list for `compute_rows`, duplicates included, of a size on
+    either side of the block boundary when the graph has the vertices."""
+    g = draw(_unit_graphs())
+    vertex = st.integers(0, g.n - 1)
+    read = draw(st.lists(vertex, max_size=8))
+    size = draw(st.sampled_from([0, 1, 17, 255, 256, 257, 300, 512, 513, 700]))
+    start = draw(vertex)  # size consecutive ids from start, wrapping past g.n
+    sources = [(start + i) % g.n for i in range(size)]
+    return g, read, sources + draw(st.lists(vertex, max_size=20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_row_requests())
+@example((path_graph(600), [], list(range(600))))  # ecc >= 300: every row a BFS
+@example((_star(600), [7], [*range(600), 3, 3]))  # ecc 1 from the centre: batches
+def test_compute_rows_match_breadth_first_rows(case):
+    g, read, sources = case
+    dm = all_pairs_shortest_paths(g)
+    before = {v: dm.dist[v] for v in read}
+    real = metric_core.multi_source_distances
+
+    def checked(g, block):
+        rows = real(g, block)
+        # the rule's block has >= 16*ecc sources and distances <= 2*ecc
+        assert 8 * max(map(max, rows)) <= len(block) <= metric_core.BLOCK
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_core, "multi_source_distances", checked)
+        dm.compute_rows(sources)
+    assert set(dm.dist) <= {*read, *sources}  # the rest wait for their read
+    assert all(dm.dist[v] is row for v, row in before.items())  # kept, not redone
+    for v in {*read, *sources}:
+        assert dm.dist[v] == metric_core.single_source_distances(g, v), v
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unit_graphs(max_n=256), st.data())
+def test_multi_source_rows_match_breadth_first_rows(g, data):
+    # on at most 256 vertices every distance fits a byte lane
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=metric_core.BLOCK))
+    rows = metric_core.multi_source_distances(g, sources)
+    assert rows == [metric_core.single_source_distances(g, s) for s in sources]
+
+
+def test_compute_rows_batches_only_a_large_block_on_unit_weights(monkeypatch):
+    blocks = []
+    real = metric_core.multi_source_distances
+    monkeypatch.setattr(
+        metric_core, "multi_source_distances", lambda g, b: blocks.append(len(b)) or real(g, b)
+    )
+    # from the centre ecc is 1: 599 more rows make 2 full blocks and 87 left,
+    # which is above 16*ecc
+    all_pairs_shortest_paths(_star(600)).compute_rows(range(600))
+    assert blocks == [256, 256, 87]
+    blocks.clear()
+    # from a leaf ecc is 2: a tail of 30 rows stays below 16*ecc
+    all_pairs_shortest_paths(_star(544)).compute_rows(range(1, 544))
+    assert blocks == [256, 256]
+    blocks.clear()
+    all_pairs_shortest_paths(path_graph(600)).compute_rows(range(600))
+    grid = grid_graph(16, 16)  # ecc 30 from a corner
+    all_pairs_shortest_paths(grid).compute_rows(range(256))
+    weighted = Graph(300, [(0, v, 2) for v in range(1, 300)])
+    dm = all_pairs_shortest_paths(weighted)
+    dm.compute_rows(range(300))
+    assert blocks == [] and not dm.dist  # weighted rows wait for their read

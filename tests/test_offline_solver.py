@@ -576,8 +576,10 @@ def _assert_units_match_heap(g, init, sigma, dm):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(offline_solver, "_flow_units", spy)
         opt_cost_flow(g, init, sigma, dm)
+    scale = lcm(*(w.denominator for _, _, w in g.edges if isinstance(w, Fraction)), 1)
     for args in seen:  # none for an empty sigma
         assert real(*args) == _heap_flow_units(*args)
+        assert args[4] == _sparse_arcs(dm.dist, init, sigma, scale)[1]  # B
 
 
 @settings(max_examples=300, deadline=None)
@@ -586,6 +588,7 @@ def _assert_units_match_heap(g, init, sigma, dm):
 @example((path_graph(4), (0, 3, 1, 2), [3, 0]))  # k > n
 @example((Graph(3, [(0, 1, Fraction(3, 2)), (1, 2, 2)]), (1, 1, 0), [0, 2, 1, 0, 2]))
 @example((path_graph(3), (0, 2, 2, 0), [1, 0, 2, 1, 1, 0, 2, 1]))  # all ties
+@example((path_graph(3), (1,), [1, 1]))  # B over the one server's vertex
 def test_flow_units_match_the_heap_oracle(instance):
     g, init, sigma = instance
     _assert_units_match_heap(g, init, sigma, all_pairs_shortest_paths(g))
