@@ -431,6 +431,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     inst = _build_instance(args)
     g, init, sigma, td = inst.g, inst.init, inst.sigma, inst.td
     dm = all_pairs_shortest_paths(g)
+    if inst.spanners is not None:
+        # the stretch check reads every row: ask for them all before OPT
+        # reads its own, so that unit weights compute them in passes
+        dm.compute_rows(range(g.n))
     opt_cost, opt = _opt(g, init, sigma, dm)
     _info("instance: N=%d k=%d n=%d opt=%s", g.n, len(init), len(sigma), opt_cost)
     online_cost, ok, extra, run, tape = ALGOS[args.algo](inst, dm, opt)

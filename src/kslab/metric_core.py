@@ -12,19 +12,23 @@ no heap; any other weight takes a Dijkstra run over levels, O(M log N).
 A solver that names the rows it will read up front has them computed in
 blocks on unit weights: one bit-parallel breadth-first pass gives the rows
 of up to 256 sources, a byte lane each, when the block is large against
-the graph's eccentricity (`DistanceMatrix.compute_rows`).
+the graph's eccentricity (`DistanceMatrix.compute_rows`).  A row is a
+read-only sequence of ints or Fractions, indexed by vertex: a pass gives
+`bytes` rows, a BFS or Dijkstra run a list.
 Among equal-length shortest paths the lexicographically smallest vertex
 sequence is reconstructed: the next hop from u toward y is the smallest
 neighbour of u on some shortest path, read off the row of y.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
 import json
 from math import lcm
 
 Weight = int | Fraction
+Row = Sequence[Weight]  # the distances from one source, indexed by vertex
 
 
 class GraphError(ValueError):
@@ -148,14 +152,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class _Rows(dict):
+class _Rows(dict[int, Row]):
     """rows[v]: the distances from v, computed on a miss and kept."""
 
     def __init__(self, g: Graph):
         super().__init__()
         self.g = g
 
-    def __missing__(self, v: int) -> list[Weight]:
+    def __missing__(self, v: int) -> Row:
         row = self[v] = single_source_distances(self.g, v)
         return row
 
@@ -168,7 +172,8 @@ class DistanceMatrix:
 
     dist[u][v] is d(u, v); dist is a dict holding the rows computed so far,
     so it is indexed, not iterated.  A row is computed on its first read, or
-    ahead of it, in blocks, by `compute_rows`.  Tie-breaking: among
+    ahead of it, in blocks, by `compute_rows`.  A row is only read: a
+    block's rows are `bytes`, the others lists.  Tie-breaking: among
     equal-length shortest paths the lexicographically smallest vertex
     sequence is reconstructed, which makes every downstream run
     reproducible.
@@ -186,15 +191,17 @@ class DistanceMatrix:
         BFS; its largest entry, ecc, bounds every distance of the graph by
         2*ecc (through that source).  Then each block of up to BLOCK of the
         other missing rows comes from one `multi_source_distances` pass,
-        while the block has at least 16*ecc sources.  The pass costs a
+        while the block has at least 8*ecc sources.  The pass costs a
         big-int step per adjacency entry per level, and there are at most
         2*ecc levels, where the block's rows by BFS cost a Python step per
-        adjacency entry per source.  Measured on partial 3-trees, grids and
-        paths, the two break even near 4*ecc sources, and at 16*ecc the
-        pass is 2-3 times faster.  The rule needs ecc <= 16, so every
-        distance is at most 32 and fits the pass's one byte lane.  Rows left
-        over, and every row of a weighted graph, are computed on first read.
-        The rows are equal either way.
+        adjacency entry per source.  Measured on partial 3-trees and on
+        grids with ecc read from a corner or the centre, a block of 8*ecc
+        was 1.4-2.5 times faster by pass, where one of 4*ecc could lose
+        (0.88 times on a 32x32 grid from its centre).  The rule needs
+        ecc <= 32, so every distance is at most 64 and fits the pass's one
+        byte lane.  Rows left over, and every row of a weighted graph, are
+        computed on first read.  The rows hold equal values either way; a
+        block's are `bytes`.
         """
         rows = self.dist
         todo = [v for v in dict.fromkeys(vertices) if v not in rows]
@@ -203,7 +210,7 @@ class DistanceMatrix:
         ecc = max(rows[todo[0]])
         for i in range(1, len(todo), BLOCK):
             block = todo[i:i + BLOCK]
-            if len(block) < 16 * ecc:
+            if len(block) < 8 * ecc:
                 break
             rows.update(zip(block, multi_source_distances(self.g, block)))
 
@@ -279,7 +286,7 @@ def single_source_distances(g: Graph, s: int) -> list[Weight]:
     return dist
 
 
-def multi_source_distances(g: Graph, sources) -> list[list[int]]:
+def multi_source_distances(g: Graph, sources) -> list[bytes]:
     """The rows of up to BLOCK sources on a unit-weight graph whose distances
     are all below 256, from one bit-parallel breadth-first pass (Then et
     al., "The More the Merrier", PVLDB 2014).
@@ -290,7 +297,8 @@ def multi_source_distances(g: Graph, sources) -> list[list[int]]:
     the frontier lanes of each waiting vertex's neighbours, keeps the ones
     still unseen and adds d times them to acc[v], so lane i of acc[v] ends
     as d(source i, v) without a carry.  Column v is acc[v]'s bytes, and
-    row i every m-th byte, from byte i, of the columns laid end to end.
+    row i, a `bytes` object, every m-th byte, from byte i, of the columns
+    laid end to end.
     """
     n = g.n
     m = len(sources)
@@ -321,7 +329,7 @@ def multi_source_distances(g: Graph, sources) -> list[list[int]]:
         frontier = reached
         waiting = left
     cols = b"".join([a.to_bytes(m, "little") for a in acc])
-    return [list(cols[i::m]) for i in range(m)]
+    return [cols[i::m] for i in range(m)]
 
 
 def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:

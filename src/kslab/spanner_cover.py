@@ -372,8 +372,10 @@ def _flagged_rows(g: Graph, dm: DistanceMatrix, trees, bound, coefs):
     times g's weight scale, ints.  coefs() gives the ints (s > 0, m, c),
     read afresh for each row; bound(longest) caps either side of the lane
     test, given a cap on every scaled distance.  A negative term of the
-    test moves to the other side, so that no lane goes below 0.
+    test moves to the other side, so that no lane goes below 0.  Every row
+    is read, so all are asked for up front, in passes on unit weights.
     """
+    dm.compute_rows(range(g.n))
     unit = weight_scale(g)
     lanes = _Lanes(g.n, bound(_longest_tree_distance(trees, unit)))
     for x, bx in enumerate(_best_tree_rows(trees, lanes, unit)):

@@ -107,6 +107,71 @@ def test_run_spanner_grid(tmp_path):
     assert report["results"]["bits_read"] <= report["results"]["bit_budget"]
 
 
+# Each `pass` condition made false, or held at its boundary, by wrapping the
+# online run: the step's own condition and cmd_run's bit budget must turn
+# `pass` false and the exit status 1, and the boundary case must still pass.
+PASS_RUNS = {
+    "gpc": ["--family", "random-ktree", "--size", "30", "--k", "3", "--n", "40",
+            "--seed", "2", "--algo", "gpc"],
+    "spanner": ["--family", "grid", "--size", "4", "--k", "2", "--n", "20",
+                "--seed", "3", "--algo", "spanner"],
+}
+
+
+def _run_with_changed_run(monkeypatch, tmp_path, algo, change):
+    """Run PASS_RUNS[algo] with its online run's result passed through
+    change(run); the exit status and the report's results."""
+    from kslab import spanner_cover
+
+    module, name = (cli, "run_online") if algo == "gpc" else (
+        spanner_cover, "run_online_spanner"
+    )
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
+    out = tmp_path / "r.json"
+    status = run_cli("run", *PASS_RUNS[algo], "--out", str(out))
+    return status, json.loads(out.read_text())["results"]
+
+
+@pytest.mark.parametrize("excess,passes", [(-1, False), (0, True), (1, False)])
+def test_gpc_run_fails_pass_unless_its_cost_is_opt(excess, passes, monkeypatch, tmp_path):
+    status, results = _run_with_changed_run(
+        monkeypatch, tmp_path, "gpc",
+        lambda run: run._replace(online_cost=run.online_cost + excess),
+    )
+    assert (status, results["pass"]) == ((0, True) if passes else (1, False))
+    assert results["online_cost"] == results["opt_cost"] + excess
+
+
+@pytest.mark.parametrize("excess,passes", [(0, True), (1, False)])
+def test_spanner_run_fails_pass_above_q_plus_r_times_opt(
+    excess, passes, monkeypatch, tmp_path
+):
+    from kslab.metric_core import num_from_json
+
+    out = tmp_path / "plain.json"
+    assert run_cli("run", *PASS_RUNS["spanner"], "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    q, r = (num_from_json(report["extra"][key], key) for key in ("q", "r"))
+    bound = (q + r) * report["results"]["opt_cost"]
+    assert report["results"]["online_cost"] < bound  # the cost to be raised
+    status, results = _run_with_changed_run(
+        monkeypatch, tmp_path, "spanner", lambda run: run._replace(cost=bound + excess)
+    )
+    assert (status, results["pass"]) == ((0, True) if passes else (1, False))
+
+
+@pytest.mark.parametrize("algo", ["gpc", "spanner"])
+@pytest.mark.parametrize("slack,passes", [(0, True), (-1, False)])
+def test_run_fails_pass_past_its_bit_budget(algo, slack, passes, monkeypatch, tmp_path):
+    status, results = _run_with_changed_run(
+        monkeypatch, tmp_path, algo,
+        lambda run: run._replace(bit_budget=run.bits_read + slack),
+    )
+    assert (status, results["pass"]) == ((0, True) if passes else (1, False))
+    assert results["bit_budget"] == results["bits_read"] + slack
+
+
 # sha256 of the report of each `kslab run` example in README.md
 README_RUNS = [
     (
@@ -245,35 +310,61 @@ def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "argv,bfs_rows,blocks",
-    [
-        # ktree-gpc: 177 rows to read, ecc 5 from the first, so 176 >= 80
-        (["--family", "random-ktree", "--size", "250", "--k", "3", "--n", "300",
-          "--algo", "gpc"], 1, [176]),
-        # grid-spanner and rounds-gpc: every row by BFS, as before batching;
-        # the grid's 258 are its 256 metric rows and the two spanning trees'
-        (["--family", "grid", "--size", "16", "--k", "2", "--n", "150",
-          "--algo", "spanner"], 258, []),
-        (["--family", "path-rounds", "--size", "5", "--n", "14000", "--algo", "gpc"],
-         5, []),
-    ],
-    ids=["ktree-gpc", "grid-spanner", "rounds-gpc"],
-)
-def test_benchmark_specs_take_their_row_path(argv, bfs_rows, blocks, monkeypatch, tmp_path):
-    from kslab import metric_core, spanner_cover
+def _count_rows(monkeypatch, *modules):
+    """The sources of the BFS rows computed through metric_core and
+    `modules`, and the size of each bit-parallel block, as lists that fill
+    while the test runs."""
+    from kslab import metric_core
 
     calls, sizes = [], []
     bfs, batch = metric_core.single_source_distances, metric_core.multi_source_distances
-    for module in (metric_core, spanner_cover):  # the metric's rows and the trees'
+    for module in (metric_core, *modules):
         monkeypatch.setattr(
             module, "single_source_distances", lambda g, s: calls.append(s) or bfs(g, s)
         )
     monkeypatch.setattr(
         metric_core, "multi_source_distances", lambda g, b: sizes.append(len(b)) or batch(g, b)
     )
+    return calls, sizes
+
+
+@pytest.mark.parametrize(
+    "argv,bfs_rows,blocks",
+    [
+        # ktree-gpc: 177 rows to read, ecc 5 from the first, so 176 >= 40
+        (["--family", "random-ktree", "--size", "250", "--k", "3", "--n", "300",
+          "--algo", "gpc"], 1, [176]),
+        # grid-spanner asks for every row: the two spanning trees' roots and
+        # vertex 0's by BFS, ecc 30 from that corner, so 255 >= 240 batch
+        (["--family", "grid", "--size", "16", "--k", "2", "--n", "150",
+          "--algo", "spanner"], 3, [255]),
+        # rounds-gpc: every row by BFS, as before batching
+        (["--family", "path-rounds", "--size", "5", "--n", "14000", "--algo", "gpc"],
+         5, []),
+    ],
+    ids=["ktree-gpc", "grid-spanner", "rounds-gpc"],
+)
+def test_benchmark_specs_take_their_row_path(argv, bfs_rows, blocks, monkeypatch, tmp_path):
+    from kslab import spanner_cover
+
+    # the metric's rows and the trees'
+    calls, sizes = _count_rows(monkeypatch, spanner_cover)
     assert run_cli("run", *argv, "--seed", "1", "--out", str(tmp_path / "r.json")) == 0
     assert (len(calls), sizes) == (bfs_rows, blocks)
+
+
+def test_verify_spanners_computes_every_row_in_one_block(monkeypatch, tmp_path, capsys):
+    g = grid_graph(16, 16)
+    trees = [{"root": r, "parent": list(shortest_path_tree(g, r).parent)} for r in (0, 255)]
+    (tmp_path / "g.json").write_text(graph_to_json(g))
+    # every tree distance is at most 60 and every metric one at least 1
+    (tmp_path / "s.json").write_text(json.dumps({"q": 60, "r": 0, "trees": trees}))
+    calls, sizes = _count_rows(monkeypatch)
+    argv = ["--graph", str(tmp_path / "g.json"), "--spanners", str(tmp_path / "s.json")]
+    assert run_cli("verify", *argv) == 0
+    assert capsys.readouterr().out.startswith("pass: (60, 0)-stretch verified")
+    # vertex 0's row by BFS gives ecc 30, so the other 255 rows make one block
+    assert (calls, sizes) == ([0], [255])
 
 
 # spanner reports whose retrievals read disambiguation suffixes, on k > 2

@@ -463,6 +463,7 @@ def _row_requests(draw):
 @given(_row_requests())
 @example((path_graph(600), [], list(range(600))))  # ecc >= 300: every row a BFS
 @example((_star(600), [7], [*range(600), 3, 3]))  # ecc 1 from the centre: batches
+@example((grid_graph(24, 24), [], list(range(576))))  # every row, ecc 46: per-row
 def test_compute_rows_match_breadth_first_rows(case):
     g, read, sources = case
     dm = all_pairs_shortest_paths(g)
@@ -471,8 +472,8 @@ def test_compute_rows_match_breadth_first_rows(case):
 
     def checked(g, block):
         rows = real(g, block)
-        # the rule's block has >= 16*ecc sources and distances <= 2*ecc
-        assert 8 * max(map(max, rows)) <= len(block) <= metric_core.BLOCK
+        # the rule's block has >= 8*ecc sources and distances <= 2*ecc
+        assert 4 * max(map(max, rows)) <= len(block) <= metric_core.BLOCK
         return rows
 
     with pytest.MonkeyPatch.context() as mp:
@@ -480,8 +481,8 @@ def test_compute_rows_match_breadth_first_rows(case):
         dm.compute_rows(sources)
     assert set(dm.dist) <= {*read, *sources}  # the rest wait for their read
     assert all(dm.dist[v] is row for v, row in before.items())  # kept, not redone
-    for v in {*read, *sources}:
-        assert dm.dist[v] == metric_core.single_source_distances(g, v), v
+    for v in {*read, *sources}:  # a row is a read-only sequence of ints
+        assert list(dm.dist[v]) == metric_core.single_source_distances(g, v), v
 
 
 @settings(max_examples=60, deadline=None)
@@ -490,7 +491,10 @@ def test_multi_source_rows_match_breadth_first_rows(g, data):
     # on at most 256 vertices every distance fits a byte lane
     sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=metric_core.BLOCK))
     rows = metric_core.multi_source_distances(g, sources)
-    assert rows == [metric_core.single_source_distances(g, s) for s in sources]
+    assert all(type(row) is bytes for row in rows)
+    assert [list(row) for row in rows] == [
+        metric_core.single_source_distances(g, s) for s in sources
+    ]
 
 
 def test_compute_rows_batches_only_a_large_block_on_unit_weights(monkeypatch):
@@ -500,17 +504,24 @@ def test_compute_rows_batches_only_a_large_block_on_unit_weights(monkeypatch):
         metric_core, "multi_source_distances", lambda g, b: blocks.append(len(b)) or real(g, b)
     )
     # from the centre ecc is 1: 599 more rows make 2 full blocks and 87 left,
-    # which is above 16*ecc
+    # which is above 8*ecc
     all_pairs_shortest_paths(_star(600)).compute_rows(range(600))
     assert blocks == [256, 256, 87]
     blocks.clear()
-    # from a leaf ecc is 2: a tail of 30 rows stays below 16*ecc
-    all_pairs_shortest_paths(_star(544)).compute_rows(range(1, 544))
+    # from a leaf ecc is 2: a tail of 16 rows is 8*ecc, one of 15 below it
+    all_pairs_shortest_paths(_star(530)).compute_rows(range(1, 530))
+    assert blocks == [256, 256, 16]
+    blocks.clear()
+    all_pairs_shortest_paths(_star(529)).compute_rows(range(1, 529))
     assert blocks == [256, 256]
     blocks.clear()
+    # ecc 30 from a corner of the 16x16 grid: its other 255 rows are one block
+    all_pairs_shortest_paths(grid_graph(16, 16)).compute_rows(range(256))
+    assert blocks == [255]
+    blocks.clear()
     all_pairs_shortest_paths(path_graph(600)).compute_rows(range(600))
-    grid = grid_graph(16, 16)  # ecc 30 from a corner
-    all_pairs_shortest_paths(grid).compute_rows(range(256))
+    grid = grid_graph(24, 24)  # ecc 46 from a corner: 368 rows would be needed
+    all_pairs_shortest_paths(grid).compute_rows(range(576))
     weighted = Graph(300, [(0, v, 2) for v in range(1, 300)])
     dm = all_pairs_shortest_paths(weighted)
     dm.compute_rows(range(300))
