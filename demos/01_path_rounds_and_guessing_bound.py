@@ -19,9 +19,11 @@ from kslab.adversary import (
     sgkh_bound_per_request,
 )
 from kslab.instances import path_graph
+from kslab.metric_core import all_pairs_shortest_paths
 from kslab.offline_solver import count_optimal_schedules, opt_cost_dp
 
 g = path_graph(5)
+dm = all_pairs_shortest_paths(g)
 
 print("== one round, both types, exhaustive lazy 2-server play ==")
 for round_type in "01":
@@ -44,7 +46,7 @@ print()
 print("== the offline optimum pays 4 per round and reads the types ==")
 bits = "10110"
 sigma = path_round_sequence(bits, 5)
-opt_cost, schedule = opt_cost_dp(g, PATH_ROUND_INIT, sigma)
+opt_cost, schedule = opt_cost_dp(g, PATH_ROUND_INIT, sigma, dm)
 print(f"round types {bits}: opt cost {opt_cost} = 4 * {len(bits)}")
 print("guesses recovered from the optimal schedule:",
       extract_round_guesses(PATH_ROUND_INIT, schedule, len(bits)))
@@ -52,8 +54,8 @@ print("guesses recovered from the optimal schedule:",
 print()
 print("== the one optimal schedule resets to {2, 4} at round boundaries ==")
 sigma = path_round_sequence("10", 5)
-_, count = count_optimal_schedules(g, PATH_ROUND_INIT, sigma)
-_, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma)
+_, count = count_optimal_schedules(g, PATH_ROUND_INIT, sigma, dm)
+_, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma, dm)
 pos = list(PATH_ROUND_INIT)
 boundaries = []
 for m in sched.moves:

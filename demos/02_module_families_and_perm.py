@@ -21,6 +21,7 @@ from kslab.adversary import (
     treewidth_advice_bound,
     unit_graph,
 )
+from kslab.metric_core import all_pairs_shortest_paths
 from kslab.offline_solver import count_optimal_schedules
 from kslab.tree_decomp import verify_decomposition
 
@@ -34,10 +35,11 @@ print(f"the empty-set vertex {empty} is adjacent to all elements:",
 print()
 print("== module graph, gamma = 2, all four single-round sequences ==")
 mg = module_graph(2)
+mdm = all_pairs_shortest_paths(mg)
 init = perm_init(2)
 for seq in enumerate_round_sequences(2):
     sched = perm_algorithm(mg, seq, init)
-    opt_cost, count = count_optimal_schedules(mg, init, list(seq.requests))
+    opt_cost, count = count_optimal_schedules(mg, init, list(seq.requests), mdm)
     print(
         f"requests {seq.requests}: PERM pays {sched.total_cost}, "
         f"opt {opt_cost}, optimal schedules: {count}"

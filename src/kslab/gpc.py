@@ -2,11 +2,11 @@
 
 The oracle walks an optimal lazy schedule once (offline_solver.serve_order,
 which also checks it) and, for every leg x -> y of a server's trajectory,
-picks a relay vertex z that lies both on the canonical shortest x-y path
-and in the least-common-ancestor bag of the representative bags of x and
-y.  The online side parks each server on its relay between serves, so
-every leg costs d(x,z) + d(z,y) = d(x,y) and the total equals the offline
-optimum exactly.
+picks a relay vertex z: walking the metric's next hops from x toward y,
+the first vertex in the least-common-ancestor bag of the representative
+bags of x and y.  The online side parks each server on its relay between
+serves, so every leg costs d(x,z) + d(z,y) = d(x,y) and the total equals
+the offline optimum exactly.
 
 Every record is one (bag depth, in-bag index) address: depth identifies
 the ancestor bag of the current request's representative bag, the index a
@@ -30,7 +30,11 @@ from typing import NamedTuple
 from .advice_tape import AdviceTape
 from .metric_core import DistanceMatrix, Graph
 from .offline_solver import Schedule, serve_order
-from .tree_decomp import TreeDecomposition, intersect_shortest_path
+from .tree_decomp import TreeDecomposition
+
+
+class NoIntersection(RuntimeError):
+    """A bag on the tree path missed the shortest path: decomposition bug."""
 
 
 class NoServerAtAddress(RuntimeError):
@@ -106,16 +110,21 @@ def generate_advice(
 
     def relay(x: int, u: int | None) -> int:
         """The record of the vertex where a server at x parks until it
-        serves request u: a relay on the shortest x-sigma[u] path (None: x
-        itself), in the least-common-ancestor bag of x's and sigma[u]'s."""
+        serves request u: the first vertex of the shortest x-sigma[u] path
+        (None: x) in the least-common-ancestor bag of x's and sigma[u]'s."""
         y = x if u is None else sigma[u]
         record = records.get((x, y))
         if record is None:
-            if x == y:
-                bag, z = rep[x], x
-            else:
-                bag = td.lca_bag(rep[x], rep[y])
-                z = intersect_shortest_path(dm, td, x, y, bag)
+            bag, z = rep[x], x
+            if x != y:
+                bag = td.lca_bag(bag, rep[y])
+                while z not in bags[bag]:
+                    if z == y:
+                        raise NoIntersection(
+                            f"bag {bag} misses every vertex of the shortest "
+                            f"{x}-{y} path"
+                        )
+                    z = dm.next_hop(z, y)
             record = records[x, y] = depth[bag] << w_b | bags[bag].index(z)
         return record
 

@@ -1,4 +1,4 @@
-"""Weighted graphs, exact shortest-path metrics, and path reconstruction.
+"""Weighted graphs, exact shortest-path metrics, and their next hops.
 
 Distances are kept exact: integer weights give integer distances, Fraction
 weights give Fraction distances.  Floats are rejected so that cost-equality
@@ -15,9 +15,9 @@ of up to 256 sources, a byte lane each, when the block is large against
 the graph's eccentricity (`DistanceMatrix.compute_rows`).  A row is a
 read-only sequence of ints or Fractions, indexed by vertex: a pass gives
 `bytes` rows, a BFS or Dijkstra run a list.
-Among equal-length shortest paths the lexicographically smallest vertex
-sequence is reconstructed: the next hop from u toward y is the smallest
-neighbour of u on some shortest path, read off the row of y.
+The next hop from u toward y is the smallest neighbour of u on some
+shortest path, read off the row of y; walking next hops from x visits the
+lexicographically smallest shortest x-y path, and no path is ever built.
 """
 from __future__ import annotations
 
@@ -168,15 +168,14 @@ BLOCK = 256  # sources per bit-parallel pass: one byte lane each
 
 
 class DistanceMatrix:
-    """Exact all-pairs distances with next-hop path reconstruction.
+    """Exact all-pairs distances and their next hops.
 
     dist[u][v] is d(u, v); dist is a dict holding the rows computed so far,
     so it is indexed, not iterated.  A row is computed on its first read, or
     ahead of it, in blocks, by `compute_rows`.  A row is only read: a
-    block's rows are `bytes`, the others lists.  Tie-breaking: among
-    equal-length shortest paths the lexicographically smallest vertex
-    sequence is reconstructed, which makes every downstream run
-    reproducible.
+    block's rows are `bytes`, the others lists.  Tie-breaking: `next_hop`
+    walks the lexicographically smallest of the equal-length shortest
+    paths, which makes every downstream run reproducible.
     """
 
     def __init__(self, g: Graph):
@@ -336,16 +335,6 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceMatrix:
     """The exact metric of g; each row is one BFS or Dijkstra run on first
     read, unless `compute_rows` computes it ahead, in a block."""
     return DistanceMatrix(g)
-
-
-def shortest_path_vertices(dm: DistanceMatrix, x: int, y: int) -> list[int]:
-    """The lexicographically smallest shortest path from x to y, inclusive."""
-    path = [x]
-    u = x
-    while u != y:
-        u = dm.next_hop(u, y)
-        path.append(u)
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,7 @@ from math import comb
 from operator import getitem, itemgetter
 from typing import NamedTuple
 
-from .metric_core import (
-    DistanceMatrix,
-    Graph,
-    all_pairs_shortest_paths,
-    weight_scale,
-)
+from .metric_core import DistanceMatrix, Graph, weight_scale
 
 
 class InstanceTooLarge(ValueError):
@@ -299,9 +294,10 @@ def _optimum(base, layer) -> tuple[int | Fraction, int, tuple]:
 
 
 def opt_cost_dp(
-    g: Graph, init, sigma, dm: DistanceMatrix | None = None
+    g: Graph, init, sigma, dm: DistanceMatrix
 ) -> tuple[int | Fraction, Schedule]:
-    """Provably minimal offline cost via DP over server configurations.
+    """Provably minimal offline cost via DP over server configurations,
+    read off the caller's metric dm of g.
 
     Returns one optimal lazy schedule (deterministic tie-breaking: the
     least source vertex at every state, and the least final state), with
@@ -311,8 +307,6 @@ def opt_cost_dp(
     # the route guard: N^k*n, a worst-case bound on the DP's work that
     # sweeps only lower, picks which solver's optimal schedule a run reports
     _guard("opt_cost_dp", "N^k*n", g.n ** len(init) * max(len(sigma), 1))
-    if dm is None:
-        dm = all_pairs_shortest_paths(g)
     dm.compute_rows((*init, *sigma))
     dist = dm.dist
     back = []  # back[t]: the sparse back-pointers into layer t
@@ -343,9 +337,10 @@ def opt_cost_dp(
 
 
 def count_optimal_schedules(
-    g: Graph, init, sigma, dm: DistanceMatrix | None = None
+    g: Graph, init, sigma, dm: DistanceMatrix
 ) -> tuple[int | Fraction, int]:
-    """OPT and the number of distinct optimal (t, src, dst) schedules.
+    """OPT and the number of distinct optimal (t, src, dst) schedules, on
+    the caller's metric dm of g.
 
     Both are read off the last layer of `_dp_layers`, as `opt_cost_dp`
     does for its `optimal_count`; this pass is for a schedule that came
@@ -355,8 +350,6 @@ def count_optimal_schedules(
     k = len(init)
     states = comb(g.n + k - 2, k - 1) if k else 1
     _guard("count_optimal_schedules", "C(N+k-2,k-1)*n", states * max(len(sigma), 1))
-    if dm is None:
-        dm = all_pairs_shortest_paths(g)
     dm.compute_rows((*init, *sigma))
     for base, layer, _ in _dp_layers(dm.dist, init, sigma):
         pass
@@ -522,9 +515,10 @@ def _flow_units(init, sigma, rows, ends, big) -> tuple[int, list]:
 
 
 def opt_cost_flow(
-    g: Graph, init, sigma, dm: DistanceMatrix | None = None
+    g: Graph, init, sigma, dm: DistanceMatrix
 ) -> tuple[int | Fraction, Schedule]:
-    """Offline optimum as a min-cost flow of value k on the request DAG.
+    """Offline optimum as a min-cost flow of value k on the request DAG,
+    with costs read off the caller's metric dm of g.
 
     Node S feeds one node s_i per server; request t is split into ri_t ->
     ro_t, an arc of cost -B; a server's unit runs s_i -> ri_t -> ro_t ->
@@ -589,8 +583,6 @@ def opt_cost_flow(
     The flow cost, the sum of the units' path costs (pot[T] after each), is
     checked against the cost of the decoded schedule.
     """
-    if dm is None:
-        dm = all_pairs_shortest_paths(g)
     k = len(init)
     n = len(sigma)
     if n == 0:

@@ -1,23 +1,12 @@
 """Tree decompositions: axiom verification, logarithmic height
-restriction, and ancestor/LCA addressing."""
+restriction, and ancestor/LCA addressing; a graph's edges are read here,
+never its metric."""
 from __future__ import annotations
 
 import heapq
 from typing import NamedTuple
 
-from .metric_core import (
-    DistanceMatrix,
-    Graph,
-    GraphFormatError,
-    is_vertex,
-    json_field,
-    parse_json,
-    shortest_path_vertices,
-)
-
-
-class NoIntersection(RuntimeError):
-    """A bag on the tree path missed the shortest path: decomposition bug."""
+from .metric_core import Graph, GraphFormatError, is_vertex, json_field, parse_json
 
 
 class HeightReductionFault(RuntimeError):
@@ -393,28 +382,3 @@ def reduce_height(td: TreeDecomposition, n_vertices: int) -> TreeDecomposition:
     del build
     return TreeDecomposition(out_bags, out_parent, root)
 
-
-# ---------------------------------------------------------------------------
-# Path/bag intersection (the addressing primitive of the online algorithm).
-
-
-def intersect_shortest_path(
-    dm: DistanceMatrix,
-    td: TreeDecomposition,
-    x: int,
-    y: int,
-    bag_idx: int,
-) -> int:
-    """First vertex of the canonical shortest x-y path inside the bag.
-
-    For any bag on the tree path between bags holding x and y, such a
-    vertex exists; NoIntersection therefore signals a broken decomposition
-    and aborts the run.
-    """
-    bag = set(td.bags[bag_idx])
-    for v in shortest_path_vertices(dm, x, y):
-        if v in bag:
-            return v
-    raise NoIntersection(
-        f"bag {bag_idx} misses every vertex of the shortest {x}-{y} path"
-    )

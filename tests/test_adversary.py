@@ -29,6 +29,7 @@ from kslab.adversary import (
     valid_sequence,
 )
 from kslab.instances import path_graph
+from kslab.metric_core import all_pairs_shortest_paths
 from kslab.offline_solver import count_optimal_schedules, opt_cost_dp, opt_cost_flow
 
 
@@ -52,7 +53,8 @@ def test_round_needs_path_of_5():
 
 def test_two_rounds_cost_eight():
     g = path_graph(5)
-    cost, _ = opt_cost_dp(g, PATH_ROUND_INIT, path_round_sequence("10", 5))
+    dm = all_pairs_shortest_paths(g)
+    cost, _ = opt_cost_dp(g, PATH_ROUND_INIT, path_round_sequence("10", 5), dm)
     assert cost == 8
 
 
@@ -88,10 +90,11 @@ def test_round_boundary_normalization():
     # the optimal lazy schedule is unique and returns to {2,4} at every
     # round boundary
     g = path_graph(5)
+    dm = all_pairs_shortest_paths(g)
     for bits in ["".join(b) for b in product("01", repeat=3)]:
         sigma = path_round_sequence(bits, 5)
-        cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma)
-        assert count_optimal_schedules(g, PATH_ROUND_INIT, sigma) == (cost, 1), bits
+        cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma, dm)
+        assert count_optimal_schedules(g, PATH_ROUND_INIT, sigma, dm) == (cost, 1), bits
         pos = list(PATH_ROUND_INIT)
         for m in sched.moves:
             pos[m.server] = m.dst
@@ -103,7 +106,7 @@ def test_guess_extraction_on_optimal_schedule():
     g = path_graph(5)
     bits = "1101"
     sigma = path_round_sequence(bits, 5)
-    cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma)
+    cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma, all_pairs_shortest_paths(g))
     assert cost == 4 * len(bits)
     # an optimal schedule guesses every round type correctly
     assert extract_round_guesses(PATH_ROUND_INIT, sched, len(bits)) == bits
@@ -261,11 +264,12 @@ def test_perm_costs_one_per_request():
 def test_perm_uniqueness_single_round():
     g = module_graph(2)
     init = perm_init(2)
+    dm = all_pairs_shortest_paths(g)
     for seq in enumerate_round_sequences(2):
         sched = perm_algorithm(g, seq, init)
-        cost, opt = opt_cost_dp(g, init, list(seq.requests))
+        cost, opt = opt_cost_dp(g, init, list(seq.requests), dm)
         assert cost == sched.total_cost == 8
-        assert count_optimal_schedules(g, init, list(seq.requests)) == (8, 1)
+        assert count_optimal_schedules(g, init, list(seq.requests), dm) == (8, 1)
         assert opt.move_triples() == sched.move_triples()
 
 
@@ -294,7 +298,8 @@ def test_perm_matches_flow_on_gb():
     seq = valid_sequence(2, 2, perms)
     sched = perm_algorithm(g, seq, perm_init(2, 2))
     assert sched.total_cost == 16
-    cost, _ = opt_cost_flow(g, perm_init(2, 2), list(seq.requests))
+    dm = all_pairs_shortest_paths(g)
+    cost, _ = opt_cost_flow(g, perm_init(2, 2), list(seq.requests), dm)
     assert cost == 16
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab.cli import main
-from kslab.metric_core import graph_from_json, num_from_json
+from kslab.metric_core import all_pairs_shortest_paths, graph_from_json, num_from_json
 from kslab.offline_solver import opt_cost_dp
 
 # family -> (its algorithms, a strategy for its size flags); sizes stay
@@ -75,7 +75,8 @@ def test_runs_agree_with_opt_recomputed_from_their_dump(
 
     g = graph_from_json((workdir / "dump.graph.json").read_text())
     doc = json.loads((workdir / "dump.instance.json").read_text())
-    opt, _ = opt_cost_dp(g, doc["init_config"], doc["sequence"])
+    dm = all_pairs_shortest_paths(g)
+    opt, _ = opt_cost_dp(g, doc["init_config"], doc["sequence"], dm)
     online = num_from_json(res["online_cost"], "online_cost")
     assert num_from_json(res["opt_cost"], "opt_cost") == opt
     if algo in ("opt", "gpc", "perm"):

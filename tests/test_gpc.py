@@ -1,6 +1,10 @@
-import pytest
+from fractions import Fraction
 
-from kslab import cli, gpc
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kslab import cli
 from kslab.adversary import (
     PATH_ROUND_INIT,
     module_graph,
@@ -26,7 +30,7 @@ from kslab.instances import (
     random_partial_ktree,
     random_requests,
 )
-from kslab.metric_core import all_pairs_shortest_paths
+from kslab.metric_core import Graph, all_pairs_shortest_paths
 from kslab.offline_solver import (
     InvalidSchedule,
     Move,
@@ -42,6 +46,7 @@ from kslab.spanner_cover import (
     run_online_spanner,
 )
 from kslab.tree_decomp import TreeDecomposition, reduce_height
+from test_metric_core import next_hop_path
 
 
 def test_ceil_log2():
@@ -317,20 +322,63 @@ def test_relay_search_runs_once_per_distinct_leg(case, monkeypatch):
     red = reduce_height(td, g.n)
     _, sched = opt_cost_dp(g, init, sigma, dm)
     searched = []
-    real = gpc.intersect_shortest_path
+    real = TreeDecomposition.lca_bag
 
-    def recording(dm, td, x, y, bag_idx):
-        searched.append((x, y))
-        return real(dm, td, x, y, bag_idx)
+    def recording(self, i, j):
+        searched.append((i, j))
+        return real(self, i, j)
 
-    monkeypatch.setattr(gpc, "intersect_shortest_path", recording)
+    monkeypatch.setattr(TreeDecomposition, "lca_bag", recording)
     generate_advice(g, dm, red, init, sigma, sched)
     servers, first, after = serve_order(init, sigma, sched)
     legs = [(x, sigma[u]) for x, u in zip(init, first) if u is not None]
     legs += [(y, sigma[u]) for y, u in zip(sigma, after) if u is not None]
     distinct = {(x, y) for x, y in legs if x != y}
     assert len(distinct) < len(legs)  # some leg repeats
-    assert sorted(searched) == sorted(distinct)
+    rep = red.representative_bag
+    assert sorted(searched) == sorted((rep[x], rep[y]) for x, y in distinct)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_v=st.integers(4, 24),
+    width=st.integers(1, 3),
+    halves=st.booleans(),
+)
+def test_relays_are_the_first_path_vertex_in_the_lca_bag(seed, n_v, width, halves):
+    # the relay rule stated directly, as the oracle: build the whole
+    # canonical x-y path, then take its first vertex in the
+    # least-common-ancestor bag of x's and y's representative bags; every
+    # retrieval and parking relay of the run is that vertex of its leg
+    rng = SplitMix64(seed)
+    g, td = random_partial_ktree(rng, n_v, width)
+    if halves:  # weights 1, 3/2, ..., 4 on the same edges, which td decomposes
+        weights = [1 + Fraction(rng.randrange(7), 2) for _ in g.edges]
+        g = Graph(g.n, [(u, v, w) for (u, v, _), w in zip(g.edges, weights)])
+    dm = all_pairs_shortest_paths(g)
+    red = reduce_height(td, g.n)
+    init = random_distinct_vertices(rng, 1 + rng.randrange(3), g.n)
+    sigma = random_requests(rng, 1 + rng.randrange(20), g.n)
+    _, sched = opt_cost_dp(g, init, sigma, dm)
+    tape = generate_advice(g, dm, red, init, sigma, sched)
+    tape.rewind()
+    run = run_online(g, dm, red, init, sigma, tape)
+    rep = red.representative_bag
+
+    def oracle(x, y):
+        bag = red.bags[red.lca_bag(rep[x], rep[y])]
+        return next(v for v in next_hop_path(dm, x, y) if v in bag)
+
+    servers, _, after = serve_order(init, sigma, sched)
+    at = list(init)  # where each server of the schedule stands
+    for move in run.log:
+        t, y = move.t, move.request
+        sid = servers[t]
+        assert move.retrieved_from == oracle(at[sid], y)
+        next_y = y if after[t] is None else sigma[after[t]]
+        assert move.parked_at == oracle(y, next_y)
+        at[sid] = y
 
 
 # (algorithm, `kslab run` flags) of small instances: gpc on three families,

@@ -19,7 +19,6 @@ from kslab.metric_core import (
     graph_to_json,
     num_from_json,
     num_to_json,
-    shortest_path_vertices,
 )
 from kslab.adversary import gb_graph, module_graph, module_layout, unit_graph
 from kslab.instances import SplitMix64, grid_graph, path_graph, random_partial_ktree
@@ -78,11 +77,19 @@ def test_unit_graph_vertex_count():
         assert g.has_edge(u, empty)
 
 
+def next_hop_path(dm, x, y) -> list[int]:
+    """The vertices from x to y along dm.next_hop, both ends included."""
+    path = [x]
+    while path[-1] != y:
+        path.append(dm.next_hop(path[-1], y))
+    return path
+
+
 def test_p5_distance():
     dm = all_pairs_shortest_paths(path_graph(5))
     assert dm.dist[0][4] == 4
     assert dm.dist[1][3] == 2
-    assert 2 in shortest_path_vertices(dm, 1, 3)
+    assert dm.next_hop(1, 3) == 2
 
 
 def _bfs_dist(g, src):
@@ -113,18 +120,19 @@ def test_module_graph_u1_distance_matches_bfs():
 
 def test_zero_length_path():
     dm = all_pairs_shortest_paths(path_graph(3))
-    assert shortest_path_vertices(dm, 1, 1) == [1]
+    assert dm.next_hop(1, 1) == 1
+    assert next_hop_path(dm, 1, 1) == [1]
 
 
 def test_p5_explicit_path():
     dm = all_pairs_shortest_paths(path_graph(5))
-    assert shortest_path_vertices(dm, 0, 3) == [0, 1, 2, 3]
+    assert next_hop_path(dm, 0, 3) == [0, 1, 2, 3]
 
 
 def test_grid_corner_path_weight():
     g = grid_graph(3, 3)
     dm = all_pairs_shortest_paths(g)
-    path = shortest_path_vertices(dm, 0, 8)
+    path = next_hop_path(dm, 0, 8)
     assert path[0] == 0 and path[-1] == 8
     total = sum(g.weight(a, b) for a, b in zip(path, path[1:]))
     assert total == dm.dist[0][8] == 4
@@ -156,7 +164,7 @@ def test_random_pairs_path_weight_matches_dist():
         for _ in range(50):
             x = rng.randrange(g.n)
             y = rng.randrange(g.n)
-            path = shortest_path_vertices(dm, x, y)
+            path = next_hop_path(dm, x, y)
             total = sum(g.weight(a, b) for a, b in zip(path, path[1:]))
             assert total == dm.dist[x][y]
             checked += 1
@@ -166,7 +174,7 @@ def test_lexicographic_tie_break():
     # two equal-cost routes 0-1-3 and 0-2-3: the smaller first hop wins
     g = Graph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
     dm = all_pairs_shortest_paths(g)
-    assert shortest_path_vertices(dm, 0, 3) == [0, 1, 3]
+    assert next_hop_path(dm, 0, 3) == [0, 1, 3]
 
 
 def test_json_round_trip_and_errors():
@@ -279,7 +287,7 @@ def test_next_hop_without_shortest_path_raises(monkeypatch):
     with pytest.raises(InconsistentMetric, match="no neighbour of 0 .* to 3"):
         dm.next_hop(0, 3)
     with pytest.raises(InconsistentMetric, match="no neighbour of 0 .* to 3"):
-        shortest_path_vertices(dm, 0, 3)
+        next_hop_path(dm, 0, 3)
 
 
 def _heap_dijkstra(g, s):

@@ -37,47 +37,51 @@ from kslab.offline_solver import (
 
 def test_empty_sequence():
     g = path_graph(5)
-    assert opt_cost_dp(g, (1, 3), [])[0] == 0
-    assert opt_cost_flow(g, (1, 3), [])[0] == 0
+    dm = all_pairs_shortest_paths(g)
+    assert opt_cost_dp(g, (1, 3), [], dm)[0] == 0
+    assert opt_cost_flow(g, (1, 3), [], dm)[0] == 0
 
 
 def test_single_round_costs_four():
     g = path_graph(5)
-    cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, path_round_sequence("1", 5))
-    assert cost == 4
     dm = all_pairs_shortest_paths(g)
+    cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, path_round_sequence("1", 5), dm)
+    assert cost == 4
     validate_lazy_schedule(dm, PATH_ROUND_INIT, path_round_sequence("1", 5), sched)
 
 
 def test_module_round_costs_4_gamma():
     g = module_graph(2)
     seq = valid_sequence(2, 1, (((((0, 1), (0, 1))),),))
-    cost, _ = opt_cost_dp(g, perm_init(2), list(seq.requests))
+    dm = all_pairs_shortest_paths(g)
+    cost, _ = opt_cost_dp(g, perm_init(2), list(seq.requests), dm)
     assert cost == 8  # 4 * gamma per round
 
 
 def test_three_rounds_cost_4m():
     g = path_graph(5)
     sigma = path_round_sequence("101", 5)
-    cost, _ = opt_cost_flow(g, PATH_ROUND_INIT, sigma)
+    cost, _ = opt_cost_flow(g, PATH_ROUND_INIT, sigma, all_pairs_shortest_paths(g))
     assert cost == 12
 
 
 def test_guard():
     g = path_graph(20)
+    dm = all_pairs_shortest_paths(g)
     with pytest.raises(InstanceTooLarge):
-        opt_cost_dp(g, tuple(range(6)), list(range(20)) * 50)
+        opt_cost_dp(g, tuple(range(6)), list(range(20)) * 50, dm)
 
 
 def test_count_runs_under_the_dp_guard():
     g = path_graph(20)
+    dm = all_pairs_shortest_paths(g)
     with pytest.raises(InstanceTooLarge, match="count_optimal_schedules"):
-        count_optimal_schedules(g, tuple(range(6)), list(range(20)) * 50)
+        count_optimal_schedules(g, tuple(range(6)), list(range(20)) * 50, dm)
 
 
 def test_all_schedules_single_server():
     g = path_graph(4)
-    assert count_optimal_schedules(g, (0,), [2]) == (2, 1)
+    assert count_optimal_schedules(g, (0,), [2], all_pairs_shortest_paths(g)) == (2, 1)
 
 
 def test_all_schedules_symmetric_pair():
@@ -159,8 +163,9 @@ def _tampered_flow(monkeypatch, tamper):
 
 def test_flow_decode_checks_cost(monkeypatch):
     _tampered_flow(monkeypatch, lambda cost, succ: (cost + 1, succ))
+    dm = all_pairs_shortest_paths(path_graph(5))
     with pytest.raises(FlowDecodeError, match="schedule costs 3, flow costs 4"):
-        opt_cost_flow(path_graph(5), (0, 4), [2, 3])
+        opt_cost_flow(dm.g, (0, 4), [2, 3], dm)
 
 
 def test_flow_decode_checks_coverage(monkeypatch):
@@ -170,8 +175,9 @@ def test_flow_decode_checks_coverage(monkeypatch):
         return cost, [None if v == ri_0 else v for v in succ]
 
     _tampered_flow(monkeypatch, drop_first_request)
+    dm = all_pairs_shortest_paths(path_graph(5))
     with pytest.raises(FlowDecodeError, match="cover request t=0"):
-        opt_cost_flow(path_graph(5), (0, 4), [2, 3])
+        opt_cost_flow(dm.g, (0, 4), [2, 3], dm)
 
 
 def _network_simplex_cost(dm, init, sigma):
@@ -607,8 +613,9 @@ def test_first_two_units_push_nothing_onto_a_heap(monkeypatch):
     rng = SplitMix64(409)
     g, _ = random_partial_ktree(rng, 40, 3, max_weight=9)
     sigma = random_requests(rng, 120, g.n)
+    dm = all_pairs_shortest_paths(g)
     for k in (1, 2):
-        opt_cost_flow(g, random_distinct_vertices(rng, k, g.n), sigma)
+        opt_cost_flow(g, random_distinct_vertices(rng, k, g.n), sigma, dm)
         assert pushes == [], f"k = {k}"
     # the ktree-gpc benchmark spec at seed 1: only unit 3 uses the heap
     args = cli.make_parser().parse_args(
@@ -616,7 +623,7 @@ def test_first_two_units_push_nothing_onto_a_heap(monkeypatch):
          "--n", "300", "--seed", "1", "--algo", "gpc"]
     )
     g, init, sigma = cli._build_instance(args)[:3]
-    opt_cost_flow(g, init, sigma)
+    opt_cost_flow(g, init, sigma, all_pairs_shortest_paths(g))
     assert 0 < len(pushes) < 8000
 
 
@@ -636,7 +643,7 @@ def test_flow_feeds_each_request_from_one_arc_per_vertex(monkeypatch):
     init = random_distinct_vertices(rng, 3, g.n)
     sigma = random_requests(rng, 80, g.n)
     k, n = len(init), len(sigma)
-    opt_cost_flow(g, init, sigma)
+    opt_cost_flow(g, init, sigma, all_pairs_shortest_paths(g))
     [ends] = seen
     for t in range(n):
         feeders = [u for u in range(t) if t <= ends[u]]
@@ -678,7 +685,7 @@ def test_dp_inserts_and_replaces_once_per_distinct_key(monkeypatch):
         offline_solver, "_replace_one",
         lambda *a: replaces.append(a) or real_replace(*a),
     )
-    cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma)
+    cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, sigma, all_pairs_shortest_paths(g))
     assert cost == 1140
     assert 0 < len(inserts) == len(set(inserts)) <= g.n
     assert 0 < len(replaces) == len(set(replaces))
@@ -913,9 +920,10 @@ def test_count_stays_exact_past_2_64():
 )
 def test_dp_without_servers(solve):
     g = path_graph(3)
+    dm = all_pairs_shortest_paths(g)
     with pytest.raises(ValueError, match="init: no servers to serve 2 requests"):
-        solve(g, (), [0, 2])
-    assert opt_cost_dp(g, (), [])[0] == 0
+        solve(g, (), [0, 2], dm)
+    assert opt_cost_dp(g, (), [], dm)[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from kslab.tree_decomp import (
     _path_splitter,
     _rooted,
     _simplify,
-    intersect_shortest_path,
     reduce_height,
     rooted_walk,
     verify_decomposition,
@@ -61,6 +60,12 @@ def test_broken_connectivity_reported():
     assert not check
     assert check.axiom == 3
     assert check.witness == 0
+
+
+def test_parent_list_of_the_wrong_length_rejected():
+    with pytest.raises(ValueError) as err:
+        TreeDecomposition([(0, 1), (1, 2)], [None], 0)
+    assert str(err.value) == "parent array and root must match the bag list"
 
 
 def test_missing_vertex_reported():
@@ -552,13 +557,23 @@ def test_lca_against_naive_walk():
         assert td.lca_bag(sib[0], sib[1]) == td.parent[sib[0]]
 
 
+def _walk_into_bag(dm, td, x, y, bag_idx):
+    """The first vertex of the canonical x-y path, walked by dm.next_hop,
+    inside the bag; None when the walk reaches y outside it."""
+    z = x
+    while z not in td.bags[bag_idx]:
+        if z == y:
+            return None
+        z = dm.next_hop(z, y)
+    return z
+
+
 def test_intersect_trivial_cases():
     g = path_graph(5)
     dm = all_pairs_shortest_paths(g)
     td = path_decomposition(5)
-    assert intersect_shortest_path(dm, td, 2, 2, td.representative_bag[2]) == 2
-    mid = intersect_shortest_path(dm, td, 0, 4, 2)  # bag {2,3}
-    assert mid in (2, 3)
+    assert _walk_into_bag(dm, td, 2, 2, td.representative_bag[2]) == 2
+    assert _walk_into_bag(dm, td, 0, 4, 2) == 2  # bag {2,3}
 
 
 def test_intersect_never_fails_on_tree_path_bags():
@@ -586,7 +601,7 @@ def test_intersect_never_fails_on_tree_path_bags():
                 b = td.parent[b]
             path_bags.extend(reversed(tail))
             bag = path_bags[rng.randrange(len(path_bags))]
-            z = intersect_shortest_path(dm, td, x, y, bag)
+            z = _walk_into_bag(dm, td, x, y, bag)
             assert z in td.bags[bag]
             assert dm.dist[x][z] + dm.dist[z][y] == dm.dist[x][y]
             done += 1

@@ -1,10 +1,10 @@
 """Checks that guard a result raise typed errors, also under `python -O`.
 
 Each case tampers with one input (a schedule, a certified system, an
-advice tape or the height-reduction splitter) so that exactly one check
-fires, and returns the error it raised.  The cases use no `assert`, so
-`test_checks_fire_under_python_O` can run them in a subprocess under -O,
-where every `assert` is stripped.
+advice tape, a decomposition or the height-reduction splitter) so that
+exactly one check fires, and returns the error it raised.  The cases use
+no `assert`, so `test_checks_fire_under_python_O` can run them in a
+subprocess under -O, where every `assert` is stripped.
 """
 import ast
 import os
@@ -19,11 +19,12 @@ import pytest
 import kslab
 from kslab import tree_decomp
 from kslab.advice_tape import AdviceTape
-from kslab.gpc import generate_advice
+from kslab.gpc import NoIntersection, generate_advice
 from kslab.instances import (
     SplitMix64,
     grid_graph,
     path_decomposition,
+    path_graph,
     random_distinct_vertices,
     random_partial_ktree,
     random_requests,
@@ -40,7 +41,12 @@ from kslab.spanner_cover import (
     run_online_spanner,
     shortest_path_tree,
 )
-from kslab.tree_decomp import HeightReductionFault, reduce_height
+from kslab.tree_decomp import (
+    HeightReductionFault,
+    TreeDecomposition,
+    reduce_height,
+    verify_decomposition,
+)
 
 
 def _grid_system():
@@ -137,6 +143,33 @@ def force_gpc_missing_move():
     return info.value
 
 
+def _sibling_bags_of_vertex_1():
+    """P4 and bags {3}, {0, 1}, {1, 2}, {2, 3}, the last three children of
+    the first: vertex 1's two bags hang apart, so axiom 3 fails."""
+    g = path_graph(4)
+    return g, TreeDecomposition([(3,), (0, 1), (1, 2), (2, 3)], [None, 0, 0, 0], 0)
+
+
+def force_no_intersection():
+    # the leg 0 -> 2 has its LCA bag at the root {3}, which its path 0-1-2
+    # misses
+    g, td = _sibling_bags_of_vertex_1()
+    dm = all_pairs_shortest_paths(g)
+    _, opt = opt_cost_dp(g, (0,), [2], dm)
+    with pytest.raises(NoIntersection) as info:
+        generate_advice(g, dm, td, (0,), [2], opt)
+    return info.value
+
+
+def force_unclaimed_spanner_system():
+    # the trees alone, without a certified (q, r) claim
+    g, dm, system = _grid_system()
+    _, opt = opt_cost_dp(g, (0,), [5], dm)
+    with pytest.raises(ValueError) as info:
+        generate_advice_spanner(g, dm, SpannerSystem(system.trees), (0,), [5], opt)
+    return info.value
+
+
 def force_splitter_not_halving():
     # a splitter that only sees the first anchor cannot halve a chain
     td = path_decomposition(20)
@@ -181,6 +214,8 @@ CASES = {
     "gpc_trajectory_mismatch": force_gpc_trajectory_mismatch,
     "spanner_missing_move": force_spanner_missing_move,
     "gpc_missing_move": force_gpc_missing_move,
+    "no_intersection": force_no_intersection,
+    "unclaimed_spanner_system": force_unclaimed_spanner_system,
     "splitter_not_halving": force_splitter_not_halving,
     "third_anchor": force_third_anchor,
 }
@@ -222,6 +257,19 @@ def test_missing_move_names_request(case, t):
     assert str(exc) == f"t={t} t: no move serves this request"
 
 
+def test_no_intersection_names_bag_and_leg():
+    g, td = _sibling_bags_of_vertex_1()
+    assert verify_decomposition(g, td).axiom == 3
+    exc = force_no_intersection()
+    assert str(exc) == "bag 0 misses every vertex of the shortest 0-2 path"
+
+
+def test_unclaimed_spanner_system_is_refused():
+    exc = force_unclaimed_spanner_system()
+    assert type(exc) is ValueError
+    assert str(exc) == "spanner system must carry a certified (q, r)"
+
+
 def test_splitter_not_halving_names_anchors():
     assert str(force_splitter_not_halving()) == (
         "splitting at bag 5 leaves 3 of 4 bags on one side of anchors (5, 8); "
@@ -260,6 +308,8 @@ def test_checks_fire_under_python_O():
         "gpc_trajectory_mismatch InvalidSchedule",
         "spanner_missing_move InvalidSchedule",
         "gpc_missing_move InvalidSchedule",
+        "no_intersection NoIntersection",
+        "unclaimed_spanner_system ValueError",
         "splitter_not_halving HeightReductionFault",
         "third_anchor HeightReductionFault",
     ]
