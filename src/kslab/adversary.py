@@ -99,9 +99,7 @@ def extract_round_guesses(init, schedule: Schedule, m: int) -> str:
     """
     positions = list(init)
     guesses = []
-    by_t = {mv.t: mv for mv in schedule.moves}
-    for t in range(m * ROUND_LENGTH):
-        mv = by_t[t]
+    for t, mv in enumerate(schedule.moves[: m * ROUND_LENGTH]):
         if t % ROUND_LENGTH == 0:
             right = max(positions)
             guesses.append("0" if mv.src == right else "1")

@@ -8,8 +8,8 @@ WARNING.
 
 Start-up is part of every fresh `kslab` process, so the two modules that
 only some commands need are imported where they are used: `spanner_cover`
-where `_build_instance` builds a spanner run's system, in the spanner step
-and in `verify --spanners`; `adversary` in the path-rounds/module/gb
+where `_build_instance` builds a spanner run's system, in `_claimed_system`,
+the spanner step and `verify --spanners`; `adversary` in the path-rounds/module/gb
 families, perm and `bounds`.  The modules of the gpc pipeline are imported
 at the top.
 """
@@ -53,7 +53,7 @@ from .offline_solver import (
     count_optimal_schedules,
     opt_cost_dp,
     opt_cost_flow,
-    validate_lazy_schedule,
+    serve_order,
 )
 from .tree_decomp import TreeDecomposition, reduce_height, verify_decomposition
 
@@ -169,6 +169,17 @@ def _vertices(doc, field: str, n: int) -> list:
         if not is_vertex(v, n):
             raise GraphFormatError(f"{field}[{i}]", f"vertex {v!r} not in 0..{n - 1}")
     return vs
+
+
+def _claimed_system(g: Graph, path: str) -> SpannerSystem:
+    """The spanner system of the --spanners file at path, with its (q, r)
+    claim, not yet certified; a file without a claim is a BadFlag."""
+    from .spanner_cover import system_from_json
+
+    system = system_from_json(g, _read(path))
+    if system.q is None:
+        raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
+    return system
 
 
 def _build_instance(args: argparse.Namespace) -> Instance:
@@ -302,9 +313,7 @@ def _build_instance(args: argparse.Namespace) -> Instance:
         from . import spanner_cover
 
         if args.spanners:
-            spanners = spanner_cover.system_from_json(g, _read(args.spanners))
-            if spanners.q is None:
-                raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
+            spanners = _claimed_system(g, args.spanners)
         else:
             roots = random_distinct_vertices(SplitMix64(args.seed ^ 0xB0F5), 2, g.n)
             trees = tuple(spanner_cover.shortest_path_tree(g, r) for r in roots)
@@ -349,7 +358,7 @@ def _step_perm(inst: Instance, dm, opt: Schedule):
         except InstanceTooLarge:
             return schedule.total_cost, ok, {"unique_opt": None}, None, None
     try:
-        validate_lazy_schedule(dm, inst.init, inst.sigma, schedule)
+        serve_order(dm, inst.init, inst.sigma, schedule)
     except InvalidSchedule:
         unique = False
     else:
@@ -598,9 +607,7 @@ def cmd_verify(args) -> int:
         return 1
     from . import spanner_cover
 
-    system = spanner_cover.system_from_json(g, _read(args.spanners))
-    if system.q is None:
-        raise BadFlag("--spanners", "spanner file carries no (q, r) claim")
+    system = _claimed_system(g, args.spanners)
     dm = all_pairs_shortest_paths(g)
     try:
         spanner_cover.certify_system(g, dm, system.trees, system.q, system.r)

@@ -1,12 +1,12 @@
 """Graph-Path-Cover: optimal online service from tape advice.
 
-The oracle walks an optimal lazy schedule once (offline_solver.serve_order,
-which also checks it) and, for every leg x -> y of a server's trajectory,
-picks a relay vertex z: walking the metric's next hops from x toward y,
-the first vertex in the least-common-ancestor bag of the representative
-bags of x and y.  The online side parks each server on its relay between
-serves, so every leg costs d(x,z) + d(z,y) = d(x,y) and the total equals
-the offline optimum exactly.
+The oracle checks and walks an optimal lazy schedule once, in the one
+lazy-schedule check offline_solver.serve_order, and, for every leg x -> y
+of a server's trajectory, picks a relay vertex z: walking the metric's next
+hops from x toward y, the first vertex in the least-common-ancestor bag of
+the representative bags of x and y.  The online side parks each server on
+its relay between serves, so every leg costs d(x,z) + d(z,y) = d(x,y) and
+the total equals the offline optimum exactly.
 
 Every record is one (bag depth, in-bag index) address: depth identifies
 the ancestor bag of the current request's representative bag, the index a
@@ -104,7 +104,7 @@ def generate_advice(
     """
     w_h, w_b = address_widths(td)
     tape = AdviceTape()
-    servers, first, after = serve_order(init, sigma, opt)
+    servers, first, after = serve_order(dm, init, sigma, opt)
     rep, depth, bags = td.representative_bag, td.depth, td.bags
     records: dict[tuple[int, int], int] = {}  # (x, y) -> its relay's record
 

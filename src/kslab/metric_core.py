@@ -61,14 +61,20 @@ class GraphFormatError(GraphError):
         super().__init__(f"{location}: {message}")
 
 
+def exact(x: Weight) -> Weight:
+    """x in the one form of an exact number: an int when it is integral,
+    else the Fraction.  Weights, parsed numbers and optima all take it."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
+
+
 def _check_weight(w) -> Weight:
     if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
         raise GraphError(f"weight {w!r} must be an int or Fraction")
     if w < 1:
         raise NonPositiveWeight(f"weight {w} is below 1")
-    if isinstance(w, Fraction) and w.denominator == 1:
-        return int(w)
-    return w
+    return exact(w)
 
 
 class Graph:
@@ -349,8 +355,9 @@ def num_to_json(x):
 
     Anything that is not a Fraction (ints, None) passes through unchanged.
     """
+    x = exact(x)
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return f"{x.numerator}/{x.denominator}"
     return x
 
 
@@ -370,7 +377,7 @@ def num_from_json(x, location: str) -> Weight:
         except (ValueError, ZeroDivisionError):
             pass
         else:
-            return int(f) if f.denominator == 1 else f
+            return exact(f)
     raise GraphFormatError(location, f"bad number {x!r}")
 
 

@@ -31,9 +31,11 @@ by single ints that order as (distance, node), so ties go by node id.  A
 reversed request arc costs +B and is never shorter than a free server's
 direct arc, so no pass relaxes it and every request stays covered.  The
 cost is read off the potentials.  Both emit lazy schedules: exactly one
-server moves per request, directly to the requested vertex.  Each entry
-point names the rows it reads, those of the servers and the requests, to
-`DistanceMatrix.compute_rows` up front, which may compute them in blocks.
+server moves per request, directly to the requested vertex, and moves[t]
+serves request t; `serve_order` is the one check of them.  Optima take
+`metric_core.exact`'s form.  Each entry point names the rows it reads, those
+of the servers and the requests, to `DistanceMatrix.compute_rows` up front,
+which may compute them in blocks.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from math import comb
 from operator import getitem, itemgetter
 from typing import NamedTuple
 
-from .metric_core import DistanceMatrix, Graph, weight_scale
+from .metric_core import DistanceMatrix, Graph, exact, weight_scale
 
 
 class InstanceTooLarge(ValueError):
@@ -105,24 +107,27 @@ class Schedule:
 
 
 def serve_order(
-    init, sigma, schedule: Schedule
+    dm: DistanceMatrix, init, sigma, schedule: Schedule
 ) -> tuple[list[int], list[int | None], list[int | None]]:
-    """Walk a lazy schedule once in request order.
+    """Check a lazy schedule, whose moves[t] serves request t, in one walk.
 
     Returns (servers, first, after): servers[t] serves request t, first[i]
     is the first request server i serves and after[t] the next request
     servers[t] serves (None: there is none).  Raises InvalidSchedule at the
-    first request t that has no move ("t"), names no server ("server"), or
-    whose move does not start where its server stands ("src") or does not
-    end on the request ("dst").
+    first request t whose move is missing or out of place ("t"), names no
+    server ("server"), does not start where its server stands ("src"), does
+    not end on the request ("dst") or does not cost d(src, dst) ("cost");
+    then, with t None, at surplus moves ("moves") or a total that is not
+    the sum of the move costs ("total_cost").
     """
-    by_t = {m.t: m for m in schedule.moves}
+    moves = schedule.moves
+    dist = dm.dist
     positions = list(init)
     servers = []
-    for t, y in enumerate(sigma):
-        m = by_t.get(t)
-        if m is None:
-            raise InvalidSchedule(t, "t", "no move serves this request")
+    total = 0
+    for t, (y, m) in enumerate(zip(sigma, moves)):
+        if m.t != t:
+            raise InvalidSchedule(t, "t", f"move {t} is for request {m.t}")
         sid = m.server
         if not (isinstance(sid, int) and 0 <= sid < len(positions)):
             raise InvalidSchedule(t, "server", f"no server {sid!r}")
@@ -134,42 +139,27 @@ def serve_order(
             raise InvalidSchedule(
                 t, "dst", f"server {sid} reaches {m.dst}, request is {y}"
             )
+        d = dist[y][m.src]
+        if m.cost != d:
+            raise InvalidSchedule(t, "cost", f"{m.cost} != d({m.src}, {y}) = {d}")
+        total += d
         positions[sid] = y
         servers.append(sid)
-    first: list[int | None] = [None] * len(positions)
-    after: list[int | None] = [None] * len(servers)
-    for t in range(len(servers) - 1, -1, -1):
-        after[t] = first[servers[t]]
-        first[servers[t]] = t
-    return servers, first, after
-
-
-def validate_lazy_schedule(
-    dm: DistanceMatrix, init, sigma, schedule: Schedule
-) -> None:
-    """Check the lazy-schedule invariants; raise InvalidSchedule if one fails."""
     n = len(sigma)
-    if len(schedule.moves) != n:
-        raise InvalidSchedule(
-            None, "moves", f"{len(schedule.moves)} moves for {n} requests"
-        )
-    by_t: dict[int, Move] = {}
-    for m in schedule.moves:
-        if m.t in by_t:
-            raise InvalidSchedule(m.t, "t", "two moves serve this request")
-        by_t[m.t] = m
-    serve_order(init, sigma, schedule)
-    total = 0
-    for t in range(n):
-        m = by_t[t]
-        d = dm.dist[m.src][m.dst]
-        if m.cost != d:
-            raise InvalidSchedule(t, "cost", f"{m.cost} != d({m.src}, {m.dst}) = {d}")
-        total += m.cost
+    if len(servers) < n:
+        raise InvalidSchedule(len(servers), "t", "no move serves this request")
+    if len(moves) > n:
+        raise InvalidSchedule(None, "moves", f"{len(moves)} moves for {n} requests")
     if total != schedule.total_cost:
         raise InvalidSchedule(
             None, "total_cost", f"{schedule.total_cost} != sum of move costs {total}"
         )
+    first: list[int | None] = [None] * len(positions)
+    after: list[int | None] = [None] * n
+    for t in range(n - 1, -1, -1):
+        after[t] = first[servers[t]]
+        first[servers[t]] = t
+    return servers, first, after
 
 
 def _guard(what: str, formula: str, size: int):
@@ -287,10 +277,7 @@ def _optimum(base, layer) -> tuple[int | Fraction, int, tuple]:
     it, which is the number of optimal schedules, and the least of them."""
     least = min(cost for cost, _ in layer.values())
     best = [(conf, ways) for conf, (cost, ways) in layer.items() if cost == least]
-    opt = base + least
-    if isinstance(opt, Fraction) and opt.denominator == 1:
-        opt = int(opt)
-    return opt, sum(ways for _, ways in best), min(best)[0]
+    return exact(base + least), sum(ways for _, ways in best), min(best)[0]
 
 
 def opt_cost_dp(
@@ -613,8 +600,7 @@ def opt_cost_flow(
             seen[r] = None
             gather = itemgetter(*seen, init[0])
     flow_cost, succ = _flow_units(init, sigma, rows, ends, big)
-    total = Fraction(flow_cost + n * big, scale)
-    total = int(total) if total.denominator == 1 else total
+    total = exact(Fraction(flow_cost + n * big, scale))
 
     # Each server's unit: s_i -> ri_t -> ro_t -> ri_u -> ... -> T.
     serve_t: dict[int, int] = {}

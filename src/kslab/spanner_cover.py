@@ -6,6 +6,10 @@ q * d_G + r <= (q + r) * d_G once edge weights are at least 1 and
 r >= 0 (a leg that stays put costs 0), and the whole run costs at most
 (q + r) times the offline optimum.
 
+A default tree's parents are the metric's next hops toward its root, and
+the optimal schedule is checked and walked once, by offline_solver's one
+lazy-schedule check serve_order.
+
 Addressing uses heavy-path decomposition: any root-to-vertex path crosses
 at most ceil(log2 N) heavy paths, and all vertices of one heavy path share
 its ordinal seg_ordinal along those paths.  Between serves a server is
@@ -61,7 +65,6 @@ from .metric_core import (
     num_from_json,
     num_to_json,
     parse_json,
-    single_source_distances,
     weight_scale,
 )
 from .offline_solver import Schedule, serve_order
@@ -151,18 +154,14 @@ def spanning_tree_from_parent(g: Graph, root: int, parent) -> SpanningTree:
 
 
 def shortest_path_tree(g: Graph, root: int) -> SpanningTree:
-    """Deterministic shortest-path spanning tree (lowest-id parent on ties).
+    """Deterministic shortest-path spanning tree: each vertex's parent is
+    its next hop toward the root (`DistanceMatrix.next_hop`, the lowest-id
+    neighbour on a shortest path), read off the root's one row.
 
     On unit-weight graphs this is a plain breadth-first tree.
     """
-    dist = single_source_distances(g, root)
-    parent: list[int | None] = [None] * g.n
-    for v in range(g.n):
-        if v == root:
-            continue
-        parent[v] = min(
-            u for u, w in g.adj[v] if dist[u] + w == dist[v]
-        )
+    hop = DistanceMatrix(g).next_hop
+    parent = [None if v == root else hop(v, root) for v in range(g.n)]
     return spanning_tree_from_parent(g, root, parent)
 
 
@@ -582,7 +581,7 @@ def generate_advice_spanner(
     hps = [t.paths for t in system.trees]
     w_mu, _ = spanner_widths(system.mu, g.n)
     tape = AdviceTape()
-    servers, first, after = serve_order(init, sigma, opt)
+    servers, first, after = serve_order(dm, init, sigma, opt)
     bindings: list[tuple[int, int]] = [(-1, -1)] * len(init)
 
     def bind(sid: int, x: int, u: int | None, p: int, t: int | None) -> None:

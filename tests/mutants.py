@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 CLI = "tests/test_cli.py::"
 OFFLINE = "tests/test_offline_solver.py::"
 TREE = "tests/test_tree_decomp.py::"
+LAZY = OFFLINE + "test_validate_lazy_schedule_raises_located"  # serve_order's cases
 
 MUTANTS = [
     Mutant(
@@ -65,18 +66,60 @@ MUTANTS = [
         (CLI + "test_run_fails_pass_past_its_bit_budget",),
     ),
     Mutant(
-        "validate_lazy_schedule move cost",
+        "serve_order move order",
+        "offline_solver.py",
+        "if m.t != t:",
+        "if False:",
+        (LAZY + "[t-twice]", LAZY + "[t-missing]"),
+    ),
+    Mutant(
+        "serve_order server",
+        "offline_solver.py",
+        "if not (isinstance(sid, int) and 0 <= sid < len(positions)):",
+        "if False:",
+        (LAZY + "[server]",),
+    ),
+    Mutant(
+        "serve_order src",
+        "offline_solver.py",
+        "if positions[sid] != m.src:",
+        "if False:",
+        (LAZY + "[src]",),
+    ),
+    Mutant(
+        "serve_order dst",
+        "offline_solver.py",
+        "if m.dst != y:",
+        "if False:",
+        (LAZY + "[dst]",),
+    ),
+    Mutant(
+        "serve_order move cost",
         "offline_solver.py",
         "if m.cost != d:",
         "if False:",
-        (OFFLINE + "test_validate_lazy_schedule_raises_located[cost]",),
+        (LAZY + "[cost]",),
     ),
     Mutant(
-        "validate_lazy_schedule total",
+        "serve_order missing move",
+        "offline_solver.py",
+        "if len(servers) < n:",
+        "if False:",
+        (LAZY + "[moves]",),
+    ),
+    Mutant(
+        "serve_order surplus moves",
+        "offline_solver.py",
+        "if len(moves) > n:",
+        "if False:",
+        (LAZY + "[surplus]",),
+    ),
+    Mutant(
+        "serve_order total",
         "offline_solver.py",
         "if total != schedule.total_cost:",
         "if False:",
-        (OFFLINE + "test_validate_lazy_schedule_raises_located[total_cost]",),
+        (LAZY + "[total_cost]",),
     ),
     Mutant(
         "flow decode cost",

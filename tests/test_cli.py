@@ -172,110 +172,117 @@ def test_run_fails_pass_past_its_bit_budget(algo, slack, passes, monkeypatch, tm
     assert results["bit_budget"] == results["bits_read"] + slack
 
 
-# sha256 of the report of each `kslab run` example in README.md
-README_RUNS = [
+# Every argv-only `kslab run` whose report is pinned by its sha256: (group,
+# id, argv, digest, fields), where fields are entries the report's
+# `results` and `extra` must hold.  `_check_pinned_run` checks a row; each
+# group is one test below, so every case keeps the test id it had.
+PINNED_RUNS = [
+    # readme: each `kslab run` example in README.md
     (
+        "readme", "path-rounds-opt",
         ["--family", "path-rounds", "--bits", "101", "--algo", "opt"],
         "d072e8d6c0ae5f56af1343825bb1eb8794fd81c6f5cc75dc45405eaf31ee6ed8",
+        {},
     ),
     (
+        "readme", "ktree-gpc",
         ["--family", "random-ktree", "--size", "20", "--k", "2", "--n", "25",
          "--seed", "7", "--algo", "gpc"],
         "fa143b284cbf0f0c589865073eac2e481a29c8c39f82212600d1b2038f15869b",
+        {},
     ),
     (
+        "readme", "module-perm",
         ["--family", "module", "--gamma", "2", "--rounds", "1", "--algo", "perm"],
         "e6b95062e364edd0243d2b62294e92bee41157bcd9b6e99977a91eece652c19c",
+        {},
     ),
     (
+        "readme", "grid-spanner",
         ["--family", "grid", "--size", "4", "--k", "2", "--n", "20", "--seed", "3",
          "--algo", "spanner"],
         "ddbd58d80d65ba3255a44cf0e09d307fa7e11f5653eaa65622b1c75c6428cdb7",
+        {},
     ),
-]
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    README_RUNS,
-    ids=["path-rounds-opt", "ktree-gpc", "module-perm", "grid-spanner"],
-)
-def test_readme_run_reports_are_pinned(argv, digest, tmp_path):
-    out = tmp_path / "r.json"
-    assert run_cli("run", *argv, "--out", str(out)) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-# Larger runs pinned the same way: N^3 * n > DP_GUARD sends the first one's
-# OPT down the flow route; the second certifies a spanner on a 64-vertex grid;
-# the third serves ~2000 path-round requests from a long DP-route schedule;
-# the fourth generates and height-reduces a 600-vertex partial 3-tree.
-# Each also pins its exact OPT, which does not depend on which optimal
-# schedule the solver picks.
-LARGER_RUNS = [
+    # larger: N^3 * n > DP_GUARD sends the first one's OPT down the flow
+    # route; the second certifies a spanner on a 64-vertex grid; the third
+    # serves ~2000 path-round requests from a long DP-route schedule; the
+    # fourth generates and height-reduces a 600-vertex partial 3-tree.
+    # Each also pins its exact OPT, which does not depend on which optimal
+    # schedule the solver picks.
     (
+        "larger", "ktree-flow-gpc",
         ["--family", "random-ktree", "--size", "60", "--k", "3", "--n", "60",
          "--algo", "gpc"],
         "09681968868db5a6079bcdbd58c1f5b69683d2b2e1b2126a4fa1720247edf5f6",
-        107,
+        {"pass": True, "opt_cost": 107},
     ),
     (
+        "larger", "grid8-spanner",
         ["--family", "grid", "--size", "8", "--algo", "spanner"],
         "1eaf34befc6be86b8624b74c8fc7b7bb782c4201943feeed14987624c8c249db",
-        37,
+        {"pass": True, "opt_cost": 37},
     ),
     (
+        "larger", "rounds2000-gpc",
         ["--family", "path-rounds", "--size", "5", "--n", "2000", "--algo", "gpc"],
         "9743dbabdec1312bc9f01b981a1754be40535ed2fa8b19723657c6cb2ff740bb",
-        1140,
+        {"pass": True, "opt_cost": 1140},
     ),
     (
+        "larger", "ktree600-flow-gpc",
         ["--family", "random-ktree", "--size", "600", "--k", "3", "--n", "60",
          "--algo", "gpc"],
         "b9644ea5875e960ca207957f5686237698ced9c5c20aaff29bc3fd892d1d16e8",
-        158,
+        {"pass": True, "opt_cost": 158},
     ),
     # the grid-spanner and ktree-gpc benchmark specs at seed 1, and the
     # N = 2,000 partial 3-tree
     (
+        "larger", "grid16-spanner",
         ["--family", "grid", "--size", "16", "--k", "2", "--n", "150",
          "--seed", "1", "--algo", "spanner"],
         "953171c4f982912f06d1a131016cab3bad2a4298d9a3889e3fb11d15b8e66192",
-        999,
+        {"pass": True, "opt_cost": 999},
     ),
     (
+        "larger", "ktree250-gpc",
         ["--family", "random-ktree", "--size", "250", "--k", "3", "--n", "300",
          "--seed", "1", "--algo", "gpc"],
         "f289cdbbc0d467f689c85f4e87051600f98b8501f61e5e5212a258625a6beefa",
-        699,
+        {"pass": True, "opt_cost": 699},
     ),
     (
+        "larger", "ktree2000-gpc",
         ["--family", "random-ktree", "--size", "2000", "--k", "3", "--n", "300",
          "--seed", "1", "--algo", "gpc"],
         "f51404b603ca02825d6a0d11014047aa07a1eaf881ad43286c32b863ba5beb5c",
-        874,
+        {"pass": True, "opt_cost": 874},
     ),
     # k = 3 DP-route runs, where the DP's sweeps drop the most states
     (
+        "larger", "grid6-k3-opt",
         ["--family", "grid", "--size", "6", "--k", "3", "--n", "150",
          "--seed", "1", "--algo", "opt"],
         "d10e8850fce794e0b6f08cded52172cd6ff5dbc3d8ed6dbc207552afeb0b12ae",
-        260,
+        {"pass": True, "opt_cost": 260},
     ),
     (
+        "larger", "ktree30-k3-opt",
         ["--family", "random-ktree", "--size", "30", "--k", "3", "--n", "150",
          "--seed", "2", "--algo", "opt"],
         "714ad88eed25d261dfa6d4494a8817e36c26b91a547c00a7493fa90cf97d48fd",
-        197,
+        {"pass": True, "opt_cost": 197},
     ),
     # the ktree-gpc benchmark spec (flow route) at three more pool seeds;
     # bench/reference.json's digests for it predate the flow's re-pin
     *(
         (
+            "larger", f"ktree250-gpc-s{seed}",
             ["--family", "random-ktree", "--size", "250", "--k", "3", "--n", "300",
              "--seed", str(seed), "--algo", "gpc"],
             digest,
-            opt_cost,
+            {"pass": True, "opt_cost": opt_cost},
         )
         for seed, digest, opt_cost in [
             (0, "bd7eeea2701ddadd3429b66aeb4e9cc942faf263c8fdd183bb9eebee1e256228", 719),
@@ -285,43 +292,155 @@ LARGER_RUNS = [
     ),
     # 783 rows to read on N = 2,000: three full batch blocks and a BFS tail
     (
+        "larger", "ktree2000-n1000-gpc",
         ["--family", "random-ktree", "--size", "2000", "--k", "3", "--n", "1000",
          "--seed", "1", "--algo", "gpc"],
         "3ca503652bd9ff621707e8a458bb5601331105f5768e6a88ec2a34883d4eccb9",
-        2937,
+        {"pass": True, "opt_cost": 2937},
+    ),
+    # suffix: spanner reports whose retrievals read disambiguation
+    # suffixes, on k > 2 servers and on families other than the grid, with
+    # the suffix bits each report counts
+    (
+        "suffix", "gb-m2-g2-r2",
+        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "2",
+         "--seed", "2", "--algo", "spanner"],
+        "222819098a02fe177ddb00fcb41a8a824c2d192e14793f2add4f4738633ff400",
+        {"pass": True, "suffix_bits": 36},
+    ),
+    (
+        "suffix", "ktree30-k3",
+        ["--family", "random-ktree", "--size", "30", "--k", "3", "--n", "40",
+         "--seed", "2", "--algo", "spanner"],
+        "54f60adcab7f618071abd5faa7457dec5ee49dcbc9550d6f4557ea6bedf11824",
+        {"pass": True, "suffix_bits": 8},
+    ),
+    (
+        "suffix", "module-g3-r2",
+        ["--family", "module", "--gamma", "3", "--rounds", "2", "--seed", "3",
+         "--algo", "spanner"],
+        "6f57963e705d1c27da619e1b33dc73dec4a8de006804ba004f89adb4156b23b0",
+        {"pass": True, "suffix_bits": 9},
+    ),
+    (
+        "suffix", "grid5-k4",
+        ["--family", "grid", "--size", "5", "--k", "4", "--n", "60", "--seed", "0",
+         "--algo", "spanner"],
+        "521d68aa39295d50f1e80ef20d6aadf85e47540c2bab282e62f9ab950053149d",
+        {"pass": True, "suffix_bits": 20},
+    ),
+    # gpc: reports pinned byte for byte, tape hex, `tape_bits` and
+    # `extra.moves` included: the 14,000-request path-rounds benchmark spec
+    # (a ~1 MB report), a two-module gb spec, and the latter's CSV row
+    (
+        "gpc", "rounds14000-gpc",
+        ["--family", "path-rounds", "--size", "5", "--n", "14000", "--seed", "1",
+         "--algo", "gpc"],
+        "080a697ef12305e2c38afa7cab615ef0e2e4c4e337fc6e4acd822d5642ac9e85",
+        {},
+    ),
+    (
+        "gpc", "gb-m2-g2-r3-gpc",
+        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "3",
+         "--algo", "gpc"],
+        "45fd259ef03c992bcd1299412879337f1dfa7b472ead486a18e3bec60031ae8f",
+        {},
+    ),
+    (
+        "gpc", "gb-gpc-csv",
+        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "3",
+         "--algo", "gpc", "--format", "csv"],
+        "6d01b7b18cfe5c14eca340c83c51990b335b9020aa2b641d33a11148ab327e60",
+        {},
+    ),
+    (
+        "gpc", "module-g2-r3-gpc",
+        ["--family", "module", "--gamma", "2", "--rounds", "3", "--algo", "gpc"],
+        "eb088a2b8aa3483789e1ee6b118a84f2e28015bf9a25798f84f820b1ebf67956",
+        {},
+    ),
+    # perm: beyond the README's one-round gamma 2 run, three rounds of gamma
+    # 2, ten rounds of gamma 3, and four rounds of two gb modules, whose OPT
+    # takes the flow route and so needs the counting pass
+    (
+        "perm", "module-g2-r3",
+        ["--family", "module", "--gamma", "2", "--rounds", "3", "--algo", "perm"],
+        "c4f0bb01ca4247ab80b78415448b2b776d2bc39a9e22ffb4de94a68c15f630cb",
+        {"unique_opt": True},
+    ),
+    (
+        "perm", "module-g3-r10",
+        ["--family", "module", "--gamma", "3", "--rounds", "10", "--algo", "perm"],
+        "2fc99985c87ae31a1d6c81a3dfd100c14778528d8606c372ba0f1d4d437bfe9c",
+        {"unique_opt": True},
+    ),
+    (
+        "perm", "gb-m2-g2-r4",
+        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "4",
+         "--algo", "perm"],
+        "19a732acbc4db5aec1d6f4d4294fb18547ccd42e46149aa4671db677b0a2597b",
+        {"unique_opt": True},
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,digest,opt_cost",
-    LARGER_RUNS,
-    ids=["ktree-flow-gpc", "grid8-spanner", "rounds2000-gpc", "ktree600-flow-gpc",
-         "grid16-spanner", "ktree250-gpc", "ktree2000-gpc", "grid6-k3-opt",
-         "ktree30-k3-opt", "ktree250-gpc-s0", "ktree250-gpc-s2", "ktree250-gpc-s39",
-         "ktree2000-n1000-gpc"],
-)
-def test_larger_run_reports_are_pinned(argv, digest, opt_cost, tmp_path):
-    out = tmp_path / "r.json"
+def _pinned(group: str):
+    """Parametrize a test over the PINNED_RUNS rows of one group."""
+    rows = [row for row in PINNED_RUNS if row[0] == group]
+    return pytest.mark.parametrize(
+        "argv,digest,fields", [row[2:] for row in rows], ids=[row[1] for row in rows]
+    )
+
+
+def _check_pinned_run(argv, digest, fields, tmp_path):
+    """The run exits 0 with a report of the pinned digest that holds the
+    fields, read from a JSON report's `results` and `extra` and compared as
+    JSON, so that true is not 1."""
+    out = tmp_path / "r.out"
     assert run_cli("run", *argv, "--out", str(out)) == 0
-    results = json.loads(out.read_text())["results"]
-    assert results["pass"] is True
-    assert results["opt_cost"] == opt_cost
+    if fields:
+        report = json.loads(out.read_text())
+        found = {**report["results"], **report["extra"]}
+        assert json.dumps({key: found[key] for key in fields}) == json.dumps(fields)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def _count_rows(monkeypatch, *modules):
-    """The sources of the BFS rows computed through metric_core and
-    `modules`, and the size of each bit-parallel block, as lists that fill
-    while the test runs."""
+@_pinned("readme")
+def test_readme_run_reports_are_pinned(argv, digest, fields, tmp_path):
+    _check_pinned_run(argv, digest, fields, tmp_path)
+
+
+@_pinned("larger")
+def test_larger_run_reports_are_pinned(argv, digest, fields, tmp_path):
+    _check_pinned_run(argv, digest, fields, tmp_path)
+
+
+@_pinned("suffix")
+def test_spanner_suffix_run_reports_are_pinned(argv, digest, fields, tmp_path):
+    _check_pinned_run(argv, digest, fields, tmp_path)
+
+
+@_pinned("gpc")
+def test_gpc_run_reports_are_pinned(argv, digest, fields, tmp_path):
+    _check_pinned_run(argv, digest, fields, tmp_path)
+
+
+@_pinned("perm")
+def test_perm_run_reports_are_pinned(argv, digest, fields, tmp_path):
+    _check_pinned_run(argv, digest, fields, tmp_path)
+
+
+def _count_rows(monkeypatch):
+    """The sources of the BFS rows computed through metric_core, the
+    spanning trees' root rows included, and the size of each bit-parallel
+    block, as lists that fill while the test runs."""
     from kslab import metric_core
 
     calls, sizes = [], []
     bfs, batch = metric_core.single_source_distances, metric_core.multi_source_distances
-    for module in (metric_core, *modules):
-        monkeypatch.setattr(
-            module, "single_source_distances", lambda g, s: calls.append(s) or bfs(g, s)
-        )
+    monkeypatch.setattr(
+        metric_core, "single_source_distances", lambda g, s: calls.append(s) or bfs(g, s)
+    )
     monkeypatch.setattr(
         metric_core, "multi_source_distances", lambda g, b: sizes.append(len(b)) or batch(g, b)
     )
@@ -345,10 +464,7 @@ def _count_rows(monkeypatch, *modules):
     ids=["ktree-gpc", "grid-spanner", "rounds-gpc"],
 )
 def test_benchmark_specs_take_their_row_path(argv, bfs_rows, blocks, monkeypatch, tmp_path):
-    from kslab import spanner_cover
-
-    # the metric's rows and the trees'
-    calls, sizes = _count_rows(monkeypatch, spanner_cover)
+    calls, sizes = _count_rows(monkeypatch)
     assert run_cli("run", *argv, "--seed", "1", "--out", str(tmp_path / "r.json")) == 0
     assert (len(calls), sizes) == (bfs_rows, blocks)
 
@@ -365,117 +481,6 @@ def test_verify_spanners_computes_every_row_in_one_block(monkeypatch, tmp_path, 
     assert capsys.readouterr().out.startswith("pass: (60, 0)-stretch verified")
     # vertex 0's row by BFS gives ecc 30, so the other 255 rows make one block
     assert (calls, sizes) == ([0], [255])
-
-
-# spanner reports whose retrievals read disambiguation suffixes, on k > 2
-# servers and on families other than the grid, with the suffix bits each
-# report counts
-SUFFIX_RUNS = [
-    (
-        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "2",
-         "--seed", "2"],
-        "222819098a02fe177ddb00fcb41a8a824c2d192e14793f2add4f4738633ff400",
-        36,
-    ),
-    (
-        ["--family", "random-ktree", "--size", "30", "--k", "3", "--n", "40",
-         "--seed", "2"],
-        "54f60adcab7f618071abd5faa7457dec5ee49dcbc9550d6f4557ea6bedf11824",
-        8,
-    ),
-    (
-        ["--family", "module", "--gamma", "3", "--rounds", "2", "--seed", "3"],
-        "6f57963e705d1c27da619e1b33dc73dec4a8de006804ba004f89adb4156b23b0",
-        9,
-    ),
-    (
-        ["--family", "grid", "--size", "5", "--k", "4", "--n", "60", "--seed", "0"],
-        "521d68aa39295d50f1e80ef20d6aadf85e47540c2bab282e62f9ab950053149d",
-        20,
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "argv,digest,suffix_bits",
-    SUFFIX_RUNS,
-    ids=["gb-m2-g2-r2", "ktree30-k3", "module-g3-r2", "grid5-k4"],
-)
-def test_spanner_suffix_run_reports_are_pinned(argv, digest, suffix_bits, tmp_path):
-    out = tmp_path / "r.json"
-    assert run_cli("run", *argv, "--algo", "spanner", "--out", str(out)) == 0
-    report = json.loads(out.read_text())
-    assert report["results"]["pass"] is True
-    assert report["extra"]["suffix_bits"] == suffix_bits
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-# gpc reports pinned byte for byte, tape hex, `tape_bits` and `extra.moves`
-# included: the 14,000-request path-rounds benchmark spec (a ~1 MB report),
-# a two-module gb spec, and the latter's CSV row.
-GPC_RUNS = [
-    (
-        ["--family", "path-rounds", "--size", "5", "--n", "14000", "--seed", "1",
-         "--algo", "gpc"],
-        "080a697ef12305e2c38afa7cab615ef0e2e4c4e337fc6e4acd822d5642ac9e85",
-    ),
-    (
-        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "3",
-         "--algo", "gpc"],
-        "45fd259ef03c992bcd1299412879337f1dfa7b472ead486a18e3bec60031ae8f",
-    ),
-    (
-        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "3",
-         "--algo", "gpc", "--format", "csv"],
-        "6d01b7b18cfe5c14eca340c83c51990b335b9020aa2b641d33a11148ab327e60",
-    ),
-    (
-        ["--family", "module", "--gamma", "2", "--rounds", "3", "--algo", "gpc"],
-        "eb088a2b8aa3483789e1ee6b118a84f2e28015bf9a25798f84f820b1ebf67956",
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    GPC_RUNS,
-    ids=["rounds14000-gpc", "gb-m2-g2-r3-gpc", "gb-gpc-csv", "module-g2-r3-gpc"],
-)
-def test_gpc_run_reports_are_pinned(argv, digest, tmp_path):
-    out = tmp_path / "r.out"
-    assert run_cli("run", *argv, "--out", str(out)) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-# `perm` reports pinned the same way, beyond the README's one-round gamma 2
-# run: three rounds of gamma 2, ten rounds of gamma 3, and four rounds of two
-# gb modules, whose OPT takes the flow route and so needs the counting pass;
-# every one unique_opt true.
-PERM_RUNS = [
-    (
-        ["--family", "module", "--gamma", "2", "--rounds", "3", "--algo", "perm"],
-        "c4f0bb01ca4247ab80b78415448b2b776d2bc39a9e22ffb4de94a68c15f630cb",
-    ),
-    (
-        ["--family", "module", "--gamma", "3", "--rounds", "10", "--algo", "perm"],
-        "2fc99985c87ae31a1d6c81a3dfd100c14778528d8606c372ba0f1d4d437bfe9c",
-    ),
-    (
-        ["--family", "gb", "--modules", "2", "--gamma", "2", "--rounds", "4",
-         "--algo", "perm"],
-        "19a732acbc4db5aec1d6f4d4294fb18547ccd42e46149aa4671db677b0a2597b",
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "argv,digest", PERM_RUNS, ids=["module-g2-r3", "module-g3-r10", "gb-m2-g2-r4"]
-)
-def test_perm_run_reports_are_pinned(argv, digest, tmp_path):
-    out = tmp_path / "r.json"
-    assert run_cli("run", *argv, "--out", str(out)) == 0
-    assert json.loads(out.read_text())["extra"]["unique_opt"] is True
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

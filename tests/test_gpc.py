@@ -37,7 +37,6 @@ from kslab.offline_solver import (
     Schedule,
     opt_cost_dp,
     serve_order,
-    validate_lazy_schedule,
 )
 from kslab.spanner_cover import (
     SpannerSystem,
@@ -99,7 +98,7 @@ def test_module_round_replay():
 def test_trajectories_reject_inconsistent_schedule():
     broken = Schedule(moves=[Move(t=0, server=0, src=2, dst=3, cost=1)], total_cost=1)
     with pytest.raises(InvalidSchedule) as err:
-        serve_order((0,), [3], broken)
+        serve_order(all_pairs_shortest_paths(path_graph(4)), (0,), [3], broken)
     assert (err.value.t, err.value.field) == (0, "src")
 
 
@@ -214,7 +213,7 @@ def test_per_move_relay_identity():
         x, y, z = prev_vertex[sid], move.request, move.retrieved_from
         assert dm.dist[x][z] + dm.dist[z][y] == dm.dist[x][y]
         prev_vertex[sid] = y
-    validate_lazy_schedule(dm, init, sigma, opt_s)
+    serve_order(dm, init, sigma, opt_s)
     assert opt_s.total_cost == opt_c == run.online_cost
 
 
@@ -330,7 +329,7 @@ def test_relay_search_runs_once_per_distinct_leg(case, monkeypatch):
 
     monkeypatch.setattr(TreeDecomposition, "lca_bag", recording)
     generate_advice(g, dm, red, init, sigma, sched)
-    servers, first, after = serve_order(init, sigma, sched)
+    servers, first, after = serve_order(dm, init, sigma, sched)
     legs = [(x, sigma[u]) for x, u in zip(init, first) if u is not None]
     legs += [(y, sigma[u]) for y, u in zip(sigma, after) if u is not None]
     distinct = {(x, y) for x, y in legs if x != y}
@@ -370,7 +369,7 @@ def test_relays_are_the_first_path_vertex_in_the_lca_bag(seed, n_v, width, halve
         bag = red.bags[red.lca_bag(rep[x], rep[y])]
         return next(v for v in next_hop_path(dm, x, y) if v in bag)
 
-    servers, _, after = serve_order(init, sigma, sched)
+    servers, _, after = serve_order(dm, init, sigma, sched)
     at = list(init)  # where each server of the schedule stands
     for move in run.log:
         t, y = move.t, move.request

@@ -31,7 +31,7 @@ from kslab.offline_solver import (
     count_optimal_schedules,
     opt_cost_dp,
     opt_cost_flow,
-    validate_lazy_schedule,
+    serve_order,
 )
 
 
@@ -47,7 +47,7 @@ def test_single_round_costs_four():
     dm = all_pairs_shortest_paths(g)
     cost, sched = opt_cost_dp(g, PATH_ROUND_INIT, path_round_sequence("1", 5), dm)
     assert cost == 4
-    validate_lazy_schedule(dm, PATH_ROUND_INIT, path_round_sequence("1", 5), sched)
+    serve_order(dm, PATH_ROUND_INIT, path_round_sequence("1", 5), sched)
 
 
 def test_module_round_costs_4_gamma():
@@ -105,8 +105,8 @@ def test_flow_matches_dp_on_random_instances():
         c_dp, s_dp = opt_cost_dp(g, init, sigma, dm)
         c_fl, s_fl = opt_cost_flow(g, init, sigma, dm)
         assert c_dp == c_fl, f"instance {i}: dp {c_dp} != flow {c_fl}"
-        validate_lazy_schedule(dm, init, sigma, s_dp)
-        validate_lazy_schedule(dm, init, sigma, s_fl)
+        serve_order(dm, init, sigma, s_dp)
+        serve_order(dm, init, sigma, s_fl)
         assert s_dp.total_cost == c_dp
         assert s_fl.total_cost == c_dp
 
@@ -128,7 +128,7 @@ def test_lazification_never_costs_more():
         tape = generate_advice(g, dm, red, init, sigma, opt_s)
         tape.rewind()
         run = run_online(g, dm, red, init, sigma, tape)
-        validate_lazy_schedule(dm, init, sigma, opt_s)
+        serve_order(dm, init, sigma, opt_s)
         lazy_cost = opt_s.total_cost
         assert lazy_cost <= run.online_cost
         assert lazy_cost == opt_c  # relays sit on shortest paths: equality
@@ -398,7 +398,7 @@ def test_flow_matches_dp_and_network_simplex(instance):
     c_fl, s_fl = opt_cost_flow(g, init, sigma, dm)
     c_dp, _ = opt_cost_dp(g, init, sigma, dm)
     assert c_fl == c_dp == _network_simplex_cost(dm, init, sigma)
-    validate_lazy_schedule(dm, init, sigma, s_fl)
+    serve_order(dm, init, sigma, s_fl)
     assert s_fl.total_cost == c_fl
 
 
@@ -412,8 +412,8 @@ def test_sparse_flow_matches_dense_flow_and_dp(instance):
     c_fl, s_fl = opt_cost_flow(g, init, sigma, dm)
     c_dense, s_dense = _dense_flow_cost(dm, init, sigma)
     assert c_fl == c_dense == opt_cost_dp(g, init, sigma, dm)[0]
-    validate_lazy_schedule(dm, init, sigma, s_fl)
-    validate_lazy_schedule(dm, init, sigma, s_dense)
+    serve_order(dm, init, sigma, s_fl)
+    serve_order(dm, init, sigma, s_dense)
 
 
 @settings(max_examples=200, deadline=None)
@@ -666,7 +666,7 @@ def test_flow_on_a_long_path_round_sequence():
     dm = all_pairs_shortest_paths(g)
     cost, sched = opt_cost_flow(g, PATH_ROUND_INIT, sigma, dm)
     assert cost == opt_cost_dp(g, PATH_ROUND_INIT, sigma, dm)[0] == 1140
-    validate_lazy_schedule(dm, PATH_ROUND_INIT, sigma, sched)
+    serve_order(dm, PATH_ROUND_INIT, sigma, sched)
 
 
 def test_dp_inserts_and_replaces_once_per_distinct_key(monkeypatch):
@@ -691,8 +691,10 @@ def test_dp_inserts_and_replaces_once_per_distinct_key(monkeypatch):
     assert 0 < len(replaces) == len(set(replaces))
 
 
-# One case per lazy-schedule check: each raises InvalidSchedule naming
-# the request index t (None for the schedule as a whole) and the field.
+# One case per check of serve_order, the one lazy-schedule check: each
+# raises InvalidSchedule naming the request index t (None for the schedule
+# as a whole) and the field.  moves[t] serves request t, so a missing last
+# move is missed at its request and a move out of place at its own index.
 def _swap(sched, i, **fields):
     moves = list(sched.moves)
     moves[i] = moves[i]._replace(**fields)
@@ -702,25 +704,27 @@ def _swap(sched, i, **fields):
 @pytest.mark.parametrize(
     "tamper,t,field",
     [
-        (lambda s: Schedule(moves=s.moves[:-1], total_cost=s.total_cost), None, "moves"),
-        (lambda s: _swap(s, 1, t=0), 0, "t"),
+        (lambda s: Schedule(moves=s.moves[:-1], total_cost=s.total_cost), 1, "t"),
+        (lambda s: _swap(s, 1, t=0), 1, "t"),
         (lambda s: _swap(s, 1, t=5), 1, "t"),
         (lambda s: _swap(s, 0, server=2), 0, "server"),
         (lambda s: _swap(s, 0, src=0), 0, "src"),
         (lambda s: _swap(s, 1, dst=1), 1, "dst"),
         (lambda s: _swap(s, 1, cost=5), 1, "cost"),
         (lambda s: Schedule(moves=s.moves, total_cost=s.total_cost + 1), None, "total_cost"),
+        (lambda s: Schedule(moves=[*s.moves, s.moves[-1]], total_cost=s.total_cost), None, "moves"),
     ],
-    ids=["moves", "t-twice", "t-missing", "server", "src", "dst", "cost", "total_cost"],
+    ids=["moves", "t-twice", "t-missing", "server", "src", "dst", "cost", "total_cost",
+         "surplus"],
 )
 def test_validate_lazy_schedule_raises_located(tamper, t, field):
     g = path_graph(5)
     dm = all_pairs_shortest_paths(g)
     init, sigma = (1, 3), [2, 4]
     _, sched = opt_cost_dp(g, init, sigma, dm)
-    validate_lazy_schedule(dm, init, sigma, sched)
+    serve_order(dm, init, sigma, sched)
     with pytest.raises(InvalidSchedule) as err:
-        validate_lazy_schedule(dm, init, sigma, tamper(sched))
+        serve_order(dm, init, sigma, tamper(sched))
     assert (err.value.t, err.value.field) == (t, field)
     where = field if t is None else f"t={t} {field}"
     assert str(err.value).startswith(f"{where}: ")
@@ -952,5 +956,5 @@ def test_flow_matches_dp_on_every_family(flags, seed):
     c_dp, _ = opt_cost_dp(g, init, sigma, dm)
     c_fl, s_fl = opt_cost_flow(g, init, sigma, dm)
     assert c_fl == c_dp
-    validate_lazy_schedule(dm, init, sigma, s_fl)
+    serve_order(dm, init, sigma, s_fl)
     assert s_fl.total_cost == c_dp

@@ -576,37 +576,6 @@ def test_intersect_trivial_cases():
     assert _walk_into_bag(dm, td, 0, 4, 2) == 2  # bag {2,3}
 
 
-def test_intersect_never_fails_on_tree_path_bags():
-    rng = SplitMix64(502)
-    done = 0
-    while done < 100:
-        g, td = random_partial_ktree(rng, 8 + rng.randrange(18), 1 + rng.randrange(4))
-        dm = all_pairs_shortest_paths(g)
-        for _ in range(4):
-            x = rng.randrange(g.n)
-            y = rng.randrange(g.n)
-            bx, by = td.representative_bag[x], td.representative_bag[y]
-            anc = td.lca_bag(bx, by)
-            # walk the tree path between the representative bags
-            path_bags = []
-            b = bx
-            while b != anc:
-                path_bags.append(b)
-                b = td.parent[b]
-            path_bags.append(anc)
-            b = by
-            tail = []
-            while b != anc:
-                tail.append(b)
-                b = td.parent[b]
-            path_bags.extend(reversed(tail))
-            bag = path_bags[rng.randrange(len(path_bags))]
-            z = _walk_into_bag(dm, td, x, y, bag)
-            assert z in td.bags[bag]
-            assert dm.dist[x][z] + dm.dist[z][y] == dm.dist[x][y]
-            done += 1
-
-
 def test_module_decomposition_gamma2():
     td = module_graph_decomposition(2)
     g = module_graph(2)
